@@ -225,6 +225,91 @@ def gaussian_binomial_bounds_ok(n, k, q, margin=LOG_MARGIN):
     return float(exact) >= float(lower) - margin and float(exact) <= float(upper) + margin
 
 
+# -- the block-sum engine --------------------------------------------------
+#
+# Points and product subspaces split into ell independent blocks.  The
+# objects whose blocks have weights (k_1, ..., k_ell) number
+# prod_i P[k_i], where P is the per-block count vector, so the sum over all
+# compositions of s is the coefficient of x^s in P(x)^ell.  Samplers unrank
+# one uniform integer through the powers P^j, visiting compositions in
+# lexicographic order: the order of a flat inverse-CDF table over
+# bounded_compositions, so a given integer picks the same composition.
+
+@functools.lru_cache(maxsize=None)
+def rank_count_vector(m, eta, q):
+    """Per-block counts by rank: rank_matrix_count(m, eta, k, q) for
+    k = 0..min(m, eta)."""
+    return tuple(rank_matrix_count(m, eta, k, q) for k in range(min(m, eta) + 1))
+
+
+@functools.lru_cache(maxsize=None)
+def grassmannian_vector(eta, q):
+    """Per-block counts by dimension: gaussian_binomial(eta, k, q) for
+    k = 0..eta."""
+    return tuple(gaussian_binomial(eta, k, q) for k in range(eta + 1))
+
+
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for j, y in enumerate(b):
+        for i, x in enumerate(a):
+            out[i + j] += x * y
+    return tuple(out)
+
+
+@functools.lru_cache(maxsize=None)
+def block_sum_power(base, ell):
+    """Coefficients of base(x)^ell: entry s is the sum over compositions
+    (k_1, ..., k_ell) of s of prod_i base[k_i]."""
+    power = (1,)
+    for _ in range(ell):
+        power = _poly_mul(power, base)
+    return power
+
+
+@functools.lru_cache(maxsize=None)
+def _suffix_powers(base, ell):
+    # (base^0, ..., base^(ell-1)): the mass of every completion of a prefix.
+    # Kept apart from block_sum_power so that counts, which need only the
+    # top power, do not hold every lower one in memory.
+    powers = [(1,)]
+    for _ in range(ell - 1):
+        powers.append(_poly_mul(powers[-1], base))
+    return tuple(powers)
+
+
+def unrank_block_sum(base, ell, total, u):
+    """The composition of total into ell parts at offset u, where the
+    compositions are taken in lexicographic order and each one covers
+    prod_i base[k_i] consecutive offsets.
+
+    Offsets run over [0, block_sum_power(base, ell)[total]); anything else
+    raises ValueError.
+    """
+    if u < 0:
+        raise ValueError(f"offset {u} is negative")
+    powers = _suffix_powers(base, ell)
+    top = len(base) - 1
+    comp = []
+    rest = total
+    for i in range(ell):
+        tail = powers[ell - 1 - i]
+        for v in range(max(0, rest - len(tail) + 1), min(top, rest) + 1):
+            mass = base[v] * tail[rest - v]
+            if u < mass:
+                break
+            u -= mass
+        else:
+            raise ValueError(f"offset outside the compositions of {total}")
+        # The mass under prefix + (v,) is base[v] times the completions'
+        # masses, so dividing by base[v] keeps the cell boundaries.
+        u //= base[v]
+        comp.append(v)
+        rest -= v
+    assert rest == 0 and u == 0
+    return tuple(comp)
+
+
 # -- sphere and ball volumes -----------------------------------------------
 
 @functools.lru_cache(maxsize=None)
@@ -232,16 +317,8 @@ def sphere_volume(params, r):
     """Exact number of tuples at sum-rank weight r around any fixed center."""
     if not 0 <= r <= params.max_weight:
         raise ValueError(f"radius r = {r} outside [0, {params.max_weight}]")
-    if r == 0:
-        return 1
-    q, m, eta = params.q, params.m, params.eta
-    total = 0
-    for comp in bounded_compositions(r, params.ell, upper=params.block_rank_cap):
-        term = 1
-        for part in comp:
-            term *= rank_matrix_count(m, eta, part, q)
-        total += term
-    return total
+    base = rank_count_vector(params.m, params.eta, params.q)
+    return block_sum_power(base, params.ell)[r]
 
 
 @functools.lru_cache(maxsize=None)
@@ -304,13 +381,7 @@ def decomposable_count(eta, ell, w, q):
     """Number of products of per-block subspaces with total dimension w."""
     if not 0 <= w <= eta * ell:
         raise ValueError(f"w = {w} outside [0, {eta * ell}]")
-    total = 0
-    for comp in bounded_compositions(w, ell, upper=eta):
-        term = 1
-        for part in comp:
-            term *= gaussian_binomial(eta, part, q)
-        total += term
-    return total
+    return block_sum_power(grassmannian_vector(eta, q), ell)[w]
 
 
 def decomposable_bounds_logq(eta, ell, w, q):

@@ -122,17 +122,8 @@ def sample_decomposable_uniform(field, eta, ell, w, rng):
     if not 0 <= w <= eta * ell:
         raise ValueError(f"w = {w} outside [0, {eta * ell}]")
     q = field.q
-    cells = []
-    cum = 0
-    for comp in counting.bounded_compositions(w, ell, upper=eta):
-        mass = 1
-        for part in comp:
-            mass *= counting.gaussian_binomial(eta, part, q)
-        cum += mass
-        cells.append((cum, comp))
-    assert cum == counting.decomposable_count(eta, ell, w, q)
-    u = rng.randrange(cum)
-    comp = next(c for bound, c in cells if u < bound)
+    u = rng.randrange(counting.decomposable_count(eta, ell, w, q))
+    comp = counting.unrank_block_sum(counting.grassmannian_vector(eta, q), ell, w, u)
     return DecomposableSubspace(
         tuple(linalg.sample_subspace(field, eta, k, rng) for k in comp))
 

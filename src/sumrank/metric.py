@@ -276,41 +276,23 @@ def sample_uniform_matrix_of_rank(field, m, eta, r, rng):
     return tuple(linalg.mat_mul(field, left, right))
 
 
-@functools.lru_cache(maxsize=None)
-def _ball_sampler_table(params, radius):
-    # Flat inverse-CDF table over (weight, composition) cells: entries are
-    # (cumulative count, composition); cell mass is the product of per-block
-    # rank counts, so one uniform draw below the ball volume picks a cell
-    # with the exact conditional law.
-    q, m, eta = params.q, params.m, params.eta
-    cells = []
-    cum = 0
-    for s in range(radius + 1):
-        for comp in counting.bounded_compositions(s, params.ell,
-                                                  upper=params.block_rank_cap):
-            mass = 1
-            for part in comp:
-                mass *= counting.rank_matrix_count(m, eta, part, q)
-            cum += mass
-            cells.append((cum, comp))
-    assert cum == ball_volume(params, radius)
-    return tuple(cells), cum
+def _ball_composition(params, u):
+    # Per-block ranks of the point at offset u of the ball, with points
+    # ordered by weight and then by rank composition in lexicographic order.
+    base = counting.rank_count_vector(params.m, params.eta, params.q)
+    spheres = counting.block_sum_power(base, params.ell)
+    weight = 0
+    while u >= spheres[weight]:
+        u -= spheres[weight]
+        weight += 1
+    return counting.unrank_block_sum(base, params.ell, weight, u)
 
 
 def sample_ball_uniform(params, radius, rng):
     """A point uniform on the ball of the given radius around zero."""
     if not 0 <= radius <= params.max_weight:
         raise ValueError(f"radius {radius} outside [0, {params.max_weight}]")
-    cells, total = _ball_sampler_table(params, radius)
-    u = rng.randrange(total)
-    lo, hi = 0, len(cells) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if u < cells[mid][0]:
-            hi = mid
-        else:
-            lo = mid + 1
-    comp = cells[lo][1]
+    comp = _ball_composition(params, rng.randrange(ball_volume(params, radius)))
     field = params.field
     blocks = [sample_uniform_matrix_of_rank(field, params.m, params.eta, part, rng)
               for part in comp]

@@ -1,0 +1,216 @@
+"""The block-sum engine: counts as coefficients of P(x)^ell, samplers by
+unranking.
+
+The oracle for the samplers is the flat inverse-CDF table they used to
+build: one (cumulative mass, composition) cell per bounded composition, in
+the order bounded_compositions yields them.  Unranking must pick the same
+cell for every offset, which is what keeps seeded draws byte-identical.
+"""
+
+import bisect
+import random
+
+import pytest
+
+from sumrank import counting, decomposable, linalg, metric
+from sumrank.counting import SpaceParams
+from sumrank.galois import field_from_order
+
+
+def params_for(q, m, eta, ell):
+    return SpaceParams(field=field_from_order(q), m=m, eta=eta, ell=ell)
+
+
+# -- the flat tables, kept as oracles --------------------------------------
+
+def flat_ball_table(params, radius):
+    q, m, eta = params.q, params.m, params.eta
+    cells = []
+    cum = 0
+    for s in range(radius + 1):
+        for comp in counting.bounded_compositions(s, params.ell,
+                                                  upper=params.block_rank_cap):
+            mass = 1
+            for part in comp:
+                mass *= counting.rank_matrix_count(m, eta, part, q)
+            cum += mass
+            cells.append((cum, comp))
+    return cells, cum
+
+
+def flat_decomposable_table(eta, ell, w, q):
+    cells = []
+    cum = 0
+    for comp in counting.bounded_compositions(w, ell, upper=eta):
+        mass = 1
+        for part in comp:
+            mass *= counting.gaussian_binomial(eta, part, q)
+        cum += mass
+        cells.append((cum, comp))
+    return cells, cum
+
+
+def flat_lookup(cells, u):
+    bounds = [cum for cum, _ in cells]
+    return cells[bisect.bisect_right(bounds, u)][1]
+
+
+def offsets(total, limit, seed):
+    """Every offset below total when there are at most limit of them, else
+    limit seeded ones including both ends."""
+    if total <= limit:
+        return range(total)
+    rng = random.Random(seed)
+    return [0, total - 1] + [rng.randrange(total) for _ in range(limit - 2)]
+
+
+BALL_SHAPES = [  # q, m, eta, ell, radius
+    (2, 2, 2, 3, 5),
+    (2, 3, 2, 3, 4),
+    (3, 2, 1, 3, 2),
+    (3, 2, 2, 2, 4),
+    (4, 1, 1, 5, 4),
+    (4, 2, 2, 2, 3),
+]
+
+DECOMPOSABLE_SHAPES = [  # eta, ell, w, q
+    (3, 3, 4, 2),
+    (4, 3, 5, 2),
+    (2, 3, 3, 3),
+    (2, 4, 4, 3),
+    (2, 2, 2, 4),
+    (3, 2, 3, 4),
+]
+
+
+@pytest.mark.parametrize("q, m, eta, ell, radius", BALL_SHAPES)
+def test_ball_unranking_matches_flat_table(q, m, eta, ell, radius):
+    params = params_for(q, m, eta, ell)
+    cells, total = flat_ball_table(params, radius)
+    assert total == counting.ball_volume(params, radius)
+    for u in offsets(total, 20000, seed=q * 1000 + ell):
+        assert metric._ball_composition(params, u) == flat_lookup(cells, u), u
+
+
+@pytest.mark.parametrize("eta, ell, w, q", DECOMPOSABLE_SHAPES)
+def test_decomposable_unranking_matches_flat_table(eta, ell, w, q):
+    cells, total = flat_decomposable_table(eta, ell, w, q)
+    assert total == counting.decomposable_count(eta, ell, w, q)
+    base = counting.grassmannian_vector(eta, q)
+    for u in offsets(total, 20000, seed=q * 1000 + ell):
+        assert counting.unrank_block_sum(base, ell, w, u) == \
+            flat_lookup(cells, u), u
+
+
+class FirstDraw:
+    """An rng whose first randrange returns a chosen offset; later draws
+    come from a seeded Random."""
+
+    def __init__(self, u, seed):
+        self.u = u
+        self.rng = random.Random(seed)
+
+    def randrange(self, n):
+        if self.u is None:
+            return self.rng.randrange(n)
+        u, self.u = self.u, None
+        assert 0 <= u < n
+        return u
+
+
+@pytest.mark.parametrize("q, m, eta, ell, radius", BALL_SHAPES[:3])
+def test_ball_sampler_block_ranks_follow_flat_table(q, m, eta, ell, radius):
+    params = params_for(q, m, eta, ell)
+    cells, total = flat_ball_table(params, radius)
+    for u in offsets(total, 40, seed=7):
+        point = metric.sample_ball_uniform(params, radius, FirstDraw(u, u))
+        ranks = tuple(linalg._rank_rows(params.field, block)
+                      for block in point.blocks)
+        assert ranks == flat_lookup(cells, u)
+
+
+@pytest.mark.parametrize("eta, ell, w, q", DECOMPOSABLE_SHAPES[:3])
+def test_decomposable_sampler_dims_follow_flat_table(eta, ell, w, q):
+    field = field_from_order(q)
+    cells, total = flat_decomposable_table(eta, ell, w, q)
+    for u in offsets(total, 40, seed=7):
+        space = decomposable.sample_decomposable_uniform(
+            field, eta, ell, w, FirstDraw(u, u))
+        assert space.composition == flat_lookup(cells, u)
+
+
+def test_unrank_rejects_offsets_outside_the_count():
+    base = counting.grassmannian_vector(2, 2)
+    total = counting.decomposable_count(2, 3, 3, 2)
+    assert counting.unrank_block_sum(base, 3, 3, total - 1) == (2, 1, 0)
+    for u in (-1, total):
+        with pytest.raises(ValueError):
+            counting.unrank_block_sum(base, 3, 3, u)
+    with pytest.raises(ValueError):
+        counting.unrank_block_sum(base, 3, 7, 0)
+
+
+def test_block_sum_power_matches_composition_sum():
+    base = (1, 5, 3)
+    power = counting.block_sum_power(base, 4)
+    assert len(power) == 9
+    for s, coeff in enumerate(power):
+        total = 0
+        for comp in counting.bounded_compositions(s, 4, upper=2):
+            term = 1
+            for part in comp:
+                term *= base[part]
+            total += term
+        assert coeff == total
+    assert sum(power) == 9 ** 4
+
+
+# -- large ell -------------------------------------------------------------
+
+@pytest.mark.parametrize("q, side, ell", [(2, 4, 64), (3, 2, 128)])
+def test_volume_bounds_at_large_ell(q, side, ell):
+    params = params_for(q, side, side, ell)
+    spheres = [counting.sphere_volume(params, r)
+               for r in range(params.max_weight + 1)]
+    assert sum(spheres) == q ** params.total_dim
+    assert counting.ball_volume(params, params.max_weight) == \
+        q ** params.total_dim
+    for r in range(params.max_weight + 1):
+        assert counting.sphere_bounds_ok(params, r), r
+        assert counting.ball_bounds_ok(params, r), r
+
+
+def test_decomposable_bounds_at_large_ell():
+    eta, ell, q = 4, 64, 2
+    counts = [counting.decomposable_count(eta, ell, w, q)
+              for w in range(eta * ell + 1)]
+    # Every product of subspaces is counted once, by its total dimension.
+    assert sum(counts) == sum(counting.grassmannian_vector(eta, q)) ** ell
+    for w in range(eta * ell + 1):
+        assert counting.decomposable_bounds_ok(eta, ell, w, q), w
+        assert counting.decomposable_le_grassmannian(eta, ell, w, q), w
+
+
+# -- no fallback to enumeration --------------------------------------------
+
+def test_counts_and_samplers_never_enumerate_compositions(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("bounded_compositions called")
+
+    for cached in (counting.sphere_volume, counting.ball_volume,
+                   counting.decomposable_count, counting.block_sum_power,
+                   counting._suffix_powers):
+        cached.cache_clear()
+    monkeypatch.setattr(counting, "bounded_compositions", refuse)
+    params = params_for(2, 2, 2, 12)
+    assert sum(counting.sphere_volume(params, r)
+               for r in range(params.max_weight + 1)) == 2 ** 48
+    assert counting.ball_volume(params, 12) == sum(
+        counting.sphere_volume(params, r) for r in range(13))
+    assert counting.decomposable_count(3, 12, 18, 2) > 0
+    rng = random.Random(5)
+    point = metric.sample_ball_uniform(params, 12, rng)
+    assert point.weight() <= 12
+    space = decomposable.sample_decomposable_uniform(
+        field_from_order(2), 3, 12, 18, rng)
+    assert sum(space.composition) == 18
