@@ -11,8 +11,10 @@ search over cover states backs the harness when greedy misses a target.
 
 import math
 from dataclasses import dataclass
+from operator import getitem, ne
 
 from .guards import require_within
+from .metric import vector_code, vector_from_code
 
 # Exhaustive shift search sweeps q^gamma shifts; cap here.
 MAX_SHIFTS = 2 ** 20
@@ -64,22 +66,6 @@ class ChainInstance:
         return len(self.vectors)
 
 
-def _encode(vector, q):
-    code = 0
-    for x in vector:
-        code = code * q + x
-    return code
-
-
-def _decode(code, q, gamma):
-    out = []
-    for _ in range(gamma):
-        code, x = divmod(code, q)
-        out.append(x)
-    out.reverse()
-    return tuple(out)
-
-
 def _shifted_items(instance, shift_code):
     """(support mask, canonical value) per vector of A + w, in set order."""
     q = instance.field.q
@@ -88,23 +74,17 @@ def _shifted_items(instance, shift_code):
         # value bits are the support mask directly
         out = []
         for v in instance.vectors:
-            val = _encode(v, 2) ^ shift_code
+            val = vector_code(2, v) ^ shift_code
             out.append((val, val))
         return out
-    add = instance.field._add
-    shift = _decode(shift_code, q, gamma)
-    out = []
-    for v in instance.vectors:
-        mask = 0
-        val = 0
-        for x, s in zip(v, shift):
-            y = add[x][s]
-            val = val * q + y
-            if y:
-                mask |= 1
-            mask <<= 1
-        out.append((mask >> 1, val))
-    return out
+    shift = vector_from_code(q, gamma, shift_code)
+    # coordinate i of v + w is add[w_i][v_i], and it is zero exactly where
+    # v_i = -w_i; the support mask is the base-2 code of v_i != -w_i
+    rows = [instance.field._add[s] for s in shift]
+    zeros = [instance.field._neg[s] for s in shift]
+    return [(vector_code(2, map(ne, v, zeros)),
+             vector_code(q, map(getitem, rows, v)))
+            for v in instance.vectors]
 
 
 def _greedy_masks(items, c):
@@ -137,9 +117,9 @@ def greedy_chain(instance, shift):
     if len(shift) != instance.gamma:
         raise ValueError("shift length does not match gamma")
     q = instance.field.q
-    items = _shifted_items(instance, _encode(shift, q))
+    items = _shifted_items(instance, vector_code(q, shift))
     vals = _greedy_masks(items, instance.c)
-    return [_decode(v, q, instance.gamma) for v in vals]
+    return [vector_from_code(q, instance.gamma, v) for v in vals]
 
 
 @dataclass(frozen=True)
@@ -182,8 +162,8 @@ def best_shift_chain(instance, mode="exhaustive", trials=None, rng=None):
                 break
     length, shift_code, vals = best
     return ChainSearchResult(
-        shift=_decode(shift_code, q, gamma),
-        chain=tuple(_decode(v, q, gamma) for v in vals),
+        shift=vector_from_code(q, gamma, shift_code),
+        chain=tuple(vector_from_code(q, gamma, v) for v in vals),
         length=length)
 
 
@@ -198,7 +178,7 @@ def max_chain_exact(instance, shift, target=None):
     q = instance.field.q
     gamma = instance.gamma
     c = instance.c
-    items = sorted(_shifted_items(instance, _encode(shift, q)),
+    items = sorted(_shifted_items(instance, vector_code(q, shift)),
                    key=lambda mv: mv[1])
 
     if target is not None:
@@ -232,7 +212,7 @@ def max_chain_exact(instance, shift, target=None):
             memo[cover] = best
             return best
         vals = longest(0)
-    return [_decode(v, q, gamma) for v in vals]
+    return [vector_from_code(q, gamma, v) for v in vals]
 
 
 def chain_length_bound(set_size, q, gamma, c):
@@ -284,7 +264,7 @@ def bound_attainment_report(instance, mode="exhaustive", trials=None, rng=None):
     total = q ** instance.gamma
     require_within(total, MAX_SHIFTS, "shift count")
     for shift_code in range(total):
-        shift = _decode(shift_code, q, instance.gamma)
+        shift = vector_from_code(q, instance.gamma, shift_code)
         chain = max_chain_exact(instance, shift, target=target)
         if len(chain) >= target:
             return BoundReport(bound, target, greedy.length, True, True,
@@ -293,7 +273,7 @@ def bound_attainment_report(instance, mode="exhaustive", trials=None, rng=None):
     best_shift = None
     best_chain = ()
     for shift_code in range(total):
-        shift = _decode(shift_code, q, instance.gamma)
+        shift = vector_from_code(q, instance.gamma, shift_code)
         chain = max_chain_exact(instance, shift)
         if len(chain) > len(best_chain):
             best_chain = tuple(chain)
@@ -311,5 +291,5 @@ def random_chain_instance(field, gamma, set_size, c, rng):
     chosen = set()
     while len(chosen) < set_size:
         chosen.add(rng.randrange(total))
-    vectors = tuple(_decode(code, q, gamma) for code in sorted(chosen))
+    vectors = tuple(vector_from_code(q, gamma, code) for code in sorted(chosen))
     return ChainInstance(field, gamma, vectors, c)

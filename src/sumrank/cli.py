@@ -247,7 +247,7 @@ def _run_count_decomposable(args):
 def _capacity_records(q, b, rho, trial):
     cfg = {"q": q, "b": _frac_str(b), "rho": _frac_str(rho)}
     penalty = counting.capacity_penalty(rho, b)
-    cap = 1 - penalty
+    cap = counting.list_decoding_capacity(rho, b)
     ent_cap = 1 - counting.q_ary_entropy(rho, q)
     singleton = 1 - rho
     recs = [
@@ -279,11 +279,9 @@ def _run_capacity(args):
 
 # -- verb: verify ----------------------------------------------------------
 
-def _verify_volumes(args):
+def _volume_cases(args):
     """Histogram brute force against the closed-form sphere volumes, every
     configuration with q^(m eta ell) below the cap."""
-    records = []
-    ok = True
     limit = 2 ** args.max_space_log
     for q in args.q_list:
         field = field_from_order(q)
@@ -294,83 +292,54 @@ def _verify_volumes(args):
                         continue
                     params = SpaceParams(field=field, m=m, eta=eta, ell=ell)
                     hist = metric.weight_histogram(params)
-                    good = all(hist[r] == counting.sphere_volume(params, r)
-                               for r in range(params.max_weight + 1))
-                    ok = ok and good
-                    records.append(make_record(
-                        "verify", "volumes_pass", good,
-                        _space_config(params)))
-    return records, ok
+                    yield _space_config(params), all(
+                        hist[r] == counting.sphere_volume(params, r)
+                        for r in range(params.max_weight + 1))
 
 
-def _verify_gb_bounds(args):
-    records = []
-    ok = True
+def _gb_bound_cases(args):
     for q in args.q_list:
         for n in range(0, args.n_max + 1):
             for k in range(0, n + 1):
-                good = counting.gaussian_binomial_bounds_ok(n, k, q)
-                ok = ok and good
-                records.append(make_record(
-                    "verify", "gb_bounds_pass", good,
-                    {"q": q, "n": n, "k": k}))
-    return records, ok
+                yield ({"q": q, "n": n, "k": k},
+                       counting.gaussian_binomial_bounds_ok(n, k, q))
 
 
-def _verify_volume_bounds(args):
-    records = []
-    ok = True
+def _volume_bound_cases(args):
     for q in args.q_list:
         field = field_from_order(q)
         for side in range(1, args.m_max + 1):
             for ell in range(1, args.ell_max + 1):
                 params = SpaceParams(field=field, m=side, eta=side, ell=ell)
                 for r in range(0, params.max_weight + 1):
-                    good = (counting.sphere_bounds_ok(params, r)
-                            and counting.ball_bounds_ok(params, r))
-                    ok = ok and good
-                    records.append(make_record(
-                        "verify", "volume_bounds_pass", good,
-                        _space_config(params, r=r)))
-    return records, ok
+                    yield _space_config(params, r=r), (
+                        counting.sphere_bounds_ok(params, r)
+                        and counting.ball_bounds_ok(params, r))
 
 
-def _verify_decomposable_bounds(args):
-    records = []
-    ok = True
-    for q in args.q_list:
-        for eta in range(1, args.eta_max + 1):
-            for ell in range(1, args.ell_max + 1):
-                for w in range(0, eta * ell + 1):
-                    good = counting.decomposable_bounds_ok(eta, ell, w, q)
-                    ok = ok and good
-                    records.append(make_record(
-                        "verify", "decomposable_bounds_pass", good,
-                        {"q": q, "eta": eta, "ell": ell, "w": w}))
-    return records, ok
+def _decomposable_cases(check):
+    """Cases of check(eta, ell, w, q) over the (q, eta, ell, w) grid."""
+    def cases(args):
+        for q in args.q_list:
+            for eta in range(1, args.eta_max + 1):
+                for ell in range(1, args.ell_max + 1):
+                    for w in range(0, eta * ell + 1):
+                        yield ({"q": q, "eta": eta, "ell": ell, "w": w},
+                               check(eta, ell, w, q))
+    return cases
 
 
-def _verify_decomposable_dominance(args):
-    records = []
-    ok = True
-    for q in args.q_list:
-        for eta in range(1, args.eta_max + 1):
-            for ell in range(1, args.ell_max + 1):
-                for w in range(0, eta * ell + 1):
-                    good = counting.decomposable_le_grassmannian(eta, ell, w, q)
-                    ok = ok and good
-                    records.append(make_record(
-                        "verify", "decomposable_dominance_pass", good,
-                        {"q": q, "eta": eta, "ell": ell, "w": w}))
-    return records, ok
-
-
+# Each target is a statistic name and a generator of (config, passed)
+# cases; one failed case makes the run exit 1.
 _VERIFY_TARGETS = {
-    "volumes": _verify_volumes,
-    "gb-bounds": _verify_gb_bounds,
-    "volume-bounds": _verify_volume_bounds,
-    "decomposable-bounds": _verify_decomposable_bounds,
-    "decomposable-dominance": _verify_decomposable_dominance,
+    "volumes": ("volumes_pass", _volume_cases),
+    "gb-bounds": ("gb_bounds_pass", _gb_bound_cases),
+    "volume-bounds": ("volume_bounds_pass", _volume_bound_cases),
+    "decomposable-bounds": ("decomposable_bounds_pass", _decomposable_cases(
+        counting.decomposable_bounds_ok)),
+    "decomposable-dominance": ("decomposable_dominance_pass",
+                               _decomposable_cases(
+                                   counting.decomposable_le_grassmannian)),
 }
 
 
@@ -379,9 +348,10 @@ def _run_verify(args):
     records = []
     all_ok = True
     for name in targets:
-        recs, ok = _VERIFY_TARGETS[name](args)
-        records.extend(recs)
-        all_ok = all_ok and ok
+        statistic, cases = _VERIFY_TARGETS[name]
+        for cfg, good in cases(args):
+            all_ok = all_ok and good
+            records.append(make_record("verify", statistic, good, cfg))
     return records, 0 if all_ok else 1
 
 
@@ -391,7 +361,31 @@ def _compact(obj):
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+# The optional flags without which a sample target or experiment cannot run.
+_NEEDS = {
+    "ball": ("m", "eta", "ell", "radius"),
+    "rank-matrix": ("m", "eta", "radius"),
+    "subspace": ("ambient", "dim"),
+    "decomposable": ("eta", "ell", "w"),
+    "linear-code": ("m", "eta", "ell", "rate"),
+    "general-code": ("m", "eta", "ell", "rate"),
+    "correlation": ("m", "eta", "ell", "rho"),
+    "dimension": ("eta", "ell", "wx", "wy"),
+    "span-correlation": ("m", "eta", "ell", "rho", "gamma", "bound_factor"),
+    "subset-event": ("m", "eta", "ell", "rho", "vectors"),
+    "list-size": ("m", "eta", "ell", "rho", "eps"),
+}
+
+
+def _require_flags(args):
+    missing = ["--r" if dest == "radius" else "--" + dest.replace("_", "-")
+               for dest in _NEEDS[args.what] if getattr(args, dest) is None]
+    if missing:
+        raise ValueError(f"{args.verb} {args.what} needs {', '.join(missing)}")
+
+
 def _run_sample(args):
+    _require_flags(args)
     what = args.what
     seed = args.seed
     stream = RandomStream(seed, "sample", what)
@@ -465,6 +459,7 @@ def _estimate_records(verb, name, cfg, est, seed):
 
 
 def _run_experiment(args):
+    _require_flags(args)
     what = args.what
     seed = args.seed
     stream = RandomStream(seed, "experiment", what)
@@ -526,7 +521,7 @@ def _run_list_size(args, stream):
     params = _space_of(args)
     seed = args.seed
     rho = args.rho
-    rate = 1 - counting.capacity_penalty(rho, params.b) - args.eps
+    rate = counting.list_decoding_capacity(rho, params.b) - args.eps
     if rate <= 0:
         raise ValueError(f"rate {rate} not positive; lower rho or eps")
     k = int(rate * params.total_dim)  # floor to an integral dimension

@@ -42,6 +42,16 @@ def _dimension_from_rate(params, rate):
     return int(k)
 
 
+def _span(params, points):
+    """Every combination sum_i c_i x_i over c in F_q^len(points), repeats
+    included: the first point's coefficient varies fastest."""
+    combos = [zero_tuple(params)]
+    for x in points:
+        scaled = [x.scale(c) for c in range(1, params.q)]
+        combos = combos + [c.add(s) for s in scaled for c in combos]
+    return combos
+
+
 class Code:
     """A code in the metric space, either linear (basis) or general (set)."""
 
@@ -112,11 +122,7 @@ class Code:
         if not self.is_linear:
             return list(self.words)
         require_within(self.size, MAX_CODEWORDS, "codeword count")
-        params = self.params
-        words = [zero_tuple(params)]
-        for b in self.basis:
-            scaled = [b.scale(c) for c in range(1, params.q)]
-            words = words + [w.add(s) for s in scaled for w in words]
+        words = _span(self.params, self.basis)
         assert len(words) == self.size
         return words
 
@@ -176,15 +182,6 @@ def list_size_at(code, center, radius):
     return hits
 
 
-def _iter_ball_points(params, radius):
-    # Streaming ball enumeration for spreading; guarded by the caller via
-    # the full space size.
-    for code in range(params.q ** params.total_dim):
-        x = metric.tuple_from_code(params, code)
-        if x.weight() <= radius:
-            yield x
-
-
 def _occupancy_by_center(code, radius):
     """Map center -> |B(center, radius) meet C| for all centers hit.
 
@@ -196,7 +193,8 @@ def _occupancy_by_center(code, radius):
     require_within(space, MAX_CODE_SPACE, "code space size")
     words = code.codewords()
     counts = {}
-    for offset in _iter_ball_points(params, radius):
+    for offset_code in metric.ball_codes(params, radius, MAX_CODE_SPACE):
+        offset = metric.tuple_from_code(params, offset_code)
         for w in words:
             center = w.add(offset)
             key = tuple_code(center)
@@ -292,11 +290,7 @@ def span_ball_count(points, radius):
     require_within(params.q ** gamma, MAX_CODE_SPACE, "span combination count")
     seen = set()
     hits = 0
-    combos = [zero_tuple(params)]
-    for x in points:
-        scaled = [x.scale(c) for c in range(1, params.q)]
-        combos = combos + [c.add(s) for s in scaled for c in combos]
-    for combo in combos:
+    for combo in _span(params, points):
         key = tuple_code(combo)
         if key not in seen:
             seen.add(key)

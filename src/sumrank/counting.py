@@ -72,68 +72,30 @@ class SpaceParams:
 
 # -- compositions ----------------------------------------------------------
 
-def _normalize_bounds(parts, bound, default):
-    if bound is None:
-        return [default] * parts
-    if isinstance(bound, int):
-        return [bound] * parts
-    out = [int(v) for v in bound]
-    if len(out) != parts:
-        raise ValueError(f"expected {parts} bounds, got {len(out)}")
-    return out
-
-
-def bounded_compositions(total, parts, upper=None, lower=None):
+def bounded_compositions(total, parts, upper=None):
     """Yield ordered compositions of total into parts, lexicographically.
 
-    Part i ranges over [lower_i, upper_i]; lower defaults to all zeros and
-    upper to no cap.  Bounds may be a single int or a per-part sequence.
+    Every part lies in [0, upper]; upper defaults to no cap.
     """
     if parts < 0 or total < 0:
         raise ValueError("total and parts must be nonnegative")
-    lo = _normalize_bounds(parts, lower, 0)
-    hi = _normalize_bounds(parts, upper, total)
+    hi = total if upper is None else upper
     if parts == 0:
         if total == 0:
             yield ()
         return
-    min_rest = [0] * (parts + 1)
-    max_rest = [0] * (parts + 1)
-    for i in range(parts - 1, -1, -1):
-        min_rest[i] = min_rest[i + 1] + lo[i]
-        max_rest[i] = max_rest[i + 1] + hi[i]
 
     def rec(i, remaining, prefix):
         if i == parts:
             yield tuple(prefix)
             return
-        low = max(lo[i], remaining - max_rest[i + 1])
-        high = min(hi[i], remaining - min_rest[i + 1])
-        for v in range(low, high + 1):
+        rest = parts - i - 1
+        for v in range(max(0, remaining - hi * rest), min(hi, remaining) + 1):
             prefix.append(v)
             yield from rec(i + 1, remaining - v, prefix)
             prefix.pop()
 
     yield from rec(0, total, [])
-
-
-def count_bounded_compositions(total, parts, upper=None, lower=None):
-    """Exact count of the compositions bounded_compositions would yield."""
-    if parts < 0 or total < 0:
-        raise ValueError("total and parts must be nonnegative")
-    lo = _normalize_bounds(parts, lower, 0)
-    hi = _normalize_bounds(parts, upper, total)
-    ways = [0] * (total + 1)
-    ways[0] = 1
-    for i in range(parts):
-        nxt = [0] * (total + 1)
-        for s in range(total + 1):
-            w = ways[s]
-            if w:
-                for v in range(lo[i], min(hi[i], total - s) + 1):
-                    nxt[s + v] += w
-        ways = nxt
-    return ways[total]
 
 
 # -- Gaussian binomials and matrix counts ----------------------------------

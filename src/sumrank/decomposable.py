@@ -92,11 +92,6 @@ class DecomposableSubspace:
                 "factors": [[list(r) for r in f.basis] for f in self.factors]}
 
 
-def decomposable_build(factors):
-    """Validate and assemble a decomposable subspace from factor subspaces."""
-    return DecomposableSubspace(factors)
-
-
 def enumerate_decomposable(field, eta, ell, w):
     """All decomposable subspaces of total dimension w; guarded brute force."""
     if not 0 <= w <= eta * ell:

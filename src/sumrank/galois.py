@@ -68,9 +68,9 @@ def _is_irreducible(asc, p):
 class FieldSpec:
     """A finite field F_{p^e} with precomputed operation tables.
 
-    Use :func:`field_build` or :func:`field_from_order` to construct one.
-    Instances are immutable in intent and compare equal when (p, e, modulus)
-    agree.
+    Construct one directly, or by order with :func:`field_from_order`; the
+    modulus is optional when e = 1 or q has a built-in one.  Instances are
+    immutable in intent and compare equal when (p, e, modulus) agree.
     """
 
     __slots__ = ("p", "e", "q", "modulus", "_add", "_mul", "_neg", "_inv")
@@ -235,11 +235,6 @@ class FieldSpec:
         if e == 1:
             modulus = None
         return cls(obj["p"], e, modulus)
-
-
-def field_build(p, e, modulus=None):
-    """Construct F_{p^e}; modulus optional when e = 1 or q has a built-in."""
-    return FieldSpec(p, e, modulus)
 
 
 def field_from_order(q, modulus=None):

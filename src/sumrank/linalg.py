@@ -294,8 +294,9 @@ def enumerate_subspaces(field, ambient, k):
 def sample_full_rank(field, nrows, ncols, rng):
     """Uniform full-rank nrows x ncols row tuples by rejection.
 
-    Needs nrows <= ncols or ncols <= nrows accordingly; the acceptance rate
-    is at least the Euler product constant, so a handful of tries suffice.
+    Full rank means rank min(nrows, ncols), so either side may be the longer
+    one.  The acceptance rate is at least the Euler product constant, so a
+    handful of tries suffice.
     """
     target = min(nrows, ncols)
     q = field.q

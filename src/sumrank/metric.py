@@ -1,10 +1,10 @@
 """The sum-rank metric space: tuples of matrices, weights, balls, samplers.
 
 A point is an ell-tuple of m x eta matrices over F_q; its weight is the sum
-of the block ranks.  Enumeration code indexes points by integers (blocks in
-base q^(m*eta), most significant block first; entries within a block
-row-major, most significant first), which keeps brute-force oracles cheap
-and deterministic.
+of the block ranks.  Enumeration code indexes points, matrices and plain
+vectors by one integer encoding (base q, entries in to_vector() order, most
+significant first), which keeps brute-force oracles cheap and
+deterministic.
 
 Two exact samplers live here.  The ball sampler draws weight and per-block
 ranks by inverse CDF on exact integer counts, then factors each block as
@@ -18,7 +18,6 @@ constant to the power ell.
 
 import functools
 import itertools
-from dataclasses import dataclass
 
 from . import counting, decomposable, linalg
 from .counting import SpaceParams, ball_volume, sphere_volume
@@ -124,71 +123,51 @@ def zero_tuple(params):
     return BlockTuple(params, (zero_block,) * params.ell)
 
 
-def sum_rank_weight(x):
-    return x.weight()
-
-
 def sum_rank_distance(x, y):
     return x.sub(y).weight()
 
 
-@dataclass(frozen=True)
-class BallSpec:
-    """A metric ball given by its center and radius."""
+# -- integer codes ---------------------------------------------------------
+#
+# One encoding serves vectors, matrices and points: the base-q integer whose
+# digits are the entries, most significant first.  A matrix's digits are its
+# rows in order and a point's are its to_vector() entries, so a point's
+# blocks are its digits in base q^(m*eta), most significant block first.
 
-    center: BlockTuple
-    radius: int
-
-    def __post_init__(self):
-        if not 0 <= self.radius <= self.center.params.max_weight:
-            raise ValueError(
-                f"radius {self.radius} outside [0, {self.center.params.max_weight}]")
-
-    def contains(self, x):
-        return sum_rank_distance(x, self.center) <= self.radius
+def vector_code(q, entries):
+    """Base-q integer of the entries, most significant first."""
+    code = 0
+    for v in entries:
+        code = code * q + v
+    return code
 
 
-# -- integer codes for points ----------------------------------------------
+def vector_from_code(q, length, code):
+    """The length entries whose vector_code is code."""
+    if not 0 <= code < q ** length:
+        raise ValueError(f"code {code} outside [0, {q ** length})")
+    out = [0] * length
+    for i in range(length - 1, -1, -1):
+        code, out[i] = divmod(code, q)
+    return tuple(out)
+
 
 def matrix_code(q, block):
-    code = 0
-    for row in block:
-        for v in row:
-            code = code * q + v
-    return code
+    return vector_code(q, [v for row in block for v in row])
 
 
 def matrix_from_code(q, m, eta, code):
-    if not 0 <= code < q ** (m * eta):
-        raise ValueError(f"matrix code {code} outside [0, {q ** (m * eta)})")
-    entries = []
-    for _ in range(m * eta):
-        code, v = divmod(code, q)
-        entries.append(v)
-    entries.reverse()
-    return tuple(tuple(entries[r * eta:(r + 1) * eta]) for r in range(m))
+    entries = vector_from_code(q, m * eta, code)
+    return tuple(entries[r * eta:(r + 1) * eta] for r in range(m))
 
 
 def tuple_code(x):
-    params = x.params
-    base = params.q ** (params.m * params.eta)
-    code = 0
-    for block in x.blocks:
-        code = code * base + matrix_code(params.q, block)
-    return code
+    return vector_code(x.params.q, x.to_vector())
 
 
 def tuple_from_code(params, code):
-    space = params.q ** params.total_dim
-    if not 0 <= code < space:
-        raise ValueError(f"tuple code {code} outside [0, {space})")
-    base = params.q ** (params.m * params.eta)
-    blocks = []
-    for _ in range(params.ell):
-        code, bc = divmod(code, base)
-        blocks.append(matrix_from_code(params.q, params.m, params.eta, bc))
-    blocks.reverse()
-    return BlockTuple(params, blocks)
+    return BlockTuple.from_vector(
+        params, vector_from_code(params.q, params.total_dim, code))
 
 
 def iter_all_tuples(params):
@@ -198,15 +177,25 @@ def iter_all_tuples(params):
 
 
 @functools.lru_cache(maxsize=None)
-def rank_table(field, m, eta):
-    """Rank of every m x eta matrix, indexed by matrix code."""
+def rank_table(field, m, eta, limit=MAX_ENUMERATION):
+    """Rank of every m x eta matrix, indexed by matrix code; guarded at
+    limit matrices."""
     size = field.q ** (m * eta)
-    require_within(size, MAX_ENUMERATION, "matrix table size")
+    require_within(size, limit, "matrix table size")
     out = []
     for code in range(size):
         block = matrix_from_code(field.q, m, eta, code)
         out.append(linalg._rank_rows(field, block))
     return tuple(out)
+
+
+def _block_ranks(params, limit):
+    # The block ranks of every point, in code order (the last block varies
+    # fastest); guarded at limit points.
+    space = params.q ** params.total_dim
+    require_within(space, limit, "space size")
+    table = rank_table(params.field, params.m, params.eta, limit)
+    return itertools.product(table, repeat=params.ell)
 
 
 def weight_histogram(params):
@@ -216,46 +205,24 @@ def weight_histogram(params):
     the points of weight w among all q^(m*eta*ell).  Guarded at
     MAX_ENUMERATION points.
     """
-    space = params.q ** params.total_dim
-    require_within(space, MAX_ENUMERATION, "space size")
-    table = rank_table(params.field, params.m, params.eta)
     hist = [0] * (params.max_weight + 1)
-    for ranks in itertools.product(table, repeat=params.ell):
+    for ranks in _block_ranks(params, MAX_ENUMERATION):
         hist[sum(ranks)] += 1
     return hist
 
 
-def _codes_with_weight(params, keep):
-    space = params.q ** params.total_dim
-    require_within(space, MAX_ENUMERATION, "space size")
-    table = rank_table(params.field, params.m, params.eta)
-    base = len(table)
-    out = []
-    for code in range(space):
-        c = code
-        w = 0
-        for _ in range(params.ell):
-            c, bc = divmod(c, base)
-            w += table[bc]
-        if keep(w):
-            out.append(code)
-    return out
-
-
-def enumerate_sphere(params, r):
-    """All points at weight exactly r, as BlockTuples; brute force, guarded."""
+def ball_codes(params, r, limit=MAX_ENUMERATION):
+    """Codes of the points at weight <= r, streamed in increasing order;
+    brute force over the whole space, guarded at limit points."""
     if not 0 <= r <= params.max_weight:
         raise ValueError(f"radius r = {r} outside [0, {params.max_weight}]")
-    return [tuple_from_code(params, c)
-            for c in _codes_with_weight(params, lambda w: w == r)]
+    ranks = _block_ranks(params, limit)
+    return (code for code, ks in enumerate(ranks) if sum(ks) <= r)
 
 
 def enumerate_ball(params, r):
     """All points at weight <= r, as BlockTuples; brute force, guarded."""
-    if not 0 <= r <= params.max_weight:
-        raise ValueError(f"radius r = {r} outside [0, {params.max_weight}]")
-    return [tuple_from_code(params, c)
-            for c in _codes_with_weight(params, lambda w: w <= r)]
+    return [tuple_from_code(params, c) for c in ball_codes(params, r)]
 
 
 # -- samplers --------------------------------------------------------------

@@ -13,9 +13,11 @@ from sumrank.chains import (BoundReport, ChainInstance, best_shift_chain,
                             random_chain_instance, support)
 from sumrank.galois import field_from_order
 from sumrank.guards import GuardError
+from sumrank.metric import matrix_code, vector_from_code
 
 F2 = field_from_order(2)
 F3 = field_from_order(3)
+F4 = field_from_order(4)
 
 
 def test_support():
@@ -75,14 +77,15 @@ def test_greedy_shift_length_checked():
 
 def test_greedy_chain_lives_in_shifted_set():
     rng = random.Random(19)
-    inst = random_chain_instance(F3, 4, 20, 1, rng)
-    shift = (1, 2, 0, 1)
-    chain = greedy_chain(inst, shift)
-    assert is_increasing_chain(chain, 1)
-    shifted = {tuple(F3.add(x, s) for x, s in zip(v, shift))
-               for v in inst.vectors}
-    for v in chain:
-        assert tuple(v) in shifted
+    for field in (F3, F4):
+        inst = random_chain_instance(field, 4, 20, 1, rng)
+        shift = (1, 2, 0, 1)
+        chain = greedy_chain(inst, shift)
+        assert is_increasing_chain(chain, 1)
+        shifted = {tuple(field.add(x, s) for x, s in zip(v, shift))
+                   for v in inst.vectors}
+        for v in chain:
+            assert tuple(v) in shifted
 
 
 def test_best_shift_exhaustive_q3_frozen():
@@ -205,3 +208,12 @@ def test_random_instance_properties():
     assert again == inst
     with pytest.raises(ValueError):
         random_chain_instance(F2, 3, 9, 1, rng)
+    # vectors are decoded with the metric encoding: a vector's code is that
+    # of a one-row matrix, and canonical order is code order
+    for field in (F2, F3, F4):
+        q = field.q
+        inst = random_chain_instance(field, 4, 12, 1, random.Random(41))
+        codes = [matrix_code(q, (v,)) for v in inst.vectors]
+        assert codes == sorted(codes)
+        assert codes == [int("".join(map(str, v)), q) for v in inst.vectors]
+        assert [vector_from_code(q, 4, c) for c in codes] == list(inst.vectors)

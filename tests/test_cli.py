@@ -1,6 +1,7 @@
 """End-to-end runs of the command line harness via main()."""
 
 import csv
+import hashlib
 import io
 import json
 
@@ -85,6 +86,14 @@ def test_verify_volumes_small(capsys):
     assert all(rec["value"] == "1" for rec in table["volumes_pass"])
 
 
+def test_verify_all_output_pinned(capsys):
+    status, out, _ = run_cli(capsys, ["verify", "all"])
+    assert status == 0
+    assert out.count("\n") == 1361
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "e0010a3adb12b257d170e9bbb4217776c5d3ca946596b1bec1cbb0fe3b293313")
+
+
 def test_guard_violation_exit_code(capsys):
     status, _, err = run_cli(capsys, [
         "chain", "--q", "2", "--gamma", "21", "--set-size", "4",
@@ -108,6 +117,28 @@ def test_argparse_rejects_missing_pieces(capsys):
     with pytest.raises(SystemExit):
         main(["volume", "--q", "2"])
     capsys.readouterr()
+
+
+SPACE = ["--q", "2", "--m", "1", "--eta", "1", "--ell", "2"]
+
+
+@pytest.mark.parametrize("argv, flags", [
+    (["sample", "rank-matrix", "--q", "2", "--m", "2", "--eta", "2"],
+     ["--r"]),
+    (["sample", "subspace", "--q", "2"], ["--ambient", "--dim"]),
+    (["sample", "ball", *SPACE], ["--r"]),
+    (["sample", "linear-code", *SPACE], ["--rate"]),
+    (["experiment", "correlation", *SPACE], ["--rho"]),
+    (["experiment", "span-correlation", *SPACE, "--gamma", "2",
+      "--bound-factor", "1"], ["--rho"]),
+    (["experiment", "list-size", *SPACE, "--rho", "1/4"], ["--eps"]),
+])
+def test_missing_target_flag_is_an_input_error(capsys, argv, flags):
+    status, out, err = run_cli(capsys, argv)
+    assert status == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert all(flag in err for flag in flags)
 
 
 def test_sample_ball_deterministic(capsys):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from sumrank import codes
+from sumrank import codes, metric
 from sumrank.codes import (Code, correlation_estimate, expected_ball_occupancy,
                            limited_correlation_estimate, list_size_at,
                            max_list_size, radius_for, sample_general_code,
@@ -13,6 +13,7 @@ from sumrank.codes import (Code, correlation_estimate, expected_ball_occupancy,
                            subset_span_event_estimate)
 from sumrank.counting import SpaceParams, ball_volume
 from sumrank.galois import field_from_order
+from sumrank.guards import GuardError
 from sumrank.linalg import Subspace
 from sumrank.metric import (BlockTuple, enumerate_ball, iter_all_tuples,
                             sum_rank_distance, tuple_code, tuple_from_code,
@@ -107,6 +108,18 @@ def test_max_list_size_matches_center_sweep():
                     for center in iter_all_tuples(P222))
         assert size == sweep
         assert list_size_at(code, witness, 1) == size
+
+
+def test_max_list_size_exhaustive_above_the_enumeration_cap():
+    # 2^17 points: more than enumerate_ball takes, within MAX_CODE_SPACE
+    params = params_for(2, 1, 1, 17)
+    assert metric.MAX_ENUMERATION < 2 ** 17 <= codes.MAX_CODE_SPACE
+    with pytest.raises(GuardError):
+        enumerate_ball(params, 2)
+    code = sample_linear_code(params, Fraction(2, 17), random.Random(113))
+    size, witness = max_list_size(code, 2)
+    assert 1 <= size <= code.size
+    assert list_size_at(code, witness, 2) == size
 
 
 def test_max_list_size_monotone_in_radius():

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from sumrank.counting import decomposable_count
-from sumrank.decomposable import (DecomposableSubspace, decomposable_build,
+from sumrank.decomposable import (DecomposableSubspace,
                                   enumerate_decomposable,
                                   intersection_dimension_estimate,
                                   intersection_event_probability_exact,
@@ -21,8 +21,8 @@ F3 = field_from_order(3)
 
 
 def build(field, eta, rows_per_factor):
-    return decomposable_build([Subspace.span(field, eta, rows)
-                               for rows in rows_per_factor])
+    return DecomposableSubspace([Subspace.span(field, eta, rows)
+                                 for rows in rows_per_factor])
 
 
 def test_build_and_dims():
@@ -34,13 +34,13 @@ def test_build_and_dims():
 
 def test_build_rejects_mixed_fields_and_ambients():
     with pytest.raises(ValueError):
-        decomposable_build([Subspace.span(F2, 2, [(1, 0)]),
-                            Subspace.span(F3, 2, [(1, 0)])])
+        DecomposableSubspace([Subspace.span(F2, 2, [(1, 0)]),
+                              Subspace.span(F3, 2, [(1, 0)])])
     with pytest.raises(ValueError):
-        decomposable_build([Subspace.span(F2, 2, [(1, 0)]),
-                            Subspace.span(F2, 3, [(1, 0, 0)])])
+        DecomposableSubspace([Subspace.span(F2, 2, [(1, 0)]),
+                              Subspace.span(F2, 3, [(1, 0, 0)])])
     with pytest.raises(ValueError):
-        decomposable_build([])
+        DecomposableSubspace([])
 
 
 def test_enumeration_count_matches_closed_form():
@@ -96,7 +96,7 @@ def test_eq_hash_and_json():
     y = build(F2, 2, [[(1, 0)], [(0, 1)]])
     assert x == y and hash(x) == hash(y)
     blob = x.to_json()
-    rebuilt = decomposable_build([
+    rebuilt = DecomposableSubspace([
         Subspace.span(F2, blob["eta"], rows) for rows in blob["factors"]])
     assert rebuilt == x
 

@@ -3,8 +3,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from sumrank.galois import (BUILTIN_MODULI, FieldSpec, field_build,
-                            field_from_order, is_prime)
+from sumrank.galois import (BUILTIN_MODULI, FieldSpec, field_from_order,
+                            is_prime)
 
 
 def test_prime_field_matches_int_arithmetic():
@@ -88,17 +88,17 @@ def test_coeffs_round_trip_and_order():
 def test_reducible_modulus_rejected():
     # x^2 + 1 = (x + 2)(x + 3) over GF(5)
     with pytest.raises(ValueError):
-        field_build(5, 2, modulus=(1, 0, 1))
+        FieldSpec(5, 2, modulus=(1, 0, 1))
     # non-monic and wrong-degree moduli
     with pytest.raises(ValueError):
-        field_build(2, 2, modulus=(2, 1, 1))
+        FieldSpec(2, 2, modulus=(2, 1, 1))
     with pytest.raises(ValueError):
-        field_build(2, 2, modulus=(1, 1))
+        FieldSpec(2, 2, modulus=(1, 1))
 
 
 def test_alternate_irreducible_modulus_accepted():
     # x^2 + x + 2 is irreducible over GF(3)
-    f = field_build(3, 2, modulus=(1, 1, 2))
+    f = FieldSpec(3, 2, modulus=(1, 1, 2))
     assert f != field_from_order(9)
     for a in range(1, 9):
         assert f.mul(a, f.inv(a)) == 1
@@ -113,7 +113,7 @@ def test_invalid_orders():
 def test_order_cap():
     # 2^13 = 8192 exceeds the table-size cap
     with pytest.raises(ValueError):
-        field_build(2, 13)
+        FieldSpec(2, 13)
 
 
 def test_builtin_moduli_are_used():

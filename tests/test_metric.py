@@ -9,13 +9,12 @@ from sumrank.counting import SpaceParams, ball_volume, sphere_volume
 from sumrank.galois import field_from_order
 from sumrank.guards import GuardError
 from sumrank.linalg import MatrixFq, rank
-from sumrank.metric import (BallSpec, BlockTuple, enumerate_ball,
-                            enumerate_sphere, iter_all_tuples, matrix_code,
-                            matrix_from_code, sample_ball_uniform,
-                            sample_decomposable_rows,
+from sumrank.metric import (BlockTuple, enumerate_ball, iter_all_tuples,
+                            matrix_code, matrix_from_code,
+                            sample_ball_uniform, sample_decomposable_rows,
                             sample_uniform_matrix_of_rank,
                             sample_uniform_tuple, sum_rank_distance,
-                            sum_rank_weight, tuple_code, tuple_from_code,
+                            tuple_code, tuple_from_code, vector_code,
                             weight_histogram, zero_tuple)
 from sumrank.montecarlo import RandomStream
 
@@ -29,6 +28,9 @@ def params_for(q, m, eta, ell):
 
 
 P222 = params_for(2, 2, 2, 2)
+# Shapes over q in {2, 3, 4} for the integer encoding.
+CODE_SHAPES = (P222, params_for(3, 1, 2, 2), params_for(3, 2, 2, 1),
+               params_for(4, 1, 2, 2), params_for(4, 2, 1, 2))
 
 
 def random_tuple(params, rng):
@@ -51,7 +53,7 @@ def test_weight_equals_rank_sum():
             x = random_tuple(params, rng)
             expected = sum(rank(MatrixFq(params.field, block))
                            for block in x.blocks)
-            assert x.weight() == expected == sum_rank_weight(x)
+            assert x.weight() == expected
 
 
 def test_weight_frozen():
@@ -91,9 +93,18 @@ def test_add_neg_sub_consistency():
 
 @given(st.integers(min_value=0, max_value=2 ** 8 - 1))
 def test_tuple_code_round_trip(code):
-    x = tuple_from_code(P222, code)
-    assert tuple_code(x) == code
-    assert tuple_from_code(P222, code).blocks == x.blocks
+    for params in CODE_SHAPES:
+        q = params.q
+        c = code % q ** params.total_dim
+        x = tuple_from_code(params, c)
+        assert tuple_code(x) == c
+        assert tuple_from_code(params, c).blocks == x.blocks
+        # one encoding: the base-q number whose digits are the entries
+        digits = x.to_vector()
+        assert int("".join(map(str, digits)), q) == c == vector_code(q, digits)
+        for block in x.blocks:
+            for row in block:
+                assert vector_code(q, row) == matrix_code(q, (row,))
 
 
 def test_tuple_code_range_checked():
@@ -128,10 +139,12 @@ def test_iter_all_tuples_is_the_whole_space():
 def test_enumeration_matches_volumes():
     for params in (P222, params_for(3, 1, 2, 2)):
         for r in range(params.max_weight + 1):
-            sphere = enumerate_sphere(params, r)
-            assert len(sphere) == sphere_volume(params, r)
-            assert all(x.weight() == r for x in sphere)
-            assert len(enumerate_ball(params, r)) == ball_volume(params, r)
+            ball = enumerate_ball(params, r)
+            assert len(ball) == ball_volume(params, r)
+            assert sum(x.weight() == r for x in ball) == sphere_volume(params, r)
+            # the same points, in code order, as a weight() scan of the space
+            assert ball == [x for x in iter_all_tuples(params)
+                            if x.weight() <= r]
 
 
 def test_weight_histogram_matches_volumes():
@@ -144,19 +157,6 @@ def test_weight_histogram_matches_volumes():
 def test_weight_histogram_guard():
     with pytest.raises(GuardError):
         weight_histogram(params_for(2, 3, 3, 2))
-
-
-def test_ball_spec():
-    center = zero_tuple(P222)
-    spec = BallSpec(center=center, radius=2)
-    inside = BlockTuple(P222, [((1, 0), (0, 0)), ((1, 1), (0, 0))])
-    outside = BlockTuple(P222, [((1, 0), (0, 1)), ((1, 0), (0, 1))])
-    assert spec.contains(inside)
-    assert not spec.contains(outside)
-    with pytest.raises(ValueError):
-        BallSpec(center=center, radius=-1)
-    with pytest.raises(ValueError):
-        BallSpec(center=center, radius=5)
 
 
 def test_rank_matrix_sampler_rank_exact():
