@@ -11,7 +11,6 @@ search over cover states backs the harness when greedy misses a target.
 
 import math
 from dataclasses import dataclass
-from operator import getitem, ne
 
 from .guards import require_within
 from .metric import vector_code, vector_from_code
@@ -77,14 +76,22 @@ def _shifted_items(instance, shift_code):
             val = vector_code(2, v) ^ shift_code
             out.append((val, val))
         return out
+    add = instance.field._add
     shift = vector_from_code(q, gamma, shift_code)
-    # coordinate i of v + w is add[w_i][v_i], and it is zero exactly where
-    # v_i = -w_i; the support mask is the base-2 code of v_i != -w_i
-    rows = [instance.field._add[s] for s in shift]
-    zeros = [instance.field._neg[s] for s in shift]
-    return [(vector_code(2, map(ne, v, zeros)),
-             vector_code(q, map(getitem, rows, v)))
-            for v in instance.vectors]
+    out = []
+    for v in instance.vectors:
+        # the base-q code of v + w and the base-2 code of its support, in
+        # one pass (this loop dominates the chain search)
+        mask = 0
+        val = 0
+        for x, s in zip(v, shift):
+            y = add[x][s]
+            val = val * q + y
+            if y:
+                mask |= 1
+            mask <<= 1
+        out.append((mask >> 1, val))
+    return out
 
 
 def _greedy_masks(items, c):

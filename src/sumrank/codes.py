@@ -193,8 +193,7 @@ def _occupancy_by_center(code, radius):
     require_within(space, MAX_CODE_SPACE, "code space size")
     words = code.codewords()
     counts = {}
-    for offset_code in metric.ball_codes(params, radius, MAX_CODE_SPACE):
-        offset = metric.tuple_from_code(params, offset_code)
+    for offset in metric.iter_ball(params, radius):
         for w in words:
             center = w.add(offset)
             key = tuple_code(center)

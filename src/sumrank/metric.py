@@ -177,25 +177,15 @@ def iter_all_tuples(params):
 
 
 @functools.lru_cache(maxsize=None)
-def rank_table(field, m, eta, limit=MAX_ENUMERATION):
-    """Rank of every m x eta matrix, indexed by matrix code; guarded at
-    limit matrices."""
+def rank_table(field, m, eta):
+    """Rank of every m x eta matrix, indexed by matrix code."""
     size = field.q ** (m * eta)
-    require_within(size, limit, "matrix table size")
+    require_within(size, MAX_ENUMERATION, "matrix table size")
     out = []
     for code in range(size):
         block = matrix_from_code(field.q, m, eta, code)
         out.append(linalg._rank_rows(field, block))
     return tuple(out)
-
-
-def _block_ranks(params, limit):
-    # The block ranks of every point, in code order (the last block varies
-    # fastest); guarded at limit points.
-    space = params.q ** params.total_dim
-    require_within(space, limit, "space size")
-    table = rank_table(params.field, params.m, params.eta, limit)
-    return itertools.product(table, repeat=params.ell)
 
 
 def weight_histogram(params):
@@ -205,24 +195,48 @@ def weight_histogram(params):
     the points of weight w among all q^(m*eta*ell).  Guarded at
     MAX_ENUMERATION points.
     """
+    space = params.q ** params.total_dim
+    require_within(space, MAX_ENUMERATION, "space size")
+    table = rank_table(params.field, params.m, params.eta)
     hist = [0] * (params.max_weight + 1)
-    for ranks in _block_ranks(params, MAX_ENUMERATION):
+    for ranks in itertools.product(table, repeat=params.ell):
         hist[sum(ranks)] += 1
     return hist
 
 
-def ball_codes(params, r, limit=MAX_ENUMERATION):
-    """Codes of the points at weight <= r, streamed in increasing order;
-    brute force over the whole space, guarded at limit points."""
+def _support_codes(base, blocks, nonzero):
+    # Codes, increasing, of the points of `blocks` blocks of which at most
+    # `nonzero` are nonzero; base is the number of matrices per block.
+    if blocks == 0:
+        yield 0
+        return
+    step = base ** (blocks - 1)
+    for head in range(base if nonzero else 1):
+        for rest in _support_codes(base, blocks - 1, nonzero - (head != 0)):
+            yield head * step + rest
+
+
+def iter_ball(params, r):
+    """Every point at weight <= r, in code order; caller guards the size.
+
+    A nonzero block has rank at least 1, so the ball lies among the points
+    with at most r nonzero blocks.  Only those are visited, and each is kept
+    when its weight is at most r.
+    """
     if not 0 <= r <= params.max_weight:
         raise ValueError(f"radius r = {r} outside [0, {params.max_weight}]")
-    ranks = _block_ranks(params, limit)
-    return (code for code, ks in enumerate(ranks) if sum(ks) <= r)
+    base = params.q ** (params.m * params.eta)
+    points = (tuple_from_code(params, code)
+              for code in _support_codes(base, params.ell, r))
+    return (x for x in points if x.weight() <= r)
 
 
 def enumerate_ball(params, r):
-    """All points at weight <= r, as BlockTuples; brute force, guarded."""
-    return [tuple_from_code(params, c) for c in ball_codes(params, r)]
+    """All points at weight <= r, as BlockTuples; brute force, guarded at
+    MAX_ENUMERATION points of space."""
+    points = iter_ball(params, r)
+    require_within(params.q ** params.total_dim, MAX_ENUMERATION, "space size")
+    return list(points)
 
 
 # -- samplers --------------------------------------------------------------
