@@ -48,9 +48,7 @@ def _value_cell(v):
         return str(int(v))
     if isinstance(v, int):
         return str(v)
-    if isinstance(v, Fraction):
-        return _sig12(v)
-    if isinstance(v, float):
+    if isinstance(v, (Fraction, float)):
         return _sig12(v)
     return str(v)
 
@@ -136,6 +134,19 @@ def _int_list(text):
         raise argparse.ArgumentTypeError(f"not an int list: {text!r}") from exc
 
 
+def _count(text):
+    """A non-negative int: a count of 0 is an empty run, not an error.  A
+    non-int gets the message argparse gives for type=int."""
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from exc
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{value} is negative")
+    return value
+
+
 def _field_of(args):
     modulus = tuple(args.modulus) if getattr(args, "modulus", None) else None
     return field_from_order(args.q, modulus=modulus)
@@ -169,12 +180,16 @@ def _add_output_flags(parser):
                              " reruns)")
 
 
-def _add_space_flags(parser, m=True):
+def _add_field_flags(parser):
     parser.add_argument("--q", type=int, required=True,
                         help="field order, a prime power")
     parser.add_argument("--modulus", type=_int_list, default=None,
                         help="irreducible polynomial, descending comma "
                              "separated coefficients (optional)")
+
+
+def _add_space_flags(parser, m=True):
+    _add_field_flags(parser)
     if m:
         parser.add_argument("--m", type=int, required=True,
                             help="block row count")
@@ -355,180 +370,127 @@ def _run_verify(args):
     return records, 0 if all_ok else 1
 
 
-# -- verb: sample ----------------------------------------------------------
+# -- verbs: sample and experiment ------------------------------------------
 
 def _compact(obj):
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-# The optional flags without which a sample target or experiment cannot run.
-_NEEDS = {
-    "ball": ("m", "eta", "ell", "radius"),
-    "rank-matrix": ("m", "eta", "radius"),
-    "subspace": ("ambient", "dim"),
-    "decomposable": ("eta", "ell", "w"),
-    "linear-code": ("m", "eta", "ell", "rate"),
-    "general-code": ("m", "eta", "ell", "rate"),
-    "correlation": ("m", "eta", "ell", "rho"),
-    "dimension": ("eta", "ell", "wx", "wy"),
-    "span-correlation": ("m", "eta", "ell", "rho", "gamma", "bound_factor"),
-    "subset-event": ("m", "eta", "ell", "rho", "vectors"),
-    "list-size": ("m", "eta", "ell", "rho", "eps"),
-}
+def _flag_value(args, key):
+    # rank-matrix records its --r under "r"; every other key is its dest.
+    return getattr(args, "radius" if key == "r" else key)
 
 
-def _require_flags(args):
-    missing = ["--r" if dest == "radius" else "--" + dest.replace("_", "-")
-               for dest in _NEEDS[args.what] if getattr(args, dest) is None]
+def _require_flags(args, flags):
+    missing = ["--r" if key in ("r", "radius") else "--" + key.replace("_", "-")
+               for key in flags if _flag_value(args, key) is None]
     if missing:
         raise ValueError(f"{args.verb} {args.what} needs {', '.join(missing)}")
 
 
+def _record_config(args, flags):
+    """q plus each listed flag that was given, rationals as num/den."""
+    cfg = {"q": args.q}
+    for key in flags:
+        value = _flag_value(args, key)
+        if value is not None:
+            cfg[key] = _frac_str(value) if isinstance(value, Fraction) \
+                else value
+    return cfg
+
+
+# Each sample target: the flags it needs, which with q are its record
+# config; how to build its field or space; and one draw from the child
+# stream, as a point code or compact JSON.  Draws look their samplers up
+# when called, so a patched module attribute is the one that runs.
+_SAMPLE_TARGETS = {
+    "ball": (("m", "eta", "ell", "radius"), _space_of,
+             lambda params, args, rng: metric.tuple_code(
+                 metric.sample_ball_uniform(params, args.radius, rng))),
+    "rank-matrix": (("m", "eta", "r"), _field_of,
+                    lambda field, args, rng: metric.matrix_code(
+                        field.q, metric.sample_uniform_matrix_of_rank(
+                            field, args.m, args.eta, args.radius, rng))),
+    "subspace": (("ambient", "dim"), _field_of,
+                 lambda field, args, rng: _compact(linalg.sample_subspace(
+                     field, args.ambient, args.dim, rng).to_json())),
+    "decomposable": (("eta", "ell", "w"), _field_of,
+                     lambda field, args, rng: _compact(
+                         decomposable.sample_decomposable_uniform(
+                             field, args.eta, args.ell, args.w,
+                             rng).to_json())),
+    "linear-code": (("m", "eta", "ell", "rate"), _space_of,
+                    lambda params, args, rng: _compact(
+                        codes.sample_linear_code(
+                            params, args.rate, rng).to_json())),
+    "general-code": (("m", "eta", "ell", "rate"), _space_of,
+                     lambda params, args, rng: _compact(
+                         codes.sample_general_code(
+                             params, args.rate, rng).to_json())),
+}
+
+
 def _run_sample(args):
-    _require_flags(args)
-    what = args.what
-    seed = args.seed
-    stream = RandomStream(seed, "sample", what)
-    records = []
-
-    def add(i, value, cfg):
-        records.append(make_record("sample", what, value, cfg, trial=i,
-                                   seed=seed))
-
-    if what == "ball":
-        params = _space_of(args)
-        cfg = _space_config(params, radius=args.radius)
-        for i in range(args.count):
-            x = metric.sample_ball_uniform(params, args.radius,
-                                           stream.child(i))
-            add(i, metric.tuple_code(x), cfg)
-    elif what == "rank-matrix":
-        field = _field_of(args)
-        cfg = {"q": field.q, "m": args.m, "eta": args.eta, "r": args.radius}
-        for i in range(args.count):
-            grid = metric.sample_uniform_matrix_of_rank(
-                field, args.m, args.eta, args.radius, stream.child(i))
-            add(i, metric.matrix_code(field.q, grid), cfg)
-    elif what == "subspace":
-        field = _field_of(args)
-        cfg = {"q": field.q, "ambient": args.ambient, "dim": args.dim}
-        for i in range(args.count):
-            sub = linalg.sample_subspace(field, args.ambient, args.dim,
-                                         stream.child(i))
-            add(i, _compact(sub.to_json()), cfg)
-    elif what == "decomposable":
-        field = _field_of(args)
-        cfg = {"q": field.q, "eta": args.eta, "ell": args.ell, "w": args.w}
-        for i in range(args.count):
-            sub = decomposable.sample_decomposable_uniform(
-                field, args.eta, args.ell, args.w, stream.child(i))
-            add(i, _compact(sub.to_json()), cfg)
-    elif what == "linear-code":
-        params = _space_of(args)
-        cfg = _space_config(params, rate=_frac_str(args.rate))
-        for i in range(args.count):
-            code = codes.sample_linear_code(params, args.rate,
-                                            stream.child(i))
-            add(i, _compact(code.to_json()), cfg)
-    elif what == "general-code":
-        params = _space_of(args)
-        cfg = _space_config(params, rate=_frac_str(args.rate))
-        for i in range(args.count):
-            code = codes.sample_general_code(params, args.rate,
-                                             stream.child(i))
-            add(i, _compact(code.to_json()), cfg)
-    else:
-        raise ValueError(f"unknown sample target {what!r}")
-    return records, 0
+    flags, build, draw = _SAMPLE_TARGETS[args.what]
+    _require_flags(args, flags)
+    space = build(args)
+    cfg = _record_config(args, flags)
+    stream = RandomStream(args.seed, "sample", args.what)
+    return [make_record("sample", args.what,
+                        draw(space, args, stream.child(i)), cfg, trial=i,
+                        seed=args.seed)
+            for i in range(args.count)], 0
 
 
-# -- verb: experiment ------------------------------------------------------
-
-def _estimate_records(verb, name, cfg, est, seed):
-    recs = [
-        make_record(verb, name, est.estimate, cfg,
-                    ci=(est.ci_low, est.ci_high), trials=est.trials,
-                    seed=seed),
-        make_record(verb, "successes", est.successes, cfg,
-                    trials=est.trials, seed=seed),
-    ]
-    if est.mean_value is not None:
-        recs.append(make_record(verb, "mean_value", est.mean_value, cfg,
-                                trials=est.trials, seed=seed))
-    return recs
-
-
-def _run_experiment(args):
-    _require_flags(args)
-    what = args.what
-    seed = args.seed
-    stream = RandomStream(seed, "experiment", what)
-    if what == "correlation":
-        params = _space_of(args)
-        cfg = _space_config(params, rho=_frac_str(args.rho))
-        center = None
-        if args.center is not None:
-            center = metric.tuple_from_code(params, args.center)
-            cfg["center"] = args.center
-        est = codes.correlation_estimate(params, args.rho, args.trials,
-                                         stream, center=center)
-        return _estimate_records("experiment", "correlation_probability",
-                                 cfg, est, seed), 0
-    if what == "dimension":
-        field = _field_of(args)
-        cfg = {"q": field.q, "eta": args.eta, "ell": args.ell,
-               "wx": args.wx, "wy": args.wy}
-        kwargs = {}
-        if args.min_fraction is not None:
-            kwargs["min_fraction"] = args.min_fraction
-            cfg["min_fraction"] = _frac_str(args.min_fraction)
-        if args.exact_dim is not None:
-            kwargs["exact_dim"] = args.exact_dim
-            cfg["exact_dim"] = args.exact_dim
-        est = decomposable.intersection_dimension_estimate(
-            field, args.eta, args.ell, args.wx, args.wy, args.trials,
-            stream, **kwargs)
-        return _estimate_records("experiment", "event_probability",
-                                 cfg, est, seed), 0
-    if what == "span-correlation":
-        params = _space_of(args)
-        cfg = _space_config(params, rho=_frac_str(args.rho),
-                            gamma=args.gamma,
-                            bound_factor=_frac_str(args.bound_factor))
-        est = codes.limited_correlation_estimate(
-            params, args.rho, args.gamma, args.bound_factor, args.trials,
-            stream)
-        return _estimate_records("experiment", "span_correlation_probability",
-                                 cfg, est, seed), 0
-    if what == "subset-event":
-        params = _space_of(args)
-        rows = tuple(tuple(int(c) for c in row.split(","))
-                     for row in args.vectors.split(";") if row)
-        cfg = _space_config(params, rho=_frac_str(args.rho),
-                            vectors=args.vectors)
-        est = codes.subset_span_event_estimate(params, args.rho, rows,
-                                               args.trials, stream)
-        return _estimate_records("experiment", "subset_event_probability",
-                                 cfg, est, seed), 0
-    if what == "list-size":
-        return _run_list_size(args, stream)
-    raise ValueError(f"unknown experiment {what!r}")
+def _estimator(statistic, estimate):
+    """Records of one Monte Carlo estimate: the probability under the given
+    statistic name, its successes, and the mean value when there is one."""
+    def records(space, args, stream, cfg):
+        est = estimate(space, args, stream)
+        seed = args.seed
+        recs = [
+            make_record("experiment", statistic, est.estimate, cfg,
+                        ci=(est.ci_low, est.ci_high), trials=est.trials,
+                        seed=seed),
+            make_record("experiment", "successes", est.successes, cfg,
+                        trials=est.trials, seed=seed),
+        ]
+        if est.mean_value is not None:
+            recs.append(make_record("experiment", "mean_value",
+                                    est.mean_value, cfg, trials=est.trials,
+                                    seed=seed))
+        return recs
+    return records
 
 
-def _run_list_size(args, stream):
+def _correlation(params, args, stream):
+    center = None if args.center is None \
+        else metric.tuple_from_code(params, args.center)
+    return codes.correlation_estimate(params, args.rho, args.trials, stream,
+                                      center=center)
+
+
+def _subset_event(params, args, stream):
+    rows = tuple(tuple(int(c) for c in row.split(","))
+                 for row in args.vectors.split(";") if row)
+    return codes.subset_span_event_estimate(params, args.rho, rows,
+                                            args.trials, stream)
+
+
+def _list_size_records(params, args, stream, cfg):
     """Sample linear codes at rate capacity - eps and tabulate exhaustive
     worst-case list sizes at radius floor(rho n)."""
-    params = _space_of(args)
     seed = args.seed
-    rho = args.rho
-    rate = counting.list_decoding_capacity(rho, params.b) - args.eps
+    rate = counting.list_decoding_capacity(args.rho, params.b) - args.eps
     if rate <= 0:
         raise ValueError(f"rate {rate} not positive; lower rho or eps")
     k = int(rate * params.total_dim)  # floor to an integral dimension
+    if k == 0:
+        raise ValueError(f"rate capacity - eps = {rate} gives dimension 0 "
+                         f"at n = {params.total_dim}; lower rho or eps")
     rate_used = Fraction(k, params.total_dim)
-    radius = codes.radius_for(params, rho)
-    cfg = _space_config(params, rho=_frac_str(rho), eps=_frac_str(args.eps),
-                        rate=_frac_str(rate_used), radius=radius)
+    radius = codes.radius_for(params, args.rho)
+    cfg.update(rate=_frac_str(rate_used), radius=radius)
     records = [
         make_record("experiment", "dimension", k, cfg, seed=seed),
         make_record("experiment", "radius", radius, cfg, seed=seed),
@@ -547,7 +509,44 @@ def _run_list_size(args, stream):
         records.append(make_record(
             "experiment", f"codes_with_max_list_{size:04d}", sizes[size],
             cfg, seed=seed, trials=args.codes))
-    return records, 0
+    return records
+
+
+# Each experiment: the flags it needs, the optional flags recorded when
+# given (with q, together its record config), how to build its field or
+# space, and its records.  list-size emits many records, so it has its own.
+_EXPERIMENTS = {
+    "correlation": (("m", "eta", "ell", "rho"), ("center",), _space_of,
+                    _estimator("correlation_probability", _correlation)),
+    "dimension": (("eta", "ell", "wx", "wy"), ("min_fraction", "exact_dim"),
+                  _field_of, _estimator(
+                      "event_probability",
+                      lambda field, args, stream:
+                      decomposable.intersection_dimension_estimate(
+                          field, args.eta, args.ell, args.wx, args.wy,
+                          args.trials, stream, min_fraction=args.min_fraction,
+                          exact_dim=args.exact_dim))),
+    "span-correlation": (("m", "eta", "ell", "rho", "gamma", "bound_factor"),
+                         (), _space_of, _estimator(
+                             "span_correlation_probability",
+                             lambda params, args, stream:
+                             codes.limited_correlation_estimate(
+                                 params, args.rho, args.gamma,
+                                 args.bound_factor, args.trials, stream))),
+    "subset-event": (("m", "eta", "ell", "rho", "vectors"), (), _space_of,
+                     _estimator("subset_event_probability", _subset_event)),
+    "list-size": (("m", "eta", "ell", "rho", "eps"), (), _space_of,
+                  _list_size_records),
+}
+
+
+def _run_experiment(args):
+    flags, optional, build, records = _EXPERIMENTS[args.what]
+    _require_flags(args, flags)
+    space = build(args)
+    stream = RandomStream(args.seed, "experiment", args.what)
+    return records(space, args, stream,
+                   _record_config(args, flags + optional)), 0
 
 
 # -- verb: chain -----------------------------------------------------------
@@ -614,7 +613,7 @@ def build_parser():
     p.add_argument("--eta", type=int, default=None, help="block columns")
     p.add_argument("--rho", type=_fraction, default=None,
                    help="single relative radius in (0,1)")
-    p.add_argument("--grid", type=int, default=19,
+    p.add_argument("--grid", type=_count, default=19,
                    help="interior grid points i/(grid+1) when --rho absent")
     _add_output_flags(p)
 
@@ -636,11 +635,8 @@ def build_parser():
     _add_output_flags(p)
 
     p = sub.add_parser("sample", help="seeded draws from the exact samplers")
-    p.add_argument("what", choices=("ball", "rank-matrix", "subspace",
-                                    "decomposable", "linear-code",
-                                    "general-code"))
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--modulus", type=_int_list, default=None)
+    p.add_argument("what", choices=_SAMPLE_TARGETS)
+    _add_field_flags(p)
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--eta", type=int, default=None)
     p.add_argument("--ell", type=int, default=None)
@@ -654,17 +650,14 @@ def build_parser():
                    help="subspace: subspace dimension")
     p.add_argument("--rate", type=_fraction, default=None,
                    help="code rate as a fraction")
-    p.add_argument("--count", type=int, default=1, help="number of draws")
+    p.add_argument("--count", type=_count, default=1, help="number of draws")
     _add_seed_flags(p)
     _add_output_flags(p)
 
     p = sub.add_parser("experiment", help="Monte Carlo estimators with "
                                           "Wilson intervals")
-    p.add_argument("what", choices=("correlation", "dimension",
-                                    "span-correlation", "subset-event",
-                                    "list-size"))
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--modulus", type=_int_list, default=None)
+    p.add_argument("what", choices=_EXPERIMENTS)
+    _add_field_flags(p)
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--eta", type=int, default=None)
     p.add_argument("--ell", type=int, default=None)
@@ -688,26 +681,25 @@ def build_parser():
                    help="subset-event: rows like 1,0;0,1;1,1")
     p.add_argument("--eps", type=_fraction, default=None,
                    help="list-size: capacity gap")
-    p.add_argument("--codes", type=int, default=100,
+    p.add_argument("--codes", type=_count, default=100,
                    help="list-size: number of sampled codes (default 100)")
     _add_seed_flags(p, trials_default=10000)
     _add_output_flags(p)
 
     p = sub.add_parser("chain", help="support-chain bound attainment on "
                                      "random vector sets")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--modulus", type=_int_list, default=None)
+    _add_field_flags(p)
     p.add_argument("--gamma", type=int, required=True,
                    help="ambient vector length")
     p.add_argument("--set-size", type=int, required=True,
                    help="vectors per instance")
     p.add_argument("--c", type=int, default=2,
                    help="required new support per step (default 2)")
-    p.add_argument("--instances", type=int, default=100,
+    p.add_argument("--instances", type=_count, default=100,
                    help="random instances (default 100)")
     p.add_argument("--mode", choices=("exhaustive", "random"),
                    default="exhaustive", help="shift search mode")
-    p.add_argument("--shift-trials", type=int, default=None,
+    p.add_argument("--shift-trials", type=_count, default=None,
                    help="random mode: shifts to try")
     _add_seed_flags(p)
     _add_output_flags(p)

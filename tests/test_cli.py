@@ -141,6 +141,87 @@ def test_missing_target_flag_is_an_input_error(capsys, argv, flags):
     assert all(flag in err for flag in flags)
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["sample", "ball", *SPACE, "--r", "1", "--count", "-3"], "--count"),
+    (["experiment", "list-size", *SPACE, "--rho", "1/4", "--eps", "1/8",
+      "--codes", "-1"], "--codes"),
+    (["chain", "--q", "2", "--gamma", "4", "--set-size", "4",
+      "--instances", "-2"], "--instances"),
+    (["capacity", "--m", "1", "--eta", "1", "--grid", "-2"], "--grid"),
+    (["chain", "--q", "2", "--gamma", "4", "--set-size", "4",
+      "--instances", "1", "--mode", "random", "--shift-trials", "-1"],
+     "--shift-trials"),
+])
+def test_negative_count_is_an_input_error(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert f"error: argument {flag}: " in captured.err
+
+
+def test_zero_count_emits_only_the_header(capsys):
+    status, out, _ = run_cli(capsys, ["sample", "ball", *SPACE, "--r", "1",
+                                      "--count", "0"])
+    assert status == 0
+    assert out == ",".join(CSV_HEADER) + "\n"
+
+
+def test_list_size_rejects_a_zero_dimension(capsys):
+    status, out, err = run_cli(capsys, [
+        "experiment", "list-size", *SPACE, "--rho", "1/4", "--eps", "1/8",
+        "--codes", "1"])
+    assert status == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert "capacity - eps = 7/16" in err
+    assert "dimension 0" in err
+
+
+# One small op per sample target and per experiment, with the sha256 and
+# line count of its stdout; every record config and draw is pinned.
+@pytest.mark.parametrize("argv, lines, digest", [
+    ("sample ball --q 2 --m 1 --eta 2 --ell 3 --r 2 --count 4", 5,
+     "fafc68730fd5559ebc0d9eb9b016b77f3e92c54b44ecb7e23c86bd224ae20dde"),
+    ("sample rank-matrix --q 3 --m 2 --eta 2 --r 1 --count 3", 4,
+     "1dbae20eeef9c409a77d5be40b26faf05514ae5bbde499851c8ad759b54f2516"),
+    ("sample subspace --q 4 --ambient 4 --dim 2 --count 2", 3,
+     "627d2eb57e4c5a2f99ea6ee78b3448d05eb96ea7e6d42c8459024a86a466e941"),
+    ("sample decomposable --q 2 --eta 2 --ell 2 --w 2 --count 3 "
+     "--format json", 3,
+     "8859ce7493fdbbd2e1ce77098c8462a00976a11c01969e953144f57c9d87e926"),
+    ("sample linear-code --q 2 --m 1 --eta 1 --ell 4 --rate 1/2 --count 2",
+     3, "dcfb053ceed5f20a1ef7e02101f9ff8c19e2029626655b2e3f0ccee39115c032"),
+    ("sample general-code --q 2 --m 1 --eta 1 --ell 3 --rate 1/3 --count 2 "
+     "--format json", 2,
+     "bc46745574d21567dd0bde7e948298b4c03f13800b391d6ed6b65afa92aaaa0b"),
+    ("experiment correlation --q 2 --m 1 --eta 1 --ell 3 --rho 1/3 "
+     "--center 5 --trials 200", 3,
+     "96303d168922cb01000c9c7b6432ab37d6d0e60106a3e110650a6fc3f43e80d4"),
+    ("experiment dimension --q 2 --eta 2 --ell 2 --wx 2 --wy 2 "
+     "--min-fraction 1/2 --trials 100 --format json", 3,
+     "decdcb0c232a4ecb764782fd6019b084f0935c437c816518325cbc0813876ab2"),
+    ("experiment dimension --q 3 --eta 2 --ell 1 --wx 1 --wy 1 "
+     "--exact-dim 0 --trials 50", 4,
+     "a0f72afd4663cddb9d69a05b0bc2ef7167505299e67edd8bf685d523230297f8"),
+    ("experiment span-correlation --q 2 --m 1 --eta 1 --ell 3 --rho 1/3 "
+     "--gamma 2 --bound-factor 1 --trials 100", 3,
+     "e0bc0426c268070f74ee529f57b4855cd8fd89ff8c672d7466cf66211b1bdd18"),
+    ("experiment subset-event --q 2 --m 1 --eta 1 --ell 4 --rho 1/2 "
+     "--vectors 1,0;0,1 --trials 100", 3,
+     "9aa17ef1ee329c1a2edf8ac1c060dc7c50ee9a854a124f6f9a199a55fdfd9ed1"),
+    ("experiment list-size --q 2 --m 1 --eta 1 --ell 4 --rho 1/4 --eps 1/8 "
+     "--codes 3 --format json", 10,
+     "83bb39ebf5f6c78e00b3a9278efade1e0a39d5053c11e68169c612792ca0917a"),
+])
+def test_sample_and_experiment_output_pinned(capsys, argv, lines, digest):
+    status, out, _ = run_cli(capsys, argv.split())
+    assert status == 0
+    assert out.count("\n") == lines
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 def test_sample_ball_deterministic(capsys):
     argv = ["sample", "ball", "--q", "2", "--m", "1", "--eta", "1",
             "--ell", "4", "--r", "2", "--count", "5"]
