@@ -184,8 +184,10 @@ def _add_field_flags(parser):
     parser.add_argument("--q", type=int, required=True,
                         help="field order, a prime power")
     parser.add_argument("--modulus", type=_int_list, default=None,
-                        help="irreducible polynomial, descending comma "
-                             "separated coefficients (optional)")
+                        help="another monic irreducible of degree e for "
+                             "q = p^e, e > 1, descending comma separated "
+                             "coefficients (default: the lexicographically "
+                             "first)")
 
 
 def _add_space_flags(parser, m=True):

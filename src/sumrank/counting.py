@@ -65,10 +65,6 @@ class SpaceParams:
         """Aspect ratio eta / m as an exact rational."""
         return Fraction(self.eta, self.m)
 
-    def to_json(self):
-        return {"field": self.field.to_json(), "m": self.m,
-                "eta": self.eta, "ell": self.ell}
-
 
 # -- compositions ----------------------------------------------------------
 
@@ -156,12 +152,19 @@ def euler_product_interval(q, tol):
 
 
 @functools.lru_cache(maxsize=None)
+def _ln(q):
+    """ln q at _PREC bits, the divisor of every log_q below."""
+    with mp.workprec(_PREC):
+        return mp.log(q)
+
+
+@functools.lru_cache(maxsize=None)
 def _logq_euler_product(q):
     """log_q of the Euler product, accurate far below LOG_MARGIN."""
     lo, hi = euler_product_interval(q, Fraction(1, 10 ** 36))
     mid = (lo + hi) / 2
     with mp.workprec(_PREC):
-        value = mp.log(mpf(mid.numerator) / mpf(mid.denominator)) / mp.log(q)
+        value = mp.log(mpf(mid.numerator) / mpf(mid.denominator)) / _ln(q)
     return value
 
 
@@ -170,7 +173,7 @@ def logq_int(value, q):
     if value <= 0:
         raise ValueError("value must be positive")
     with mp.workprec(_PREC):
-        return mp.log(mpf(value)) / mp.log(q)
+        return mp.log(mpf(value)) / _ln(q)
 
 
 def gaussian_binomial_bounds_ok(n, k, q, margin=LOG_MARGIN):

@@ -6,23 +6,23 @@ the coefficient of x^(e-1).  With that convention the canonical order
 (lexicographic on coefficient lists) is plain integer order: 0 is the zero
 element and 1 the multiplicative identity.  Coefficient lists and moduli are
 written in descending powers, leading coefficient first.
+
+The default modulus of F_{p^e} is the lexicographically first monic
+irreducible of degree e, x for a prime field.  The tables rest on F_q*
+being cyclic (Lidl and Niederreiter, *Finite Fields*, ch. 2): with g
+primitive, g^i * g^j = g^(i+j), so each row of the multiplication table is
+a rotation of the powers of g read in log order.  Addition is digit-wise
+mod p, so row a of the addition table is row a - p^k read through the
+translation by p^k, where p^k is a's lowest nonzero digit place.
 """
 
+import functools
 from itertools import product as _product
+from operator import itemgetter
 
-# Default irreducible moduli, descending coefficients, for the prime powers
-# the built-in table covers.  Verified irreducible at import time.
-BUILTIN_MODULI = {
-    4: (1, 1, 1),        # x^2 + x + 1
-    8: (1, 0, 1, 1),     # x^3 + x + 1
-    9: (1, 0, 1),        # x^2 + 1
-    16: (1, 0, 0, 1, 1),  # x^4 + x + 1
-    25: (1, 0, 2),       # x^2 + 2
-    27: (1, 0, 2, 1),    # x^3 + 2x + 1
-}
-
-# Table construction is O(q^2); refuse sizes where that stops being cheap.
-MAX_Q = 4096
+# Two q x q tables of pointers to q shared ints take 16 q^2 bytes: 17 MB at
+# q = 1024, built in about 0.1 s, but 270 MB at q = 4096.
+MAX_Q = 1024
 
 
 def is_prime(n):
@@ -65,11 +65,21 @@ def _is_irreducible(asc, p):
     return True
 
 
+def _first_irreducible(p, e):
+    """The lexicographically first monic irreducible of degree e over F_p."""
+    for tail in _product(range(p), repeat=e):
+        if _is_irreducible([*reversed(tail), 1], p):
+            return (1, *tail)
+
+
 class FieldSpec:
     """A finite field F_{p^e} with precomputed operation tables.
 
-    Construct one directly, or by order with :func:`field_from_order`; the
-    modulus is optional when e = 1 or q has a built-in one.  Instances are
+    Construct one directly, or by order with :func:`field_from_order`, which
+    builds each field once per process.  The modulus defaults to the
+    lexicographically first monic irreducible of degree e (descending
+    coefficients); pass another irreducible to choose a different
+    representation.  A prime field takes no modulus.  Instances are
     immutable in intent and compare equal when (p, e, modulus) agree.
     """
 
@@ -86,19 +96,15 @@ class FieldSpec:
         self.p = p
         self.e = e
         self.q = q
-        self.modulus = self._resolve_modulus(p, e, q, modulus)
+        self.modulus = self._resolve_modulus(p, e, modulus)
         self._build_tables()
 
     @staticmethod
-    def _resolve_modulus(p, e, q, modulus):
-        if e == 1:
-            # F_p needs no extension polynomial; store x for serialization.
-            return (1, 0)
+    def _resolve_modulus(p, e, modulus):
         if modulus is None:
-            if q in BUILTIN_MODULI:
-                return BUILTIN_MODULI[q]
-            raise ValueError(
-                f"no built-in modulus for q = {q}; pass one explicitly")
+            return _first_irreducible(p, e)
+        if e == 1:
+            raise ValueError(f"F_{p} is a prime field and takes no modulus")
         modulus = tuple(int(c) for c in modulus)
         if len(modulus) != e + 1:
             raise ValueError(
@@ -113,46 +119,52 @@ class FieldSpec:
         return modulus
 
     def _build_tables(self):
-        p, e, q = self.p, self.e, self.q
-        digits = [self._digits(a) for a in range(q)]
-        add = []
-        for a in range(q):
-            da = digits[a]
-            add.append(tuple(
-                self._from_digits([(x + y) % p for x, y in zip(da, digits[b])])
-                for b in range(q)))
-        mod_asc = list(reversed(self.modulus))
-        mul = []
-        for a in range(q):
-            da = digits[a]
-            row = []
-            for b in range(q):
-                db = digits[b]
-                prod = [0] * (2 * e - 1)
-                for i, x in enumerate(da):
-                    if x:
-                        for j, y in enumerate(db):
-                            prod[i + j] = (prod[i + j] + x * y) % p
-                rem = _poly_rem(prod, mod_asc, p) if e > 1 else [prod[0] % p]
-                rem += [0] * (e - len(rem))
-                row.append(self._from_digits(rem))
-            mul.append(tuple(row))
+        p, q = self.p, self.q
+        els = list(range(q))  # every table entry is one of these objects
+        add = [tuple(els)]
+        shift = {}  # p^k -> gather that reads a row through + p^k
+        for a in range(1, q):
+            u = 1
+            while a // u % p == 0:
+                u *= p
+            if a == u:  # + p^k steps digit k up mod p, with no carry
+                add.append(tuple(els[b + u - u * p if b // u % p == p - 1
+                                     else b + u] for b in range(q)))
+                shift[u] = itemgetter(*add[a])
+            else:
+                add.append(shift[u](add[a - u]))
+        exp = self._powers_of_primitive(els)
+        log = [0] * q
+        for i, a in enumerate(exp):
+            log[a] = i
+        by_log = itemgetter(0, *(1 + log[b] for b in range(1, q)))
+        mul = [(0,) * q]
+        mul += [by_log((0,) + exp[log[a]:] + exp[:log[a]])
+                for a in range(1, q)]
         self._add = tuple(add)
         self._mul = tuple(mul)
-        neg = [0] * q
-        for a in range(q):
-            for b in range(q):
-                if add[a][b] == 0:
-                    neg[a] = b
+        self._neg = tuple(els[row.index(0)] for row in add)
+        self._inv = (None,) + tuple(els[row.index(1)] for row in mul[1:])
+
+    def _powers_of_primitive(self, els):
+        """(g^0, ..., g^(q-2)) for the smallest primitive element g."""
+        p, e, q = self.p, self.e, self.q
+        mod_asc = list(reversed(self.modulus))
+        one = self._digits(1)
+        for g in range(1, q):
+            dg = self._digits(g)
+            powers, cur = [], one
+            while True:
+                powers.append(els[self._from_digits(cur)])
+                prod = [0] * (2 * e - 1)
+                for i, x in enumerate(cur):
+                    for j, y in enumerate(dg):
+                        prod[i + j] += x * y
+                cur = _poly_rem(prod, mod_asc, p)
+                if cur == one:
                     break
-        self._neg = tuple(neg)
-        inv = [None] * q
-        for a in range(1, q):
-            for b in range(1, q):
-                if mul[a][b] == 1:
-                    inv[a] = b
-                    break
-        self._inv = tuple(inv)
+            if len(powers) == q - 1:
+                return tuple(powers)
 
     def _digits(self, a):
         # ascending: digit i is the coefficient of x^i
@@ -193,9 +205,6 @@ class FieldSpec:
             raise ZeroDivisionError("0 has no multiplicative inverse")
         return self._inv[a]
 
-    def div(self, a, b):
-        return self._mul[a][self.inv(b)]
-
     def elements(self):
         """All q elements in canonical order (0 first, 1 second)."""
         return list(range(self.q))
@@ -205,15 +214,7 @@ class FieldSpec:
         self.check(a)
         return tuple(reversed(self._digits(a)))
 
-    def from_coeffs(self, coeffs):
-        coeffs = tuple(int(c) for c in coeffs)
-        if len(coeffs) != self.e:
-            raise ValueError(f"need {self.e} coefficients, got {len(coeffs)}")
-        if any(not 0 <= c < self.p for c in coeffs):
-            raise ValueError("coefficients must lie in [0, p)")
-        return self._from_digits(list(reversed(coeffs)))
-
-    # -- identity and serialization ---------------------------------------
+    # -- identity ----------------------------------------------------------
 
     def __eq__(self, other):
         return (isinstance(other, FieldSpec)
@@ -225,23 +226,18 @@ class FieldSpec:
     def __repr__(self):
         return f"FieldSpec(q={self.q}, p={self.p}, e={self.e})"
 
-    def to_json(self):
-        return {"p": self.p, "e": self.e, "modulus": list(self.modulus)}
-
-    @classmethod
-    def from_json(cls, obj):
-        e = obj["e"]
-        modulus = obj.get("modulus")
-        if e == 1:
-            modulus = None
-        return cls(obj["p"], e, modulus)
-
 
 def field_from_order(q, modulus=None):
-    """Construct the field of order q, factoring q = p^e.
+    """The field of order q, factoring q = p^e; built once per process for
+    each (q, modulus).
 
     Raises ValueError when q is not a prime power.
     """
+    return _field(q, None if modulus is None else tuple(modulus))
+
+
+@functools.lru_cache(maxsize=None)
+def _field(q, modulus):
     if q < 2:
         raise ValueError(f"q = {q} is not a prime power")
     p = 2

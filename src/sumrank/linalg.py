@@ -87,10 +87,6 @@ class MatrixFq:
         self.ncols = ncols
         self.entries = entries
 
-    @classmethod
-    def zeros(cls, field, nrows, ncols):
-        return cls(field, tuple((0,) * ncols for _ in range(nrows)))
-
     def __eq__(self, other):
         return (isinstance(other, MatrixFq)
                 and self.field == other.field and self.entries == other.entries)
@@ -233,16 +229,6 @@ class Subspace:
                 if c:
                     vec = vec_add(field, vec, vec_scale(field, c, row))
             yield vec
-
-    def random_vector(self, rng):
-        """A uniformly random element of the subspace."""
-        field = self.field
-        vec = (0,) * self.ambient
-        for row in self.basis:
-            c = rng.randrange(field.q)
-            if c:
-                vec = vec_add(field, vec, vec_scale(field, c, row))
-        return vec
 
     def _check_compatible(self, other):
         if self.field != other.field or self.ambient != other.ambient:

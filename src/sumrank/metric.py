@@ -6,20 +6,16 @@ vectors by one integer encoding (base q, entries in to_vector() order, most
 significant first), which keeps brute-force oracles cheap and
 deterministic.
 
-Two exact samplers live here.  The ball sampler draws weight and per-block
-ranks by inverse CDF on exact integer counts, then factors each block as
-U V with uniform full-rank factors; every rank-r matrix has the same number
-of such factorizations, so the result is exactly uniform on the ball.  The
-rows-from-subspace sampler draws a uniform decomposable subspace and fills
-each block with m uniform rows from its factor, giving weight at most w and
-weight exactly w with probability bounded below by the Euler product
-constant to the power ell.
+The ball sampler is exact.  It draws weight and per-block ranks by inverse
+CDF on exact integer counts, then factors each block as U V with uniform
+full-rank factors; every rank-r matrix has the same number of such
+factorizations, so the result is exactly uniform on the ball.
 """
 
 import functools
 import itertools
 
-from . import counting, decomposable, linalg
+from . import counting, linalg
 from .counting import SpaceParams, ball_volume, sphere_volume
 from .guards import require_within
 
@@ -286,20 +282,4 @@ def sample_uniform_tuple(params, rng):
     blocks = [tuple(tuple(rng.randrange(q) for _ in range(params.eta))
                     for _ in range(params.m))
               for _ in range(params.ell)]
-    return BlockTuple(params, blocks)
-
-
-def sample_decomposable_rows(params, w, rng):
-    """Draw a uniform decomposable subspace of total dimension w, then fill
-    each block with m uniform rows from its factor.
-
-    The result always has weight <= w; it attains w with probability at
-    least the Euler product constant to the power ell when eta <= m.
-    """
-    space = decomposable.sample_decomposable_uniform(
-        params.field, params.eta, params.ell, w, rng)
-    blocks = []
-    for factor in space.factors:
-        rows = tuple(factor.random_vector(rng) for _ in range(params.m))
-        blocks.append(rows)
     return BlockTuple(params, blocks)

@@ -1,10 +1,66 @@
 """Field arithmetic: axioms exhaustively on small orders, frozen oracles."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
-from sumrank.galois import (BUILTIN_MODULI, FieldSpec, field_from_order,
-                            is_prime)
+from sumrank.galois import MAX_Q, FieldSpec, field_from_order, is_prime
+
+# The hand-written moduli the first-irreducible rule replaced, descending
+# coefficients; the rule must pick exactly these.
+FORMER_BUILTIN_MODULI = {
+    4: (1, 1, 1),        # x^2 + x + 1
+    8: (1, 0, 1, 1),     # x^3 + x + 1
+    9: (1, 0, 1),        # x^2 + 1
+    16: (1, 0, 0, 1, 1),  # x^4 + x + 1
+    25: (1, 0, 2),       # x^2 + 2
+    27: (1, 0, 2, 1),    # x^3 + 2x + 1
+}
+
+
+def reference_tables(f):
+    """(add, mul, neg, inv) of f built pair by pair with polynomial
+    arithmetic on base-p digits, reducing by f's modulus: O(q^2 e^2)."""
+    p, e, q = f.p, f.e, f.q
+    digits = [[a // p ** i % p for i in range(e)] for a in range(q)]
+
+    def value(ds):  # ascending digits to element index
+        return sum(c * p ** i for i, c in enumerate(ds))
+
+    mod_asc = f.modulus[::-1]
+    add = [tuple(value([(x + y) % p for x, y in zip(da, db)])
+                 for db in digits) for da in digits]
+    mul = []
+    for da in digits:
+        row = []
+        for db in digits:
+            prod = [0] * (2 * e - 1)
+            for i, x in enumerate(da):
+                for j, y in enumerate(db):
+                    prod[i + j] += x * y
+            for i in range(2 * e - 2, e - 1, -1):  # x^e = -(lower terms)
+                c = prod[i] % p
+                for j in range(e + 1):
+                    prod[i - e + j] -= c * mod_asc[j]
+            row.append(value([c % p for c in prod[:e]]))
+        mul.append(tuple(row))
+    neg = tuple(next(b for b in range(q) if add[a][b] == 0) for a in range(q))
+    inv = (None,) + tuple(next(b for b in range(q) if mul[a][b] == 1)
+                          for a in range(1, q))
+    return tuple(add), tuple(mul), neg, inv
+
+
+def prime_powers(limit):
+    """(p, e) of every prime power p^e <= limit."""
+    out = []
+    for p in range(2, limit + 1):
+        if is_prime(p):
+            e = 1
+            while p ** e <= limit:
+                out.append((p, e))
+                e += 1
+    return out
 
 
 def test_prime_field_matches_int_arithmetic():
@@ -79,7 +135,7 @@ def test_coeffs_round_trip_and_order():
     for a in f.elements():
         cs = f.coeffs(a)
         assert len(cs) == 3
-        assert f.from_coeffs(cs) == a
+        assert cs[0] * 9 + cs[1] * 3 + cs[2] == a
     # descending powers, most significant digit first
     assert f.coeffs(9) == (1, 0, 0)
     assert f.coeffs(5) == (0, 1, 2)
@@ -111,19 +167,58 @@ def test_invalid_orders():
 
 
 def test_order_cap():
-    # 2^13 = 8192 exceeds the table-size cap
+    # 2^13 = 8192 exceeds the table-size cap, and so does 1031, the smallest
+    # prime power above MAX_Q = 1024
     with pytest.raises(ValueError):
         FieldSpec(2, 13)
+    with pytest.raises(ValueError):
+        field_from_order(1031)
 
 
 def test_builtin_moduli_are_used():
-    for q, modulus in BUILTIN_MODULI.items():
+    for q, modulus in FORMER_BUILTIN_MODULI.items():
         assert field_from_order(q).modulus == modulus
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 16, 25, 27, 32, 49, 64, 81,
+                               125, 127, 243, 256])
+def test_tables_match_reference_build(q):
+    f = field_from_order(q)
+    assert (f._add, f._mul, f._neg, f._inv) == reference_tables(f)
+
+
+def test_every_order_up_to_the_cap_builds():
+    orders = prime_powers(MAX_Q)
+    assert len(orders) == 198
+    for p, e in orders:
+        f = FieldSpec(p, e)  # not field_from_order: keep no field alive
+        q = f.q
+        assert len(f._add) == len(f._mul) == q
+        rng = random.Random(q)
+        for _ in range(64):
+            a, b, c = (rng.randrange(q) for _ in range(3))
+            assert f.add(a, b) == f.add(b, a)
+            assert f.mul(a, b) == f.mul(b, a)
+            assert f.add(f.add(a, b), c) == f.add(a, f.add(b, c))
+            assert f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c))
+            assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
+            assert f.add(a, 0) == a and f.mul(a, 1) == a
+            assert f.add(a, f.neg(a)) == 0
+            if a:
+                assert f.mul(a, f.inv(a)) == 1
+
+
+def test_field_from_order_builds_once():
+    assert field_from_order(32) is field_from_order(32)
+    assert field_from_order(7) is field_from_order(7, None)
+    modulus = (1, 1, 2)  # x^2 + x + 2, irreducible over GF(3)
+    assert field_from_order(9, modulus) is field_from_order(9, list(modulus))
+    assert field_from_order(9, modulus) != field_from_order(9)
 
 
 def test_eq_hash_and_json_round_trip():
     f = field_from_order(9)
-    g = FieldSpec.from_json(f.to_json())
+    g = FieldSpec(f.p, f.e, f.modulus)
     assert f == g and hash(f) == hash(g)
     assert field_from_order(4) != field_from_order(9)
 
@@ -146,4 +241,4 @@ def test_gf27_subtraction_inverts_addition(a, b):
     f = field_from_order(27)
     assert f.sub(f.add(a, b), b) == a
     if b != 0:
-        assert f.mul(f.div(a, b), b) == a
+        assert f.mul(f.mul(a, f.inv(b)), b) == a

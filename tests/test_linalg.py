@@ -24,14 +24,14 @@ def test_matrix_validation():
         MatrixFq(F2, [(0, 2)])
     with pytest.raises(ValueError):
         MatrixFq(F2, [])
-    m = MatrixFq.zeros(F2, 2, 3)
+    m = MatrixFq(F2, [(0, 0, 0), (0, 0, 0)])
     assert m.nrows == 2 and m.ncols == 3
 
 
 def test_rank_frozen_cases():
     assert rank(MatrixFq(F2, [(1, 0), (0, 1)])) == 2
     assert rank(MatrixFq(F2, [(1, 1), (1, 1)])) == 1
-    assert rank(MatrixFq.zeros(F2, 3, 3)) == 0
+    assert rank(MatrixFq(F2, [(0, 0, 0)] * 3)) == 0
     assert rank(MatrixFq(F3, [(1, 2, 0), (0, 1, 1), (0, 0, 2)])) == 3
     # second row is twice the first over GF(3)
     assert rank(MatrixFq(F3, [(1, 2, 0), (2, 1, 0), (0, 0, 1)])) == 2

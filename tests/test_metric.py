@@ -11,8 +11,7 @@ from sumrank.guards import GuardError
 from sumrank.linalg import MatrixFq, rank
 from sumrank.metric import (BlockTuple, enumerate_ball, iter_all_tuples,
                             matrix_code, matrix_from_code,
-                            sample_ball_uniform, sample_decomposable_rows,
-                            sample_uniform_matrix_of_rank,
+                            sample_ball_uniform, sample_uniform_matrix_of_rank,
                             sample_uniform_tuple, sum_rank_distance,
                             tuple_code, tuple_from_code, vector_code,
                             weight_histogram, zero_tuple)
@@ -190,15 +189,3 @@ def test_uniform_tuple_sampler_marginal():
     for _ in range(4000):
         counts[tuple_code(sample_uniform_tuple(params, rng))] += 1
     assert min(counts) > 0
-
-
-def test_decomposable_rows_weight_cap():
-    rng = random.Random(53)
-    params = P222
-    exact = 0
-    for _ in range(300):
-        x = sample_decomposable_rows(params, 2, rng)
-        assert x.weight() <= 2
-        exact += x.weight() == 2
-    # weight-w draws happen at constant rate (well above the K_q^ell floor)
-    assert exact > 30
