@@ -277,6 +277,7 @@ def _capacity_records(q, b, rho, trial):
 
 
 def _run_capacity(args):
+    q = field_from_order(args.q).q
     if args.b is not None:
         b = args.b
     elif args.m is not None and args.eta is not None:
@@ -285,23 +286,23 @@ def _run_capacity(args):
         raise ValueError("capacity needs --b, or both --m and --eta")
     records = []
     if args.rho is not None:
-        records.extend(_capacity_records(args.q, b, args.rho, trial=0))
+        records.extend(_capacity_records(q, b, args.rho, trial=0))
     else:
         steps = args.grid
         for i in range(1, steps + 1):
             rho = Fraction(i, steps + 1)
-            records.extend(_capacity_records(args.q, b, rho, trial=i - 1))
+            records.extend(_capacity_records(q, b, rho, trial=i - 1))
     return records, 0
 
 
 # -- verb: verify ----------------------------------------------------------
 
-def _volume_cases(args):
+def _volume_cases(fields, args):
     """Histogram brute force against the closed-form sphere volumes, every
     configuration with q^(m eta ell) below the cap."""
     limit = 2 ** args.max_space_log
-    for q in args.q_list:
-        field = field_from_order(q)
+    for field in fields:
+        q = field.q
         for m in range(1, args.max_space_log + 1):
             for eta in range(1, args.max_space_log + 1):
                 for ell in range(1, args.max_space_log + 1):
@@ -314,17 +315,16 @@ def _volume_cases(args):
                         for r in range(params.max_weight + 1))
 
 
-def _gb_bound_cases(args):
-    for q in args.q_list:
+def _gb_bound_cases(fields, args):
+    for q in (field.q for field in fields):
         for n in range(0, args.n_max + 1):
             for k in range(0, n + 1):
                 yield ({"q": q, "n": n, "k": k},
                        counting.gaussian_binomial_bounds_ok(n, k, q))
 
 
-def _volume_bound_cases(args):
-    for q in args.q_list:
-        field = field_from_order(q)
+def _volume_bound_cases(fields, args):
+    for field in fields:
         for side in range(1, args.m_max + 1):
             for ell in range(1, args.ell_max + 1):
                 params = SpaceParams(field=field, m=side, eta=side, ell=ell)
@@ -336,8 +336,8 @@ def _volume_bound_cases(args):
 
 def _decomposable_cases(check):
     """Cases of check(eta, ell, w, q) over the (q, eta, ell, w) grid."""
-    def cases(args):
-        for q in args.q_list:
+    def cases(fields, args):
+        for q in (field.q for field in fields):
             for eta in range(1, args.eta_max + 1):
                 for ell in range(1, args.ell_max + 1):
                     for w in range(0, eta * ell + 1):
@@ -347,7 +347,7 @@ def _decomposable_cases(check):
 
 
 # Each target is a statistic name and a generator of (config, passed)
-# cases; one failed case makes the run exit 1.
+# cases over the fields of --q-list; one failed case makes the run exit 1.
 _VERIFY_TARGETS = {
     "volumes": ("volumes_pass", _volume_cases),
     "gb-bounds": ("gb_bounds_pass", _gb_bound_cases),
@@ -362,11 +362,12 @@ _VERIFY_TARGETS = {
 
 def _run_verify(args):
     targets = list(_VERIFY_TARGETS) if args.target == "all" else [args.target]
+    fields = [field_from_order(q) for q in args.q_list]
     records = []
     all_ok = True
     for name in targets:
         statistic, cases = _VERIFY_TARGETS[name]
-        for cfg, good in cases(args):
+        for cfg, good in cases(fields, args):
             all_ok = all_ok and good
             records.append(make_record("verify", statistic, good, cfg))
     return records, 0 if all_ok else 1

@@ -137,7 +137,7 @@ def sample_linear_code(params, rate, rng):
     """Row space of a uniform full-rank k x mn generator, k = rate * mn."""
     k = _dimension_from_rate(params, rate)
     rows = linalg.sample_full_rank(params.field, k, params.total_dim, rng)
-    basis = tuple(BlockTuple.from_vector(params, row) for row in rows)
+    basis = tuple(BlockTuple(params, row) for row in rows)
     return Code(params, basis=basis)
 
 
@@ -201,40 +201,23 @@ def _occupancy_by_center(code, radius):
     return counts
 
 
-def max_list_size(code, radius, mode="exhaustive", trials=None, rng=None):
-    """Largest list size over centers, with a witness center.
-
-    mode "exhaustive" covers every center (guarded at MAX_CODE_SPACE points
-    of space); mode "sampled" draws uniform centers and returns the largest
-    list observed, a lower bound.
-    """
+def max_list_size(code, radius):
+    """Largest list size over every center, with a witness center: the
+    smallest center code among the largest lists.  Guarded at
+    MAX_CODE_SPACE points of space."""
     params = code.params
     if not 0 <= radius <= params.max_weight:
         raise ValueError(f"radius {radius} outside [0, {params.max_weight}]")
-    if mode == "exhaustive":
-        counts = _occupancy_by_center(code, radius)
-        if not counts:
-            return 0, zero_tuple(params)
-        best_key = None
-        best = -1
-        for key, value in counts.items():
-            if value > best or (value == best and key < best_key):
-                best = value
-                best_key = key
-        return best, metric.tuple_from_code(params, best_key)
-    if mode == "sampled":
-        if not trials or rng is None:
-            raise ValueError("sampled mode needs trials and rng")
-        best = -1
-        best_center = None
-        for _ in range(trials):
-            center = metric.sample_uniform_tuple(params, rng)
-            size = list_size_at(code, center, radius)
-            if size > best:
-                best = size
-                best_center = center
-        return best, best_center
-    raise ValueError(f"unknown mode {mode!r}")
+    counts = _occupancy_by_center(code, radius)
+    if not counts:
+        return 0, zero_tuple(params)
+    best_key = None
+    best = -1
+    for key, value in counts.items():
+        if value > best or (value == best and key < best_key):
+            best = value
+            best_key = key
+    return best, metric.tuple_from_code(params, best_key)
 
 
 def expected_ball_occupancy(code, radius):

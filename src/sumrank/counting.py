@@ -176,6 +176,14 @@ def logq_int(value, q):
         return mp.log(mpf(value)) / _ln(q)
 
 
+def _within(count, q, bounds, margin):
+    # Whether log_q(count) lies in the (lower, upper) log_q bounds, give or
+    # take the margin.
+    exact = float(logq_int(count, q))
+    lower, upper = bounds
+    return lower - margin <= exact <= upper + margin
+
+
 def gaussian_binomial_bounds_ok(n, k, q, margin=LOG_MARGIN):
     """Check q^((n-k)k) <= [n k]_q <= q^((n-k)k) / prod(1 - q^-i).
 
@@ -183,11 +191,9 @@ def gaussian_binomial_bounds_ok(n, k, q, margin=LOG_MARGIN):
     """
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
-    exact = logq_int(gaussian_binomial(n, k, q), q)
     base = (n - k) * k
-    lower = base
-    upper = base - _logq_euler_product(q)
-    return float(exact) >= float(lower) - margin and float(exact) <= float(upper) + margin
+    return _within(gaussian_binomial(n, k, q), q,
+                   (base, float(base - _logq_euler_product(q))), margin)
 
 
 # -- the block-sum engine --------------------------------------------------
@@ -299,8 +305,10 @@ def _volume_exponent(params, r):
     return (Fraction(params.m + params.eta) - Fraction(r, params.ell)) * r
 
 
-def sphere_bounds_logq(params, r):
-    """Two-sided sphere volume bounds, returned as log_q values."""
+def _volume_bounds_logq(params, r, parts):
+    # Two-sided bounds as log_q values.  The upper bound counts the weight
+    # compositions of r into `parts` parts, C(parts + r - 1, r): ell parts
+    # for the sphere, and one slack part more for the ball.
     if not 0 <= r <= params.max_weight:
         raise ValueError(f"radius r = {r} outside [0, {params.max_weight}]")
     q, ell = params.q, params.ell
@@ -309,34 +317,28 @@ def sphere_bounds_logq(params, r):
     with mp.workprec(_PREC):
         expo_mp = mpf(expo.numerator) / mpf(expo.denominator)
         lower = ell * logk + expo_mp - mpf(ell) / 4
-        upper = -ell * logk + logq_int(math.comb(ell + r - 1, r), q) + expo_mp
+        upper = -ell * logk + logq_int(math.comb(parts + r - 1, r), q) + expo_mp
     return float(lower), float(upper)
+
+
+def sphere_bounds_logq(params, r):
+    """Two-sided sphere volume bounds, returned as log_q values."""
+    return _volume_bounds_logq(params, r, params.ell)
 
 
 def ball_bounds_logq(params, r):
     """Two-sided ball volume bounds, returned as log_q values."""
-    if not 0 <= r <= params.max_weight:
-        raise ValueError(f"radius r = {r} outside [0, {params.max_weight}]")
-    q, ell = params.q, params.ell
-    logk = _logq_euler_product(q)
-    expo = _volume_exponent(params, r)
-    with mp.workprec(_PREC):
-        expo_mp = mpf(expo.numerator) / mpf(expo.denominator)
-        lower = ell * logk + expo_mp - mpf(ell) / 4
-        upper = -ell * logk + logq_int(math.comb(ell + r, ell), q) + expo_mp
-    return float(lower), float(upper)
+    return _volume_bounds_logq(params, r, params.ell + 1)
 
 
 def sphere_bounds_ok(params, r, margin=LOG_MARGIN):
-    exact = float(logq_int(sphere_volume(params, r), params.q))
-    lower, upper = sphere_bounds_logq(params, r)
-    return lower - margin <= exact <= upper + margin
+    return _within(sphere_volume(params, r), params.q,
+                   sphere_bounds_logq(params, r), margin)
 
 
 def ball_bounds_ok(params, r, margin=LOG_MARGIN):
-    exact = float(logq_int(ball_volume(params, r), params.q))
-    lower, upper = ball_bounds_logq(params, r)
-    return lower - margin <= exact <= upper + margin
+    return _within(ball_volume(params, r), params.q,
+                   ball_bounds_logq(params, r), margin)
 
 
 # -- decomposable subspace counts ------------------------------------------
@@ -363,10 +365,8 @@ def decomposable_bounds_logq(eta, ell, w, q):
 
 
 def decomposable_bounds_ok(eta, ell, w, q, margin=LOG_MARGIN):
-    count = decomposable_count(eta, ell, w, q)
-    exact = float(logq_int(count, q))
-    lower, upper = decomposable_bounds_logq(eta, ell, w, q)
-    return lower - margin <= exact <= upper + margin
+    return _within(decomposable_count(eta, ell, w, q), q,
+                   decomposable_bounds_logq(eta, ell, w, q), margin)
 
 
 def decomposable_le_grassmannian(eta, ell, w, q):

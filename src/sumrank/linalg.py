@@ -179,23 +179,11 @@ class Subspace:
         return len(self.basis)
 
     def contains(self, vector):
-        """Membership test by reduction against the RREF basis."""
+        """Membership: the vector leaves the rank of the basis unchanged."""
         vector = tuple(vector)
         if len(vector) != self.ambient:
             raise ValueError("vector length does not match ambient dimension")
-        field = self.field
-        residue = list(vector)
-        sub = field.sub
-        mul = field._mul
-        for row in self.basis:
-            lead = next(j for j, v in enumerate(row) if v)
-            coeff = residue[lead]
-            if coeff:
-                mrow = mul[coeff]
-                for j in range(lead, self.ambient):
-                    if row[j]:
-                        residue[j] = sub(residue[j], mrow[row[j]])
-        return not any(residue)
+        return _rank_rows(self.field, (*self.basis, vector)) == self.dim
 
     def intersect(self, other):
         """Zassenhaus intersection: reduce [[A A], [B 0]] and read off the

@@ -1,10 +1,12 @@
 """The sum-rank metric space: tuples of matrices, weights, balls, samplers.
 
 A point is an ell-tuple of m x eta matrices over F_q; its weight is the sum
-of the block ranks.  Enumeration code indexes points, matrices and plain
-vectors by one integer encoding (base q, entries in to_vector() order, most
-significant first), which keeps brute-force oracles cheap and
-deterministic.
+of the block ranks.  A point is stored as its flat vector: the blocks in
+order, each block row-major, the same entries every other layer reads
+(linalg rows, code bases, the integer encoding).  Enumeration code indexes
+points, matrices and plain vectors by one integer encoding (base q, entries
+in to_vector() order, most significant first), which keeps brute-force
+oracles cheap and deterministic.
 
 The ball sampler is exact.  It draws weight and per-block ranks by inverse
 CDF on exact integer counts, then factors each block as U V with uniform
@@ -24,26 +26,33 @@ MAX_ENUMERATION = 2 ** 16
 
 
 class BlockTuple:
-    """An immutable point of the metric space: ell grids of element indices."""
+    """An immutable point of the metric space, held as its flat vector of
+    m*eta*ell element indices in to_vector() order."""
 
-    __slots__ = ("params", "blocks", "_weight")
+    __slots__ = ("params", "entries", "_weight")
 
-    def __init__(self, params, blocks):
-        blocks = tuple(tuple(tuple(int(v) for v in row) for row in block)
-                       for block in blocks)
-        if len(blocks) != params.ell:
-            raise ValueError(f"expected {params.ell} blocks, got {len(blocks)}")
-        q = params.q
-        for block in blocks:
-            if len(block) != params.m or any(len(row) != params.eta for row in block):
-                raise ValueError("block shape does not match params")
-            for row in block:
-                for v in row:
-                    if not 0 <= v < q:
-                        raise ValueError(f"entry {v} outside field of order {q}")
+    def __init__(self, params, vector):
+        entries = tuple(map(int, vector))
+        if len(entries) != params.total_dim:
+            raise ValueError(f"expected {params.total_dim} entries, "
+                             f"got {len(entries)}")
+        low, high = min(entries), max(entries)
+        if low < 0 or high >= params.q:
+            bad = low if low < 0 else high
+            raise ValueError(f"entry {bad} outside field of order {params.q}")
         self.params = params
-        self.blocks = blocks
+        self.entries = entries
         self._weight = None
+
+    @property
+    def blocks(self):
+        """The ell blocks, each a tuple of m rows of eta entries."""
+        m, eta = self.params.m, self.params.eta
+        size = m * eta
+        e = self.entries
+        return tuple(tuple(e[start + i:start + i + eta]
+                           for i in range(0, size, eta))
+                     for start in range(0, len(e), size))
 
     def weight(self):
         """Sum of the block ranks; cached after the first call."""
@@ -55,46 +64,23 @@ class BlockTuple:
     def add(self, other):
         self._check(other)
         add = self.params.field._add
-        return BlockTuple(self.params, tuple(
-            tuple(tuple(add[x][y] for x, y in zip(r1, r2))
-                  for r1, r2 in zip(b1, b2))
-            for b1, b2 in zip(self.blocks, other.blocks)))
+        return BlockTuple(self.params, [add[x][y] for x, y
+                                        in zip(self.entries, other.entries)])
 
     def neg(self):
-        neg = self.params.field._neg
-        return BlockTuple(self.params, tuple(
-            tuple(tuple(neg[x] for x in row) for row in block)
-            for block in self.blocks))
+        return BlockTuple(self.params,
+                          map(self.params.field._neg.__getitem__, self.entries))
 
     def sub(self, other):
         return self.add(other.neg())
 
     def scale(self, c):
         mrow = self.params.field._mul[self.params.field.check(c)]
-        return BlockTuple(self.params, tuple(
-            tuple(tuple(mrow[x] for x in row) for row in block)
-            for block in self.blocks))
+        return BlockTuple(self.params, map(mrow.__getitem__, self.entries))
 
     def to_vector(self):
-        """Flatten to a length m*eta*ell tuple, blocks in order, row-major."""
-        out = []
-        for block in self.blocks:
-            for row in block:
-                out.extend(row)
-        return tuple(out)
-
-    @classmethod
-    def from_vector(cls, params, vector):
-        vector = tuple(vector)
-        if len(vector) != params.total_dim:
-            raise ValueError("vector length does not match params")
-        per_block = params.m * params.eta
-        blocks = []
-        for i in range(params.ell):
-            chunk = vector[i * per_block:(i + 1) * per_block]
-            blocks.append(tuple(chunk[r * params.eta:(r + 1) * params.eta]
-                                for r in range(params.m)))
-        return cls(params, blocks)
+        """The m*eta*ell entries, blocks in order, each block row-major."""
+        return self.entries
 
     def _check(self, other):
         if self.params != other.params:
@@ -102,10 +88,10 @@ class BlockTuple:
 
     def __eq__(self, other):
         return (isinstance(other, BlockTuple)
-                and self.params == other.params and self.blocks == other.blocks)
+                and self.params == other.params and self.entries == other.entries)
 
     def __hash__(self):
-        return hash((self.params, self.blocks))
+        return hash((self.params, self.entries))
 
     def __repr__(self):
         return f"BlockTuple(weight={self.weight()}, params={self.params!r})"
@@ -115,8 +101,7 @@ class BlockTuple:
 
 
 def zero_tuple(params):
-    zero_block = tuple((0,) * params.eta for _ in range(params.m))
-    return BlockTuple(params, (zero_block,) * params.ell)
+    return BlockTuple(params, (0,) * params.total_dim)
 
 
 def sum_rank_distance(x, y):
@@ -162,8 +147,7 @@ def tuple_code(x):
 
 
 def tuple_from_code(params, code):
-    return BlockTuple.from_vector(
-        params, vector_from_code(params.q, params.total_dim, code))
+    return BlockTuple(params, vector_from_code(params.q, params.total_dim, code))
 
 
 def iter_all_tuples(params):
@@ -271,15 +255,13 @@ def sample_ball_uniform(params, radius, rng):
         raise ValueError(f"radius {radius} outside [0, {params.max_weight}]")
     comp = _ball_composition(params, rng.randrange(ball_volume(params, radius)))
     field = params.field
-    blocks = [sample_uniform_matrix_of_rank(field, params.m, params.eta, part, rng)
-              for part in comp]
-    return BlockTuple(params, blocks)
+    return BlockTuple(params, [
+        v for part in comp
+        for row in sample_uniform_matrix_of_rank(field, params.m, params.eta, part, rng)
+        for v in row])
 
 
 def sample_uniform_tuple(params, rng):
     """A point uniform on the whole space."""
     q = params.q
-    blocks = [tuple(tuple(rng.randrange(q) for _ in range(params.eta))
-                    for _ in range(params.m))
-              for _ in range(params.ell)]
-    return BlockTuple(params, blocks)
+    return BlockTuple(params, [rng.randrange(q) for _ in range(params.total_dim)])

@@ -172,6 +172,21 @@ def test_modulus_that_does_not_fit_q_is_an_input_error(capsys, q, modulus):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv", [
+    ["capacity", "--q", "6", "--b", "1", "--rho", "1/2"],
+    ["verify", "gb-bounds", "--q-list", "6", "--n-max", "1"],
+    ["verify", "decomposable-bounds", "--q-list", "2,6", "--eta-max", "1",
+     "--ell-max", "1"],
+    ["verify", "decomposable-dominance", "--q-list", "6", "--eta-max", "1",
+     "--ell-max", "1"],
+])
+def test_order_that_is_not_a_prime_power_is_an_input_error(capsys, argv):
+    status, out, err = run_cli(capsys, argv)
+    assert status == 2
+    assert out == ""
+    assert err == "error: q = 6 is not a prime power\n"
+
+
 def test_non_prime_order_needs_no_modulus(capsys):
     status, out, _ = run_cli(capsys, [
         "sample", "subspace", "--q", "32", "--ambient", "2", "--dim", "1"])

@@ -130,17 +130,6 @@ def test_max_list_size_monotone_in_radius():
     assert sizes[-1] == code.size
 
 
-def test_max_list_size_sampled_mode_lower_bounds_exhaustive():
-    rng = random.Random(97)
-    code = sample_linear_code(P222, Fraction(3, 8), rng)
-    exact, _ = max_list_size(code, 1)
-    sampled, _ = max_list_size(code, 1, mode="sampled", trials=64,
-                               rng=random.Random(5))
-    assert 0 <= sampled <= exact
-    with pytest.raises(ValueError):
-        max_list_size(code, 1, mode="sampled")
-
-
 def test_max_list_size_witness_deterministic():
     rng = random.Random(101)
     code = sample_linear_code(P222, Fraction(3, 8), rng)
@@ -192,7 +181,7 @@ def span_elements(points):
     params = points[0].params
     flat = Subspace.span(params.field, params.total_dim,
                          [p.to_vector() for p in points])
-    return [BlockTuple.from_vector(params, v) for v in flat.vectors()]
+    return [BlockTuple(params, v) for v in flat.vectors()]
 
 
 def test_span_ball_count_matches_subspace_enumeration():

@@ -38,11 +38,34 @@ def random_tuple(params, rng):
 
 def test_block_tuple_validation():
     with pytest.raises(ValueError):
-        BlockTuple(P222, [((0, 0), (0, 0))])          # wrong block count
+        BlockTuple(P222, (0,) * 4)                    # one block short
     with pytest.raises(ValueError):
-        BlockTuple(P222, [((0, 0),), ((0, 0), (0, 0))])
+        BlockTuple(P222, (0,) * 9)                    # one entry long
     with pytest.raises(ValueError):
-        BlockTuple(P222, [((0, 2), (0, 0)), ((0, 0), (0, 0))])
+        BlockTuple(P222, (0, 2, 0, 0, 0, 0, 0, 0))    # entry equal to q
+    with pytest.raises(ValueError):
+        BlockTuple(P222, (0, 0, 0, 0, 0, 0, 0, -1))   # negative entry
+
+
+@pytest.mark.parametrize("q, m, eta", [(2, 2, 3), (2, 3, 2), (3, 2, 3),
+                                       (3, 3, 2)])
+def test_blocks_are_row_major_chunks_of_the_vector(q, m, eta):
+    # Entry (block b, row i, column j) sits at b*m*eta + i*eta + j; on
+    # non-square blocks a transposed or column-major view breaks this.
+    params = params_for(q, m, eta, 2)
+    rng = random.Random(43)
+    for _ in range(20):
+        vector = [rng.randrange(q) for _ in range(params.total_dim)]
+        x = BlockTuple(params, vector)
+        grid = tuple(tuple(tuple(vector[b * m * eta + i * eta + j]
+                                 for j in range(eta))
+                           for i in range(m))
+                     for b in range(params.ell))
+        assert x.to_vector() == tuple(vector)
+        assert x.blocks == grid
+        assert x.to_json() == [[list(row) for row in block] for block in grid]
+        assert x.weight() == sum(rank(MatrixFq(params.field, block))
+                                 for block in grid)
 
 
 def test_weight_equals_rank_sum():
@@ -56,8 +79,9 @@ def test_weight_equals_rank_sum():
 
 
 def test_weight_frozen():
-    x = BlockTuple(P222, [((1, 0), (0, 1)), ((1, 1), (1, 1))])
+    x = BlockTuple(P222, (1, 0, 0, 1, 1, 1, 1, 1))
     assert x.weight() == 3
+    assert x.blocks == (((1, 0), (0, 1)), ((1, 1), (1, 1)))
     assert zero_tuple(P222).weight() == 0
 
 
@@ -119,7 +143,7 @@ def test_vector_round_trip():
     rng = random.Random(41)
     for _ in range(20):
         x = random_tuple(P222, rng)
-        assert BlockTuple.from_vector(P222, x.to_vector()) == x
+        assert BlockTuple(P222, x.to_vector()) == x
     assert len(zero_tuple(P222).to_vector()) == P222.total_dim
 
 
