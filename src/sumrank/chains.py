@@ -10,6 +10,7 @@ search over cover states backs the harness when greedy misses a target.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .guards import require_within
@@ -49,7 +50,8 @@ class ChainInstance:
             raise ValueError("gamma must be positive")
         if self.c < 1:
             raise ValueError("c must be positive")
-        vectors = tuple(sorted(tuple(v) for v in self.vectors))
+        vectors = tuple(sorted(tuple(map(operator.index, v))
+                               for v in self.vectors))
         if len(set(vectors)) != len(vectors):
             raise ValueError("vector set contains duplicates")
         q = self.field.q

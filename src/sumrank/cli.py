@@ -148,8 +148,7 @@ def _count(text):
 
 
 def _field_of(args):
-    modulus = tuple(args.modulus) if getattr(args, "modulus", None) else None
-    return field_from_order(args.q, modulus=modulus)
+    return field_from_order(args.q)
 
 
 def _space_of(args):
@@ -183,11 +182,6 @@ def _add_output_flags(parser):
 def _add_field_flags(parser):
     parser.add_argument("--q", type=int, required=True,
                         help="field order, a prime power")
-    parser.add_argument("--modulus", type=_int_list, default=None,
-                        help="another monic irreducible of degree e for "
-                             "q = p^e, e > 1, descending comma separated "
-                             "coefficients (default: the lexicographically "
-                             "first)")
 
 
 def _add_space_flags(parser, m=True):

@@ -167,8 +167,7 @@ def list_size_at(code, center, radius):
     ball; general codes scan their explicit word set.
     """
     params = code.params
-    if not 0 <= radius <= params.max_weight:
-        raise ValueError(f"radius {radius} outside [0, {params.max_weight}]")
+    params.check_radius(radius)
     if not code.is_linear:
         return sum(1 for w in code.words
                    if sum_rank_distance(w, center) <= radius)
@@ -206,8 +205,7 @@ def max_list_size(code, radius):
     smallest center code among the largest lists.  Guarded at
     MAX_CODE_SPACE points of space."""
     params = code.params
-    if not 0 <= radius <= params.max_weight:
-        raise ValueError(f"radius {radius} outside [0, {params.max_weight}]")
+    params.check_radius(radius)
     counts = _occupancy_by_center(code, radius)
     if not counts:
         return 0, zero_tuple(params)

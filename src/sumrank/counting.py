@@ -60,6 +60,11 @@ class SpaceParams:
     def max_weight(self):
         return self.ell * self.block_rank_cap
 
+    def check_radius(self, r):
+        """Raise ValueError unless 0 <= r <= max_weight."""
+        if not 0 <= r <= self.max_weight:
+            raise ValueError(f"radius r = {r} outside [0, {self.max_weight}]")
+
     @property
     def b(self):
         """Aspect ratio eta / m as an exact rational."""
@@ -286,8 +291,7 @@ def unrank_block_sum(base, ell, total, u):
 @functools.lru_cache(maxsize=None)
 def sphere_volume(params, r):
     """Exact number of tuples at sum-rank weight r around any fixed center."""
-    if not 0 <= r <= params.max_weight:
-        raise ValueError(f"radius r = {r} outside [0, {params.max_weight}]")
+    params.check_radius(r)
     base = rank_count_vector(params.m, params.eta, params.q)
     return block_sum_power(base, params.ell)[r]
 
@@ -295,8 +299,7 @@ def sphere_volume(params, r):
 @functools.lru_cache(maxsize=None)
 def ball_volume(params, r):
     """Exact number of tuples at sum-rank distance <= r from a fixed center."""
-    if not 0 <= r <= params.max_weight:
-        raise ValueError(f"radius r = {r} outside [0, {params.max_weight}]")
+    params.check_radius(r)
     return sum(sphere_volume(params, s) for s in range(r + 1))
 
 
@@ -309,8 +312,7 @@ def _volume_bounds_logq(params, r, parts):
     # Two-sided bounds as log_q values.  The upper bound counts the weight
     # compositions of r into `parts` parts, C(parts + r - 1, r): ell parts
     # for the sphere, and one slack part more for the ball.
-    if not 0 <= r <= params.max_weight:
-        raise ValueError(f"radius r = {r} outside [0, {params.max_weight}]")
+    params.check_radius(r)
     q, ell = params.q, params.ell
     logk = _logq_euler_product(q)
     expo = _volume_exponent(params, r)

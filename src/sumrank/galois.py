@@ -7,13 +7,15 @@ the coefficient of x^(e-1).  With that convention the canonical order
 element and 1 the multiplicative identity.  Coefficient lists and moduli are
 written in descending powers, leading coefficient first.
 
-The default modulus of F_{p^e} is the lexicographically first monic
-irreducible of degree e, x for a prime field.  The tables rest on F_q*
-being cyclic (Lidl and Niederreiter, *Finite Fields*, ch. 2): with g
-primitive, g^i * g^j = g^(i+j), so each row of the multiplication table is
-a rotation of the powers of g read in log order.  Addition is digit-wise
-mod p, so row a of the addition table is row a - p^k read through the
-translation by p^k, where p^k is a's lowest nonzero digit place.
+A field is its order.  All fields of order q are isomorphic, so no count
+depends on the representation: the modulus of F_{p^e} is always the
+lexicographically first monic irreducible of degree e, x for a prime field.
+The tables rest on F_q* being cyclic (Lidl and Niederreiter, *Finite
+Fields*, ch. 2): with g primitive, g^i * g^j = g^(i+j), so each row of the
+multiplication table is a rotation of the powers of g read in log order.
+Addition is digit-wise mod p, so row a of the addition table is row a - p^k
+read through the translation by p^k, where p^k is a's lowest nonzero digit
+place.
 """
 
 import functools
@@ -23,17 +25,6 @@ from operator import itemgetter
 # Two q x q tables of pointers to q shared ints take 16 q^2 bytes: 17 MB at
 # q = 1024, built in about 0.1 s, but 270 MB at q = 4096.
 MAX_Q = 1024
-
-
-def is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def _poly_rem(num, den, p):
@@ -73,50 +64,39 @@ def _first_irreducible(p, e):
 
 
 class FieldSpec:
-    """A finite field F_{p^e} with precomputed operation tables.
+    """The finite field F_q, q = p^e, with precomputed operation tables.
 
-    Construct one directly, or by order with :func:`field_from_order`, which
-    builds each field once per process.  The modulus defaults to the
-    lexicographically first monic irreducible of degree e (descending
-    coefficients); pass another irreducible to choose a different
-    representation.  A prime field takes no modulus.  Instances are
-    immutable in intent and compare equal when (p, e, modulus) agree.
+    The order is the only argument: the modulus is the lexicographically
+    first monic irreducible of degree e (descending coefficients).  Each
+    call builds fresh tables; :func:`field_from_order` builds each order
+    once per process.  Instances are immutable in intent and compare equal
+    when (p, e, modulus) agree.
     """
 
     __slots__ = ("p", "e", "q", "modulus", "_add", "_mul", "_neg", "_inv")
 
-    def __init__(self, p, e, modulus=None):
-        if not is_prime(p):
-            raise ValueError(f"p = {p} is not prime")
-        if e < 1:
-            raise ValueError(f"extension degree e = {e} must be >= 1")
-        q = p ** e
+    def __init__(self, q):
+        if q < 2:
+            raise ValueError(f"q = {q} is not a prime power")
+        p = 2
+        while p * p <= q and q % p != 0:
+            p += 1
+        if q % p != 0:
+            p = q  # q itself is prime
+        e = 0
+        rest = q
+        while rest % p == 0:
+            rest //= p
+            e += 1
+        if rest != 1:
+            raise ValueError(f"q = {q} is not a prime power")
         if q > MAX_Q:
             raise ValueError(f"field order {q} exceeds supported maximum {MAX_Q}")
         self.p = p
         self.e = e
         self.q = q
-        self.modulus = self._resolve_modulus(p, e, modulus)
+        self.modulus = _first_irreducible(p, e)
         self._build_tables()
-
-    @staticmethod
-    def _resolve_modulus(p, e, modulus):
-        if modulus is None:
-            return _first_irreducible(p, e)
-        if e == 1:
-            raise ValueError(f"F_{p} is a prime field and takes no modulus")
-        modulus = tuple(int(c) for c in modulus)
-        if len(modulus) != e + 1:
-            raise ValueError(
-                f"modulus needs {e + 1} coefficients, got {len(modulus)}")
-        if any(not 0 <= c < p for c in modulus):
-            raise ValueError("modulus coefficients must lie in [0, p)")
-        if modulus[0] != 1:
-            raise ValueError("modulus must be monic (leading coefficient 1)")
-        asc = list(reversed(modulus))
-        if not _is_irreducible(asc, p):
-            raise ValueError(f"modulus {list(modulus)} is reducible over F_{p}")
-        return modulus
 
     def _build_tables(self):
         p, q = self.p, self.q
@@ -227,29 +207,10 @@ class FieldSpec:
         return f"FieldSpec(q={self.q}, p={self.p}, e={self.e})"
 
 
-def field_from_order(q, modulus=None):
-    """The field of order q, factoring q = p^e; built once per process for
-    each (q, modulus).
-
-    Raises ValueError when q is not a prime power.
-    """
-    return _field(q, None if modulus is None else tuple(modulus))
-
-
 @functools.lru_cache(maxsize=None)
-def _field(q, modulus):
-    if q < 2:
-        raise ValueError(f"q = {q} is not a prime power")
-    p = 2
-    while p * p <= q and q % p != 0:
-        p += 1
-    if q % p != 0:
-        p = q  # q itself is prime
-    e = 0
-    rest = q
-    while rest % p == 0:
-        rest //= p
-        e += 1
-    if rest != 1:
-        raise ValueError(f"q = {q} is not a prime power")
-    return FieldSpec(p, e, modulus)
+def field_from_order(q):
+    """The field of order q, built once per process.
+
+    Raises ValueError when q is not a prime power up to MAX_Q.
+    """
+    return FieldSpec(q)

@@ -1,17 +1,18 @@
 """Matrices and subspaces over a finite field.
 
-Matrices are immutable grids of canonical element indices.  A subspace is
-identified with the reduced row echelon basis of its row space, so equality
-of subspaces is grid equality of bases.  Enumeration walks pivot patterns;
-sampling is rejection on uniform full-rank matrices, which is exactly
-uniform on the Grassmannian because every subspace has the same number of
-spanning k x n matrices.
+A matrix is its rows: a sequence of equal-length tuples of canonical
+element indices, with no wrapper type.  A subspace is identified with the
+reduced row echelon basis of its row space, so equality of subspaces is
+grid equality of bases.  Enumeration walks pivot patterns; sampling is
+rejection on uniform full-rank matrices, which is exactly uniform on the
+Grassmannian because every subspace has the same number of spanning k x n
+matrices.
 """
 
 from itertools import combinations, product
 
 from . import counting
-from .guards import GuardError, require_within
+from .guards import require_within
 
 # enumerate_subspaces refuses Grassmannians larger than this.
 MAX_GRASSMANNIAN = 10 ** 6
@@ -63,58 +64,6 @@ def _rref(field, rows):
 
 def _rank_rows(field, rows):
     return len(_rref(field, rows)[0])
-
-
-class MatrixFq:
-    """An immutable nrows x ncols matrix of canonical element indices."""
-
-    __slots__ = ("field", "nrows", "ncols", "entries")
-
-    def __init__(self, field, entries):
-        entries = tuple(tuple(int(v) for v in row) for row in entries)
-        if not entries:
-            raise ValueError("matrix needs at least one row")
-        ncols = len(entries[0])
-        if ncols == 0 or any(len(row) != ncols for row in entries):
-            raise ValueError("rows must be nonempty and of equal length")
-        q = field.q
-        for row in entries:
-            for v in row:
-                if not 0 <= v < q:
-                    raise ValueError(f"entry {v} outside field of order {q}")
-        self.field = field
-        self.nrows = len(entries)
-        self.ncols = ncols
-        self.entries = entries
-
-    def __eq__(self, other):
-        return (isinstance(other, MatrixFq)
-                and self.field == other.field and self.entries == other.entries)
-
-    def __hash__(self):
-        return hash((self.field, self.entries))
-
-    def __repr__(self):
-        return f"MatrixFq({self.nrows}x{self.ncols} over F_{self.field.q})"
-
-    def to_json(self):
-        return [list(row) for row in self.entries]
-
-
-def rref(matrix):
-    """Reduced row echelon form of a MatrixFq.
-
-    Returns (reduced matrix padded with zero rows to the original shape,
-    rank, pivot columns).
-    """
-    rows, pivots = _rref(matrix.field, matrix.entries)
-    rank = len(rows)
-    padded = list(rows) + [(0,) * matrix.ncols] * (matrix.nrows - rank)
-    return MatrixFq(matrix.field, padded), rank, pivots
-
-
-def rank(matrix):
-    return _rank_rows(matrix.field, matrix.entries)
 
 
 def mat_mul(field, a_rows, b_rows):

@@ -16,9 +16,10 @@ factorizations, so the result is exactly uniform on the ball.
 
 import functools
 import itertools
+import operator
 
 from . import counting, linalg
-from .counting import SpaceParams, ball_volume, sphere_volume
+from .counting import ball_volume, sphere_volume
 from .guards import require_within
 
 # Hard cap on full-space enumeration, q^(m*eta*ell) points.
@@ -32,7 +33,7 @@ class BlockTuple:
     __slots__ = ("params", "entries", "_weight")
 
     def __init__(self, params, vector):
-        entries = tuple(map(int, vector))
+        entries = tuple(map(operator.index, vector))
         if len(entries) != params.total_dim:
             raise ValueError(f"expected {params.total_dim} entries, "
                              f"got {len(entries)}")
@@ -203,8 +204,7 @@ def iter_ball(params, r):
     with at most r nonzero blocks.  Only those are visited, and each is kept
     when its weight is at most r.
     """
-    if not 0 <= r <= params.max_weight:
-        raise ValueError(f"radius r = {r} outside [0, {params.max_weight}]")
+    params.check_radius(r)
     base = params.q ** (params.m * params.eta)
     points = (tuple_from_code(params, code)
               for code in _support_codes(base, params.ell, r))
@@ -251,8 +251,7 @@ def _ball_composition(params, u):
 
 def sample_ball_uniform(params, radius, rng):
     """A point uniform on the ball of the given radius around zero."""
-    if not 0 <= radius <= params.max_weight:
-        raise ValueError(f"radius {radius} outside [0, {params.max_weight}]")
+    params.check_radius(radius)
     comp = _ball_composition(params, rng.randrange(ball_volume(params, radius)))
     field = params.field
     return BlockTuple(params, [

@@ -48,6 +48,11 @@ def test_instance_validation():
         ChainInstance(F2, 2, ((1, 0),), 0)
 
 
+def test_instance_rejects_entries_that_are_not_integers():
+    with pytest.raises(TypeError):
+        ChainInstance(F2, 2, [(1.5, 0), (0, 1)], 1)
+
+
 def test_instance_canonical_order():
     inst = ChainInstance(F2, 2, [(1, 1), (0, 1), (1, 0)], 1)
     assert inst.vectors == ((0, 1), (1, 0), (1, 1))

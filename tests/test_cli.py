@@ -161,17 +161,6 @@ def test_negative_count_is_an_input_error(capsys, argv, flag):
     assert f"error: argument {flag}: " in captured.err
 
 
-@pytest.mark.parametrize("q, modulus", [("7", "1,0,1"), ("4", "1,0,1,1")])
-def test_modulus_that_does_not_fit_q_is_an_input_error(capsys, q, modulus):
-    # a prime field takes no modulus; F_4 needs one of degree 2
-    status, out, err = run_cli(capsys, [
-        "sample", "subspace", "--q", q, "--modulus", modulus,
-        "--ambient", "2", "--dim", "1"])
-    assert status == 2
-    assert out == ""
-    assert err.startswith("error:")
-
-
 @pytest.mark.parametrize("argv", [
     ["capacity", "--q", "6", "--b", "1", "--rho", "1/2"],
     ["verify", "gb-bounds", "--q-list", "6", "--n-max", "1"],

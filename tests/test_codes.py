@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from sumrank import codes, metric
+from sumrank import codes, counting, metric
 from sumrank.codes import (Code, correlation_estimate, expected_ball_occupancy,
                            limited_correlation_estimate, list_size_at,
                            max_list_size, radius_for, sample_general_code,
@@ -37,6 +37,26 @@ def test_radius_for():
     assert radius_for(P114, 0.5) == 2
     with pytest.raises(ValueError):
         radius_for(P114, Fraction(3, 2))
+
+
+def test_every_radius_check_gives_one_message():
+    # P222 has max weight 4
+    code = sample_linear_code(P222, Fraction(1, 2), random.Random(5))
+    checks = [
+        lambda r: counting.sphere_volume(P222, r),
+        lambda r: counting.ball_volume(P222, r),
+        lambda r: counting.sphere_bounds_logq(P222, r),
+        lambda r: counting.ball_bounds_logq(P222, r),
+        lambda r: metric.iter_ball(P222, r),
+        lambda r: metric.sample_ball_uniform(P222, r, random.Random(1)),
+        lambda r: list_size_at(code, zero_tuple(P222), r),
+        lambda r: max_list_size(code, r),
+    ]
+    for check in checks:
+        for r in (-1, 5):
+            with pytest.raises(ValueError) as exc:
+                check(r)
+            assert str(exc.value) == f"radius r = {r} outside [0, 4]"
 
 
 def test_linear_code_structure():

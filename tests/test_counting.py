@@ -21,7 +21,7 @@ from sumrank.counting import (SpaceParams, ball_volume, block_sum_power,
                               list_decoding_capacity, q_ary_entropy,
                               rank_matrix_count, sphere_volume)
 from sumrank.galois import field_from_order
-from sumrank.linalg import MatrixFq, rank
+from sumrank.linalg import _rank_rows
 
 
 def params_for(q, m, eta, ell):
@@ -74,7 +74,7 @@ def brute_rank_census(q, m, eta):
     hist = [0] * (min(m, eta) + 1)
     for flat in product(range(q), repeat=m * eta):
         grid = [flat[i * eta:(i + 1) * eta] for i in range(m)]
-        hist[rank(MatrixFq(field, grid))] += 1
+        hist[_rank_rows(field, grid)] += 1
     return hist
 
 

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from sumrank.galois import MAX_Q, FieldSpec, field_from_order, is_prime
+from sumrank.galois import MAX_Q, FieldSpec, field_from_order
 
 # The hand-written moduli the first-irreducible rule replaced, descending
 # coefficients; the rule must pick exactly these.
@@ -55,7 +55,7 @@ def prime_powers(limit):
     """(p, e) of every prime power p^e <= limit."""
     out = []
     for p in range(2, limit + 1):
-        if is_prime(p):
+        if all(p % d for d in range(2, p)):
             e = 1
             while p ** e <= limit:
                 out.append((p, e))
@@ -141,25 +141,6 @@ def test_coeffs_round_trip_and_order():
     assert f.coeffs(5) == (0, 1, 2)
 
 
-def test_reducible_modulus_rejected():
-    # x^2 + 1 = (x + 2)(x + 3) over GF(5)
-    with pytest.raises(ValueError):
-        FieldSpec(5, 2, modulus=(1, 0, 1))
-    # non-monic and wrong-degree moduli
-    with pytest.raises(ValueError):
-        FieldSpec(2, 2, modulus=(2, 1, 1))
-    with pytest.raises(ValueError):
-        FieldSpec(2, 2, modulus=(1, 1))
-
-
-def test_alternate_irreducible_modulus_accepted():
-    # x^2 + x + 2 is irreducible over GF(3)
-    f = FieldSpec(3, 2, modulus=(1, 1, 2))
-    assert f != field_from_order(9)
-    for a in range(1, 9):
-        assert f.mul(a, f.inv(a)) == 1
-
-
 def test_invalid_orders():
     for q in (0, 1, 6, 10, 12, 4099 * 2):
         with pytest.raises(ValueError):
@@ -170,9 +151,20 @@ def test_order_cap():
     # 2^13 = 8192 exceeds the table-size cap, and so does 1031, the smallest
     # prime power above MAX_Q = 1024
     with pytest.raises(ValueError):
-        FieldSpec(2, 13)
+        FieldSpec(2 ** 13)
     with pytest.raises(ValueError):
         field_from_order(1031)
+
+
+@pytest.mark.parametrize("q, message", [
+    (6, "q = 6 is not a prime power"),
+    (2 * 1031, "q = 2062 is not a prime power"),
+    (2048, "field order 2048 exceeds supported maximum 1024"),
+])
+def test_order_errors_check_the_prime_power_before_the_cap(q, message):
+    with pytest.raises(ValueError) as exc:
+        FieldSpec(q)
+    assert str(exc.value) == message
 
 
 def test_builtin_moduli_are_used():
@@ -191,7 +183,7 @@ def test_every_order_up_to_the_cap_builds():
     orders = prime_powers(MAX_Q)
     assert len(orders) == 198
     for p, e in orders:
-        f = FieldSpec(p, e)  # not field_from_order: keep no field alive
+        f = FieldSpec(p ** e)  # not field_from_order: keep no field alive
         q = f.q
         assert len(f._add) == len(f._mul) == q
         rng = random.Random(q)
@@ -210,15 +202,11 @@ def test_every_order_up_to_the_cap_builds():
 
 def test_field_from_order_builds_once():
     assert field_from_order(32) is field_from_order(32)
-    assert field_from_order(7) is field_from_order(7, None)
-    modulus = (1, 1, 2)  # x^2 + x + 2, irreducible over GF(3)
-    assert field_from_order(9, modulus) is field_from_order(9, list(modulus))
-    assert field_from_order(9, modulus) != field_from_order(9)
 
 
 def test_eq_hash_and_json_round_trip():
     f = field_from_order(9)
-    g = FieldSpec(f.p, f.e, f.modulus)
+    g = FieldSpec(f.q)
     assert f == g and hash(f) == hash(g)
     assert field_from_order(4) != field_from_order(9)
 
@@ -228,12 +216,6 @@ def test_check_rejects_out_of_range():
     for bad in (-1, 4, 100):
         with pytest.raises(ValueError):
             f.check(bad)
-
-
-@given(st.integers(min_value=2, max_value=200))
-def test_is_prime_matches_trial_division(n):
-    naive = n >= 2 and all(n % d for d in range(2, n))
-    assert is_prime(n) == naive
 
 
 @given(st.integers(min_value=0, max_value=26), st.integers(min_value=0, max_value=26))

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from sumrank.counting import SpaceParams, ball_volume, sphere_volume
 from sumrank.galois import field_from_order
 from sumrank.guards import GuardError
-from sumrank.linalg import MatrixFq, rank
+from sumrank.linalg import _rank_rows
 from sumrank.metric import (BlockTuple, enumerate_ball, iter_all_tuples,
                             matrix_code, matrix_from_code,
                             sample_ball_uniform, sample_uniform_matrix_of_rank,
@@ -47,6 +47,13 @@ def test_block_tuple_validation():
         BlockTuple(P222, (0, 0, 0, 0, 0, 0, 0, -1))   # negative entry
 
 
+@pytest.mark.parametrize("vector", [[1.9, 0], "10"])
+def test_block_tuple_rejects_entries_that_are_not_integers(vector):
+    # int() would read 1.9 as 1 and the string "10" as the entries 1, 0
+    with pytest.raises(TypeError):
+        BlockTuple(params_for(2, 1, 1, 2), vector)
+
+
 @pytest.mark.parametrize("q, m, eta", [(2, 2, 3), (2, 3, 2), (3, 2, 3),
                                        (3, 3, 2)])
 def test_blocks_are_row_major_chunks_of_the_vector(q, m, eta):
@@ -64,7 +71,7 @@ def test_blocks_are_row_major_chunks_of_the_vector(q, m, eta):
         assert x.to_vector() == tuple(vector)
         assert x.blocks == grid
         assert x.to_json() == [[list(row) for row in block] for block in grid]
-        assert x.weight() == sum(rank(MatrixFq(params.field, block))
+        assert x.weight() == sum(_rank_rows(params.field, block)
                                  for block in grid)
 
 
@@ -73,7 +80,7 @@ def test_weight_equals_rank_sum():
     for params in (P222, params_for(3, 2, 3, 2)):
         for _ in range(50):
             x = random_tuple(params, rng)
-            expected = sum(rank(MatrixFq(params.field, block))
+            expected = sum(_rank_rows(params.field, block)
                            for block in x.blocks)
             assert x.weight() == expected
 
@@ -187,7 +194,7 @@ def test_rank_matrix_sampler_rank_exact():
     for r in range(3):
         for _ in range(40):
             grid = sample_uniform_matrix_of_rank(F2, 2, 3, r, rng)
-            assert rank(MatrixFq(F2, grid)) == r
+            assert _rank_rows(F2, grid) == r
 
 
 def test_ball_sampler_stays_inside_and_reproduces():
