@@ -136,7 +136,6 @@ class ChainSearchResult:
     shift: tuple
     chain: tuple
     length: int
-    exact_used: bool = False
 
 
 def best_shift_chain(instance, mode="exhaustive", trials=None, rng=None):
@@ -177,11 +176,14 @@ def best_shift_chain(instance, mode="exhaustive", trials=None, rng=None):
 
 
 def max_chain_exact(instance, shift, target=None):
-    """Longest chain inside A + shift by search over cover states.
+    """Longest chain inside A + shift by depth-first search over covers.
 
-    With a target, stops as soon as any chain of that length is found.
-    Without one, memoizes on the cover mask: reusing a vector never helps,
-    so the best continuation depends on the cover alone.
+    The search takes vectors in canonical order and returns the first
+    chain of the target length, or [] when none exists; each step adds at
+    least c coordinates, so a cover with `free` uncovered coordinates
+    extends by at most free // c.  Without a target, the search runs at
+    lengths 1, 2, ... and keeps the chain from the last length that
+    succeeds: the canonically least longest chain.
     """
     shift = tuple(shift)
     q = instance.field.q
@@ -190,37 +192,32 @@ def max_chain_exact(instance, shift, target=None):
     items = sorted(_shifted_items(instance, vector_code(q, shift)),
                    key=lambda mv: mv[1])
 
-    if target is not None:
-        def dfs(cover, depth, acc):
-            if depth >= target:
-                return list(acc)
-            free = gamma - cover.bit_count()
-            if depth + free // c < target:
-                return None
-            for mask, val in items:
-                if (mask & ~cover).bit_count() >= c:
-                    acc.append(val)
-                    found = dfs(cover | mask, depth + 1, acc)
-                    if found is not None:
-                        return found
-                    acc.pop()
-            return None
-        vals = dfs(0, 0, []) or []
-    else:
-        memo = {}
+    def search(length):
+        """The canonically first chain of `length` vectors, or []."""
+        chain = []
 
-        def longest(cover):
-            if cover in memo:
-                return memo[cover]
-            best = []
+        def extend(cover, depth):
+            if depth >= length:
+                return True
+            free = gamma - cover.bit_count()
+            if depth + free // c < length:
+                return False
             for mask, val in items:
                 if (mask & ~cover).bit_count() >= c:
-                    cand = [val] + longest(cover | mask)
-                    if len(cand) > len(best):
-                        best = cand
-            memo[cover] = best
-            return best
-        vals = longest(0)
+                    chain.append(val)
+                    if extend(cover | mask, depth + 1):
+                        return True
+                    chain.pop()
+            return False
+        extend(0, 0)
+        return chain
+
+    if target is not None:
+        vals = search(target)
+    else:
+        vals = []
+        while found := search(len(vals) + 1):
+            vals = found
     return [vector_from_code(q, gamma, v) for v in vals]
 
 
@@ -258,35 +255,31 @@ def bound_attainment_report(instance, mode="exhaustive", trials=None, rng=None):
 
     Greedy over shifts first; when greedy falls short of the target the
     exact search takes over, shift by shift, stopping at the first shift
-    that reaches the target.  That separates greedy suboptimality from a
-    genuine bound violation.
+    that reaches the target.  When none does, the bound is violated and
+    the report holds the longest exact chain over all shifts.
     """
-    bound = chain_length_bound(instance.size, instance.field.q,
-                               instance.gamma, instance.c)
-    target = bound_target(instance.size, instance.field.q,
-                          instance.gamma, instance.c)
+    q, gamma = instance.field.q, instance.gamma
+    bound = chain_length_bound(instance.size, q, gamma, instance.c)
+    target = bound_target(instance.size, q, gamma, instance.c)
     greedy = best_shift_chain(instance, mode=mode, trials=trials, rng=rng)
     if greedy.length >= target:
         return BoundReport(bound, target, greedy.length, True, False, None,
                            greedy.shift, greedy.chain)
-    q = instance.field.q
-    total = q ** instance.gamma
+    total = q ** gamma
     require_within(total, MAX_SHIFTS, "shift count")
     for shift_code in range(total):
-        shift = vector_from_code(q, instance.gamma, shift_code)
+        shift = vector_from_code(q, gamma, shift_code)
         chain = max_chain_exact(instance, shift, target=target)
         if len(chain) >= target:
             return BoundReport(bound, target, greedy.length, True, True,
                                len(chain), shift, tuple(chain))
     # no shift attains the target even exactly: a real violation
-    best_shift = None
-    best_chain = ()
+    best_shift, best_chain = None, ()
     for shift_code in range(total):
-        shift = vector_from_code(q, instance.gamma, shift_code)
-        chain = max_chain_exact(instance, shift)
+        shift = vector_from_code(q, gamma, shift_code)
+        chain = tuple(max_chain_exact(instance, shift))
         if len(chain) > len(best_chain):
-            best_chain = tuple(chain)
-            best_shift = shift
+            best_shift, best_chain = shift, chain
     return BoundReport(bound, target, greedy.length, False, True,
                        len(best_chain), best_shift, best_chain)
 

@@ -55,13 +55,12 @@ def _span(params, points):
 class Code:
     """A code in the metric space, either linear (basis) or general (set)."""
 
-    __slots__ = ("params", "basis", "words", "_flat")
+    __slots__ = ("params", "basis", "words")
 
     def __init__(self, params, basis=None, words=None):
         if (basis is None) == (words is None):
             raise ValueError("provide exactly one of basis and words")
         self.params = params
-        self._flat = None
         if basis is not None:
             basis = tuple(basis)
             for x in basis:
@@ -104,18 +103,6 @@ class Code:
         if not self.words:
             return None
         return math.log(len(self.words), self.params.q) / self.params.total_dim
-
-    def _flat_subspace(self):
-        if self._flat is None:
-            field = self.params.field
-            self._flat = linalg.Subspace.span(
-                field, self.params.total_dim, [x.to_vector() for x in self.basis])
-        return self._flat
-
-    def contains(self, x):
-        if self.is_linear:
-            return self._flat_subspace().contains(x.to_vector())
-        return x in self.words
 
     def codewords(self):
         """All codewords; for linear codes iterates q^k combinations."""
@@ -161,24 +148,10 @@ def sample_general_code(params, rate, rng):
 # -- list sizes ------------------------------------------------------------
 
 def list_size_at(code, center, radius):
-    """Exact |B(center, radius) meet C|.
-
-    Linear codes iterate whichever is smaller of the codeword set and the
-    ball; general codes scan their explicit word set.
-    """
-    params = code.params
-    params.check_radius(radius)
-    if not code.is_linear:
-        return sum(1 for w in code.words
-                   if sum_rank_distance(w, center) <= radius)
-    if code.size <= ball_volume(params, radius):
-        return sum(1 for w in code.codewords()
-                   if sum_rank_distance(w, center) <= radius)
-    hits = 0
-    for offset in metric.enumerate_ball(params, radius):
-        if code.contains(center.add(offset)):
-            hits += 1
-    return hits
+    """Exact |B(center, radius) meet C|, one distance per codeword."""
+    code.params.check_radius(radius)
+    return sum(1 for w in code.codewords()
+               if sum_rank_distance(w, center) <= radius)
 
 
 def _occupancy_by_center(code, radius):

@@ -94,8 +94,6 @@ class DecomposableSubspace:
 
 def enumerate_decomposable(field, eta, ell, w):
     """All decomposable subspaces of total dimension w; guarded brute force."""
-    if not 0 <= w <= eta * ell:
-        raise ValueError(f"w = {w} outside [0, {eta * ell}]")
     expected = counting.decomposable_count(eta, ell, w, field.q)
     require_within(expected, MAX_DECOMPOSABLE, "decomposable family size")
     out = []
@@ -114,8 +112,6 @@ def sample_decomposable_uniform(field, eta, ell, w, rng):
     to the product of Grassmannian sizes (exact integer inverse CDF); stage
     two draws each factor uniformly and independently.
     """
-    if not 0 <= w <= eta * ell:
-        raise ValueError(f"w = {w} outside [0, {eta * ell}]")
     q = field.q
     u = rng.randrange(counting.decomposable_count(eta, ell, w, q))
     comp = counting.unrank_block_sum(counting.grassmannian_vector(eta, q), ell, w, u)
@@ -127,8 +123,7 @@ def _event_threshold(w_x, min_fraction, exact_dim):
     if (min_fraction is None) == (exact_dim is None):
         raise ValueError("specify exactly one of min_fraction and exact_dim")
     if min_fraction is not None:
-        frac = Fraction(str(min_fraction)) if isinstance(min_fraction, float) \
-            else Fraction(min_fraction)
+        frac = counting._as_fraction(min_fraction)
         threshold = -(-frac.numerator * w_x // frac.denominator)  # ceil
         return lambda d: d >= threshold
     return lambda d: d == exact_dim

@@ -79,10 +79,10 @@ class FieldSpec:
         if q < 2:
             raise ValueError(f"q = {q} is not a prime power")
         p = 2
-        while p * p <= q and q % p != 0:
+        while p * p <= q and p <= MAX_Q and q % p != 0:
             p += 1
         if q % p != 0:
-            p = q  # q itself is prime
+            p = q  # q is prime, or has no factor up to MAX_Q and exceeds it
         e = 0
         rest = q
         while rest % p == 0:

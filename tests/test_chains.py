@@ -1,11 +1,13 @@
 """Support chains inside shifted vector sets: greedy, exact, bound targets."""
 
+import itertools
 import math
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
+from sumrank import chains
 from sumrank.chains import (BoundReport, ChainInstance, best_shift_chain,
                             bound_attainment_report, bound_target,
                             chain_length_bound, greedy_chain,
@@ -100,7 +102,6 @@ def test_best_shift_exhaustive_q3_frozen():
     assert result.length == 2
     assert result.shift == (0, 2, 0)
     assert result.chain == ((0, 2, 1), (1, 0, 1))
-    assert not result.exact_used
     # greedy misses the length-3 chain the unshifted set holds
     assert len(max_chain_exact(inst, (0, 0, 0))) == 3
 
@@ -155,6 +156,60 @@ def test_exact_target_consistent(seed):
             assert len(found) >= target
         else:
             assert found == []
+
+
+def brute_longest_chain(inst, shift):
+    """The code-order-least longest chain among the orderings of subsets of
+    A + shift, by listing them all."""
+    add = inst.field.add
+    shifted = [tuple(add(x, s) for x, s in zip(v, shift)) for v in inst.vectors]
+    chains_found = [list(p) for k in range(len(shifted) + 1)
+                    for p in itertools.permutations(shifted, k)
+                    if is_increasing_chain(p, inst.c)]
+    longest = max(map(len, chains_found))
+    return min(ch for ch in chains_found if len(ch) == longest)
+
+
+def small_instances(rng, count, max_gamma):
+    for _ in range(count):
+        field = rng.choice((F2, F3))
+        gamma = rng.randint(1, max_gamma)
+        size = rng.randint(1, min(6, field.q ** gamma))
+        c = rng.randint(1, gamma)
+        yield random_chain_instance(field, gamma, size, c, rng)
+
+
+def test_exact_matches_brute_force_longest_chain():
+    rng = random.Random(43)
+    for inst in small_instances(rng, 150, 4):
+        q = inst.field.q
+        shift = vector_from_code(q, inst.gamma, rng.randrange(q ** inst.gamma))
+        best = brute_longest_chain(inst, shift)
+        assert max_chain_exact(inst, shift) == best
+        for target in range(len(best) + 2):
+            found = max_chain_exact(inst, shift, target=target)
+            if target <= len(best):
+                assert len(found) == target
+                assert is_increasing_chain(found, inst.c)
+            else:
+                assert found == []
+
+
+def test_violation_reports_longest_exact_chain_over_all_shifts(monkeypatch):
+    # a target one past gamma // c is out of reach at every shift
+    monkeypatch.setattr(chains, "bound_target",
+                        lambda size, q, gamma, c: gamma // c + 1)
+    rng = random.Random(47)
+    for inst in small_instances(rng, 20, 3):
+        q, gamma = inst.field.q, inst.gamma
+        longest = max(len(brute_longest_chain(inst, vector_from_code(q, gamma, s)))
+                      for s in range(q ** gamma))
+        report = bound_attainment_report(inst)
+        assert report.target == gamma // inst.c + 1
+        assert not report.achieved
+        assert report.exact_used
+        assert report.exact_length == longest == len(report.chain)
+        assert report.chain == tuple(brute_longest_chain(inst, report.shift))
 
 
 def test_full_space_exact_fallback():

@@ -11,13 +11,12 @@ from sumrank.codes import (Code, correlation_estimate, expected_ball_occupancy,
                            max_list_size, radius_for, sample_general_code,
                            sample_linear_code, span_ball_count,
                            subset_span_event_estimate)
-from sumrank.counting import SpaceParams, ball_volume
+from sumrank.counting import SpaceParams
 from sumrank.galois import field_from_order
 from sumrank.guards import GuardError
-from sumrank.linalg import Subspace
+from sumrank.linalg import Subspace, _rank_rows
 from sumrank.metric import (BlockTuple, enumerate_ball, iter_all_tuples,
-                            sum_rank_distance, tuple_code, tuple_from_code,
-                            zero_tuple)
+                            tuple_code, tuple_from_code, zero_tuple)
 from sumrank.montecarlo import RandomStream
 
 F2 = field_from_order(2)
@@ -67,12 +66,15 @@ def test_linear_code_structure():
     assert code.size == len(words) == 4
     assert code.rate == Fraction(1, 2)
     assert zero_tuple(P114) in words
+    members = set(words)
     # closed under addition
     for a in words:
         for b in words:
-            assert code.contains(a.add(b))
+            assert a.add(b) in members
+    # the members are the row space of the basis
+    rows = [x.to_vector() for x in code.basis]
     for x in iter_all_tuples(P114):
-        assert code.contains(x) == (x in set(words))
+        assert (x in members) == (_rank_rows(F2, rows + [x.to_vector()]) == 2)
 
 
 def test_non_integral_dimension_rejected():
@@ -90,33 +92,28 @@ def test_general_code_membership_and_size_concentration():
         sizes.append(code.size)
         words = code.codewords()
         assert len(set(tuple_code(w) for w in words)) == code.size
-        for w in words:
-            assert code.contains(w)
+        assert set(words) == code.words
     mean = sum(sizes) / len(sizes)
     assert 2.0 < mean < 6.5
 
 
 def test_list_size_at_matches_direct_count():
     rng = random.Random(73)
-    for _ in range(10):
-        code = sample_linear_code(P222, Fraction(1, 2), rng)
-        center = tuple_from_code(P222, rng.randrange(256))
-        for radius in (0, 1, 2):
-            direct = sum(1 for w in code.codewords()
-                         if sum_rank_distance(w, center) <= radius)
+    cases = [(sample_linear_code(P222, Fraction(1, 2), rng),
+              tuple_from_code(P222, rng.randrange(256)), (0, 1, 2))
+             for _ in range(10)]
+    # 64 words, more than the radius-1 ball holds; radius 4 is the space
+    big = sample_linear_code(P222, Fraction(3, 4), random.Random(79))
+    cases.append((big, tuple_from_code(P222, 77), (1, 4)))
+    general = sample_general_code(P222, Fraction(1, 2), random.Random(81))
+    cases.append((general, tuple_from_code(P222, 77), (0, 1, 2, 4)))
+    # reference: scan the ball around the center for codewords
+    for code, center, radii in cases:
+        members = set(code.codewords())
+        for radius in radii:
+            direct = sum(1 for offset in enumerate_ball(P222, radius)
+                         if center.add(offset) in members)
             assert list_size_at(code, center, radius) == direct
-
-
-def test_list_size_crossover_paths_agree():
-    # small ball forces ball enumeration; huge radius forces codeword scan
-    rng = random.Random(79)
-    code = sample_linear_code(P222, Fraction(3, 4), rng)  # 64 words
-    center = tuple_from_code(P222, 77)
-    assert ball_volume(P222, 1) < code.size
-    direct = sum(1 for w in code.codewords()
-                 if sum_rank_distance(w, center) <= 1)
-    assert list_size_at(code, center, 1) == direct
-    assert list_size_at(code, center, 4) == code.size
 
 
 def test_max_list_size_matches_center_sweep():

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from sumrank.counting import decomposable_count
+from sumrank.counting import decomposable_bounds_logq, decomposable_count
 from sumrank.decomposable import (DecomposableSubspace,
                                   enumerate_decomposable,
                                   intersection_dimension_estimate,
@@ -51,6 +51,22 @@ def test_enumeration_count_matches_closed_form():
             assert len(set(subs)) == len(subs)
             for d in subs:
                 assert d.total_dim == w
+
+
+def test_every_dimension_check_gives_one_message():
+    eta, ell = 2, 3
+    checks = [
+        lambda w: decomposable_count(eta, ell, w, 2),
+        lambda w: decomposable_bounds_logq(eta, ell, w, 2),
+        lambda w: enumerate_decomposable(F2, eta, ell, w),
+        lambda w: sample_decomposable_uniform(F2, eta, ell, w,
+                                              random.Random(1)),
+    ]
+    for check in checks:
+        for w in (-1, eta * ell + 1):
+            with pytest.raises(ValueError) as exc:
+                check(w)
+            assert str(exc.value) == f"w = {w} outside [0, {eta * ell}]"
 
 
 def test_enumeration_guard():

@@ -160,6 +160,10 @@ def test_order_cap():
     (6, "q = 6 is not a prime power"),
     (2 * 1031, "q = 2062 is not a prime power"),
     (2048, "field order 2048 exceeds supported maximum 1024"),
+    # no prime factor up to the cap: the factoring stops there
+    (2 ** 89 - 1, "field order 618970019642690137449562111 exceeds "
+                  "supported maximum 1024"),
+    (1031 * 1033, "field order 1065023 exceeds supported maximum 1024"),
 ])
 def test_order_errors_check_the_prime_power_before_the_cap(q, message):
     with pytest.raises(ValueError) as exc:
