@@ -11,12 +11,13 @@ from sumrank.codes import (Code, correlation_estimate, expected_ball_occupancy,
                            max_list_size, radius_for, sample_general_code,
                            sample_linear_code, span_ball_count,
                            subset_span_event_estimate)
-from sumrank.counting import SpaceParams
+from sumrank.counting import SpaceParams, ball_volume
 from sumrank.galois import field_from_order
 from sumrank.guards import GuardError
 from sumrank.linalg import Subspace, _rank_rows
 from sumrank.metric import (BlockTuple, enumerate_ball, iter_all_tuples,
-                            tuple_code, tuple_from_code, zero_tuple)
+                            sum_rank_distance, tuple_code, tuple_from_code,
+                            zero_tuple)
 from sumrank.montecarlo import RandomStream
 
 F2 = field_from_order(2)
@@ -102,9 +103,6 @@ def test_list_size_at_matches_direct_count():
     cases = [(sample_linear_code(P222, Fraction(1, 2), rng),
               tuple_from_code(P222, rng.randrange(256)), (0, 1, 2))
              for _ in range(10)]
-    # 64 words, more than the radius-1 ball holds; radius 4 is the space
-    big = sample_linear_code(P222, Fraction(3, 4), random.Random(79))
-    cases.append((big, tuple_from_code(P222, 77), (1, 4)))
     general = sample_general_code(P222, Fraction(1, 2), random.Random(81))
     cases.append((general, tuple_from_code(P222, 77), (0, 1, 2, 4)))
     # reference: scan the ball around the center for codewords
@@ -114,6 +112,18 @@ def test_list_size_at_matches_direct_count():
             direct = sum(1 for offset in enumerate_ball(P222, radius)
                          if center.add(offset) in members)
             assert list_size_at(code, center, radius) == direct
+
+
+def test_list_size_crossover_paths_agree():
+    # more codewords than the radius-1 ball holds; radius 4 is the space
+    rng = random.Random(79)
+    code = sample_linear_code(P222, Fraction(3, 4), rng)  # 64 words
+    center = tuple_from_code(P222, 77)
+    assert ball_volume(P222, 1) < code.size
+    direct = sum(1 for w in code.codewords()
+                 if sum_rank_distance(w, center) <= 1)
+    assert list_size_at(code, center, 1) == direct
+    assert list_size_at(code, center, 4) == code.size
 
 
 def test_max_list_size_matches_center_sweep():
