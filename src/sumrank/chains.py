@@ -7,17 +7,27 @@ repeatedly takes the vector adding the most new support (ties broken by
 lexicographic, i.e. canonical integer, order).  Greedy can be beaten: a
 single full-support vector swallows every coordinate at once, so an exact
 search over cover states backs the harness when greedy misses a target.
+
+Every search reads one integer shift sweep: A is encoded once per instance
+(`metric.vector_code`), and each shift w gives the support masks and codes
+of A + w through C-level maps, XOR at q = 2 and fixed-size chunk addition
+tables otherwise.
 """
 
 import math
-import operator
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
+from itertools import compress, repeat
+from operator import add, and_, eq, index, itemgetter, lshift, mul, or_, xor
 
 from .guards import require_within
 from .metric import vector_code, vector_from_code
 
 # Exhaustive shift search sweeps q^gamma shifts; cap here.
 MAX_SHIFTS = 2 ** 20
+# The shift sweep adds k-digit chunks through a q^k x q^k table, with q^k at
+# most this whatever gamma is (or k = 1).
+CHUNK_CODES = 256
 
 
 def support(vector):
@@ -50,7 +60,7 @@ class ChainInstance:
             raise ValueError("gamma must be positive")
         if self.c < 1:
             raise ValueError("c must be positive")
-        vectors = tuple(sorted(tuple(map(operator.index, v))
+        vectors = tuple(sorted(tuple(map(index, v))
                                for v in self.vectors))
         if len(set(vectors)) != len(vectors):
             raise ValueError("vector set contains duplicates")
@@ -66,58 +76,60 @@ class ChainInstance:
     def size(self):
         return len(self.vectors)
 
+    @cached_property
+    def sweep(self):
+        """The map from a shift's code w to the support masks and the
+        base-q codes of A + w, in set order; A is encoded on first use."""
+        q = self.field.q
+        codes = [vector_code(q, v) for v in self.vectors]
+        if q == 2:  # a code is its own support mask, and + w is XOR
+            return lambda w: (list(map(xor, codes, repeat(w))),) * 2
+        k, sums, supports = _chunk_tables(self.field)
+        base = q ** k
+        powers = [base ** i for i in reversed(range(-(-self.gamma // k)))]
+        chunks = [[x // p % base for x in codes] for p in powers]  # top first
 
-def _shifted_items(instance, shift_code):
-    """(support mask, canonical value) per vector of A + w, in set order."""
-    q = instance.field.q
-    gamma = instance.gamma
-    if q == 2:
-        # value bits are the support mask directly
-        out = []
-        for v in instance.vectors:
-            val = vector_code(2, v) ^ shift_code
-            out.append((val, val))
-        return out
-    add = instance.field._add
-    shift = vector_from_code(q, gamma, shift_code)
-    out = []
-    for v in instance.vectors:
-        # the base-q code of v + w and the base-2 code of its support, in
-        # one pass (this loop dominates the chain search)
-        mask = 0
-        val = 0
-        for x, s in zip(v, shift):
-            y = add[x][s]
-            val = val * q + y
-            if y:
-                mask |= 1
-            mask <<= 1
-        out.append((mask >> 1, val))
-    return out
+        def shifted(w):
+            rows = [sums[w // p % base].__getitem__ for p in powers]
+            vals = list(map(rows[0], chunks[0]))
+            masks = list(map(supports.__getitem__, vals))
+            for row, part in zip(rows[1:], chunks[1:]):
+                low = list(map(row, part))
+                vals = list(map(add, map(mul, vals, repeat(base)), low))
+                masks = list(map(or_, map(lshift, masks, repeat(k)),
+                                 map(supports.__getitem__, low)))
+            return masks, vals
+        return shifted
 
 
-def _greedy_masks(items, c):
-    """Greedy chain on (mask, val) pairs; returns the chosen vals in order."""
-    cover = 0
-    chosen = []
-    remaining = list(items)
+@lru_cache(maxsize=None)
+def _chunk_tables(field):
+    """(k, sums, supports) for chunks of k digits, q^k <= CHUNK_CODES or
+    k = 1: sums[a][b] is the code of the digit-wise sum of codes a and b,
+    supports[a] the support mask of code a, first digit in the top bit.
+    Above one digit every entry is below 256, so rows are stored as bytes."""
+    q = field.q
+    k, sums, supports = 1, field._add, (0,) + (1,) * (q - 1)
+    while q ** (k + 1) <= CHUNK_CODES:  # append one low digit
+        sums = tuple(bytes(s * q + d for s in row for d in low)
+                     for row in sums for low in field._add)
+        supports = bytes(m << 1 | (d > 0) for m in supports for d in range(q))
+        k += 1
+    return k, sums, supports
+
+
+def _greedy(masks, vals, c):
+    """The codes greedy picks over one shift, one pass over A per step; a
+    picked vector's gain drops to 0, so nothing is deleted."""
+    cover, chosen = 0, []
     while True:
-        best_gain = c - 1
-        best_val = None
-        best_idx = -1
-        for idx, (mask, val) in enumerate(remaining):
-            gain = (mask & ~cover).bit_count()
-            if gain > best_gain or (gain == best_gain and best_idx >= 0
-                                    and gain >= c and val < best_val):
-                best_gain = gain
-                best_val = val
-                best_idx = idx
-        if best_idx < 0 or best_gain < c:
-            break
-        cover |= remaining[best_idx][0]
-        chosen.append(best_val)
-        del remaining[best_idx]
-    return chosen
+        gains = list(map(int.bit_count, map(and_, masks, repeat(~cover))))
+        best = max(gains, default=0)
+        if best < c:
+            return chosen
+        val = min(compress(vals, map(eq, gains, repeat(best))))
+        chosen.append(val)
+        cover |= masks[vals.index(val)]
 
 
 def greedy_chain(instance, shift):
@@ -126,8 +138,7 @@ def greedy_chain(instance, shift):
     if len(shift) != instance.gamma:
         raise ValueError("shift length does not match gamma")
     q = instance.field.q
-    items = _shifted_items(instance, vector_code(q, shift))
-    vals = _greedy_masks(items, instance.c)
+    vals = _greedy(*instance.sweep(vector_code(q, shift)), instance.c)
     return [vector_from_code(q, instance.gamma, v) for v in vals]
 
 
@@ -162,8 +173,7 @@ def best_shift_chain(instance, mode="exhaustive", trials=None, rng=None):
     else:
         raise ValueError(f"unknown mode {mode!r}")
     for shift_code in shift_codes:
-        items = _shifted_items(instance, shift_code)
-        vals = _greedy_masks(items, instance.c)
+        vals = _greedy(*instance.sweep(shift_code), instance.c)
         if best is None or len(vals) > best[0]:
             best = (len(vals), shift_code, vals)
             if len(vals) >= cap:
@@ -185,12 +195,11 @@ def max_chain_exact(instance, shift, target=None):
     lengths 1, 2, ... and keeps the chain from the last length that
     succeeds: the canonically least longest chain.
     """
-    shift = tuple(shift)
     q = instance.field.q
     gamma = instance.gamma
     c = instance.c
-    items = sorted(_shifted_items(instance, vector_code(q, shift)),
-                   key=lambda mv: mv[1])
+    items = sorted(zip(*instance.sweep(vector_code(q, shift))),
+                   key=itemgetter(1))
 
     def search(length):
         """The canonically first chain of `length` vectors, or []."""
@@ -286,6 +295,8 @@ def bound_attainment_report(instance, mode="exhaustive", trials=None, rng=None):
 
 def random_chain_instance(field, gamma, set_size, c, rng):
     """A ChainInstance whose vector set is uniform among size-set_size sets."""
+    if gamma < 1:
+        raise ValueError("gamma must be positive")
     q = field.q
     total = q ** gamma
     if set_size > total:

@@ -212,8 +212,8 @@ def iter_ball(params, r):
 
 
 def enumerate_ball(params, r):
-    """All points at weight <= r, as BlockTuples; brute force, guarded at
-    MAX_ENUMERATION points of space."""
+    """All points at weight <= r, as BlockTuples, guarded at MAX_ENUMERATION
+    points of space: a brute-force test oracle, called by no package code."""
     points = iter_ball(params, r)
     require_within(params.q ** params.total_dim, MAX_ENUMERATION, "space size")
     return list(points)

@@ -277,3 +277,150 @@ def test_random_instance_properties():
         assert codes == sorted(codes)
         assert codes == [int("".join(map(str, v)), q) for v in inst.vectors]
         assert [vector_from_code(q, 4, c) for c in codes] == list(inst.vectors)
+
+
+# -- the integer shift sweep against the per-coordinate reference -----------
+
+F5 = field_from_order(5)
+F17 = field_from_order(17)  # above 256 ** (1/2): a chunk is one digit
+
+
+def reference_items(inst, shift):
+    """(support mask, code) per vector of A + shift, in set order, built one
+    coordinate at a time through the field's addition."""
+    q = inst.field.q
+    out = []
+    for v in inst.vectors:
+        mask = val = 0
+        for x, s in zip(v, shift):
+            y = inst.field.add(x, s)
+            val = val * q + y
+            mask = mask << 1 | (y != 0)
+        out.append((mask, val))
+    return out
+
+
+def reference_greedy(items, c):
+    """Largest gain first, smallest code on ties; a chosen item is deleted."""
+    cover = 0
+    chosen = []
+    remaining = list(items)
+    while True:
+        best_gain, best_idx = c - 1, -1
+        for idx, (mask, val) in enumerate(remaining):
+            gain = (mask & ~cover).bit_count()
+            if gain > best_gain or (gain == best_gain and best_idx >= 0
+                                    and val < remaining[best_idx][1]):
+                best_gain, best_idx = gain, idx
+        if best_idx < 0:
+            return chosen
+        mask, val = remaining.pop(best_idx)
+        cover |= mask
+        chosen.append(val)
+
+
+def reference_best_shift(inst, shift_codes):
+    """(length, shift, chain) of the first shift reaching the best greedy
+    length, stopping early at gamma // c."""
+    q, gamma = inst.field.q, inst.gamma
+    best = None
+    for code in shift_codes:
+        shift = vector_from_code(q, gamma, code)
+        vals = reference_greedy(reference_items(inst, shift), inst.c)
+        if best is None or len(vals) > best[0]:
+            best = (len(vals), shift,
+                    tuple(vector_from_code(q, gamma, v) for v in vals))
+            if len(vals) >= gamma // inst.c:
+                break
+    return best
+
+
+def reference_exact(items, gamma, c):
+    """The canonically least longest chain over the items, by depth-first
+    search at lengths 1, 2, ..."""
+    items = sorted(items, key=lambda mv: mv[1])
+
+    def first(length, cover, depth):
+        if depth == length:
+            return []
+        if depth + (gamma - cover.bit_count()) // c < length:
+            return None
+        for mask, val in items:
+            if (mask & ~cover).bit_count() >= c:
+                rest = first(length, cover | mask, depth + 1)
+                if rest is not None:
+                    return [val] + rest
+        return None
+    best = []
+    while (found := first(len(best) + 1, 0, 0)) is not None:
+        best = found
+    return best
+
+
+def tie_heavy_instances(rng, field, count):
+    """Seeded instances whose vectors mostly share one support weight, so
+    that greedy steps tie on the gain and the code decides; gamma <= 6 and
+    at most 4096 shifts."""
+    q = field.q
+    top = max(g for g in range(2, 7) if q ** g <= 4096)
+    for _ in range(count):
+        gamma = rng.randint(2, top)
+        weight = rng.randint(1, gamma)
+        pool = [code for code in range(q ** gamma)
+                if len(support(vector_from_code(q, gamma, code))) == weight]
+        picked = set(rng.sample(pool, min(len(pool), rng.randint(1, 24))))
+        picked.update(rng.sample(range(q ** gamma), rng.randint(0, 3)))
+        vectors = [vector_from_code(q, gamma, code) for code in picked]
+        yield ChainInstance(field, gamma, vectors, rng.randint(1, 2))
+
+
+@pytest.mark.parametrize("field", [F2, F3, F4, F5, F17],
+                         ids=lambda f: f"F{f.q}")
+def test_shift_sweep_matches_reference(field):
+    rng = random.Random(53 + field.q)
+    q = field.q
+    for inst in tie_heavy_instances(rng, field, 12):
+        gamma = inst.gamma
+        codes = range(q ** gamma)
+        for code in codes:
+            shift = vector_from_code(q, gamma, code)
+            items = reference_items(inst, shift)
+            assert list(zip(*inst.sweep(code))) == items
+            want = reference_greedy(items, inst.c)
+            assert greedy_chain(inst, shift) == [
+                vector_from_code(q, gamma, v) for v in want]
+        for code in rng.sample(codes, min(len(codes), 6)):
+            shift = vector_from_code(q, gamma, code)
+            want = reference_exact(reference_items(inst, shift), gamma, inst.c)
+            assert max_chain_exact(inst, shift) == [
+                vector_from_code(q, gamma, v) for v in want]
+        result = best_shift_chain(inst)
+        assert (result.length, result.shift, result.chain) == \
+            reference_best_shift(inst, codes)
+        seed = rng.randrange(2 ** 32)
+        draws = random.Random(seed)
+        sampled = best_shift_chain(inst, mode="random", trials=9,
+                                   rng=random.Random(seed))
+        assert (sampled.length, sampled.shift, sampled.chain) == \
+            reference_best_shift(inst, (draws.randrange(q ** gamma)
+                                        for _ in range(9)))
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 16, 17, 1021])
+def test_chunk_tables_fixed_size_and_digitwise(q):
+    field = field_from_order(q)
+    k, sums, supports = chains._chunk_tables(field)
+    size = q ** k
+    assert k >= 1
+    assert size <= max(q, chains.CHUNK_CODES) < size * q
+    assert len(sums) == len(supports) == size
+    assert all(len(row) == size for row in sums)
+    if k == 1:
+        assert sums is field._add
+    rng = random.Random(61)
+    for _ in range(200):
+        a, b = rng.randrange(size), rng.randrange(size)
+        da, db = vector_from_code(q, k, a), vector_from_code(q, k, b)
+        total = tuple(field.add(x, y) for x, y in zip(da, db))
+        assert vector_from_code(q, k, sums[a][b]) == total
+        assert supports[a] == int("".join("1" if x else "0" for x in da), 2)

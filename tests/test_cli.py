@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import json
+import time
 
 import pytest
 
@@ -100,6 +101,27 @@ def test_guard_violation_exit_code(capsys):
         "--instances", "1"])
     assert status == 3
     assert err.startswith("guard violation:")
+
+
+def test_nonpositive_gamma_is_reported_before_the_space_size(capsys):
+    status, out, err = run_cli(capsys, [
+        "chain", "--q", "2", "--gamma", "-2", "--set-size", "3",
+        "--instances", "1"])
+    assert status == 2
+    assert out == ""
+    assert err == "error: gamma must be positive\n"
+
+
+def test_chain_sweep_tables_do_not_grow_with_gamma(capsys):
+    # 3^20 shifts: a table indexed by whole codes would hold 3.5e9 entries
+    start = time.perf_counter()
+    status, out, _ = run_cli(capsys, [
+        "chain", "--q", "3", "--gamma", "20", "--set-size", "30",
+        "--mode", "random", "--shift-trials", "5", "--instances", "1"])
+    assert time.perf_counter() - start < 1.0
+    assert status == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "d421b36b3e6e74b0c8b4a5b293a1bfa4e7d7036bb19999694413dcb554a4f37e")
 
 
 def test_bad_radius_exit_code(capsys):
