@@ -8,10 +8,10 @@ lexicographic, i.e. canonical integer, order).  Greedy can be beaten: a
 single full-support vector swallows every coordinate at once, so an exact
 search over cover states backs the harness when greedy misses a target.
 
-Every search reads one integer shift sweep: A is encoded once per instance
-(`metric.vector_code`), and each shift w gives the support masks and codes
-of A + w through C-level maps, XOR at q = 2 and fixed-size chunk addition
-tables otherwise.
+An instance is the sorted base-q codes of A; a vector given by its
+entries, a shift too, enters through the checked `encode`.  Each search
+reads one integer sweep: a shift w gives the masks and codes of A + w by
+C-level maps, XOR at q = 2 and fixed-size chunk addition tables otherwise.
 """
 
 import math
@@ -46,13 +46,24 @@ def is_increasing_chain(vectors, c):
     return True
 
 
+def encode(field, gamma, vector):
+    """The base-q code of a vector over the field, checked: gamma entries,
+    each an int (operator.index) in [0, q)."""
+    vector = tuple(map(index, vector))
+    if len(vector) != gamma:
+        raise ValueError("vector length does not match gamma")
+    if any(not 0 <= x < field.q for x in vector):
+        raise ValueError("vector entry outside field range")
+    return vector_code(field.q, vector)
+
+
 @dataclass(frozen=True)
 class ChainInstance:
-    """A chain search problem: vector set, ambient length, step size."""
+    """A chain search problem: the sorted codes of A, length, step size."""
 
     field: "object"
     gamma: int
-    vectors: tuple
+    codes: tuple
     c: int
 
     def __post_init__(self):
@@ -60,28 +71,30 @@ class ChainInstance:
             raise ValueError("gamma must be positive")
         if self.c < 1:
             raise ValueError("c must be positive")
-        vectors = tuple(sorted(tuple(map(index, v))
-                               for v in self.vectors))
-        if len(set(vectors)) != len(vectors):
+        codes = tuple(sorted(map(index, self.codes)))
+        if len(set(codes)) != len(codes):
             raise ValueError("vector set contains duplicates")
-        q = self.field.q
-        for v in vectors:
-            if len(v) != self.gamma:
-                raise ValueError("vector length does not match gamma")
-            if any(not 0 <= x < q for x in v):
-                raise ValueError("vector entry outside field range")
-        object.__setattr__(self, "vectors", vectors)
+        if codes and not (0 <= codes[0]
+                          and codes[-1] < self.field.q ** self.gamma):
+            raise ValueError("vector code outside [0, q^gamma)")
+        object.__setattr__(self, "codes", codes)
 
     @property
     def size(self):
-        return len(self.vectors)
+        return len(self.codes)
+
+    @property
+    def vectors(self):
+        """The vectors of A, decoded, in canonical (code) order."""
+        return tuple(vector_from_code(self.field.q, self.gamma, x)
+                     for x in self.codes)
 
     @cached_property
     def sweep(self):
         """The map from a shift's code w to the support masks and the
-        base-q codes of A + w, in set order; A is encoded on first use."""
+        base-q codes of A + w, in set order, built on first use."""
         q = self.field.q
-        codes = [vector_code(q, v) for v in self.vectors]
+        codes = self.codes
         if q == 2:  # a code is its own support mask, and + w is XOR
             return lambda w: (list(map(xor, codes, repeat(w))),) * 2
         k, sums, supports = _chunk_tables(self.field)
@@ -134,12 +147,9 @@ def _greedy(masks, vals, c):
 
 def greedy_chain(instance, shift):
     """Greedy chain inside A + shift; returns the shifted vectors picked."""
-    shift = tuple(shift)
-    if len(shift) != instance.gamma:
-        raise ValueError("shift length does not match gamma")
-    q = instance.field.q
-    vals = _greedy(*instance.sweep(vector_code(q, shift)), instance.c)
-    return [vector_from_code(q, instance.gamma, v) for v in vals]
+    field, gamma = instance.field, instance.gamma
+    vals = _greedy(*instance.sweep(encode(field, gamma, shift)), instance.c)
+    return [vector_from_code(field.q, gamma, v) for v in vals]
 
 
 @dataclass(frozen=True)
@@ -186,19 +196,18 @@ def best_shift_chain(instance, mode="exhaustive", trials=None, rng=None):
 
 
 def max_chain_exact(instance, shift, target=None):
-    """Longest chain inside A + shift by depth-first search over covers.
+    """Longest chain inside A + shift, capped at target (gamma // c when no
+    target is given), by depth-first search over covers.
 
-    The search takes vectors in canonical order and returns the first
-    chain of the target length, or [] when none exists; each step adds at
-    least c coordinates, so a cover with `free` uncovered coordinates
-    extends by at most free // c.  Without a target, the search runs at
-    lengths 1, 2, ... and keeps the chain from the last length that
-    succeeds: the canonically least longest chain.
+    The search takes vectors in canonical order at lengths 1, 2, ... up to
+    the cap and keeps the chain from the last length that succeeds: the
+    first chain of the target length when one exists, else the canonically
+    least longest chain.  Each step adds at least c coordinates, so a cover
+    with `free` uncovered coordinates extends by at most free // c.
     """
-    q = instance.field.q
-    gamma = instance.gamma
-    c = instance.c
-    items = sorted(zip(*instance.sweep(vector_code(q, shift))),
+    field, gamma, c = instance.field, instance.gamma, instance.c
+    cap = gamma // c if target is None else target
+    items = sorted(zip(*instance.sweep(encode(field, gamma, shift))),
                    key=itemgetter(1))
 
     def search(length):
@@ -221,13 +230,10 @@ def max_chain_exact(instance, shift, target=None):
         extend(0, 0)
         return chain
 
-    if target is not None:
-        vals = search(target)
-    else:
-        vals = []
-        while found := search(len(vals) + 1):
-            vals = found
-    return [vector_from_code(q, gamma, v) for v in vals]
+    vals = []
+    while len(vals) < cap and (found := search(len(vals) + 1)):
+        vals = found
+    return [vector_from_code(field.q, gamma, v) for v in vals]
 
 
 def chain_length_bound(set_size, q, gamma, c):
@@ -263,9 +269,10 @@ def bound_attainment_report(instance, mode="exhaustive", trials=None, rng=None):
     """Check the instance against the guaranteed chain length.
 
     Greedy over shifts first; when greedy falls short of the target the
-    exact search takes over, shift by shift, stopping at the first shift
-    that reaches the target.  When none does, the bound is violated and
-    the report holds the longest exact chain over all shifts.
+    exact search, capped at the target, takes over shift by shift.  It keeps
+    the first longest chain and stops at the first shift that reaches the
+    target; when none does, the bound is violated and the report holds the
+    longest exact chain over all shifts.
     """
     q, gamma = instance.field.q, instance.gamma
     bound = chain_length_bound(instance.size, q, gamma, instance.c)
@@ -276,33 +283,26 @@ def bound_attainment_report(instance, mode="exhaustive", trials=None, rng=None):
                            greedy.shift, greedy.chain)
     total = q ** gamma
     require_within(total, MAX_SHIFTS, "shift count")
+    best_shift, best = None, ()
     for shift_code in range(total):
         shift = vector_from_code(q, gamma, shift_code)
-        chain = max_chain_exact(instance, shift, target=target)
-        if len(chain) >= target:
-            return BoundReport(bound, target, greedy.length, True, True,
-                               len(chain), shift, tuple(chain))
-    # no shift attains the target even exactly: a real violation
-    best_shift, best_chain = None, ()
-    for shift_code in range(total):
-        shift = vector_from_code(q, gamma, shift_code)
-        chain = tuple(max_chain_exact(instance, shift))
-        if len(chain) > len(best_chain):
-            best_shift, best_chain = shift, chain
-    return BoundReport(bound, target, greedy.length, False, True,
-                       len(best_chain), best_shift, best_chain)
+        chain = tuple(max_chain_exact(instance, shift, target=target))
+        if len(chain) > len(best):
+            best_shift, best = shift, chain
+            if len(chain) >= target:
+                break
+    return BoundReport(bound, target, greedy.length, len(best) >= target,
+                       True, len(best), best_shift, best)
 
 
 def random_chain_instance(field, gamma, set_size, c, rng):
-    """A ChainInstance whose vector set is uniform among size-set_size sets."""
+    """A ChainInstance whose code set is uniform among size-set_size sets."""
     if gamma < 1:
         raise ValueError("gamma must be positive")
-    q = field.q
-    total = q ** gamma
+    total = field.q ** gamma
     if set_size > total:
         raise ValueError(f"set_size {set_size} exceeds space size {total}")
     chosen = set()
     while len(chosen) < set_size:
         chosen.add(rng.randrange(total))
-    vectors = tuple(vector_from_code(q, gamma, code) for code in sorted(chosen))
-    return ChainInstance(field, gamma, vectors, c)
+    return ChainInstance(field, gamma, chosen, c)

@@ -619,15 +619,15 @@ def build_parser():
     p.add_argument("target", choices=sorted(_VERIFY_TARGETS) + ["all"])
     p.add_argument("--q-list", type=_int_list, default=[2, 3],
                    help="field orders to sweep (default 2,3)")
-    p.add_argument("--max-space-log", type=int, default=12,
+    p.add_argument("--max-space-log", type=_count, default=12,
                    help="volumes: cap q^(m eta ell) at 2^this (default 12)")
-    p.add_argument("--n-max", type=int, default=8,
+    p.add_argument("--n-max", type=_count, default=8,
                    help="gb-bounds: largest n (default 8)")
-    p.add_argument("--m-max", type=int, default=4,
+    p.add_argument("--m-max", type=_count, default=4,
                    help="volume-bounds: largest m = eta (default 4)")
-    p.add_argument("--ell-max", type=int, default=4,
+    p.add_argument("--ell-max", type=_count, default=4,
                    help="largest block count (default 4)")
-    p.add_argument("--eta-max", type=int, default=6,
+    p.add_argument("--eta-max", type=_count, default=6,
                    help="decomposable sweeps: largest eta (default 6)")
     _add_output_flags(p)
 

@@ -140,8 +140,7 @@ def intersection_dimension_estimate(field, eta, ell, w_x, w_y, trials, stream,
     is independent of scheduling.
     """
     event = _event_threshold(w_x, min_fraction, exact_dim)
-    successes = 0
-    dim_total = 0
+    successes = dim_total = 0
     for i in range(trials):
         rng = stream.child(i)
         x = sample_decomposable_uniform(field, eta, ell, w_x, rng)
@@ -150,7 +149,7 @@ def intersection_dimension_estimate(field, eta, ell, w_x, w_y, trials, stream,
         dim_total += d
         if event(d):
             successes += 1
-    return EstimateResult.from_counts(successes, trials, dim_total / trials)
+    return EstimateResult.from_counts(successes, trials, dim_total)
 
 
 def intersection_event_probability_exact(field, eta, ell, w_x, w_y,

@@ -77,9 +77,10 @@ class EstimateResult:
     mean_value: float | None = None
 
     @classmethod
-    def from_counts(cls, successes, trials, mean_value=None):
+    def from_counts(cls, successes, trials, value_total=None):
         low, high = wilson_interval(successes, trials)
-        return cls(successes, trials, successes / trials, low, high, mean_value)
+        mean = None if value_total is None else value_total / trials
+        return cls(successes, trials, successes / trials, low, high, mean)
 
     def separated_below(self, other):
         """True when this interval sits strictly below the other one."""

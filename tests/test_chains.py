@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 from sumrank import chains
 from sumrank.chains import (BoundReport, ChainInstance, best_shift_chain,
                             bound_attainment_report, bound_target,
-                            chain_length_bound, greedy_chain,
+                            chain_length_bound, encode, greedy_chain,
                             is_increasing_chain, max_chain_exact,
                             random_chain_instance, support)
 from sumrank.galois import field_from_order
@@ -20,6 +20,12 @@ from sumrank.metric import matrix_code, vector_from_code
 F2 = field_from_order(2)
 F3 = field_from_order(3)
 F4 = field_from_order(4)
+
+
+def instance(field, gamma, vectors, c):
+    """A ChainInstance of vectors given by their entries."""
+    return ChainInstance(field, gamma,
+                         [encode(field, gamma, v) for v in vectors], c)
 
 
 def test_support():
@@ -39,30 +45,38 @@ def test_is_increasing_chain():
 
 def test_instance_validation():
     with pytest.raises(ValueError):
-        ChainInstance(F2, 2, ((1, 0), (1, 0)), 1)
+        instance(F2, 2, ((1, 0), (1, 0)), 1)
     with pytest.raises(ValueError):
-        ChainInstance(F2, 2, ((1, 2),), 1)
+        instance(F2, 2, ((1, 2),), 1)
     with pytest.raises(ValueError):
-        ChainInstance(F2, 2, ((1, 0, 1),), 1)
+        instance(F2, 2, ((1, 0, 1),), 1)
     with pytest.raises(ValueError):
-        ChainInstance(F2, 0, ((),), 1)
+        instance(F2, 0, ((),), 1)
     with pytest.raises(ValueError):
-        ChainInstance(F2, 2, ((1, 0),), 0)
+        instance(F2, 2, ((1, 0),), 0)
+    # codes given directly: each in [0, q^gamma), none repeated
+    for codes in ((4,), (-1,), (0, 4), (-1, 3), (2, 2)):
+        with pytest.raises(ValueError):
+            ChainInstance(F2, 2, codes, 1)
+    assert ChainInstance(F3, 2, (8, 0), 1).codes == (0, 8)
 
 
 def test_instance_rejects_entries_that_are_not_integers():
     with pytest.raises(TypeError):
-        ChainInstance(F2, 2, [(1.5, 0), (0, 1)], 1)
+        instance(F2, 2, [(1.5, 0), (0, 1)], 1)
+    with pytest.raises(TypeError):
+        ChainInstance(F2, 2, (1.0, 2), 1)
 
 
 def test_instance_canonical_order():
-    inst = ChainInstance(F2, 2, [(1, 1), (0, 1), (1, 0)], 1)
+    inst = instance(F2, 2, [(1, 1), (0, 1), (1, 0)], 1)
+    assert inst.codes == (1, 2, 3)
     assert inst.vectors == ((0, 1), (1, 0), (1, 1))
     assert inst.size == 3
 
 
 def test_greedy_prefers_largest_gain():
-    inst = ChainInstance(
+    inst = instance(
         F2, 4, ((1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1), (1, 1, 1, 1)), 2)
     chain = greedy_chain(inst, (0, 0, 0, 0))
     assert chain == [(1, 1, 1, 1)]
@@ -71,15 +85,29 @@ def test_greedy_prefers_largest_gain():
 
 
 def test_greedy_tie_break_smallest_value():
-    inst = ChainInstance(F2, 4, ((1, 1, 0, 0), (0, 0, 1, 1)), 2)
+    inst = instance(F2, 4, ((1, 1, 0, 0), (0, 0, 1, 1)), 2)
     chain = greedy_chain(inst, (0, 0, 0, 0))
     assert chain == [(0, 0, 1, 1), (1, 1, 0, 0)]
 
 
 def test_greedy_shift_length_checked():
-    inst = ChainInstance(F2, 3, ((1, 0, 0),), 1)
+    inst = instance(F2, 3, ((1, 0, 0),), 1)
     with pytest.raises(ValueError):
         greedy_chain(inst, (0, 0))
+
+
+def test_shift_entries_checked_by_every_search():
+    # at q = 3 the shift (0, 3) has the code of (1, 0); no search may read
+    # it as that shift, and a short shift is no shift at all
+    inst = instance(F3, 2, ((0, 1), (1, 0), (2, 2)), 1)
+    assert encode(F3, 2, (1, 0)) == 3
+    for shift in ((0, 3), (0, -1), (0,), (0, 0, 0)):
+        for search in (greedy_chain, max_chain_exact):
+            with pytest.raises(ValueError):
+                search(inst, shift)
+    for search in (greedy_chain, max_chain_exact):
+        with pytest.raises(TypeError):
+            search(inst, (0, 1.0))
 
 
 def test_greedy_chain_lives_in_shifted_set():
@@ -96,7 +124,7 @@ def test_greedy_chain_lives_in_shifted_set():
 
 
 def test_best_shift_exhaustive_q3_frozen():
-    inst = ChainInstance(
+    inst = instance(
         F3, 3, ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (2, 1, 0)), 1)
     result = best_shift_chain(inst)
     assert result.length == 2
@@ -118,7 +146,7 @@ def test_best_shift_random_mode_bounded_by_exhaustive():
 
 
 def test_best_shift_mode_validation():
-    inst = ChainInstance(F2, 2, ((1, 0),), 1)
+    inst = instance(F2, 2, ((1, 0),), 1)
     with pytest.raises(ValueError):
         best_shift_chain(inst, mode="random")
     with pytest.raises(ValueError):
@@ -154,8 +182,8 @@ def test_exact_target_consistent(seed):
         found = max_chain_exact(inst, (0,) * 6, target=target)
         if target <= len(best):
             assert len(found) >= target
-        else:
-            assert found == []
+        else:  # out of reach: the longest chain
+            assert found == best
 
 
 def brute_longest_chain(inst, shift):
@@ -191,8 +219,8 @@ def test_exact_matches_brute_force_longest_chain():
             if target <= len(best):
                 assert len(found) == target
                 assert is_increasing_chain(found, inst.c)
-            else:
-                assert found == []
+            else:  # out of reach: the longest chain
+                assert found == best
 
 
 def test_violation_reports_longest_exact_chain_over_all_shifts(monkeypatch):
@@ -202,20 +230,29 @@ def test_violation_reports_longest_exact_chain_over_all_shifts(monkeypatch):
     rng = random.Random(47)
     for inst in small_instances(rng, 20, 3):
         q, gamma = inst.field.q, inst.gamma
-        longest = max(len(brute_longest_chain(inst, vector_from_code(q, gamma, s)))
-                      for s in range(q ** gamma))
+        lengths = [len(brute_longest_chain(inst, vector_from_code(q, gamma, s)))
+                   for s in range(q ** gamma)]
+        longest = max(lengths)
         report = bound_attainment_report(inst)
         assert report.target == gamma // inst.c + 1
         assert not report.achieved
         assert report.exact_used
         assert report.exact_length == longest == len(report.chain)
+        # the first shift, in code order, holding a longest chain
+        assert report.shift == vector_from_code(q, gamma,
+                                                lengths.index(longest))
         assert report.chain == tuple(brute_longest_chain(inst, report.shift))
 
 
-def test_full_space_exact_fallback():
-    vectors = tuple(tuple((code >> (5 - i)) & 1 for i in range(6))
-                    for code in range(64))
-    inst = ChainInstance(F2, 6, vectors, 2)
+def test_full_space_exact_fallback(monkeypatch):
+    calls = []
+    search = chains.max_chain_exact
+
+    def counted(inst, shift, target=None):
+        calls.append((shift, target))
+        return search(inst, shift, target=target)
+    monkeypatch.setattr(chains, "max_chain_exact", counted)
+    inst = ChainInstance(F2, 6, range(64), 2)
     report = bound_attainment_report(inst)
     assert report.target == 2
     assert report.greedy_length == 1
@@ -223,6 +260,16 @@ def test_full_space_exact_fallback():
     assert report.achieved
     assert report.exact_length == 2
     assert is_increasing_chain(report.chain, 2)
+    # the exact fallback stops at the first shift reaching the target
+    assert calls == [((0,) * 6, 2)]
+    # out of reach: one capped search per shift, the first longest kept
+    calls.clear()
+    monkeypatch.setattr(chains, "bound_target",
+                        lambda size, q, gamma, c: gamma // c + 1)
+    report = bound_attainment_report(inst)
+    assert not report.achieved
+    assert (report.exact_length, report.shift) == (3, (0,) * 6)
+    assert calls == [(vector_from_code(2, 6, s), 4) for s in range(64)]
 
 
 def test_bound_values_frozen():
@@ -274,7 +321,7 @@ def test_random_instance_properties():
         q = field.q
         inst = random_chain_instance(field, 4, 12, 1, random.Random(41))
         codes = [matrix_code(q, (v,)) for v in inst.vectors]
-        assert codes == sorted(codes)
+        assert tuple(codes) == inst.codes == tuple(sorted(codes))
         assert codes == [int("".join(map(str, v)), q) for v in inst.vectors]
         assert [vector_from_code(q, 4, c) for c in codes] == list(inst.vectors)
 
@@ -370,8 +417,7 @@ def tie_heavy_instances(rng, field, count):
                 if len(support(vector_from_code(q, gamma, code))) == weight]
         picked = set(rng.sample(pool, min(len(pool), rng.randint(1, 24))))
         picked.update(rng.sample(range(q ** gamma), rng.randint(0, 3)))
-        vectors = [vector_from_code(q, gamma, code) for code in picked]
-        yield ChainInstance(field, gamma, vectors, rng.randint(1, 2))
+        yield ChainInstance(field, gamma, picked, rng.randint(1, 2))
 
 
 @pytest.mark.parametrize("field", [F2, F3, F4, F5, F17],

@@ -173,6 +173,11 @@ def test_missing_target_flag_is_an_input_error(capsys, argv, flags):
     (["chain", "--q", "2", "--gamma", "4", "--set-size", "4",
       "--instances", "1", "--mode", "random", "--shift-trials", "-1"],
      "--shift-trials"),
+    (["verify", "volumes", "--max-space-log", "-1"], "--max-space-log"),
+    (["verify", "gb-bounds", "--n-max", "-1"], "--n-max"),
+    (["verify", "volume-bounds", "--m-max", "-1"], "--m-max"),
+    (["verify", "decomposable-bounds", "--ell-max", "-1"], "--ell-max"),
+    (["verify", "decomposable-dominance", "--eta-max", "-1"], "--eta-max"),
 ])
 def test_negative_count_is_an_input_error(capsys, argv, flag):
     with pytest.raises(SystemExit) as exc:
@@ -181,6 +186,21 @@ def test_negative_count_is_an_input_error(capsys, argv, flag):
     assert exc.value.code == 2
     assert captured.out == ""
     assert f"error: argument {flag}: " in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["correlation", *SPACE, "--rho", "1/2"],
+    ["dimension", "--q", "2", "--eta", "2", "--ell", "2", "--wx", "2",
+     "--wy", "2", "--min-fraction", "1/2"],
+    ["span-correlation", *SPACE, "--rho", "1/2", "--gamma", "2",
+     "--bound-factor", "1"],
+    ["subset-event", *SPACE, "--rho", "1/2", "--vectors", "1,0;0,1"],
+], ids=lambda argv: argv[0])
+def test_zero_trials_is_an_input_error(capsys, argv):
+    status, out, err = run_cli(capsys, ["experiment", *argv, "--trials", "0"])
+    assert status == 2
+    assert out == ""
+    assert err == "error: trials must be positive\n"
 
 
 @pytest.mark.parametrize("argv", [
