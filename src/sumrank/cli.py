@@ -15,6 +15,7 @@ column and gives up byte-stable reruns.
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -128,10 +129,16 @@ def _fraction(text):
 
 
 def _int_list(text):
+    """Distinct ints, comma separated, at least one."""
     try:
-        return [int(part) for part in text.split(",") if part != ""]
+        values = tuple(int(part) for part in text.split(",") if part != "")
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"not an int list: {text!r}") from exc
+    if not values:
+        raise argparse.ArgumentTypeError(f"empty list: {text!r}")
+    if len(set(values)) != len(values):
+        raise argparse.ArgumentTypeError(f"repeated entry: {text!r}")
+    return values
 
 
 def _count(text):
@@ -580,7 +587,13 @@ def _run_chain(args):
 
 # -- parser ----------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
 def build_parser():
+    """The argparse tree, built once per process: it holds no run state.
+
+    Every call returns the one parser that `main` uses; do not add to it or
+    change its defaults.  `build_parser.cache_clear()` drops it.
+    """
     parser = argparse.ArgumentParser(
         prog="sumrank",
         description="Sum-rank metric volumes, random codes, and seeded "
@@ -617,7 +630,7 @@ def build_parser():
     p = sub.add_parser("verify", help="exact and log-domain bound sweeps; "
                                       "exit 1 when any check fails")
     p.add_argument("target", choices=sorted(_VERIFY_TARGETS) + ["all"])
-    p.add_argument("--q-list", type=_int_list, default=[2, 3],
+    p.add_argument("--q-list", type=_int_list, default=(2, 3),
                    help="field orders to sweep (default 2,3)")
     p.add_argument("--max-space-log", type=_count, default=12,
                    help="volumes: cap q^(m eta ell) at 2^this (default 12)")
@@ -715,8 +728,7 @@ _RUNNERS = {
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     started = time.monotonic()
     try:
         records, status = _RUNNERS[args.verb](args)

@@ -1,5 +1,6 @@
 """End-to-end runs of the command line harness via main()."""
 
+import argparse
 import csv
 import hashlib
 import io
@@ -8,7 +9,7 @@ import time
 
 import pytest
 
-from sumrank.cli import CSV_HEADER, emit, main, make_record
+from sumrank.cli import CSV_HEADER, build_parser, emit, main, make_record
 
 
 def run_cli(capsys, argv):
@@ -218,6 +219,21 @@ def test_order_that_is_not_a_prime_power_is_an_input_error(capsys, argv):
     assert err == "error: q = 6 is not a prime power\n"
 
 
+@pytest.mark.parametrize("q_list, message", [
+    (",", "empty list: ','"),
+    ("", "empty list: ''"),
+    ("2,2", "repeated entry: '2,2'"),
+    ("3,2,03", "repeated entry: '3,2,03'"),
+])
+def test_empty_or_repeated_q_list_is_an_input_error(capsys, q_list, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "volumes", "--q-list", q_list])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert captured.err.endswith(f"error: argument --q-list: {message}\n")
+
+
 def test_non_prime_order_needs_no_modulus(capsys):
     status, out, _ = run_cli(capsys, [
         "sample", "subspace", "--q", "32", "--ambient", "2", "--dim", "1"])
@@ -423,3 +439,66 @@ def test_rerun_byte_identical(capsys):
     _, first, _ = run_cli(capsys, argv)
     _, second, _ = run_cli(capsys, argv)
     assert first == second
+
+
+def run_op(capsys, argv):
+    """(status, stdout, stderr) of one main call, argparse exits included."""
+    try:
+        status = main(argv)
+    except SystemExit as exc:
+        status = exc.code
+    captured = capsys.readouterr()
+    return status, captured.out, captured.err
+
+
+# One op of every verb, verify with and without --q-list, help, an argparse
+# error, a runner's input error and a guard violation.
+ONE_PROCESS_OPS = [
+    ["volume", "--q", "2", "--m", "2", "--eta", "2", "--ell", "1", "--r", "1"],
+    ["count-decomposable", "--q", "3", "--eta", "2", "--ell", "2", "--w", "2"],
+    ["capacity", "--b", "1", "--rho", "1/2", "--format", "json"],
+    ["verify", "gb-bounds", "--q-list", "5", "--n-max", "3"],
+    ["verify", "gb-bounds", "--n-max", "2"],
+    ["verify", "volumes", "--q-list", "2,2"],
+    ["sample", "ball", "--q", "2", "--m", "1", "--eta", "2", "--ell", "3",
+     "--r", "2", "--count", "4"],
+    ["experiment", "correlation", "--q", "2", "--m", "1", "--eta", "1",
+     "--ell", "3", "--rho", "1/3", "--trials", "50"],
+    ["chain", "--q", "2", "--gamma", "6", "--set-size", "16",
+     "--instances", "2"],
+    ["--help"],
+    ["volume", "--help"],
+    [],
+    ["capacity", "--rho", "0.5"],
+    ["chain", "--q", "2", "--gamma", "21", "--set-size", "4",
+     "--instances", "1"],
+]
+
+
+def test_one_process_prints_what_fresh_runs_print(capsys):
+    fresh = []
+    for argv in ONE_PROCESS_OPS:
+        build_parser.cache_clear()
+        fresh.append(run_op(capsys, argv))
+    assert [status for status, _, _ in fresh] == [
+        0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 2, 2, 3]
+    build_parser.cache_clear()
+    order = list(range(len(ONE_PROCESS_OPS)))
+    for i in order + order[::-1]:
+        assert run_op(capsys, ONE_PROCESS_OPS[i]) == fresh[i], \
+            ONE_PROCESS_OPS[i]
+
+
+def test_parser_is_not_rebuilt(capsys, monkeypatch):
+    argv = ["capacity", "--b", "1", "--rho", "1/2"]
+    main(argv)
+    calls = []
+    add_argument = argparse.ArgumentParser.add_argument
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return add_argument(self, *args, **kwargs)
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counted)
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert calls == []
