@@ -227,10 +227,10 @@ def _run_volume(args):
     add("ball_volume", ball)
     s_lo, s_hi = counting.sphere_bounds_logq(params, r)
     b_lo, b_hi = counting.ball_bounds_logq(params, r)
-    add("sphere_logq", float(counting.logq_int(sphere, params.q)))
+    add("sphere_logq", counting.logq_int(sphere, params.q))
     add("sphere_lower_logq", s_lo)
     add("sphere_upper_logq", s_hi)
-    add("ball_logq", float(counting.logq_int(ball, params.q)))
+    add("ball_logq", counting.logq_int(ball, params.q))
     add("ball_lower_logq", b_lo)
     add("ball_upper_logq", b_hi)
     return records, 0
@@ -252,7 +252,7 @@ def _run_count_decomposable(args):
     records.append(make_record("count-decomposable", "grassmannian_count",
                                grass, cfg))
     records.append(make_record("count-decomposable", "decomposable_logq",
-                               float(counting.logq_int(count, q)), cfg))
+                               counting.logq_int(count, q), cfg))
     records.append(make_record("count-decomposable", "lower_logq", lo, cfg))
     records.append(make_record("count-decomposable", "upper_logq", hi, cfg))
     records.append(make_record("count-decomposable", "dominated",

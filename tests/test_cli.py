@@ -5,6 +5,9 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -502,3 +505,18 @@ def test_parser_is_not_rebuilt(capsys, monkeypatch):
     assert main(argv) == 0
     capsys.readouterr()
     assert calls == []
+
+
+def test_no_runtime_dependency():
+    import sumrank
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sumrank.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sumrank.cli, sys; print('mpmath' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+        text=True, check=True)
+    assert out.stdout == "False\n"
+    tomllib = pytest.importorskip("tomllib")
+    with open(os.path.join(os.path.dirname(src), "pyproject.toml"),
+              "rb") as fh:
+        assert tomllib.load(fh)["project"]["dependencies"] == []

@@ -5,6 +5,7 @@ this file; the closed forms must reproduce them exactly.
 """
 
 import math
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -20,7 +21,7 @@ from sumrank.counting import (SpaceParams, ball_volume, block_sum_power,
                               gaussian_binomial_bounds_ok,
                               list_decoding_capacity, q_ary_entropy,
                               rank_matrix_count, sphere_volume)
-from sumrank.galois import field_from_order
+from sumrank.galois import MAX_Q, field_from_order
 from sumrank.linalg import _rank_rows
 
 
@@ -199,6 +200,114 @@ def test_gb_bounds_spot():
         for n in range(9):
             for k in range(n + 1):
                 assert gaussian_binomial_bounds_ok(n, k, q)
+
+
+# -- fixed-point logs ------------------------------------------------------
+
+def _is_prime_power(q):
+    p = next(d for d in range(2, q + 1) if q % d == 0)
+    while q % p == 0:
+        q //= p
+    return q == 1
+
+
+PRIME_POWERS = [q for q in range(2, MAX_Q + 1) if _is_prime_power(q)]
+FRAC = counting._FRAC
+
+
+def test_logq_int_at_and_around_powers_of_q():
+    lnf = counting._ln_fixed
+    for q in PRIME_POWERS:
+        lnq = counting._ln(q)
+        v = 1
+        for k in range(1, 401):
+            v *= q
+            assert counting.logq_int(v, q) == k, (q, k)
+            below = counting.logq_int(v - 1, q)
+            above = counting.logq_int(v + 1, q)
+            assert below <= k <= above, (q, k)
+            # The gap to k is about 1/(v ln q): above the float resolution
+            # at k below 2^40, above the fixed-point error below 2^128.
+            if v < 2 ** 40:
+                assert below < k < above, (q, k)
+            if v < 2 ** 128:
+                assert lnf(v - 1) < k * lnq < lnf(v + 1), (q, k)
+
+
+def test_fixed_point_log_agrees_with_twice_the_precision():
+    rng = random.Random(2024)
+    bound = Fraction(1, 2 ** 120)
+    for _ in range(400):
+        value = rng.getrandbits(rng.randint(1, 3000)) or 1
+        q = rng.choice(PRIME_POWERS)
+        fine_v = counting._ln_fixed(value, 2 * FRAC)
+        fine_q = counting._ln_fixed(q, 2 * FRAC)
+        ln_v = counting._ln_fixed(value)
+        assert abs(Fraction(ln_v, 2 ** FRAC)
+                   - Fraction(fine_v, 2 ** (2 * FRAC))) < bound
+        assert abs(Fraction(ln_v, counting._ln(q))
+                   - Fraction(fine_v, fine_q)) < bound
+
+
+def test_fixed_point_log_matches_known_constants():
+    bound = Fraction(1, 2 ** 150)
+    known = {  # 60 digits
+        2: "0.69314718055994530941723212145817656807550013436025525412068",
+        3: "1.09861228866810969139524523692252570464749055782274945173469",
+        10: "2.30258509299404568401799145468436420760110148862877297603333"}
+    for value, digits in known.items():
+        assert abs(Fraction(counting._ln_fixed(value), 2 ** FRAC)
+                   - Fraction(digits)) < bound
+    rng = random.Random(7)
+    for _ in range(2000):
+        value = rng.getrandbits(rng.randint(1, 1000)) or 1
+        assert (counting._ln_fixed(value) / 2 ** FRAC
+                == pytest.approx(math.log(value), rel=1e-15, abs=1e-15))
+
+
+def test_bounds_are_their_exact_sums_rounded_once():
+    # Each bound equals its terms summed as exact rationals over
+    # double-precision logs, then rounded to float once.
+    def ln(v):
+        return Fraction(counting._ln_fixed(v, 2 * FRAC), 2 ** (2 * FRAC))
+
+    def lnk(q):
+        lo, hi = counting.euler_product_interval(q, Fraction(1, 10 ** 36))
+        mid = (lo + hi) / 2
+        return ln(mid.numerator) - ln(mid.denominator)
+
+    for q, m, eta, ell in [(2, 2, 2, 2), (3, 3, 3, 2), (7, 2, 3, 5),
+                           (1021, 1, 2, 3)]:
+        params = params_for(q, m, eta, ell)
+        logk = lnk(q) / ln(q)
+        for r in range(params.max_weight + 1):
+            expo = (m + eta - Fraction(r, ell)) * r
+            lower = float(ell * logk + expo - Fraction(ell, 4))
+            for parts, bounds in [(ell, counting.sphere_bounds_logq),
+                                  (ell + 1, counting.ball_bounds_logq)]:
+                upper = float(-ell * logk + expo
+                              + ln(math.comb(parts + r - 1, r)) / ln(q))
+                assert bounds(params, r) == (lower, upper), (q, r, parts)
+        for w in range(eta * ell + 1):
+            expo = Fraction(eta * w) - Fraction(w * w, ell)
+            upper = float(-ell * logk + expo
+                          + ln(math.comb(w + ell - 1, ell - 1)) / ln(q))
+            assert counting.decomposable_bounds_logq(eta, ell, w, q) == (
+                float(expo), upper)
+
+
+def test_logq_int_rejects_bad_input():
+    with pytest.raises(TypeError):
+        counting.logq_int(2.5, 2)
+    with pytest.raises(TypeError):
+        counting.logq_int(8.0, 2)
+    with pytest.raises(TypeError):
+        counting.logq_int(8, 2.5)
+    with pytest.raises(ValueError, match="q must be >= 2"):
+        counting.logq_int(8, 1)
+    with pytest.raises(ValueError, match="positive"):
+        counting.logq_int(0, 2)
+    assert counting.logq_int(1, 2) == 0.0
 
 
 # -- decomposable counts ---------------------------------------------------

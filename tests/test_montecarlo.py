@@ -1,13 +1,14 @@
 """Seeded stream derivation, Wilson intervals, chi-squared uniformity."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
 from sumrank.montecarlo import (DEFAULT_MASTER_SEED, EstimateResult,
-                                RandomStream, chi_squared_uniform_pvalue,
-                                wilson_interval)
+                                RandomStream, chi_squared_tail,
+                                chi_squared_uniform_pvalue, wilson_interval)
 
 
 def test_same_key_same_draws():
@@ -87,6 +88,32 @@ def test_chi_squared_frozen_value():
     # p = erfc(sqrt(5/2))
     p = chi_squared_uniform_pvalue([5, 15])
     assert p == pytest.approx(math.erfc(math.sqrt(2.5)), rel=1e-9)
+
+
+def test_chi_squared_tail_at_textbook_critical_values():
+    assert chi_squared_tail(3.841459, 1) == pytest.approx(0.05, abs=1e-6)
+    assert chi_squared_tail(18.30704, 10) == pytest.approx(0.05, abs=1e-6)
+
+
+def test_chi_squared_tail_at_two_dof_is_exponential():
+    for stat in (0.1, 1.0, 5.5, 40.0, 1000.0):
+        assert chi_squared_tail(stat, 2) == math.exp(-stat / 2)
+
+
+def test_chi_squared_thousands_of_categories_frozen():
+    # 100,000 draws over 2,000 categories; the literal was computed with an
+    # 80-bit regularized incomplete gamma.
+    rng = random.Random(1)
+    counts = [0] * 2000
+    for _ in range(100_000):
+        counts[rng.randrange(2000)] += 1
+    assert chi_squared_uniform_pvalue(counts) == pytest.approx(
+        0.3029890180458671, rel=1e-12)
+
+
+def test_chi_squared_tail_rejects_no_dof():
+    with pytest.raises(ValueError):
+        chi_squared_tail(1.0, 0)
 
 
 def test_chi_squared_detects_gross_skew():
