@@ -167,10 +167,18 @@ def best_shift_chain(instance, mode="exhaustive", trials=None, rng=None):
     mode "random" tries `trials` uniform shifts from rng.  Either way the
     reported shift is the first one attaining the best length, so results
     are reproducible.
+
+    Greedy's first pick on A + w is a heaviest vector, of support weight
+    `top`, and every later pick covers at least c of the gamma - top
+    coordinates left, so greedy gives at most 1 + (gamma - top) // c
+    vectors (none when top < c).  Only a strictly longer chain replaces
+    the best, so a shift whose bound does not exceed the best length is
+    skipped without running greedy; the result is the same.
     """
     q = instance.field.q
     gamma = instance.gamma
-    cap = gamma // instance.c
+    c = instance.c
+    cap = gamma // c
     best = None
     if mode == "exhaustive":
         total = q ** gamma
@@ -183,7 +191,12 @@ def best_shift_chain(instance, mode="exhaustive", trials=None, rng=None):
     else:
         raise ValueError(f"unknown mode {mode!r}")
     for shift_code in shift_codes:
-        vals = _greedy(*instance.sweep(shift_code), instance.c)
+        masks, vals = instance.sweep(shift_code)
+        if best is not None:
+            top = max(map(int.bit_count, masks), default=0)
+            if top < c or 1 + (gamma - top) // c <= best[0]:
+                continue
+        vals = _greedy(masks, vals, c)
         if best is None or len(vals) > best[0]:
             best = (len(vals), shift_code, vals)
             if len(vals) >= cap:
@@ -299,6 +312,8 @@ def random_chain_instance(field, gamma, set_size, c, rng):
     """A ChainInstance whose code set is uniform among size-set_size sets."""
     if gamma < 1:
         raise ValueError("gamma must be positive")
+    if set_size < 1:
+        raise ValueError("set_size must be positive")
     total = field.q ** gamma
     if set_size > total:
         raise ValueError(f"set_size {set_size} exceeds space size {total}")

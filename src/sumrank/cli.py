@@ -26,7 +26,7 @@ from fractions import Fraction
 from . import chains, codes, counting, decomposable, linalg, metric
 from .counting import SpaceParams
 from .galois import field_from_order
-from .guards import GuardError
+from .guards import GuardError, require_within
 from .montecarlo import DEFAULT_MASTER_SEED, RandomStream
 
 CSV_HEADER = ["verb", "statistic", "trial", "value", "exact", "ci_low",
@@ -557,6 +557,14 @@ def _run_experiment(args):
 
 def _run_chain(args):
     field = _field_of(args)
+    if args.mode == "random" and not args.shift_trials:
+        raise ValueError("--mode random needs a positive --shift-trials")
+    if args.mode == "exhaustive":
+        if args.shift_trials is not None:
+            raise ValueError("--shift-trials needs --mode random")
+        if args.instances:  # fail before drawing a set the guard refuses
+            require_within(field.q ** args.gamma, chains.MAX_SHIFTS,
+                           "shift count")
     seed = args.seed
     stream = RandomStream(seed, "chain")
     cfg = {"q": field.q, "gamma": args.gamma, "set_size": args.set_size,

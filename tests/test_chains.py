@@ -315,6 +315,9 @@ def test_random_instance_properties():
     assert again == inst
     with pytest.raises(ValueError):
         random_chain_instance(F2, 3, 9, 1, rng)
+    for size in (0, -1):
+        with pytest.raises(ValueError, match="set_size must be positive"):
+            random_chain_instance(F2, 3, size, 1, rng)
     # vectors are decoded with the metric encoding: a vector's code is that
     # of a one-row matrix, and canonical order is code order
     for field in (F2, F3, F4):
@@ -382,6 +385,21 @@ def reference_best_shift(inst, shift_codes):
     return best
 
 
+def assert_best_shift_matches_reference(inst, seed, trials):
+    """best_shift_chain agrees with the reference in both modes: over every
+    shift, and over `trials` shifts drawn from random.Random(seed)."""
+    total = inst.field.q ** inst.gamma
+    result = best_shift_chain(inst)
+    assert (result.length, result.shift, result.chain) == \
+        reference_best_shift(inst, range(total))
+    draws = random.Random(seed)
+    sampled = best_shift_chain(inst, mode="random", trials=trials,
+                               rng=random.Random(seed))
+    assert (sampled.length, sampled.shift, sampled.chain) == \
+        reference_best_shift(inst, (draws.randrange(total)
+                                    for _ in range(trials)))
+
+
 def reference_exact(items, gamma, c):
     """The canonically least longest chain over the items, by depth-first
     search at lengths 1, 2, ..."""
@@ -440,16 +458,46 @@ def test_shift_sweep_matches_reference(field):
             want = reference_exact(reference_items(inst, shift), gamma, inst.c)
             assert max_chain_exact(inst, shift) == [
                 vector_from_code(q, gamma, v) for v in want]
-        result = best_shift_chain(inst)
-        assert (result.length, result.shift, result.chain) == \
-            reference_best_shift(inst, codes)
-        seed = rng.randrange(2 ** 32)
-        draws = random.Random(seed)
-        sampled = best_shift_chain(inst, mode="random", trials=9,
-                                   rng=random.Random(seed))
-        assert (sampled.length, sampled.shift, sampled.chain) == \
-            reference_best_shift(inst, (draws.randrange(q ** gamma)
-                                        for _ in range(9)))
+        assert_best_shift_matches_reference(inst, rng.randrange(2 ** 32), 9)
+
+
+@pytest.mark.parametrize("field, gamma, size", [
+    (F2, 7, 96), (F2, 7, 112), (F2, 8, 128), (F2, 8, 160), (F3, 5, 200)],
+    ids=lambda x: getattr(x, "q", x))
+def test_skipped_shifts_match_reference_on_dense_sets(field, gamma, size):
+    # Sets of half the space or more hold heavy vectors on almost every
+    # shift, so most shifts are skipped by the bound
+    rng = random.Random(67 + gamma * size)
+    for c in (1, 2, 3):
+        inst = random_chain_instance(field, gamma, size, c, rng)
+        assert_best_shift_matches_reference(inst, rng.randrange(2 ** 32), 40)
+
+
+def test_shift_whose_heaviest_vector_has_weight_c_is_searched():
+    # A + 0001 = {0101, 1010}: every vector has weight c, and the chain
+    # reaches gamma // c after shift 0 gave only one vector
+    inst = instance(F2, 4, ((0, 1, 0, 0), (1, 0, 1, 1)), 2)
+    result = best_shift_chain(inst)
+    assert result.length == 2
+    assert result.shift == (0, 0, 0, 1)
+    assert result.chain == ((0, 1, 0, 1), (1, 0, 1, 0))
+
+
+def test_greedy_runs_on_few_shifts_of_a_dense_set(monkeypatch):
+    inst = random_chain_instance(F2, 8, 160, 2, random.Random(71))
+    calls = []
+    greedy = chains._greedy
+
+    def counted(masks, vals, c):
+        calls.append(1)
+        return greedy(masks, vals, c)
+    monkeypatch.setattr(chains, "_greedy", counted)
+    result = best_shift_chain(inst)
+    # the best stays below gamma // c, so every shift is visited
+    assert result.length < 8 // 2
+    assert len(calls) < 2 ** 8 / 10
+    assert (result.length, result.shift, result.chain) == \
+        reference_best_shift(inst, range(2 ** 8))
 
 
 @pytest.mark.parametrize("q", [3, 4, 5, 7, 16, 17, 1021])

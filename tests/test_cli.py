@@ -116,6 +116,45 @@ def test_nonpositive_gamma_is_reported_before_the_space_size(capsys):
     assert err == "error: gamma must be positive\n"
 
 
+def test_exhaustive_shift_guard_fires_before_the_draw(capsys):
+    # 2^40 shifts: drawing the 3,000,000-vector set first took seconds
+    start = time.perf_counter()
+    status, out, err = run_cli(capsys, [
+        "chain", "--q", "2", "--gamma", "40", "--set-size", "3000000",
+        "--instances", "1"])
+    assert time.perf_counter() - start < 1.0
+    assert status == 3
+    assert out == ""
+    assert err == ("guard violation: shift count = 1099511627776 exceeds "
+                   "the enumeration limit 1048576\n")
+
+
+@pytest.mark.parametrize("extra, message", [
+    (["--shift-trials", "3"], "--shift-trials needs --mode random"),
+    (["--mode", "exhaustive", "--shift-trials", "3"],
+     "--shift-trials needs --mode random"),
+    (["--mode", "random"], "--mode random needs a positive --shift-trials"),
+    (["--mode", "random", "--shift-trials", "0"],
+     "--mode random needs a positive --shift-trials"),
+])
+def test_chain_shift_trials_match_the_mode(capsys, extra, message):
+    status, out, err = run_cli(capsys, [
+        "chain", "--q", "2", "--gamma", "4", "--set-size", "4",
+        "--instances", "1", *extra])
+    assert status == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_chain_empty_set_is_an_input_error(capsys):
+    status, out, err = run_cli(capsys, [
+        "chain", "--q", "2", "--gamma", "4", "--set-size", "0",
+        "--instances", "1"])
+    assert status == 2
+    assert out == ""
+    assert err == "error: set_size must be positive\n"
+
+
 def test_chain_sweep_tables_do_not_grow_with_gamma(capsys):
     # 3^20 shifts: a table indexed by whole codes would hold 3.5e9 entries
     start = time.perf_counter()
