@@ -8,13 +8,16 @@ floats rounded to 12 significant digits, and exact rationals ride along as
 "num/den" strings in the `exact` column.
 
 Verbs: volume, count-decomposable, capacity, verify, sample, experiment,
-chain.  `sumrank <verb> --help` lists the fields each one needs.  Records
-carry no timing by default; opt in with --timing, which fills the runtime
-column and gives up byte-stable reruns.
+chain.  `sumrank <verb> --help` lists each verb's flags; sample and
+experiment take one subcommand per target, so `sumrank sample ball --help`
+lists that target's, and a flag that a target does not take is an input
+error.  Records carry no timing by default; opt in with --timing, which
+fills the runtime column and gives up byte-stable reruns.
 """
 
 import argparse
 import csv
+import decimal
 import functools
 import io
 import json
@@ -41,27 +44,27 @@ def _sig12(x):
     return float(f"{float(x):.12g}")
 
 
+def _digits(n):
+    """Decimal digits of an int or bool, past the int-to-str limit too."""
+    try:
+        return str(int(n))
+    except ValueError:
+        return str(decimal.Decimal(n))
+
+
 def _value_cell(v):
     """Counts as decimal strings, floats trimmed to 12 significant digits."""
-    if v is None:
-        return None
-    if isinstance(v, bool):
-        return str(int(v))
     if isinstance(v, int):
-        return str(v)
+        return _digits(v)
     if isinstance(v, (Fraction, float)):
         return _sig12(v)
-    return str(v)
+    return None if v is None else str(v)
 
 
 def _exact_cell(v):
     if isinstance(v, Fraction):
-        return f"{v.numerator}/{v.denominator}"
-    if isinstance(v, bool):
-        return str(int(v))
-    if isinstance(v, int):
-        return str(v)
-    return None
+        return f"{_digits(v.numerator)}/{_digits(v.denominator)}"
+    return _digits(v) if isinstance(v, int) else None
 
 
 def make_record(verb, statistic, value, config, trial=-1, exact=None,
@@ -169,12 +172,6 @@ def _space_config(params, **extra):
     return cfg
 
 
-def _frac_str(x):
-    x = Fraction(x)
-    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 \
-        else str(x.numerator)
-
-
 def _add_output_flags(parser):
     parser.add_argument("--format", choices=("csv", "json"), default="csv",
                         help="output format (default csv)")
@@ -193,21 +190,8 @@ def _add_field_flags(parser):
 
 def _add_space_flags(parser, m=True):
     _add_field_flags(parser)
-    if m:
-        parser.add_argument("--m", type=int, required=True,
-                            help="block row count")
-    parser.add_argument("--eta", type=int, required=True,
-                        help="block column count")
-    parser.add_argument("--ell", type=int, required=True,
-                        help="number of blocks")
-
-
-def _add_seed_flags(parser, trials_default=None, trials_help="trial count"):
-    parser.add_argument("--seed", type=int, default=DEFAULT_MASTER_SEED,
-                        help=f"master seed (default {DEFAULT_MASTER_SEED})")
-    if trials_default is not None:
-        parser.add_argument("--trials", type=int, default=trials_default,
-                            help=f"{trials_help} (default {trials_default})")
+    for key in ("m", "eta", "ell")[0 if m else 1:]:
+        _add_flag(parser, key, required=True)
 
 
 # -- verb: volume ----------------------------------------------------------
@@ -263,7 +247,7 @@ def _run_count_decomposable(args):
 # -- verb: capacity --------------------------------------------------------
 
 def _capacity_records(q, b, rho, trial):
-    cfg = {"q": q, "b": _frac_str(b), "rho": _frac_str(rho)}
+    cfg = {"q": q, "b": str(b), "rho": str(rho)}
     penalty = counting.capacity_penalty(rho, b)
     cap = counting.list_decoding_capacity(rho, b)
     ent_cap = 1 - counting.q_ary_entropy(rho, q)
@@ -380,26 +364,55 @@ def _compact(obj):
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _flag_value(args, key):
-    # rank-matrix records its --r under "r"; every other key is its dest.
-    return getattr(args, "radius" if key == "r" else key)
+def _vectors(text):
+    """Rows of ints like 1,0;0,1;1,1; an empty row is skipped."""
+    try:
+        return tuple(tuple(int(c) for c in row.split(","))
+                     for row in text.split(";") if row)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(
+            f"not a vector list: {text!r}") from exc
 
 
-def _require_flags(args, flags):
-    missing = ["--r" if key in ("r", "radius") else "--" + key.replace("_", "-")
-               for key in flags if _flag_value(args, key) is None]
-    if missing:
-        raise ValueError(f"{args.verb} {args.what} needs {', '.join(missing)}")
+# Every target flag and every --m/--eta/--ell by dest, which is also the
+# record-config key and, with - for _, the option: type, help, aliases.
+_FLAGS = {
+    "m": (int, "block row count"),
+    "eta": (int, "block column count"),
+    "ell": (int, "number of blocks"),
+    "radius": (int, "ball radius", "--r"),
+    "r": (int, "matrix rank"),
+    "w": (int, "total dimension"),
+    "ambient": (int, "ambient dimension"),
+    "dim": (int, "subspace dimension"),
+    "rate": (_fraction, "code rate as a fraction"),
+    "rho": (_fraction, "relative radius in (0,1)"),
+    "center": (int, "center point code (default zero)"),
+    "wx": (int, "first total dimension"),
+    "wy": (int, "second total dimension"),
+    "min_fraction": (_fraction, "event dim >= ceil(fraction * wx)"),
+    "exact_dim": (int, "event dim == this"),
+    "gamma": (int, "number of draws per trial"),
+    "bound_factor": (_fraction, "threshold factor on gamma"),
+    "vectors": (_vectors, "coefficient rows like 1,0;0,1"),
+    "eps": (_fraction, "capacity gap"),
+}
+
+# Each target's run count (type, default, help), never in its config.
+_RUN_COUNTS = {"count": (_count, 1, "number of draws"),
+               "trials": (int, 10000, "trial count"),
+               "codes": (_count, 100, "number of sampled codes")}
 
 
-def _record_config(args, flags):
-    """q plus each listed flag that was given, rationals as num/den."""
+def _record_config(args):
+    """q plus each target flag that was given, rationals as num/den and
+    --vectors rows as 1,0;0,1."""
     cfg = {"q": args.q}
-    for key in flags:
-        value = _flag_value(args, key)
-        if value is not None:
-            cfg[key] = _frac_str(value) if isinstance(value, Fraction) \
-                else value
+    for key, value in vars(args).items():
+        if key == "vectors":
+            value = ";".join(",".join(map(str, row)) for row in value)
+        if key in _FLAGS and value is not None:
+            cfg[key] = str(value) if isinstance(value, Fraction) else value
     return cfg
 
 
@@ -414,7 +427,7 @@ _SAMPLE_TARGETS = {
     "rank-matrix": (("m", "eta", "r"), _field_of,
                     lambda field, args, rng: metric.matrix_code(
                         field.q, metric.sample_uniform_matrix_of_rank(
-                            field, args.m, args.eta, args.radius, rng))),
+                            field, args.m, args.eta, args.r, rng))),
     "subspace": (("ambient", "dim"), _field_of,
                  lambda field, args, rng: _compact(linalg.sample_subspace(
                      field, args.ambient, args.dim, rng).to_json())),
@@ -435,10 +448,9 @@ _SAMPLE_TARGETS = {
 
 
 def _run_sample(args):
-    flags, build, draw = _SAMPLE_TARGETS[args.what]
-    _require_flags(args, flags)
+    _, build, draw = _SAMPLE_TARGETS[args.what]
     space = build(args)
-    cfg = _record_config(args, flags)
+    cfg = _record_config(args)
     stream = RandomStream(args.seed, "sample", args.what)
     return [make_record("sample", args.what,
                         draw(space, args, stream.child(i)), cfg, trial=i,
@@ -474,13 +486,6 @@ def _correlation(params, args, stream):
                                       center=center)
 
 
-def _subset_event(params, args, stream):
-    rows = tuple(tuple(int(c) for c in row.split(","))
-                 for row in args.vectors.split(";") if row)
-    return codes.subset_span_event_estimate(params, args.rho, rows,
-                                            args.trials, stream)
-
-
 def _list_size_records(params, args, stream, cfg):
     """Sample linear codes at rate capacity - eps and tabulate exhaustive
     worst-case list sizes at radius floor(rho n)."""
@@ -494,7 +499,7 @@ def _list_size_records(params, args, stream, cfg):
                          f"at n = {params.total_dim}; lower rho or eps")
     rate_used = Fraction(k, params.total_dim)
     radius = codes.radius_for(params, args.rho)
-    cfg.update(rate=_frac_str(rate_used), radius=radius)
+    cfg.update(rate=str(rate_used), radius=radius)
     records = [
         make_record("experiment", "dimension", k, cfg, seed=seed),
         make_record("experiment", "radius", radius, cfg, seed=seed),
@@ -516,14 +521,16 @@ def _list_size_records(params, args, stream, cfg):
     return records
 
 
-# Each experiment: the flags it needs, the optional flags recorded when
-# given (with q, together its record config), how to build its field or
-# space, and its records.  list-size emits many records, so it has its own.
+# Each experiment: the flags it needs (a tuple among them: exactly one of
+# those), the optional flags, which with q are its record config when given;
+# its run count; how to build its field or space; and its records.
+# list-size emits many records, so it has its own.
 _EXPERIMENTS = {
-    "correlation": (("m", "eta", "ell", "rho"), ("center",), _space_of,
+    "correlation": (("m", "eta", "ell", "rho"), ("center",), "trials",
+                    _space_of,
                     _estimator("correlation_probability", _correlation)),
-    "dimension": (("eta", "ell", "wx", "wy"), ("min_fraction", "exact_dim"),
-                  _field_of, _estimator(
+    "dimension": (("eta", "ell", "wx", "wy", ("min_fraction", "exact_dim")),
+                  (), "trials", _field_of, _estimator(
                       "event_probability",
                       lambda field, args, stream:
                       decomposable.intersection_dimension_estimate(
@@ -531,26 +538,29 @@ _EXPERIMENTS = {
                           args.trials, stream, min_fraction=args.min_fraction,
                           exact_dim=args.exact_dim))),
     "span-correlation": (("m", "eta", "ell", "rho", "gamma", "bound_factor"),
-                         (), _space_of, _estimator(
+                         (), "trials", _space_of, _estimator(
                              "span_correlation_probability",
                              lambda params, args, stream:
                              codes.limited_correlation_estimate(
                                  params, args.rho, args.gamma,
                                  args.bound_factor, args.trials, stream))),
-    "subset-event": (("m", "eta", "ell", "rho", "vectors"), (), _space_of,
-                     _estimator("subset_event_probability", _subset_event)),
-    "list-size": (("m", "eta", "ell", "rho", "eps"), (), _space_of,
+    "subset-event": (("m", "eta", "ell", "rho", "vectors"), (), "trials",
+                     _space_of, _estimator(
+                         "subset_event_probability",
+                         lambda params, args, stream:
+                         codes.subset_span_event_estimate(
+                             params, args.rho, args.vectors, args.trials,
+                             stream))),
+    "list-size": (("m", "eta", "ell", "rho", "eps"), (), "codes", _space_of,
                   _list_size_records),
 }
 
 
 def _run_experiment(args):
-    flags, optional, build, records = _EXPERIMENTS[args.what]
-    _require_flags(args, flags)
+    _, _, _, build, records = _EXPERIMENTS[args.what]
     space = build(args)
     stream = RandomStream(args.seed, "experiment", args.what)
-    return records(space, args, stream,
-                   _record_config(args, flags + optional)), 0
+    return records(space, args, stream, _record_config(args)), 0
 
 
 # -- verb: chain -----------------------------------------------------------
@@ -594,6 +604,34 @@ def _run_chain(args):
 
 
 # -- parser ----------------------------------------------------------------
+
+def _add_flag(parser, key, **kwargs):
+    kind, text, *aliases = _FLAGS[key]
+    parser.add_argument(*aliases, "--" + key.replace("_", "-"), dest=key,
+                        type=kind, help=text, **kwargs)
+
+
+def _add_target(targets, name, flags, optional, count):
+    """The subcommand of one sample or experiment target.  Abbreviations
+    are off: --m must not be read as dimension's --min-fraction."""
+    p = targets.add_parser(name, allow_abbrev=False)
+    _add_field_flags(p)
+    for key in flags:
+        if isinstance(key, tuple):
+            group = p.add_mutually_exclusive_group(required=True)
+            for choice in key:
+                _add_flag(group, choice)
+        else:
+            _add_flag(p, key, required=True)
+    for key in optional:
+        _add_flag(p, key)
+    kind, default, text = _RUN_COUNTS[count]
+    p.add_argument("--" + count, type=kind, default=default,
+                   help=f"{text} (default {default})")
+    p.add_argument("--seed", type=int, default=DEFAULT_MASTER_SEED,
+                   help=f"master seed (default {DEFAULT_MASTER_SEED})")
+    _add_output_flags(p)
+
 
 @functools.lru_cache(maxsize=None)
 def build_parser():
@@ -653,56 +691,15 @@ def build_parser():
     _add_output_flags(p)
 
     p = sub.add_parser("sample", help="seeded draws from the exact samplers")
-    p.add_argument("what", choices=_SAMPLE_TARGETS)
-    _add_field_flags(p)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--eta", type=int, default=None)
-    p.add_argument("--ell", type=int, default=None)
-    p.add_argument("--r", "--radius", dest="radius", type=int, default=None,
-                   help="radius (ball) or rank (rank-matrix)")
-    p.add_argument("--w", type=int, default=None,
-                   help="decomposable total dimension")
-    p.add_argument("--ambient", type=int, default=None,
-                   help="subspace: ambient dimension")
-    p.add_argument("--dim", type=int, default=None,
-                   help="subspace: subspace dimension")
-    p.add_argument("--rate", type=_fraction, default=None,
-                   help="code rate as a fraction")
-    p.add_argument("--count", type=_count, default=1, help="number of draws")
-    _add_seed_flags(p)
-    _add_output_flags(p)
+    targets = p.add_subparsers(dest="what", required=True)
+    for name, (flags, _, _) in _SAMPLE_TARGETS.items():
+        _add_target(targets, name, flags, (), "count")
 
     p = sub.add_parser("experiment", help="Monte Carlo estimators with "
                                           "Wilson intervals")
-    p.add_argument("what", choices=_EXPERIMENTS)
-    _add_field_flags(p)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--eta", type=int, default=None)
-    p.add_argument("--ell", type=int, default=None)
-    p.add_argument("--rho", type=_fraction, default=None,
-                   help="relative radius in (0,1)")
-    p.add_argument("--center", type=int, default=None,
-                   help="correlation: center point code (default zero)")
-    p.add_argument("--wx", type=int, default=None,
-                   help="dimension: first total dimension")
-    p.add_argument("--wy", type=int, default=None,
-                   help="dimension: second total dimension")
-    p.add_argument("--min-fraction", type=_fraction, default=None,
-                   help="dimension: event dim >= ceil(fraction * wx)")
-    p.add_argument("--exact-dim", type=int, default=None,
-                   help="dimension: event dim == this")
-    p.add_argument("--gamma", type=int, default=None,
-                   help="span-correlation: number of draws per trial")
-    p.add_argument("--bound-factor", type=_fraction, default=None,
-                   help="span-correlation: threshold factor on gamma")
-    p.add_argument("--vectors", default=None,
-                   help="subset-event: rows like 1,0;0,1;1,1")
-    p.add_argument("--eps", type=_fraction, default=None,
-                   help="list-size: capacity gap")
-    p.add_argument("--codes", type=_count, default=100,
-                   help="list-size: number of sampled codes (default 100)")
-    _add_seed_flags(p, trials_default=10000)
-    _add_output_flags(p)
+    targets = p.add_subparsers(dest="what", required=True)
+    for name, (flags, optional, count, _, _) in _EXPERIMENTS.items():
+        _add_target(targets, name, flags, optional, count)
 
     p = sub.add_parser("chain", help="support-chain bound attainment on "
                                      "random vector sets")
@@ -719,7 +716,8 @@ def build_parser():
                    default="exhaustive", help="shift search mode")
     p.add_argument("--shift-trials", type=_count, default=None,
                    help="random mode: shifts to try")
-    _add_seed_flags(p)
+    p.add_argument("--seed", type=int, default=DEFAULT_MASTER_SEED,
+                   help=f"master seed (default {DEFAULT_MASTER_SEED})")
     _add_output_flags(p)
     return parser
 

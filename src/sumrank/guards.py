@@ -5,6 +5,8 @@ truncating.  Every guarded function documents its limit; violations raise
 :class:`GuardError`.
 """
 
+import math
+
 
 class GuardError(RuntimeError):
     """An enumeration was requested above its hard size limit."""
@@ -12,5 +14,10 @@ class GuardError(RuntimeError):
 
 def require_within(value, limit, what):
     if value > limit:
-        raise GuardError(f"{what} = {value} exceeds the enumeration limit {limit}")
+        try:
+            shown = f"= {value}"
+        except ValueError:  # past the interpreter's int-to-str digit limit
+            shown = f"~ 10^{math.log10(value):.1f}"
+        raise GuardError(
+            f"{what} {shown} exceeds the enumeration limit {limit}")
     return value

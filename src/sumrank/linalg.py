@@ -144,9 +144,11 @@ class Subspace:
         stacked += [row + zero for row in other.basis]
         if not stacked:
             return Subspace.zero(self.field, n)
+        # Every pivot column is zero in every other row, so the right halves
+        # of the rows whose left half vanished are already a reduced basis.
         reduced, _ = _rref(self.field, stacked)
-        inter_rows = [row[n:] for row in reduced if not any(row[:n])]
-        return Subspace.span(self.field, n, inter_rows)
+        return Subspace(self.field, n, tuple(
+            row[n:] for row in reduced if not any(row[:n])))
 
     def add(self, other):
         """Smallest subspace containing both (the subspace sum)."""

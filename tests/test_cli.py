@@ -12,7 +12,10 @@ import time
 
 import pytest
 
+from sumrank import counting
 from sumrank.cli import CSV_HEADER, build_parser, emit, main, make_record
+from sumrank.counting import SpaceParams
+from sumrank.galois import field_from_order
 
 
 def run_cli(capsys, argv):
@@ -129,6 +132,38 @@ def test_exhaustive_shift_guard_fires_before_the_draw(capsys):
                    "the enumeration limit 1048576\n")
 
 
+def test_guard_on_a_count_past_the_str_digit_limit(capsys):
+    # 3^10000 has 4,772 digits, past the interpreter's int-to-str limit
+    start = time.perf_counter()
+    status, out, err = run_cli(capsys, [
+        "chain", "--q", "3", "--gamma", "10000", "--set-size", "3",
+        "--instances", "1"])
+    assert time.perf_counter() - start < 1.0
+    assert status == 3
+    assert out == ""
+    assert err == ("guard violation: shift count ~ 10^4771.2 exceeds the "
+                   "enumeration limit 1048576\n")
+
+
+def test_count_past_the_str_digit_limit_is_written_in_full(capsys):
+    params = SpaceParams(field_from_order(1021), 4, 4, 100)
+    status, out, _ = run_cli(capsys, [
+        "volume", "--q", "1021", "--m", "4", "--eta", "4", "--ell", "100",
+        "--r", "400", "--format", "json"])
+    assert status == 0
+    rec = next(json.loads(line) for line in out.splitlines()
+               if '"statistic":"sphere_volume"' in line)
+    # digit by digit, from 1000-digit chunks that str() can still write
+    rest, chunks = counting.sphere_volume(params, 400), []
+    while rest:
+        rest, chunk = divmod(rest, 10 ** 1000)
+        chunks.append(chunk)
+    expected = str(chunks.pop()) + "".join(
+        f"{chunk:01000d}" for chunk in reversed(chunks))
+    assert len(expected) > 4300
+    assert rec["value"] == rec["exact"] == expected
+
+
 @pytest.mark.parametrize("extra, message", [
     (["--shift-trials", "3"], "--shift-trials needs --mode random"),
     (["--mode", "exhaustive", "--shift-trials", "3"],
@@ -199,11 +234,135 @@ SPACE = ["--q", "2", "--m", "1", "--eta", "1", "--ell", "2"]
     (["experiment", "list-size", *SPACE, "--rho", "1/4"], ["--eps"]),
 ])
 def test_missing_target_flag_is_an_input_error(capsys, argv, flags):
-    status, out, err = run_cli(capsys, argv)
-    assert status == 2
-    assert out == ""
-    assert err.startswith("error:")
-    assert all(flag in err for flag in flags)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "error: the following arguments are required: " in captured.err
+    assert all(flag in captured.err for flag in flags)
+
+
+# Each target's argv with every flag it needs and a short run, and the
+# flags it takes besides --q, --seed and the output flags.
+TARGETS = {
+    "ball": ("sample ball --q 2 --m 1 --eta 2 --ell 3 --r 2",
+             "--m --eta --ell --r --radius --count"),
+    "rank-matrix": ("sample rank-matrix --q 3 --m 2 --eta 2 --r 1",
+                    "--m --eta --r --count"),
+    "subspace": ("sample subspace --q 4 --ambient 4 --dim 2",
+                 "--ambient --dim --count"),
+    "decomposable": ("sample decomposable --q 2 --eta 2 --ell 2 --w 2",
+                     "--eta --ell --w --count"),
+    "linear-code": ("sample linear-code --q 2 --m 1 --eta 1 --ell 4 "
+                    "--rate 1/2", "--m --eta --ell --rate --count"),
+    "general-code": ("sample general-code --q 2 --m 1 --eta 1 --ell 3 "
+                     "--rate 1/3", "--m --eta --ell --rate --count"),
+    "correlation": ("experiment correlation --q 2 --m 1 --eta 1 --ell 3 "
+                    "--rho 1/3 --trials 20",
+                    "--m --eta --ell --rho --center --trials"),
+    "dimension": ("experiment dimension --q 2 --eta 2 --ell 2 --wx 2 --wy 2 "
+                  "--min-fraction 1/2 --trials 20",
+                  "--eta --ell --wx --wy --min-fraction --exact-dim "
+                  "--trials"),
+    "span-correlation": ("experiment span-correlation --q 2 --m 1 --eta 1 "
+                         "--ell 3 --rho 1/3 --gamma 2 --bound-factor 1 "
+                         "--trials 20",
+                         "--m --eta --ell --rho --gamma --bound-factor "
+                         "--trials"),
+    "subset-event": ("experiment subset-event --q 2 --m 1 --eta 1 --ell 4 "
+                     "--rho 1/2 --vectors 1,0;0,1 --trials 20",
+                     "--m --eta --ell --rho --vectors --trials"),
+    "list-size": ("experiment list-size --q 2 --m 1 --eta 1 --ell 4 "
+                  "--rho 1/4 --eps 1/8 --codes 1",
+                  "--m --eta --ell --rho --eps --codes"),
+}
+
+# Every flag each verb took before it had one subcommand per target.
+VERB_FLAGS = {
+    "sample": "--m --eta --ell --r --w --ambient --dim --rate --count",
+    "experiment": "--m --eta --ell --rho --center --wx --wy --min-fraction "
+                  "--exact-dim --gamma --bound-factor --vectors --eps "
+                  "--codes --trials",
+}
+
+FOREIGN_FLAGS = [
+    (name, flag)
+    for name, (argv, own) in TARGETS.items()
+    for flag in VERB_FLAGS[argv.split()[0]].split()
+    if flag not in own.split()
+] + [("rank-matrix", "--radius")]
+
+
+def test_every_foreign_flag_is_listed():
+    # one pair per flag that a target's verb took and the target ignored,
+    # and rank-matrix's --radius, which it read as --r
+    assert len(FOREIGN_FLAGS) == 71 + 1
+    assert {name for name, _ in FOREIGN_FLAGS} == set(TARGETS)
+
+
+@pytest.mark.parametrize("name, flag", FOREIGN_FLAGS,
+                         ids=[" ".join(pair) for pair in FOREIGN_FLAGS])
+def test_flag_of_another_target_is_an_input_error(capsys, name, flag):
+    argv = TARGETS[name][0].split()
+    assert main(argv) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [flag, "1"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert f"error: unrecognized arguments: {flag} 1\n" in captured.err
+
+
+def test_options_follow_the_target_name(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sample", "--q", "2", "ball", "--m", "1", "--eta", "2",
+              "--ell", "3", "--r", "2"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "sumrank sample: error: " in captured.err
+
+
+@pytest.mark.parametrize("extra, message", [
+    ([], "one of the arguments --min-fraction --exact-dim is required"),
+    (["--min-fraction", "1/2", "--exact-dim", "1"],
+     "argument --exact-dim: not allowed with argument --min-fraction"),
+], ids=["neither", "both"])
+def test_dimension_takes_exactly_one_event(capsys, extra, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["experiment", "dimension", "--q", "2", "--eta", "2", "--ell",
+              "2", "--wx", "2", "--wy", "2", "--trials", "10", *extra])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert captured.err.endswith(
+        f"sumrank experiment dimension: error: {message}\n")
+
+
+@pytest.mark.parametrize("name", TARGETS)
+def test_target_help_lists_only_its_flags(capsys, name):
+    verb = TARGETS[name][0].split()[0]
+    with pytest.raises(SystemExit) as exc:
+        main([verb, name, "--help"])
+    out = capsys.readouterr().out
+    assert exc.value.code == 0
+    assert out.startswith(f"usage: sumrank {verb} {name} ")
+    own = TARGETS[name][1].split()
+    for flag in VERB_FLAGS[verb].split() + ["--radius", "--q", "--seed"]:
+        assert (f" {flag} " in out) == (flag in own + ["--q", "--seed"]), \
+            flag
+
+
+def test_vectors_are_parsed_by_the_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(TARGETS["subset-event"][0].replace("0;0", "a;0").split())
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert captured.err.endswith(
+        "error: argument --vectors: not a vector list: '1,a;0,1'\n")
 
 
 @pytest.mark.parametrize("argv, flag", [
@@ -493,8 +652,8 @@ def run_op(capsys, argv):
     return status, captured.out, captured.err
 
 
-# One op of every verb, verify with and without --q-list, help, an argparse
-# error, a runner's input error and a guard violation.
+# One op of every verb, verify with and without --q-list, help, argparse
+# errors, a runner's input error and a guard violation.
 ONE_PROCESS_OPS = [
     ["volume", "--q", "2", "--m", "2", "--eta", "2", "--ell", "1", "--r", "1"],
     ["count-decomposable", "--q", "3", "--eta", "2", "--ell", "2", "--w", "2"],
@@ -510,7 +669,10 @@ ONE_PROCESS_OPS = [
      "--instances", "2"],
     ["--help"],
     ["volume", "--help"],
+    ["sample", "ball", "--help"],
     [],
+    ["experiment", "list-size", "--q", "2", "--m", "1", "--eta", "1",
+     "--ell", "4", "--rho", "1/4", "--eps", "1/8", "--trials", "5"],
     ["capacity", "--rho", "0.5"],
     ["chain", "--q", "2", "--gamma", "21", "--set-size", "4",
      "--instances", "1"],
@@ -523,7 +685,7 @@ def test_one_process_prints_what_fresh_runs_print(capsys):
         build_parser.cache_clear()
         fresh.append(run_op(capsys, argv))
     assert [status for status, _, _ in fresh] == [
-        0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 2, 2, 3]
+        0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 2, 2, 2, 3]
     build_parser.cache_clear()
     order = list(range(len(ONE_PROCESS_OPS)))
     for i in order + order[::-1]:

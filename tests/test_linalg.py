@@ -113,6 +113,24 @@ def test_intersection_matches_set_intersection():
         assert got == expected
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
+def test_intersection_basis_is_already_reduced(q):
+    # the right halves of the Zassenhaus rows whose left half vanished are
+    # the basis that a second reduction through Subspace.span would give
+    field = field_from_order(q)
+    rng = random.Random(q)
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        a, b = (Subspace.span(field, n, [
+            tuple(rng.randrange(q) for _ in range(n))
+            for _ in range(rng.randint(0, n + 1))]) for _ in range(2))
+        stacked = [row + row for row in a.basis]
+        stacked += [row + (0,) * n for row in b.basis]
+        rows = [row[n:] for row in _rref(field, stacked)[0]
+                if not any(row[:n])] if stacked else []
+        assert a.intersect(b) == Subspace.span(field, n, rows)
+
+
 def test_dimension_formula_random_pairs():
     rng = random.Random(5)
     for field in (F2, F3):
