@@ -46,10 +46,7 @@ def _sig12(x):
 
 def _digits(n):
     """Decimal digits of an int or bool, past the int-to-str limit too."""
-    try:
-        return str(int(n))
-    except ValueError:
-        return str(decimal.Decimal(n))
+    return str(decimal.Decimal(int(n)))
 
 
 def _value_cell(v):
