@@ -12,12 +12,15 @@ An instance is the sorted base-q codes of A; a vector given by its
 entries, a shift too, enters through the checked `encode`.  Each search
 reads one integer sweep: a shift w gives the masks and codes of A + w by
 C-level maps, XOR at q = 2 and fixed-size chunk addition tables otherwise.
+The exhaustive shift search sweeps only the shifts it runs greedy on; it
+bounds the others from one table of the heaviest weight in A + w per shift,
+a max-plus distance transform over the q-ary Hamming cube.
 """
 
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import compress, repeat
+from itertools import accumulate, compress, repeat
 from operator import add, and_, eq, index, itemgetter, lshift, mul, or_, xor
 
 from .guards import require_within
@@ -25,9 +28,14 @@ from .metric import vector_code, vector_from_code
 
 # Exhaustive shift search sweeps q^gamma shifts; cap here.
 MAX_SHIFTS = 2 ** 20
+# Random shift search: set size x (trials + 1) x gamma^2 digit steps; cap here.
+MAX_RANDOM_DIGIT_STEPS = 2 ** 30
 # The shift sweep adds k-digit chunks through a q^k x q^k table, with q^k at
 # most this whatever gamma is (or k = 1).
 CHUNK_CODES = 256
+# The heaviest-weight table is built in ints of at most this many byte lanes
+# (or q), so that its temporaries stay small beside the table.
+TABLE_BLOCK = 4096
 
 
 def support(vector):
@@ -145,11 +153,100 @@ def _greedy(masks, vals, c):
         cover |= masks[vals.index(val)]
 
 
+def _heaviest(instance):
+    """bytearray whose entry w is the largest support weight in A + w (0
+    when A is empty), for q^gamma <= MAX_SHIFTS.
+
+    a + w is nonzero where a_i != -w_i, so that weight is the Hamming
+    distance from -a to w, and the table is a max-plus distance transform
+    from the codes of -a: for each digit in turn, g[w] = max(g[w], 1 + the
+    largest g over the q - 1 codes that differ from w only there).  The
+    table is held as ints of TABLE_BLOCK byte lanes or fewer, lane w at
+    g[w] + gamma + 1 (lanes below that hold no vector yet), so every lane
+    stays under 128.  Inside a block that largest g is read off cyclic turns
+    of the digit, doubled to cover its q - 1 offsets by two windows; across
+    blocks, from the maxima before and after each block of a group.
+    """
+    field, gamma = instance.field, instance.gamma
+    q = field.q
+    inner = 1  # digits inside a block
+    while inner < gamma and q ** (inner + 1) <= TABLE_BLOCK:
+        inner += 1
+    lanes = q ** inner
+    bias = gamma + 1
+    ones = int.from_bytes(b"\1" * lanes, "little")
+    high = ones << 7
+
+    def lane_max(a, b):
+        ge = ((a | high) - b & high) >> 7  # 1 in each lane where a >= b
+        return b ^ (a ^ b) & ge * 255
+
+    seeds = instance.codes  # -a = a in characteristic 2
+    if field.p != 2:  # negate k digits at a time
+        k, sums, _ = _chunk_tables(field)
+        base = q ** k
+        negate = [row.index(0) for row in sums]
+        scales = [base ** i for i in range(-(-gamma // k))]
+        seeds = [sum(negate[x // s % base] * s for s in scales) for x in seeds]
+    table = bytearray(q ** gamma)
+    for x in seeds:
+        table[x] = bias
+    blocks = [int.from_bytes(table[i:i + lanes], "little")
+              for i in range(0, len(table), lanes)]
+    reach = (q - 1).bit_length() - 1  # windows of 2^reach <= q - 1 offsets
+    turns = {1, q - (1 << reach), *(1 << i for i in range(reach))}
+    for p in range(inner):
+        span = q ** p  # lanes between codes one apart in this digit
+        lows = {t: int.from_bytes((b"\xff" * (t * span)
+                                   + bytes((q - t) * span))
+                                  * (lanes // (q * span)), "little")
+                for t in turns}
+
+        def turn(x, t):
+            """Lane w of x moved to the code whose digit is t lower, mod q."""
+            part = x & lows[t]  # the lanes whose digit is below t
+            return (x ^ part) >> 8 * t * span | part << 8 * (q - t) * span
+        for i, x in enumerate(blocks):
+            window = x
+            for j in range(reach):
+                window = lane_max(window, turn(window, 1 << j))
+            others = turn(window, 1)
+            if (1 << reach) + 1 < q:
+                others = lane_max(others, turn(window, q - (1 << reach)))
+            blocks[i] = lane_max(x, others + ones)
+    for p in range(gamma - inner):
+        stride = q ** p  # blocks between codes one apart in this digit
+        for start in range(len(blocks)):
+            if start // stride % q == 0:
+                group = blocks[start:start + q * stride:stride]
+                before = accumulate(group[:-1], lane_max, initial=0)
+                after = list(accumulate(group[:0:-1], lane_max, initial=0))
+                blocks[start:start + q * stride:stride] = [
+                    lane_max(x, lane_max(a, b) + ones)
+                    for x, a, b in zip(group, before, reversed(after))]
+    for i, x in enumerate(blocks):
+        table[i * lanes:(i + 1) * lanes] = x.to_bytes(lanes, "little")
+    return table.translate(bytes(bias) + bytes(range(256 - bias)))
+
+
 def greedy_chain(instance, shift):
     """Greedy chain inside A + shift; returns the shifted vectors picked."""
     field, gamma = instance.field, instance.gamma
     vals = _greedy(*instance.sweep(encode(field, gamma, shift)), instance.c)
     return [vector_from_code(field.q, gamma, v) for v in vals]
+
+
+def require_search_within(q, gamma, set_size, mode, trials):
+    """Raise GuardError when a shift search is past its cap: q^gamma shifts
+    when exhaustive; when random, set_size * (trials + 1) * gamma^2 digit
+    steps.  That bounds the random sweep: it cuts A and each shift into
+    ceil(gamma / k) chunks and maps every chunk over A, each step on numbers
+    of up to gamma digits, and it keeps as many powers of q^k."""
+    if mode == "exhaustive":
+        require_within(q ** gamma, MAX_SHIFTS, "shift count")
+    else:
+        require_within(set_size * (trials + 1) * gamma ** 2,
+                       MAX_RANDOM_DIGIT_STEPS, "random search digit steps")
 
 
 @dataclass(frozen=True)
@@ -173,7 +270,12 @@ def best_shift_chain(instance, mode="exhaustive", trials=None, rng=None):
     coordinates left, so greedy gives at most 1 + (gamma - top) // c
     vectors (none when top < c).  Only a strictly longer chain replaces
     the best, so a shift whose bound does not exceed the best length is
-    skipped without running greedy; the result is the same.
+    skipped without running greedy; the result is the same.  Exhaustive
+    mode reads `top` from the instance's heaviest-weight table, built once
+    greedy on the first shift falls short of the ceiling, and sweeps only
+    the shifts it keeps; random mode, whose shifts are few and whose gamma
+    may be far past any table, takes `top` from each shift's sweep.  Both
+    are guarded by `require_search_within`.
     """
     q = instance.field.q
     gamma = instance.gamma
@@ -181,22 +283,27 @@ def best_shift_chain(instance, mode="exhaustive", trials=None, rng=None):
     cap = gamma // c
     best = None
     if mode == "exhaustive":
-        total = q ** gamma
-        require_within(total, MAX_SHIFTS, "shift count")
-        shift_codes = range(total)
+        shift_codes = range(q ** gamma)
     elif mode == "random":
         if not trials or rng is None:
             raise ValueError("random mode needs trials and rng")
         shift_codes = (rng.randrange(q ** gamma) for _ in range(trials))
     else:
         raise ValueError(f"unknown mode {mode!r}")
+    require_search_within(q, gamma, instance.size, mode, trials)
+    heaviest = None  # built once greedy on the first shift falls short
     for shift_code in shift_codes:
-        masks, vals = instance.sweep(shift_code)
+        swept = None
         if best is not None:
-            top = max(map(int.bit_count, masks), default=0)
+            if mode == "random":
+                swept = instance.sweep(shift_code)
+                top = max(map(int.bit_count, swept[0]), default=0)
+            else:
+                heaviest = heaviest or _heaviest(instance)
+                top = heaviest[shift_code]
             if top < c or 1 + (gamma - top) // c <= best[0]:
                 continue
-        vals = _greedy(masks, vals, c)
+        vals = _greedy(*(swept or instance.sweep(shift_code)), c)
         if best is None or len(vals) > best[0]:
             best = (len(vals), shift_code, vals)
             if len(vals) >= cap:

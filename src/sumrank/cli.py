@@ -29,7 +29,7 @@ from fractions import Fraction
 from . import chains, codes, counting, decomposable, linalg, metric
 from .counting import SpaceParams
 from .galois import field_from_order
-from .guards import GuardError, require_within
+from .guards import GuardError
 from .montecarlo import DEFAULT_MASTER_SEED, RandomStream
 
 CSV_HEADER = ["verb", "statistic", "trial", "value", "exact", "ci_low",
@@ -413,31 +413,38 @@ def _record_config(args):
     return cfg
 
 
-# Each sample target: the flags it needs, which with q are its record
-# config; how to build its field or space; and one draw from the child
-# stream, as a point code or compact JSON.  Draws look their samplers up
+# Each sample target: its help line; the flags it needs, which with q are
+# its record config; how to build its field or space; and one draw from the
+# child stream, as a point code or compact JSON.  Draws look their samplers up
 # when called, so a patched module attribute is the one that runs.
 _SAMPLE_TARGETS = {
-    "ball": (("m", "eta", "ell", "radius"), _space_of,
+    "ball": ("uniform points of the sum-rank ball of radius --r",
+             ("m", "eta", "ell", "radius"), _space_of,
              lambda params, args, rng: metric.tuple_code(
                  metric.sample_ball_uniform(params, args.radius, rng))),
-    "rank-matrix": (("m", "eta", "r"), _field_of,
+    "rank-matrix": ("uniform m x eta matrices of rank --r",
+                    ("m", "eta", "r"), _field_of,
                     lambda field, args, rng: metric.matrix_code(
                         field.q, metric.sample_uniform_matrix_of_rank(
                             field, args.m, args.eta, args.r, rng))),
-    "subspace": (("ambient", "dim"), _field_of,
+    "subspace": ("uniform --dim-dimensional subspaces of F_q^ambient",
+                 ("ambient", "dim"), _field_of,
                  lambda field, args, rng: _compact(linalg.sample_subspace(
                      field, args.ambient, args.dim, rng).to_json())),
-    "decomposable": (("eta", "ell", "w"), _field_of,
+    "decomposable": ("uniform products of per-block subspaces of total "
+                     "dimension --w", ("eta", "ell", "w"), _field_of,
                      lambda field, args, rng: _compact(
                          decomposable.sample_decomposable_uniform(
                              field, args.eta, args.ell, args.w,
                              rng).to_json())),
-    "linear-code": (("m", "eta", "ell", "rate"), _space_of,
+    "linear-code": ("row spaces of uniform full-rank generators at --rate",
+                    ("m", "eta", "ell", "rate"), _space_of,
                     lambda params, args, rng: _compact(
                         codes.sample_linear_code(
                             params, args.rate, rng).to_json())),
-    "general-code": (("m", "eta", "ell", "rate"), _space_of,
+    "general-code": ("codes holding each point with probability "
+                     "q^((rate-1)mn)", ("m", "eta", "ell", "rate"),
+                     _space_of,
                      lambda params, args, rng: _compact(
                          codes.sample_general_code(
                              params, args.rate, rng).to_json())),
@@ -445,7 +452,7 @@ _SAMPLE_TARGETS = {
 
 
 def _run_sample(args):
-    _, build, draw = _SAMPLE_TARGETS[args.what]
+    _, _, build, draw = _SAMPLE_TARGETS[args.what]
     space = build(args)
     cfg = _record_config(args)
     stream = RandomStream(args.seed, "sample", args.what)
@@ -518,15 +525,20 @@ def _list_size_records(params, args, stream, cfg):
     return records
 
 
-# Each experiment: the flags it needs (a tuple among them: exactly one of
-# those), the optional flags, which with q are its record config when given;
-# its run count; how to build its field or space; and its records.
+# Each experiment: its help line; the flags it needs (a tuple among them:
+# exactly one of those), the optional flags, which with q are its record
+# config when given; its run count; how to build its field or space; and
+# its records.
 # list-size emits many records, so it has its own.
 _EXPERIMENTS = {
-    "correlation": (("m", "eta", "ell", "rho"), ("center",), "trials",
+    "correlation": ("Pr[X1 + X2 in the ball around --center (default 0)] "
+                    "for uniform ball points X1, X2",
+                    ("m", "eta", "ell", "rho"), ("center",), "trials",
                     _space_of,
                     _estimator("correlation_probability", _correlation)),
-    "dimension": (("eta", "ell", "wx", "wy", ("min_fraction", "exact_dim")),
+    "dimension": ("intersection dimension of two uniform decomposable "
+                  "subspaces",
+                  ("eta", "ell", "wx", "wy", ("min_fraction", "exact_dim")),
                   (), "trials", _field_of, _estimator(
                       "event_probability",
                       lambda field, args, stream:
@@ -534,27 +546,33 @@ _EXPERIMENTS = {
                           field, args.eta, args.ell, args.wx, args.wy,
                           args.trials, stream, min_fraction=args.min_fraction,
                           exact_dim=args.exact_dim))),
-    "span-correlation": (("m", "eta", "ell", "rho", "gamma", "bound_factor"),
+    "span-correlation": ("Pr[the span of --gamma ball points meets the ball "
+                         "in bound-factor * gamma points or more]",
+                         ("m", "eta", "ell", "rho", "gamma", "bound_factor"),
                          (), "trials", _space_of, _estimator(
                              "span_correlation_probability",
                              lambda params, args, stream:
                              codes.limited_correlation_estimate(
                                  params, args.rho, args.gamma,
                                  args.bound_factor, args.trials, stream))),
-    "subset-event": (("m", "eta", "ell", "rho", "vectors"), (), "trials",
+    "subset-event": ("Pr[every combination in --vectors of ball points "
+                     "lands in the ball]",
+                     ("m", "eta", "ell", "rho", "vectors"), (), "trials",
                      _space_of, _estimator(
                          "subset_event_probability",
                          lambda params, args, stream:
                          codes.subset_span_event_estimate(
                              params, args.rho, args.vectors, args.trials,
                              stream))),
-    "list-size": (("m", "eta", "ell", "rho", "eps"), (), "codes", _space_of,
+    "list-size": ("worst-case list sizes of random linear codes at rate "
+                  "capacity - eps", ("m", "eta", "ell", "rho", "eps"), (),
+                  "codes", _space_of,
                   _list_size_records),
 }
 
 
 def _run_experiment(args):
-    _, _, _, build, records = _EXPERIMENTS[args.what]
+    _, _, _, _, build, records = _EXPERIMENTS[args.what]
     space = build(args)
     stream = RandomStream(args.seed, "experiment", args.what)
     return records(space, args, stream, _record_config(args)), 0
@@ -566,12 +584,11 @@ def _run_chain(args):
     field = _field_of(args)
     if args.mode == "random" and not args.shift_trials:
         raise ValueError("--mode random needs a positive --shift-trials")
-    if args.mode == "exhaustive":
-        if args.shift_trials is not None:
-            raise ValueError("--shift-trials needs --mode random")
-        if args.instances:  # fail before drawing a set the guard refuses
-            require_within(field.q ** args.gamma, chains.MAX_SHIFTS,
-                           "shift count")
+    if args.mode == "exhaustive" and args.shift_trials is not None:
+        raise ValueError("--shift-trials needs --mode random")
+    if args.instances:  # fail before drawing a set the guard refuses
+        chains.require_search_within(field.q, args.gamma, args.set_size,
+                                     args.mode, args.shift_trials)
     seed = args.seed
     stream = RandomStream(seed, "chain")
     cfg = {"q": field.q, "gamma": args.gamma, "set_size": args.set_size,
@@ -608,10 +625,10 @@ def _add_flag(parser, key, **kwargs):
                         type=kind, help=text, **kwargs)
 
 
-def _add_target(targets, name, flags, optional, count):
+def _add_target(targets, name, text, flags, optional, count):
     """The subcommand of one sample or experiment target.  Abbreviations
     are off: --m must not be read as dimension's --min-fraction."""
-    p = targets.add_parser(name, allow_abbrev=False)
+    p = targets.add_parser(name, allow_abbrev=False, help=text)
     _add_field_flags(p)
     for key in flags:
         if isinstance(key, tuple):
@@ -688,15 +705,15 @@ def build_parser():
     _add_output_flags(p)
 
     p = sub.add_parser("sample", help="seeded draws from the exact samplers")
-    targets = p.add_subparsers(dest="what", required=True)
-    for name, (flags, _, _) in _SAMPLE_TARGETS.items():
-        _add_target(targets, name, flags, (), "count")
+    targets = p.add_subparsers(dest="what", required=True, metavar="TARGET")
+    for name, (text, flags, _, _) in _SAMPLE_TARGETS.items():
+        _add_target(targets, name, text, flags, (), "count")
 
     p = sub.add_parser("experiment", help="Monte Carlo estimators with "
                                           "Wilson intervals")
-    targets = p.add_subparsers(dest="what", required=True)
-    for name, (flags, optional, count, _, _) in _EXPERIMENTS.items():
-        _add_target(targets, name, flags, optional, count)
+    targets = p.add_subparsers(dest="what", required=True, metavar="TARGET")
+    for name, (text, flags, optional, count, _, _) in _EXPERIMENTS.items():
+        _add_target(targets, name, text, flags, optional, count)
 
     p = sub.add_parser("chain", help="support-chain bound attainment on "
                                      "random vector sets")

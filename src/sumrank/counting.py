@@ -35,10 +35,7 @@ class SpaceParams:
     ell: int
 
     def __post_init__(self):
-        for name in ("m", "eta", "ell"):
-            value = getattr(self, name)
-            if not (isinstance(value, int) and value >= 1):
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+        _require_positive(m=self.m, eta=self.eta, ell=self.ell)
 
     @property
     def q(self):
@@ -71,6 +68,14 @@ class SpaceParams:
     def b(self):
         """Aspect ratio eta / m as an exact rational."""
         return Fraction(self.eta, self.m)
+
+
+def _require_positive(**shape):
+    """Raise ValueError naming the first value that is not an int >= 1."""
+    for name, value in shape.items():
+        if not (isinstance(value, int) and value >= 1):
+            raise ValueError(
+                f"{name} must be a positive integer, got {value!r}")
 
 
 # -- compositions ----------------------------------------------------------
@@ -402,18 +407,23 @@ def ball_bounds_ok(params, r, margin=LOG_MARGIN):
 
 # -- decomposable subspace counts ------------------------------------------
 
+def _check_decomposable(eta, ell, w):
+    """Raise ValueError unless eta, ell >= 1 and 0 <= w <= eta * ell."""
+    _require_positive(eta=eta, ell=ell)
+    if not 0 <= w <= eta * ell:
+        raise ValueError(f"w = {w} outside [0, {eta * ell}]")
+
+
 @functools.lru_cache(maxsize=None)
 def decomposable_count(eta, ell, w, q):
     """Number of products of per-block subspaces with total dimension w."""
-    if not 0 <= w <= eta * ell:
-        raise ValueError(f"w = {w} outside [0, {eta * ell}]")
+    _check_decomposable(eta, ell, w)
     return block_sum_power(grassmannian_vector(eta, q), ell)[w]
 
 
 def decomposable_bounds_logq(eta, ell, w, q):
     """Two-sided bounds on the decomposable count, as log_q values."""
-    if not 0 <= w <= eta * ell:
-        raise ValueError(f"w = {w} outside [0, {eta * ell}]")
+    _check_decomposable(eta, ell, w)
     lnq, lnk = _ln(q), _logq_euler_product(q)
     expo = Fraction(eta * w) - Fraction(w * w, ell)
     a, b = expo.numerator, expo.denominator

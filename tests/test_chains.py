@@ -461,9 +461,12 @@ def test_shift_sweep_matches_reference(field):
         assert_best_shift_matches_reference(inst, rng.randrange(2 ** 32), 9)
 
 
-@pytest.mark.parametrize("field, gamma, size", [
-    (F2, 7, 96), (F2, 7, 112), (F2, 8, 128), (F2, 8, 160), (F3, 5, 200)],
-    ids=lambda x: getattr(x, "q", x))
+DENSE_SETS = [(F2, 7, 96), (F2, 7, 112), (F2, 8, 128), (F2, 8, 160),
+              (F3, 5, 200)]
+
+
+@pytest.mark.parametrize("field, gamma, size", DENSE_SETS,
+                         ids=lambda x: getattr(x, "q", x))
 def test_skipped_shifts_match_reference_on_dense_sets(field, gamma, size):
     # Sets of half the space or more hold heavy vectors on almost every
     # shift, so most shifts are skipped by the bound
@@ -485,19 +488,89 @@ def test_shift_whose_heaviest_vector_has_weight_c_is_searched():
 
 def test_greedy_runs_on_few_shifts_of_a_dense_set(monkeypatch):
     inst = random_chain_instance(F2, 8, 160, 2, random.Random(71))
-    calls = []
-    greedy = chains._greedy
+    calls, swept = [], []
+    greedy, sweep = chains._greedy, inst.sweep
 
     def counted(masks, vals, c):
         calls.append(1)
         return greedy(masks, vals, c)
     monkeypatch.setattr(chains, "_greedy", counted)
+    # the cached property reads the instance dict first
+    inst.__dict__["sweep"] = lambda w: swept.append(w) or sweep(w)
     result = best_shift_chain(inst)
-    # the best stays below gamma // c, so every shift is visited
+    # the best stays below gamma // c, so every shift is visited; a skipped
+    # shift reads the heaviest-weight table and is never swept
     assert result.length < 8 // 2
     assert len(calls) < 2 ** 8 / 10
+    assert len(swept) == len(calls)
     assert (result.length, result.shift, result.chain) == \
         reference_best_shift(inst, range(2 ** 8))
+
+
+def assert_heaviest_matches_sweep(inst):
+    q, gamma = inst.field.q, inst.gamma
+    table = chains._heaviest(inst)
+    assert len(table) == q ** gamma
+    for code in range(q ** gamma):
+        assert table[code] == max(map(int.bit_count, inst.sweep(code)[0]),
+                                  default=0)
+
+
+@pytest.mark.parametrize("block", [1, 9, chains.TABLE_BLOCK])
+@pytest.mark.parametrize("field", [F2, F3, F4, F5, F17],
+                         ids=lambda f: f"F{f.q}")
+def test_heaviest_table_matches_sweep(monkeypatch, field, block):
+    # small blocks send every digit but the lowest through the pass across
+    # blocks; odd characteristic tells -a from a
+    monkeypatch.setattr(chains, "TABLE_BLOCK", block)
+    rng = random.Random(59 + field.q)
+    for inst in tie_heavy_instances(rng, field, 12):
+        assert_heaviest_matches_sweep(inst)
+    empty = ChainInstance(field, 2, (), 1)
+    assert chains._heaviest(empty) == bytes(field.q ** 2)
+
+
+@pytest.mark.parametrize("field", [F3, F5, F17], ids=lambda f: f"F{f.q}")
+def test_heaviest_table_is_zero_only_at_minus_a(field):
+    # A = {a}: a + w is zero exactly at w = -a, and full where w = a != -a
+    q = field.q
+    a = (1, 2, 1)
+    inst = instance(field, 3, [a], 1)
+    table = chains._heaviest(inst)
+    minus_a = encode(field, 3, [field.neg(x) for x in a])
+    assert [w for w in range(q ** 3) if table[w] == 0] == [minus_a]
+    assert table[encode(field, 3, a)] == 3
+
+
+@pytest.mark.parametrize("field, gamma, size", DENSE_SETS,
+                         ids=lambda x: getattr(x, "q", x))
+def test_heaviest_table_matches_sweep_on_dense_sets(field, gamma, size):
+    rng = random.Random(73 + gamma * size)
+    for c in (1, 2, 3):
+        assert_heaviest_matches_sweep(
+            random_chain_instance(field, gamma, size, c, rng))
+
+
+def test_heaviest_table_across_blocks_at_full_size():
+    # 2^14 shifts: four digits across blocks of 4096 lanes
+    inst = random_chain_instance(F2, 14, 24, 2, random.Random(79))
+    assert_heaviest_matches_sweep(inst)
+
+
+def test_random_search_guard_bounds_the_digit_steps():
+    # 3 vectors and 3 shifts at gamma = 10^6: 3 * 4 * 10^12 digit steps
+    with pytest.raises(GuardError, match="random search digit steps"):
+        chains.require_search_within(3, 10 ** 6, 3, "random", 3)
+    chains.require_search_within(3, 2000, 3, "random", 3)
+    steps = chains.MAX_RANDOM_DIGIT_STEPS
+    gamma = math.isqrt(steps // 2)  # one vector, one trial: 2 gamma^2
+    chains.require_search_within(2, gamma, 1, "random", 1)
+    with pytest.raises(GuardError):
+        chains.require_search_within(2, gamma + 1, 1, "random", 1)
+    inst = random_chain_instance(F3, 400, 3, 2, random.Random(83))
+    with pytest.raises(GuardError):
+        best_shift_chain(inst, mode="random", trials=steps // (3 * 400 ** 2),
+                         rng=random.Random(1))
 
 
 @pytest.mark.parametrize("q", [3, 4, 5, 7, 16, 17, 1021])

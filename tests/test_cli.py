@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from sumrank import counting
+from sumrank import cli, counting
 from sumrank.cli import CSV_HEADER, build_parser, emit, main, make_record
 from sumrank.counting import SpaceParams
 from sumrank.galois import field_from_order
@@ -200,6 +200,68 @@ def test_chain_sweep_tables_do_not_grow_with_gamma(capsys):
     assert status == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
         "d421b36b3e6e74b0c8b4a5b293a1bfa4e7d7036bb19999694413dcb554a4f37e")
+
+
+def test_random_search_guard_fires_before_the_draw(capsys):
+    # 3 vectors, 3 shifts, gamma = 10^6: the sweep alone ran for minutes
+    start = time.perf_counter()
+    status, out, err = run_cli(capsys, [
+        "chain", "--q", "3", "--gamma", "1000000", "--set-size", "3",
+        "--instances", "5", "--mode", "random", "--shift-trials", "3"])
+    assert time.perf_counter() - start < 1.0
+    assert status == 3
+    assert out == ""
+    assert err == ("guard violation: random search digit steps = "
+                   "12000000000000 exceeds the enumeration limit 1073741824\n")
+
+
+def test_random_search_runs_at_gamma_2000(capsys):
+    status, out, err = run_cli(capsys, [
+        "chain", "--q", "3", "--gamma", "2000", "--set-size", "3",
+        "--instances", "1", "--mode", "random", "--shift-trials", "3"])
+    assert status == 0
+    assert err == ""
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "a6413b7f8c8d367cec6909fb3d2709c282df05e0aacdbfb939c6ae76982b59c3")
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("count-decomposable --q 4 --eta -1 --ell -1 --w 1", "eta"),
+    ("count-decomposable --q 4 --eta 2 --ell 0 --w 0", "ell"),
+    ("count-decomposable --q 4 --eta 0 --ell 3 --w 0", "eta"),
+    ("sample decomposable --q 2 --eta 0 --ell 2 --w 0", "eta"),
+    ("experiment dimension --q 2 --eta 2 --ell -1 --wx 0 --wy 0 "
+     "--exact-dim 0 --trials 3", "ell"),
+])
+def test_nonpositive_eta_or_ell_is_an_input_error(capsys, argv, message):
+    status, out, err = run_cli(capsys, argv.split())
+    assert status == 2
+    assert out == ""
+    value = argv.split()[argv.split().index("--" + message) + 1]
+    assert err == f"error: {message} must be a positive integer, got {value}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample"], ["experiment"], ["sample", "bal"], ["experiment", "lists"]])
+def test_target_positional_is_named_target(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "TARGET" in err
+    assert "what" not in err
+
+
+@pytest.mark.parametrize("verb, table", [
+    ("sample", cli._SAMPLE_TARGETS), ("experiment", cli._EXPERIMENTS)])
+def test_verb_help_lists_every_target(capsys, verb, table):
+    with pytest.raises(SystemExit) as exc:
+        main([verb, "--help"])
+    out = capsys.readouterr().out
+    assert exc.value.code == 0
+    listed = [line.split()[0] for line in out.splitlines()
+              if line.startswith("    ") and not line.startswith("     ")]
+    assert listed == list(table)
 
 
 def test_bad_radius_exit_code(capsys):

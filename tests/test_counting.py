@@ -329,6 +329,23 @@ def test_decomposable_count_via_gaussian_products():
         assert decomposable_count(eta, ell, w, q) == total
 
 
+@pytest.mark.parametrize("eta, ell, w, name, value", [
+    (-1, -1, 1, "eta", -1),  # eta * ell = 1 once let w = 1 through
+    (0, 3, 0, "eta", 0),
+    (2, 0, 0, "ell", 0),
+    (2, -2, 0, "ell", -2),
+])
+def test_decomposable_shape_checked_as_space_params_checks_it(
+        eta, ell, w, name, value):
+    message = f"{name} must be a positive integer, got {value}"
+    for count in (counting.decomposable_count,
+                  counting.decomposable_bounds_logq):
+        with pytest.raises(ValueError, match=message):
+            count(eta, ell, w, 4)
+    with pytest.raises(ValueError, match=message):
+        SpaceParams(field_from_order(4), 1, eta, ell)
+
+
 def test_decomposable_dominance_spot():
     for q in (2, 3):
         for eta in range(1, 5):
