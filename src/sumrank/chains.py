@@ -19,7 +19,7 @@ a max-plus distance transform over the q-ary Hamming cube.
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from itertools import accumulate, compress, repeat
 from operator import add, and_, eq, index, itemgetter, lshift, mul, or_, xor
 
@@ -107,11 +107,13 @@ class ChainInstance:
             return lambda w: (list(map(xor, codes, repeat(w))),) * 2
         k, sums, supports = _chunk_tables(self.field)
         base = q ** k
-        powers = [base ** i for i in reversed(range(-(-self.gamma // k)))]
-        chunks = [[x // p % base for x in codes] for p in powers]  # top first
+        count = -(-self.gamma // k)
+        # the k-digit chunks of each code, top first, peeled off the low end
+        cut = partial(vector_from_code, base, count)
+        chunks = list(zip(*map(cut, codes))) or [()] * count
 
         def shifted(w):
-            rows = [sums[w // p % base].__getitem__ for p in powers]
+            rows = [sums[d].__getitem__ for d in cut(w)]
             vals = list(map(rows[0], chunks[0]))
             masks = list(map(supports.__getitem__, vals))
             for row, part in zip(rows[1:], chunks[1:]):

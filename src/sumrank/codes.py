@@ -8,6 +8,7 @@ code dimension R*mn to be an integer, which keeps every inclusion
 probability a rational with power-of-q denominator.
 """
 
+import collections
 import math
 from fractions import Fraction
 
@@ -17,10 +18,14 @@ from .guards import require_within
 from .metric import BlockTuple, sum_rank_distance, tuple_code, zero_tuple
 from .montecarlo import EstimateResult
 
-# Full-space sweeps (general-code draws, exhaustive list sizes) cap here.
+# Full-space sweeps (general-code draws and list sizes) cap here.
 MAX_CODE_SPACE = 2 ** 20
 # Linear codeword iteration caps at this many words.
 MAX_CODEWORDS = 2 ** 20
+# A linear code's list size scans q^(m*eta) block codes and reduces every
+# ball point against its k basis rows; their sum caps here.  Every space of
+# at most MAX_CODE_SPACE points fits: q^mn * (1 + mn) <= 21 * 2^20.
+MAX_COSET_STEPS = 2 ** 25
 
 
 def radius_for(params, rho):
@@ -166,6 +171,7 @@ def _occupancy_by_center(code, radius):
     words = code.codewords()
     counts = {}
     for offset in metric.iter_ball(params, radius):
+        offset = metric.tuple_from_code(params, offset)
         for w in words:
             center = w.add(offset)
             key = tuple_code(center)
@@ -173,22 +179,66 @@ def _occupancy_by_center(code, radius):
     return counts
 
 
+def _coset_histogram(code, radius):
+    """Map reduced code -> number of ball points in its coset, for a linear
+    code: every center of a coset has that many codewords within radius.
+
+    Each ball point is reduced against the RREF basis, which zeroes it at
+    every pivot; that leaves the smallest code of its coset.  Guarded at
+    MAX_COSET_STEPS: q^(m*eta) block codes scanned plus ball points times
+    k row reductions.
+    """
+    params = code.params
+    q, n = params.q, params.total_dim
+    require_within(q ** (params.m * params.eta)
+                   + ball_volume(params, radius) * code.dimension,
+                   MAX_COSET_STEPS, "coset reduction steps")
+    rows, pivots = linalg._rref(params.field,
+                                [x.to_vector() for x in code.basis])
+    points = metric.iter_ball(params, radius)
+    if q == 2:
+        reducers = [(1 << n - 1 - p, metric.vector_code(2, row))
+                    for p, row in zip(pivots, rows)]
+
+        def reduce(x):
+            for bit, row in reducers:
+                if x & bit:
+                    x ^= row
+            return x
+    else:
+        add, neg, mul = (params.field._add, params.field._neg,
+                         params.field._mul)
+        # each pivot with the entries of -c * its row, by c
+        reducers = [(p, [[neg[mul[c][v]] for v in row] for c in range(q)])
+                    for p, row in zip(pivots, rows)]
+
+        def reduce(x):
+            v = metric.vector_from_code(q, n, x)
+            for p, minus in reducers:
+                c = v[p]
+                if c:
+                    v = [add[a][b] for a, b in zip(v, minus[c])]
+            return metric.vector_code(q, v)
+    return collections.Counter(map(reduce, points))
+
+
 def max_list_size(code, radius):
     """Largest list size over every center, with a witness center: the
-    smallest center code among the largest lists.  Guarded at
-    MAX_CODE_SPACE points of space."""
+    smallest center code among the largest lists.
+
+    A linear code reads its coset histogram of B(0, radius) (guarded at
+    MAX_COSET_STEPS); a general code spreads every codeword over the ball
+    (guarded at MAX_CODE_SPACE points of space).
+    """
     params = code.params
     params.check_radius(radius)
-    counts = _occupancy_by_center(code, radius)
+    counts = (_coset_histogram if code.is_linear
+              else _occupancy_by_center)(code, radius)
     if not counts:
         return 0, zero_tuple(params)
-    best_key = None
-    best = -1
-    for key, value in counts.items():
-        if value > best or (value == best and key < best_key):
-            best = value
-            best_key = key
-    return best, metric.tuple_from_code(params, best_key)
+    best = max(counts.values())
+    witness = min(key for key, value in counts.items() if value == best)
+    return best, metric.tuple_from_code(params, witness)
 
 
 def expected_ball_occupancy(code, radius):

@@ -159,14 +159,29 @@ def iter_all_tuples(params):
 
 @functools.lru_cache(maxsize=None)
 def rank_table(field, m, eta):
-    """Rank of every m x eta matrix, indexed by matrix code."""
-    size = field.q ** (m * eta)
-    require_within(size, MAX_ENUMERATION, "matrix table size")
-    out = []
-    for code in range(size):
-        block = matrix_from_code(field.q, m, eta, code)
-        out.append(linalg._rank_rows(field, block))
-    return tuple(out)
+    """Rank of every m x eta matrix as bytes indexed by matrix code; the
+    caller guards the q^(m*eta) matrices it scans."""
+    q = field.q
+    if q == 2:
+        return bytes(_rank_gf2(code, m, eta) for code in range(2 ** (m * eta)))
+    return bytes(linalg._rank_rows(field, matrix_from_code(q, m, eta, code))
+                 for code in range(q ** (m * eta)))
+
+
+def _rank_gf2(code, m, eta):
+    # Rank of the binary m x eta matrix of this code: its rows are eta-bit
+    # fields, each reduced by XOR against a basis with distinct leading
+    # bits, largest first.
+    mask = (1 << eta) - 1
+    basis = []
+    for shift in range(0, m * eta, eta):
+        row = code >> shift & mask
+        for b in basis:
+            row = min(row, row ^ b)
+        if row:
+            basis.append(row)
+            basis.sort(reverse=True)
+    return len(basis)
 
 
 def weight_histogram(params):
@@ -185,38 +200,40 @@ def weight_histogram(params):
     return hist
 
 
-def _support_codes(base, blocks, nonzero):
-    # Codes, increasing, of the points of `blocks` blocks of which at most
-    # `nonzero` are nonzero; base is the number of matrices per block.
-    if blocks == 0:
-        yield 0
-        return
-    step = base ** (blocks - 1)
-    for head in range(base if nonzero else 1):
-        for rest in _support_codes(base, blocks - 1, nonzero - (head != 0)):
-            yield head * step + rest
-
-
 def iter_ball(params, r):
-    """Every point at weight <= r, in code order; caller guards the size.
+    """Codes of every point at weight <= r, increasing; the caller guards
+    the q^(m*eta) block codes scanned, once, for their ranks.
 
-    A nonzero block has rank at least 1, so the ball lies among the points
-    with at most r nonzero blocks.  Only those are visited, and each is kept
-    when its weight is at most r.
+    Blocks are chosen most significant first, each among the block codes
+    whose rank fits the radius left, so every prefix walked extends to a
+    ball point.
     """
     params.check_radius(r)
     base = params.q ** (params.m * params.eta)
-    points = (tuple_from_code(params, code)
-              for code in _support_codes(base, params.ell, r))
-    return (x for x in points if x.weight() <= r)
+    ranks = rank_table(params.field, params.m, params.eta)
+    full = min(params.m, params.eta)  # every block fits from this radius on
+    fits = [range(base) if t >= full
+            else list(itertools.compress(range(base), map(t.__ge__, ranks)))
+            for t in range(r + 1)]
+
+    def walk(blocks, left):
+        if blocks == 1:
+            yield from fits[left]
+            return
+        step = base ** (blocks - 1)
+        for head in fits[left]:
+            yield from map((head * step).__add__,
+                           walk(blocks - 1, left - ranks[head]))
+    return walk(params.ell, r)
 
 
 def enumerate_ball(params, r):
-    """All points at weight <= r, as BlockTuples, guarded at MAX_ENUMERATION
-    points of space: a brute-force test oracle, called by no package code."""
-    points = iter_ball(params, r)
+    """All points at weight <= r, as BlockTuples in code order, guarded at
+    MAX_ENUMERATION points of space: a brute-force test oracle, called by
+    no package code."""
+    params.check_radius(r)
     require_within(params.q ** params.total_dim, MAX_ENUMERATION, "space size")
-    return list(points)
+    return [tuple_from_code(params, code) for code in iter_ball(params, r)]
 
 
 # -- samplers --------------------------------------------------------------

@@ -591,3 +591,27 @@ def test_chunk_tables_fixed_size_and_digitwise(q):
         total = tuple(field.add(x, y) for x, y in zip(da, db))
         assert vector_from_code(q, k, sums[a][b]) == total
         assert supports[a] == int("".join("1" if x else "0" for x in da), 2)
+
+
+@pytest.mark.parametrize("field", [F3, F4, F5], ids=lambda f: f"F{f.q}")
+def test_sweep_chunks_match_the_power_formula(field):
+    # The chunks were once read as x // p % base over the powers p of base,
+    # top first; peeling them off the low end must give the same sweep.
+    rng = random.Random(89 + field.q)
+    q = field.q
+    k, sums, supports = chains._chunk_tables(field)
+    base = q ** k
+    for _ in range(12):
+        gamma = rng.randint(1, 200)
+        codes = {rng.randrange(q ** gamma) for _ in range(rng.randint(0, 6))}
+        inst = ChainInstance(field, gamma, codes, 2)
+        powers = [base ** i for i in reversed(range(-(-gamma // k)))]
+        for w in [0, q ** gamma - 1] + [rng.randrange(q ** gamma)
+                                        for _ in range(3)]:
+            masks, vals = [0] * inst.size, [0] * inst.size
+            for p in powers:
+                row = sums[w // p % base]
+                low = [row[x // p % base] for x in inst.codes]
+                vals = [v * base + d for v, d in zip(vals, low)]
+                masks = [m << k | supports[d] for m, d in zip(masks, low)]
+            assert inst.sweep(w) == (masks, vals)

@@ -519,6 +519,28 @@ def test_list_size_rejects_a_zero_dimension(capsys):
     assert "dimension 0" in err
 
 
+def list_size_argv(ell):
+    return ["experiment", "list-size", "--q", "2", "--m", "2", "--eta", "2",
+            "--ell", str(ell), "--rho", "1/4", "--eps", "1/8", "--codes", "2"]
+
+
+def test_list_size_past_the_code_space_cap(capsys):
+    # 2^24 points; the coset histogram reads only the radius-3 ball
+    status, out, err = run_cli(capsys, list_size_argv(6))
+    assert status == 0
+    assert err == ""
+    assert len(rows_by_statistic(out)["max_list_size"]) == 2
+
+
+def test_list_size_past_the_coset_guard(capsys):
+    # 16 block codes plus 715,033,918 ball points times k = 21 rows
+    status, out, err = run_cli(capsys, list_size_argv(12))
+    assert status == 3
+    assert out == ""
+    assert err == ("guard violation: coset reduction steps = 15015712294 "
+                   "exceeds the enumeration limit 33554432\n")
+
+
 # One small op per sample target and per experiment, with the sha256 and
 # line count of its stdout; every record config and draw is pinned.
 @pytest.mark.parametrize("argv, lines, digest", [

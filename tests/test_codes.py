@@ -18,7 +18,7 @@ from sumrank.linalg import Subspace, _rank_rows
 from sumrank.metric import (BlockTuple, enumerate_ball, iter_all_tuples,
                             sum_rank_distance, tuple_code, tuple_from_code,
                             zero_tuple)
-from sumrank.montecarlo import RandomStream
+from sumrank.montecarlo import DEFAULT_MASTER_SEED, RandomStream
 
 F2 = field_from_order(2)
 
@@ -163,6 +163,110 @@ def test_max_list_size_witness_deterministic():
     first = max_list_size(code, 1)
     second = max_list_size(code, 1)
     assert first == second
+
+
+def assert_cosets_match_the_sweep(code, radii=None):
+    """The coset histogram against the occupancy sweep, run on the same
+    codewords as a general code, at the radii given or every radius: size
+    and witness."""
+    general = Code(code.params, words=code.codewords())
+    if radii is None:
+        radii = range(code.params.max_weight + 1)
+    for radius in radii:
+        assert max_list_size(code, radius) == max_list_size(general, radius), \
+            radius
+
+
+def test_cosets_match_the_sweep_on_acceptance_13_codes():
+    # the 200 codes of `experiment list-size` at acceptance 13's shape
+    stream = RandomStream(DEFAULT_MASTER_SEED, "experiment", "list-size")
+    for i in range(200):
+        code = sample_linear_code(P222, Fraction(3, 8), stream.child(i))
+        assert_cosets_match_the_sweep(code)
+
+
+@pytest.mark.parametrize("ell, k, seeds, count", [
+    (2, 3, range(8), 8), (2, 2, range(8), 8),  # rho 1/4 and 1/3, eps 1/8
+    (3, 5, range(2), 1)], ids=["l2-k3", "l2-k2", "l3-k5"])
+def test_cosets_match_the_sweep_on_the_benchmark_shapes(ell, k, seeds, count):
+    # the list-size shapes of perfbench's exhaustive-oracles: its op seeds
+    # and code counts (the sweep over the whole ell = 3 space is slow)
+    params = params_for(2, 2, 2, ell)
+    rate = Fraction(k, params.total_dim)
+    for seed in seeds:
+        stream = RandomStream(seed, "experiment", "list-size")
+        for i in range(count):
+            assert_cosets_match_the_sweep(
+                sample_linear_code(params, rate, stream.child(i)))
+
+
+@pytest.mark.parametrize("shape, rate", [
+    ((3, 1, 2, 2), Fraction(1, 2)), ((3, 1, 1, 5), Fraction(2, 5)),
+    ((3, 2, 2, 1), Fraction(1, 4)), ((4, 1, 1, 3), Fraction(1, 3)),
+    ((4, 1, 2, 2), Fraction(1, 4))], ids=str)
+def test_cosets_match_the_sweep_at_odd_q(shape, rate):
+    params = params_for(*shape)
+    rng = random.Random(127)
+    for _ in range(6):
+        assert_cosets_match_the_sweep(sample_linear_code(params, rate, rng))
+
+
+def test_witness_is_the_smallest_reduced_code_among_tied_classes():
+    # Three cosets hold two radius-1 points each.  Their reduced codes are
+    # 16, 6 and 64 in the order the ball first meets them; 6 has weight 2,
+    # so it lies outside the ball and is the witness.
+    code = Code(P222, basis=[tuple_from_code(P222, 38),
+                             tuple_from_code(P222, 198)])
+    classes = codes._coset_histogram(code, 1)
+    assert sorted(key for key, size in classes.items() if size == 2) \
+        == [6, 16, 64]
+    assert max(classes.values()) == 2
+    assert tuple_from_code(P222, 6).weight() == 2
+    assert max_list_size(code, 1) == (2, tuple_from_code(P222, 6))
+    assert_cosets_match_the_sweep(code)
+
+
+def test_linear_list_size_past_the_code_space_cap():
+    # 2^24 points, past MAX_CODE_SPACE; the radius-1 ball has 55
+    params = params_for(2, 2, 2, 6)
+    assert params.q ** params.total_dim > codes.MAX_CODE_SPACE
+    code = sample_linear_code(params, Fraction(1, 2), random.Random(131))
+    classes = codes._coset_histogram(code, 1)
+    assert sum(classes.values()) == ball_volume(params, 1) == 55
+    size, witness = max_list_size(code, 1)
+    assert size == max(classes.values())
+    assert list_size_at(code, witness, 1) == size
+
+
+def test_large_block_shape_of_the_old_cap_still_runs():
+    # one block of 2^20 matrices: past MAX_ENUMERATION, as large a space
+    # as MAX_CODE_SPACE allowed
+    params = params_for(2, 4, 5, 1)
+    base = params.q ** (params.m * params.eta)
+    assert metric.MAX_ENUMERATION < base == codes.MAX_CODE_SPACE
+    code = sample_linear_code(params, Fraction(1, 10), random.Random(137))
+    size, witness = max_list_size(code, 1)
+    assert list_size_at(code, witness, 1) == size
+    assert_cosets_match_the_sweep(code, (1,))
+
+
+def test_coset_guard_admits_every_space_the_old_cap_admitted():
+    # q^(m*eta) block codes and ball points each at most q^mn, k at most mn
+    for q in range(2, 1025):
+        n = 1
+        while q ** n <= codes.MAX_CODE_SPACE:
+            assert q ** n * (1 + n) <= codes.MAX_COSET_STEPS, (q, n)
+            n += 1
+
+
+def test_coset_guard_counts_block_codes_and_reductions():
+    params = params_for(2, 2, 2, 12)
+    code = sample_linear_code(params, Fraction(7, 16), random.Random(139))
+    steps = 16 + ball_volume(params, 6) * 21
+    with pytest.raises(GuardError, match=f"coset reduction steps = {steps} "):
+        max_list_size(code, 6)
+    assert 16 + ball_volume(params, 2) * 21 <= codes.MAX_COSET_STEPS
+    assert max_list_size(code, 2)[0] >= 1
 
 
 def test_expected_occupancy_identity():
