@@ -22,9 +22,10 @@ from .montecarlo import EstimateResult
 MAX_CODE_SPACE = 2 ** 20
 # Linear codeword iteration caps at this many words.
 MAX_CODEWORDS = 2 ** 20
-# A linear code's list size scans q^(m*eta) block codes and reduces every
-# ball point against its k basis rows; their sum caps here.  Every space of
-# at most MAX_CODE_SPACE points fits: q^mn * (1 + mn) <= 21 * 2^20.
+# A linear code's list size ranks q^(m*eta) block codes, walks the ball and
+# reduces every ball point against its k basis rows; their sum caps here.
+# Every space of at most MAX_CODE_SPACE points fits:
+# q^mn * (2 + mn) <= 22 * 2^20.
 MAX_COSET_STEPS = 2 ** 25
 
 
@@ -184,15 +185,19 @@ def _coset_histogram(code, radius):
     code: every center of a coset has that many codewords within radius.
 
     Each ball point is reduced against the RREF basis, which zeroes it at
-    every pivot; that leaves the smallest code of its coset.  Guarded at
-    MAX_COSET_STEPS: q^(m*eta) block codes scanned plus ball points times
-    k row reductions.
+    every pivot; that leaves the smallest code of its coset.  Guarded: the
+    q^(m*eta) block ranks and the ball points (one class each at most) at
+    MAX_CODE_SPACE apiece, and block ranks plus ball points times 1 + k
+    (walked, then reduced against k rows) at MAX_COSET_STEPS.
     """
     params = code.params
     q, n = params.q, params.total_dim
-    require_within(q ** (params.m * params.eta)
-                   + ball_volume(params, radius) * code.dimension,
-                   MAX_COSET_STEPS, "coset reduction steps")
+    blocks = require_within(q ** (params.m * params.eta), MAX_CODE_SPACE,
+                            "block matrix count")
+    ball = require_within(ball_volume(params, radius), MAX_CODE_SPACE,
+                          "ball volume")
+    require_within(blocks + ball * (1 + code.dimension), MAX_COSET_STEPS,
+                   "coset reduction steps")
     rows, pivots = linalg._rref(params.field,
                                 [x.to_vector() for x in code.basis])
     points = metric.iter_ball(params, radius)
@@ -226,9 +231,10 @@ def max_list_size(code, radius):
     """Largest list size over every center, with a witness center: the
     smallest center code among the largest lists.
 
-    A linear code reads its coset histogram of B(0, radius) (guarded at
-    MAX_COSET_STEPS); a general code spreads every codeword over the ball
-    (guarded at MAX_CODE_SPACE points of space).
+    A linear code reads its coset histogram of B(0, radius) (guarded by
+    block and ball size and by MAX_COSET_STEPS); a general code spreads
+    every codeword over the ball (guarded at MAX_CODE_SPACE points of
+    space).
     """
     params = code.params
     params.check_radius(radius)

@@ -160,28 +160,10 @@ def iter_all_tuples(params):
 @functools.lru_cache(maxsize=None)
 def rank_table(field, m, eta):
     """Rank of every m x eta matrix as bytes indexed by matrix code; the
-    caller guards the q^(m*eta) matrices it scans."""
+    caller guards the q^(m*eta) eliminations."""
     q = field.q
-    if q == 2:
-        return bytes(_rank_gf2(code, m, eta) for code in range(2 ** (m * eta)))
     return bytes(linalg._rank_rows(field, matrix_from_code(q, m, eta, code))
                  for code in range(q ** (m * eta)))
-
-
-def _rank_gf2(code, m, eta):
-    # Rank of the binary m x eta matrix of this code: its rows are eta-bit
-    # fields, each reduced by XOR against a basis with distinct leading
-    # bits, largest first.
-    mask = (1 << eta) - 1
-    basis = []
-    for shift in range(0, m * eta, eta):
-        row = code >> shift & mask
-        for b in basis:
-            row = min(row, row ^ b)
-        if row:
-            basis.append(row)
-            basis.sort(reverse=True)
-    return len(basis)
 
 
 def weight_histogram(params):
@@ -202,7 +184,7 @@ def weight_histogram(params):
 
 def iter_ball(params, r):
     """Codes of every point at weight <= r, increasing; the caller guards
-    the q^(m*eta) block codes scanned, once, for their ranks.
+    the q^(m*eta) block codes ranked, once, by rank_table.
 
     Blocks are chosen most significant first, each among the block codes
     whose rank fits the radius left, so every prefix walked extends to a

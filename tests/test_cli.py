@@ -532,13 +532,26 @@ def test_list_size_past_the_code_space_cap(capsys):
     assert len(rows_by_statistic(out)["max_list_size"]) == 2
 
 
-def test_list_size_past_the_coset_guard(capsys):
-    # 16 block codes plus 715,033,918 ball points times k = 21 rows
-    status, out, err = run_cli(capsys, list_size_argv(12))
+@pytest.mark.parametrize("shape, refused", [
+    # 715,033,918 ball points at radius 6
+    ("--q 2 --m 2 --eta 2 --ell 12 --rho 1/4 --eps 1/8",
+     "ball volume = 715033918 exceeds the enumeration limit 1048576"),
+    # 2^24 ball points in 2^24 cosets of a k = 1 code
+    ("--q 2 --m 1 --eta 1 --ell 25 --rho 1/2 --eps 1/5",
+     "ball volume = 16777216 exceeds the enumeration limit 1048576"),
+    # 4^12 block ranks, though the radius-1 ball is small
+    ("--q 4 --m 4 --eta 3 --ell 1 --rho 1/3 --eps 1/12",
+     "block matrix count = 16777216 exceeds the enumeration limit 1048576"),
+    # 2 block codes plus 679,121 radius-4 points times 1 + k = 56
+    ("--q 2 --m 1 --eta 1 --ell 64 --rho 1/16 --eps 1/64",
+     "coset reduction steps = 38030778 exceeds the enumeration limit "
+     "33554432")], ids=["ball", "ball-k1", "blocks", "steps"])
+def test_list_size_past_the_coset_guard(capsys, shape, refused):
+    status, out, err = run_cli(
+        capsys, ["experiment", "list-size", *shape.split(), "--codes", "1"])
     assert status == 3
     assert out == ""
-    assert err == ("guard violation: coset reduction steps = 15015712294 "
-                   "exceeds the enumeration limit 33554432\n")
+    assert err == f"guard violation: {refused}\n"
 
 
 # One small op per sample target and per experiment, with the sha256 and

@@ -251,22 +251,41 @@ def test_large_block_shape_of_the_old_cap_still_runs():
 
 
 def test_coset_guard_admits_every_space_the_old_cap_admitted():
-    # q^(m*eta) block codes and ball points each at most q^mn, k at most mn
+    # block codes and ball points each at most q^mn, k at most mn
     for q in range(2, 1025):
         n = 1
         while q ** n <= codes.MAX_CODE_SPACE:
-            assert q ** n * (1 + n) <= codes.MAX_COSET_STEPS, (q, n)
+            assert q ** n * (2 + n) <= codes.MAX_COSET_STEPS, (q, n)
             n += 1
 
 
-def test_coset_guard_counts_block_codes_and_reductions():
-    params = params_for(2, 2, 2, 12)
-    code = sample_linear_code(params, Fraction(7, 16), random.Random(139))
-    steps = 16 + ball_volume(params, 6) * 21
+def test_coset_guard_counts_walks_and_reductions():
+    # 679,121 radius-4 points, each walked and reduced against k = 60 rows
+    params = params_for(2, 1, 1, 64)
+    code = sample_linear_code(params, Fraction(60, 64), random.Random(139))
+    ball = ball_volume(params, 4)
+    assert ball <= codes.MAX_CODE_SPACE
+    steps = 2 + ball * 61
     with pytest.raises(GuardError, match=f"coset reduction steps = {steps} "):
-        max_list_size(code, 6)
-    assert 16 + ball_volume(params, 2) * 21 <= codes.MAX_COSET_STEPS
+        max_list_size(code, 4)
     assert max_list_size(code, 2)[0] >= 1
+
+
+def test_coset_guard_caps_the_ball_at_zero_dimension():
+    # k = 0 reduces nothing, but every ball point is still a class
+    params = params_for(2, 1, 1, 25)
+    empty = Code(params, basis=[])
+    with pytest.raises(GuardError, match="ball volume = 16777216 "):
+        max_list_size(empty, 12)
+    assert max_list_size(empty, 3) == (1, zero_tuple(params))
+
+
+def test_coset_guard_caps_the_block_table():
+    # 4^12 block ranks, each one elimination, though the ball is small
+    params = params_for(4, 4, 3, 1)
+    code = sample_linear_code(params, Fraction(1, 12), random.Random(149))
+    with pytest.raises(GuardError, match="block matrix count = 16777216 "):
+        max_list_size(code, 1)
 
 
 def test_expected_occupancy_identity():

@@ -11,7 +11,7 @@ from sumrank.guards import GuardError
 from sumrank.linalg import _rank_rows
 from sumrank.metric import (BlockTuple, enumerate_ball, iter_all_tuples,
                             iter_ball, matrix_code, matrix_from_code,
-                            rank_table, sample_ball_uniform, sample_uniform_matrix_of_rank,
+                            sample_ball_uniform, sample_uniform_matrix_of_rank,
                             sample_uniform_tuple, sum_rank_distance,
                             tuple_code, tuple_from_code, vector_code,
                             weight_histogram, zero_tuple)
@@ -230,11 +230,3 @@ def test_iter_ball_is_a_weight_scan_in_code_order(shape):
         assert list(iter_ball(params, r)) == [
             code for code in range(params.q ** params.total_dim)
             if tuple_from_code(params, code).weight() <= r]
-
-
-@pytest.mark.parametrize("m, eta", [(1, 5), (2, 3), (3, 2), (3, 3), (4, 3)])
-def test_rank_table_at_q2_matches_elimination(m, eta):
-    table = rank_table(F2, m, eta)
-    assert len(table) == 2 ** (m * eta)
-    assert list(table) == [_rank_rows(F2, matrix_from_code(2, m, eta, code))
-                           for code in range(2 ** (m * eta))]
