@@ -188,8 +188,9 @@ def _heaviest(instance):
         k, sums, _ = _chunk_tables(field)
         base = q ** k
         negate = [row.index(0) for row in sums]
-        scales = [base ** i for i in range(-(-gamma // k))]
-        seeds = [sum(negate[x // s % base] * s for s in scales) for x in seeds]
+        cut = partial(vector_from_code, base, -(-gamma // k))
+        seeds = [vector_code(base, map(negate.__getitem__, cut(x)))
+                 for x in seeds]
     table = bytearray(q ** gamma)
     for x in seeds:
         table[x] = bias

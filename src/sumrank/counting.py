@@ -17,12 +17,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .galois import FieldSpec
+from .guards import require_within
 
 # Fractional bits of every fixed-point natural log.
 _FRAC = 160
 
 # Default slack used when comparing exact counts against irrational bounds.
 LOG_MARGIN = 1e-9
+
+# Cap on the work of one exact count: products x bits of one operand x
+# 2,048-bit pieces of the other.  The largest counts under it take at
+# most about 2 s in the CLI on a 2-vCPU VM, most of it printing a count of
+# up to about 700,000 bits.
+MAX_COUNT_WORK = 2 ** 29
 
 
 @dataclass(frozen=True)
@@ -112,12 +119,17 @@ def gaussian_binomial(n, k, q):
     """Number of k-dimensional subspaces of an n-dimensional F_q space.
 
     Evaluated as an exact quotient of q-factorial products; zero outside
-    0 <= k <= n.
+    0 <= k <= n.  Raises GuardError past MAX_COUNT_WORK.
     """
     if n < 0 or q < 2:
         raise ValueError("need n >= 0 and q >= 2")
     if k < 0 or k > n:
         return 0
+    # 2k products, each by a factor of at most `width` bits into a product
+    # of at most k * width bits, priced as in MAX_COUNT_WORK.
+    width = n * (q - 1).bit_length()
+    require_within(2 * k * k * width * (1 + width // 2048), MAX_COUNT_WORK,
+                   "Gaussian binomial work")
     num = 1
     den = 1
     for i in range(k):
@@ -266,10 +278,17 @@ def gaussian_binomial_bounds_ok(n, k, q, margin=LOG_MARGIN):
 # Points and product subspaces split into ell independent blocks.  The
 # objects whose blocks have weights (k_1, ..., k_ell) number
 # prod_i P[k_i], where P is the per-block count vector, so the sum over all
-# compositions of s is the coefficient of x^s in P(x)^ell.  Samplers unrank
-# one uniform integer through the powers P^j, visiting compositions in
-# lexicographic order: the order of a flat inverse-CDF table over
-# bounded_compositions, so a given integer picks the same composition.
+# compositions of s is the coefficient of x^s in P(x)^ell.  One kernel,
+# block_sum_power, computes those coefficients by Miller's recurrence
+# (Knuth, TAOCP Vol. 2, 4.7): Q = P^ell satisfies P Q' = ell P' Q, so
+#     n P_0 Q_n = sum_{k=1..min(n, b)} ((ell + 1) k - n) P_k Q_{n-k},
+# an exact division.  Degrees 0..d cost about d b products for b + 1 = len(P),
+# and ell enters only through the size of the integers.  Every reader asks
+# for the degree it reads.  Samplers unrank one uniform integer through the
+# powers P^j, visiting compositions in lexicographic order: the order of a
+# flat inverse-CDF table over bounded_compositions, so a given integer picks
+# the same composition.
+
 
 @functools.lru_cache(maxsize=None)
 def rank_count_vector(m, eta, q):
@@ -285,33 +304,69 @@ def grassmannian_vector(eta, q):
     return tuple(gaussian_binomial(eta, k, q) for k in range(eta + 1))
 
 
-def _poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for j, y in enumerate(b):
-        for i, x in enumerate(a):
-            out[i + j] += x * y
-    return tuple(out)
+def _power_bits(base, ell, deg):
+    # An upper bound on the bit length of coefficients 0..deg of base^ell,
+    # for base[0] >= 1 and base[k] >= 0.  Q_n <= (sum P)^ell, and Q_n sums
+    # C(n + ell - 1, n) <= (ell + n)^n compositions, each at most P_0^ell
+    # <= 2^(ell bits(P_0 - 1)) times P_k < 2^bits(P_k) per nonzero part k.
+    near = min(deg, len(base) - 1)
+    rate = max((base[k].bit_length() / k for k in range(1, near + 1)), default=0)
+    return min(max(1, ell * sum(base).bit_length()),
+               ell * (base[0] - 1).bit_length()
+               + int(deg * (math.log2(ell + deg + 1) + rate)) + 1)
+
+
+def _power_work(base, ell, deg):
+    # Work of coefficients 0..deg of base^ell by the recurrence: each
+    # product takes a coefficient of at most _power_bits bits times P_k,
+    # one pass per 2,048 bits of P_k (CPython multiplies schoolbook up to
+    # about that size, so large blocks cost more per product).  It grows
+    # with deg.
+    top = len(base) - 1
+    deg = min(deg, ell * top)
+    near = min(deg, top)
+    products = near * (near + 1) // 2 + (deg - near) * top
+    pieces = 1 + max(map(int.bit_length, base[:near + 1])) // 2048
+    return products * _power_bits(base, ell, deg) * pieces
 
 
 @functools.lru_cache(maxsize=None)
-def block_sum_power(base, ell):
-    """Coefficients of base(x)^ell: entry s is the sum over compositions
-    (k_1, ..., k_ell) of s of prod_i base[k_i]."""
-    power = (1,)
-    for _ in range(ell):
-        power = _poly_mul(power, base)
+def _whole_power_fits(base, ell):
+    # Whether every degree of base^ell is within MAX_COUNT_WORK, so that the
+    # reads of an ascending sweep need not each be priced.
+    return _power_work(base, ell, ell * (len(base) - 1)) <= MAX_COUNT_WORK
+
+
+_POWERS = {}  # (base, ell) -> the longest prefix of base^ell computed
+
+
+def block_sum_power(base, ell, deg):
+    """Coefficients of base(x)^ell through degree deg or further (all of
+    them past its top degree), for base[0] >= 1: entry s sums
+    prod_i base[k_i] over the compositions (k_1, ..., k_ell) of s.  Raises
+    GuardError, before computing, past MAX_COUNT_WORK."""
+    top = len(base) - 1
+    deg = min(deg, ell * top)
+    power = _POWERS.get((base, ell), ())
+    if len(power) <= deg:
+        if not _whole_power_fits(base, ell):
+            require_within(_power_work(base, ell, deg), MAX_COUNT_WORK,
+                           "block-sum work")
+        power = list(power) or [base[0] ** ell]
+        for n in range(len(power), deg + 1):
+            power.append(sum(((ell + 1) * k - n) * base[k] * power[n - k]
+                             for k in range(1, min(n, top) + 1)) // (n * base[0]))
+        power = _POWERS[base, ell] = tuple(power)
     return power
 
 
 @functools.lru_cache(maxsize=None)
-def _suffix_powers(base, ell):
-    # (base^0, ..., base^(ell-1)): the mass of every completion of a prefix.
-    # Kept apart from block_sum_power so that counts, which need only the
-    # top power, do not hold every lower one in memory.
-    powers = [(1,)]
-    for _ in range(ell - 1):
-        powers.append(_poly_mul(powers[-1], base))
-    return tuple(powers)
+def completion_powers(base, ell, deg):
+    """(base^(ell-1), ..., base^0), each through degree deg or further:
+    entry i holds the masses of the completions of a prefix of i blocks."""
+    require_within(sum(_power_work(base, j, deg) for j in range(ell)),
+                   MAX_COUNT_WORK, "block-sum work")
+    return tuple(block_sum_power(base, j, deg) for j in reversed(range(ell)))
 
 
 def unrank_block_sum(base, ell, total, u):
@@ -319,17 +374,15 @@ def unrank_block_sum(base, ell, total, u):
     compositions are taken in lexicographic order and each one covers
     prod_i base[k_i] consecutive offsets.
 
-    Offsets run over [0, block_sum_power(base, ell)[total]); anything else
-    raises ValueError.
+    Offsets run over [0, block_sum_power(base, ell, total)[total]); anything
+    else raises ValueError.  The powers are read to degree total.
     """
-    if u < 0:
-        raise ValueError(f"offset {u} is negative")
-    powers = _suffix_powers(base, ell)
+    if u < 0 or total < 0:
+        raise ValueError(f"offset {u} or total {total} is negative")
     top = len(base) - 1
     comp = []
     rest = total
-    for i in range(ell):
-        tail = powers[ell - 1 - i]
+    for tail in completion_powers(base, ell, total):
         for v in range(max(0, rest - len(tail) + 1), min(top, rest) + 1):
             mass = base[v] * tail[rest - v]
             if u < mass:
@@ -353,14 +406,15 @@ def sphere_volume(params, r):
     """Exact number of tuples at sum-rank weight r around any fixed center."""
     params.check_radius(r)
     base = rank_count_vector(params.m, params.eta, params.q)
-    return block_sum_power(base, params.ell)[r]
+    return block_sum_power(base, params.ell, r)[r]
 
 
 @functools.lru_cache(maxsize=None)
 def ball_volume(params, r):
     """Exact number of tuples at sum-rank distance <= r from a fixed center."""
     params.check_radius(r)
-    return sum(sphere_volume(params, s) for s in range(r + 1))
+    # Top sphere first, so the power is computed once to degree r.
+    return sum(sphere_volume(params, s) for s in range(r, -1, -1))
 
 
 def _volume_exponent(params, r):
@@ -418,7 +472,7 @@ def _check_decomposable(eta, ell, w):
 def decomposable_count(eta, ell, w, q):
     """Number of products of per-block subspaces with total dimension w."""
     _check_decomposable(eta, ell, w)
-    return block_sum_power(grassmannian_vector(eta, q), ell)[w]
+    return block_sum_power(grassmannian_vector(eta, q), ell, w)[w]
 
 
 def decomposable_bounds_logq(eta, ell, w, q):

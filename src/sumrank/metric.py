@@ -236,11 +236,14 @@ def sample_uniform_matrix_of_rank(field, m, eta, r, rng):
     return tuple(linalg.mat_mul(field, left, right))
 
 
-def _ball_composition(params, u):
+def _ball_composition(params, radius, u):
     # Per-block ranks of the point at offset u of the ball, with points
     # ordered by weight and then by rank composition in lexicographic order.
+    # Every read goes to the radius, so the guard does not depend on the
+    # weight drawn.
     base = counting.rank_count_vector(params.m, params.eta, params.q)
-    spheres = counting.block_sum_power(base, params.ell)
+    spheres = counting.block_sum_power(base, params.ell, radius)
+    counting.completion_powers(base, params.ell, radius)
     weight = 0
     while u >= spheres[weight]:
         u -= spheres[weight]
@@ -251,7 +254,8 @@ def _ball_composition(params, u):
 def sample_ball_uniform(params, radius, rng):
     """A point uniform on the ball of the given radius around zero."""
     params.check_radius(radius)
-    comp = _ball_composition(params, rng.randrange(ball_volume(params, radius)))
+    comp = _ball_composition(
+        params, radius, rng.randrange(ball_volume(params, radius)))
     field = params.field
     return BlockTuple(params, [
         v for part in comp

@@ -15,6 +15,7 @@ import pytest
 from sumrank import counting, decomposable, linalg, metric
 from sumrank.counting import SpaceParams
 from sumrank.galois import field_from_order
+from sumrank.guards import GuardError
 
 
 def params_for(q, m, eta, ell):
@@ -89,7 +90,8 @@ def test_ball_unranking_matches_flat_table(q, m, eta, ell, radius):
     cells, total = flat_ball_table(params, radius)
     assert total == counting.ball_volume(params, radius)
     for u in offsets(total, 20000, seed=q * 1000 + ell):
-        assert metric._ball_composition(params, u) == flat_lookup(cells, u), u
+        assert metric._ball_composition(params, radius, u) == \
+            flat_lookup(cells, u), u
 
 
 @pytest.mark.parametrize("eta, ell, w, q", DECOMPOSABLE_SHAPES)
@@ -150,9 +152,142 @@ def test_unrank_rejects_offsets_outside_the_count():
         counting.unrank_block_sum(base, 3, 7, 0)
 
 
+# -- the power kernel against the schoolbook product ------------------------
+
+def poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for j, y in enumerate(b):
+        for i, x in enumerate(a):
+            out[i + j] += x * y
+    return out
+
+
+def schoolbook_power(base, ell):
+    """All coefficients of base(x)^ell by ell schoolbook products."""
+    power = [1]
+    for _ in range(ell):
+        power = poly_mul(power, base)
+    return power
+
+
+def count_vectors():
+    for q in (2, 3, 4):
+        for eta in range(1, 5):
+            yield counting.grassmannian_vector(eta, q)
+            for m in range(1, 5):
+                yield counting.rank_count_vector(m, eta, q)
+
+
+# Bases whose constant term exceeds 1, or with zero entries inside.
+WIDE_CONSTANT_BASES = [(2,), (2, 3), (3, 0, 5), (5, 1, 1, 7), (4, 0, 0, 9)]
+
+
+@pytest.fixture
+def fresh_powers():
+    counting._POWERS.clear()
+    counting.completion_powers.cache_clear()
+    yield
+    counting._POWERS.clear()
+    counting.completion_powers.cache_clear()
+
+
+def test_kernel_matches_schoolbook_at_every_prefix(fresh_powers):
+    for base in dict.fromkeys(count_vectors()):
+        for ell in range(13):
+            expected = schoolbook_power(base, ell)
+            # Reading one degree deeper each time extends the cached prefix.
+            for deg in range(len(expected)):
+                got = counting.block_sum_power(base, ell, deg)
+                assert got == tuple(expected[:deg + 1]), (base, ell, deg)
+            # Past the top degree the prefix is the whole power.
+            assert counting.block_sum_power(base, ell, len(expected) + 3) == \
+                tuple(expected)
+
+
+def test_kernel_matches_schoolbook_when_the_constant_exceeds_one(fresh_powers):
+    for base in WIDE_CONSTANT_BASES:
+        for ell in range(9):
+            expected = tuple(schoolbook_power(base, ell))
+            assert counting.block_sum_power(base, ell, len(expected)) == \
+                expected, (base, ell)
+            for deg in range(len(expected)):
+                counting._POWERS.clear()
+                assert counting.block_sum_power(base, ell, deg) == \
+                    expected[:deg + 1], (base, ell, deg)
+
+
+def test_short_then_long_read_equals_a_fresh_long_read(fresh_powers):
+    base, ell = counting.rank_count_vector(3, 3, 3), 9
+    short = counting.block_sum_power(base, ell, 5)
+    long_after_short = counting.block_sum_power(base, ell, 20)
+    counting._POWERS.clear()
+    fresh = counting.block_sum_power(base, ell, 20)
+    assert long_after_short == fresh
+    assert fresh[:6] == short
+    assert len(fresh) == 21
+    # A shallower read after a deeper one hands back the deeper prefix.
+    assert counting.block_sum_power(base, ell, 5) == fresh
+
+
+def test_callers_cannot_change_the_cached_coefficients(fresh_powers):
+    base, ell = counting.grassmannian_vector(3, 2), 6
+    power = counting.block_sum_power(base, ell, 10)
+    with pytest.raises(TypeError):
+        power[3] = 0
+    tails = counting.completion_powers(base, ell, 10)
+    with pytest.raises((TypeError, AttributeError)):
+        tails[0].append(0)
+    expected = tuple(schoolbook_power(base, ell)[:11])
+    assert counting.block_sum_power(base, ell, 10) == expected
+    assert counting.block_sum_power(base, ell, 12) == \
+        tuple(schoolbook_power(base, ell)[:13])
+    assert tails == tuple(tuple(schoolbook_power(base, j)[:11])
+                          for j in reversed(range(ell)))
+
+
+def test_power_bit_bound_is_never_below_the_real_bit_count():
+    bases = [*count_vectors(), *WIDE_CONSTANT_BASES,
+             counting.rank_count_vector(8, 8, 2),
+             counting.grassmannian_vector(8, 5),
+             counting.rank_count_vector(2, 3, 1021)]
+    for base in bases:
+        for ell in (0, 1, 2, 3, 7, 12, 40):
+            power = schoolbook_power(base, ell)
+            widest = 0
+            for deg, coeff in enumerate(power):
+                widest = max(widest, coeff.bit_length())
+                assert counting._power_bits(base, ell, deg) >= widest, \
+                    (base, ell, deg)
+
+
+def test_kernel_refuses_work_past_the_cap_before_computing(fresh_powers):
+    base = counting.rank_count_vector(64, 64, 2)
+    assert counting._power_work(base, 1000, 10 ** 4) > \
+        counting.MAX_COUNT_WORK
+    with pytest.raises(GuardError):
+        counting.block_sum_power(base, 1000, 10 ** 4)
+    assert (base, 1000) not in counting._POWERS
+    with pytest.raises(GuardError):
+        counting.completion_powers(base, 1000, 200)
+    assert counting.completion_powers.cache_info().currsize == 0
+    assert [key for key in counting._POWERS if key[0] == base] == []
+    # The same request below the cap runs, and its guard does not depend
+    # on what is cached.
+    assert len(counting.block_sum_power(base, 1000, 20)) == 21
+    with pytest.raises(GuardError):
+        counting.block_sum_power(base, 1000, 10 ** 4)
+    assert len(counting._POWERS[base, 1000]) == 21
+
+
+def test_gaussian_binomial_refuses_work_past_the_cap():
+    with pytest.raises(GuardError):
+        counting.gaussian_binomial(64 * 1000, 100, 2)
+    assert counting.gaussian_binomial(64 * 1000, 100 * 1000 * 64, 2) == 0
+
+
 def test_block_sum_power_matches_composition_sum():
     base = (1, 5, 3)
-    power = counting.block_sum_power(base, 4)
+    power = counting.block_sum_power(base, 4, 8)
     assert len(power) == 9
     for s, coeff in enumerate(power):
         total = 0
@@ -198,9 +333,10 @@ def test_counts_and_samplers_never_enumerate_compositions(monkeypatch):
         raise AssertionError("bounded_compositions called")
 
     for cached in (counting.sphere_volume, counting.ball_volume,
-                   counting.decomposable_count, counting.block_sum_power,
-                   counting._suffix_powers):
+                   counting.decomposable_count):
         cached.cache_clear()
+    counting._POWERS.clear()
+    counting.completion_powers.cache_clear()
     monkeypatch.setattr(counting, "bounded_compositions", refuse)
     params = params_for(2, 2, 2, 12)
     assert sum(counting.sphere_volume(params, r)

@@ -1,11 +1,13 @@
 """End-to-end runs of the command line harness via main()."""
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -107,6 +109,64 @@ def test_guard_violation_exit_code(capsys):
         "chain", "--q", "2", "--gamma", "21", "--set-size", "4",
         "--instances", "1"])
     assert status == 3
+    assert err.startswith("guard violation:")
+
+
+@contextlib.contextmanager
+def wall_clock_backstop(seconds):
+    """Raise TimeoutError in the test if the block runs past `seconds`."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+# Counts at large ell and block size: each finishes or is refused by a
+# work guard within the backstop, never left running.
+LARGE_COUNT_PROBES = [
+    "volume --q 2 --m 2 --eta 2 --ell 100000 --r 10",
+    "volume --q 2 --m 64 --eta 64 --ell 1000 --r 100",
+    "count-decomposable --q 2 --eta 64 --ell 1000 --w 100",
+    "sample ball --q 2 --m 200 --eta 200 --ell 50 --r 100",
+]
+
+
+@pytest.mark.parametrize("argv", LARGE_COUNT_PROBES)
+def test_large_counts_finish_or_are_refused_quickly(capsys, argv):
+    with wall_clock_backstop(5):
+        status, out, err = run_cli(capsys, argv.split())
+    assert status in (0, 3), err
+    if status == 3:
+        assert out == ""
+        assert err.startswith("guard violation:")
+        assert err.count("\n") == 1
+
+
+# The largest shapes inside MAX_COUNT_WORK with the dearest products, and the
+# next shape, which the guard refuses: (argv, flag, largest accepted value).
+LARGEST_INSIDE_THE_GUARD = [
+    ("volume --q 2 --m 45 --eta 45 --ell 50", "--r", 358),
+    ("count-decomposable --q 2 --eta 64 --ell 1000", "--w", 11),
+]
+
+
+@pytest.mark.parametrize("argv, flag, largest", LARGEST_INSIDE_THE_GUARD)
+def test_largest_count_inside_the_guard_runs_in_its_stated_time(
+        capsys, argv, flag, largest):
+    # MAX_COUNT_WORK states at most about 2 s on a 2-vCPU VM; the backstop
+    # leaves room for a slower machine.
+    with wall_clock_backstop(10):
+        status, out, err = run_cli(
+            capsys, argv.split() + [flag, str(largest)])
+    assert status == 0, err
+    assert out.startswith(",".join(CSV_HEADER))
+    status, out, err = run_cli(capsys, argv.split() + [flag, str(largest + 1)])
+    assert status == 3 and out == ""
     assert err.startswith("guard violation:")
 
 

@@ -133,7 +133,8 @@ def test_bounded_compositions_lexicographic_and_counted():
         assert seq == sorted(seq)
         assert len(set(seq)) == len(seq)
         # the block-sum engine counts them: all-ones per-part vector
-        assert len(seq) == block_sum_power((1,) * (upper + 1), parts)[total]
+        assert len(seq) == block_sum_power((1,) * (upper + 1), parts,
+                                          total)[total]
         for comp in seq:
             assert sum(comp) == total
             assert all(0 <= part <= upper for part in comp)
