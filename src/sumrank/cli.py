@@ -66,12 +66,17 @@ def _exact_cell(v):
 
 def make_record(verb, statistic, value, config, trial=-1, exact=None,
                 ci=None, trials=None, seed=None):
+    value_cell = _value_cell(value)
+    if exact is None and isinstance(value, int):
+        exact_cell = value_cell  # a count is converted to decimal once
+    else:
+        exact_cell = _exact_cell(value if exact is None else exact)
     return {
         "verb": verb,
         "statistic": statistic,
         "trial": trial,
-        "value": _value_cell(value),
-        "exact": _exact_cell(exact if exact is not None else value),
+        "value": value_cell,
+        "exact": exact_cell,
         "ci_low": None if ci is None else _sig12(ci[0]),
         "ci_high": None if ci is None else _sig12(ci[1]),
         "trials": trials,
@@ -260,6 +265,10 @@ def _capacity_records(q, b, rho, trial):
 
 def _run_capacity(args):
     q = field_from_order(args.q).q
+    if args.b is not None and (args.m is not None or args.eta is not None):
+        raise ValueError("capacity takes --b or --m and --eta, not both")
+    if args.rho is not None and args.grid is not None:
+        raise ValueError("capacity takes --rho or --grid, not both")
     if args.b is not None:
         b = args.b
     elif args.m is not None and args.eta is not None:
@@ -270,7 +279,7 @@ def _run_capacity(args):
     if args.rho is not None:
         records.extend(_capacity_records(q, b, args.rho, trial=0))
     else:
-        steps = args.grid
+        steps = 19 if args.grid is None else args.grid
         for i in range(1, steps + 1):
             rho = Fraction(i, steps + 1)
             records.extend(_capacity_records(q, b, rho, trial=i - 1))
@@ -683,8 +692,9 @@ def build_parser():
     p.add_argument("--eta", type=int, default=None, help="block columns")
     p.add_argument("--rho", type=_fraction, default=None,
                    help="single relative radius in (0,1)")
-    p.add_argument("--grid", type=_count, default=19,
-                   help="interior grid points i/(grid+1) when --rho absent")
+    p.add_argument("--grid", type=_count, default=None,
+                   help="interior grid points i/(grid+1) when --rho absent "
+                        "(default 19)")
     _add_output_flags(p)
 
     p = sub.add_parser("verify", help="exact and log-domain bound sweeps; "

@@ -115,41 +115,58 @@ def bounded_compositions(total, parts, upper=None):
 
 # -- Gaussian binomials and matrix counts ----------------------------------
 
+def _binomial_row(n, k, q, eta=0):
+    """[n, j]_q for j = 0..k <= n by the ratio recurrence
+        [n, j + 1] = [n, j] (q^(n - j) - 1) / (q^(j + 1) - 1),
+    each division exact.  With k <= eta, step j also takes the factor
+    q^eta - q^j, so entry j counts the n x eta matrices of rank j.  Raises
+    GuardError, before the first step, past MAX_COUNT_WORK.
+    """
+    row = [1]
+    if not k:
+        return row  # no step, so no power of q is built
+    # Step j's widest product, entry j + 1 times q^(j + 1) - 1, is below
+    # 4 q^((j + 1)(n + eta - j)) with q <= 2^width, widest at the vertex j
+    # clamped to k - 1.  Each of its 2 or 3 products (the division counted
+    # as one) takes a factor of at most max(n, eta) powers of q.
+    width = (q - 1).bit_length()
+    j = min(k - 1, (n + eta - 1) // 2)
+    widest = (j + 1) * (n + eta - j) * width + 2
+    pieces = 1 + max(n, eta) * width // 2048
+    require_within((3 if eta else 2) * k * widest * pieces, MAX_COUNT_WORK,
+                   "Gaussian binomial work")
+    top, low = q ** n, q  # q^(n - j) and q^(j + 1)
+    full, gone = q ** eta, 1  # q^eta and q^j
+    for _ in range(k):
+        entry = row[-1] * (top - 1)
+        if eta:
+            entry *= full - gone
+            gone *= q
+        row.append(entry // (low - 1))
+        top //= q
+        low *= q
+    return row
+
+
 def gaussian_binomial(n, k, q):
     """Number of k-dimensional subspaces of an n-dimensional F_q space.
 
-    Evaluated as an exact quotient of q-factorial products; zero outside
-    0 <= k <= n.  Raises GuardError past MAX_COUNT_WORK.
+    The last entry of the row to min(k, n - k); zero outside 0 <= k <= n.
+    Raises GuardError past MAX_COUNT_WORK.
     """
     if n < 0 or q < 2:
         raise ValueError("need n >= 0 and q >= 2")
     if k < 0 or k > n:
         return 0
-    # 2k products, each by a factor of at most `width` bits into a product
-    # of at most k * width bits, priced as in MAX_COUNT_WORK.
-    width = n * (q - 1).bit_length()
-    require_within(2 * k * k * width * (1 + width // 2048), MAX_COUNT_WORK,
-                   "Gaussian binomial work")
-    num = 1
-    den = 1
-    for i in range(k):
-        num *= q ** (n - i) - 1
-        den *= q ** (i + 1) - 1
-    assert num % den == 0
-    return num // den
+    k = min(k, n - k)
+    return _binomial_row(n, k, q)[k]
 
 
 def rank_matrix_count(m, eta, r, q):
     """Number of m x eta matrices over F_q of rank exactly r."""
     if not 0 <= r <= min(m, eta):
         raise ValueError(f"rank r = {r} outside [0, {min(m, eta)}]")
-    num = 1
-    den = 1
-    for j in range(r):
-        num *= (q ** m - q ** j) * (q ** eta - q ** j)
-        den *= q ** r - q ** j
-    assert num % den == 0
-    return num // den
+    return rank_count_vector(m, eta, q)[r]
 
 
 # -- the Euler product constant --------------------------------------------
@@ -292,16 +309,16 @@ def gaussian_binomial_bounds_ok(n, k, q, margin=LOG_MARGIN):
 
 @functools.lru_cache(maxsize=None)
 def rank_count_vector(m, eta, q):
-    """Per-block counts by rank: rank_matrix_count(m, eta, k, q) for
-    k = 0..min(m, eta)."""
-    return tuple(rank_matrix_count(m, eta, k, q) for k in range(min(m, eta) + 1))
+    """Per-block counts by rank: the numbers of m x eta matrices of rank
+    k = 0..min(m, eta), from one priced row."""
+    return tuple(_binomial_row(m, min(m, eta), q, eta))
 
 
 @functools.lru_cache(maxsize=None)
 def grassmannian_vector(eta, q):
     """Per-block counts by dimension: gaussian_binomial(eta, k, q) for
-    k = 0..eta."""
-    return tuple(gaussian_binomial(eta, k, q) for k in range(eta + 1))
+    k = 0..eta, from one priced row."""
+    return tuple(_binomial_row(eta, eta, q))
 
 
 def _power_bits(base, ell, deg):

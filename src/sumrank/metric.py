@@ -117,7 +117,15 @@ def sum_rank_distance(x, y):
 # blocks are its digits in base q^(m*eta), most significant block first.
 
 def vector_code(q, entries):
-    """Base-q integer of the entries, most significant first."""
+    """Base-q integer of the entries (any iterable), most significant first:
+    Horner's rule up to 64 entries, and high * q^len(low) + low over the
+    halves above that, near-linear in the length rather than quadratic."""
+    if not isinstance(entries, (list, tuple)):
+        entries = list(entries)
+    if len(entries) > 64:
+        half = len(entries) // 2
+        return (vector_code(q, entries[:half]) * q ** (len(entries) - half)
+                + vector_code(q, entries[half:]))
     code = 0
     for v in entries:
         code = code * q + v

@@ -11,6 +11,7 @@ import signal
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -78,6 +79,24 @@ def test_capacity_needs_shape(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("argv", [
+    "capacity --b 1 --m 2 --eta 1 --rho 1/4",
+    "capacity --b 1 --eta 1",
+    "capacity --b 1 --rho 1/4 --grid 5",
+])
+def test_capacity_rejects_flags_it_would_ignore(capsys, argv):
+    status, out, err = run_cli(capsys, argv.split())
+    assert status == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_capacity_grid_defaults_to_19_points(capsys):
+    status, out, _ = run_cli(capsys, ["capacity", "--b", "1"])
+    assert status == 0
+    assert len(rows_by_statistic(out)["capacity"]) == 19
+
+
 def test_verify_gb_bounds_passes(capsys):
     status, out, _ = run_cli(capsys, ["verify", "gb-bounds", "--q-list", "2",
                                       "--n-max", "5"])
@@ -133,6 +152,9 @@ LARGE_COUNT_PROBES = [
     "volume --q 2 --m 64 --eta 64 --ell 1000 --r 100",
     "count-decomposable --q 2 --eta 64 --ell 1000 --w 100",
     "sample ball --q 2 --m 200 --eta 200 --ell 50 --r 100",
+    "count-decomposable --q 2 --eta 600 --ell 2 --w 1",
+    "count-decomposable --q 2 --eta 400 --ell 3 --w 50",
+    "count-decomposable --q 2 --eta 1000 --ell 2 --w 518",
 ]
 
 
@@ -786,6 +808,20 @@ def test_emit_empty_and_bad_format():
     assert emit([], "csv", path="/dev/null").strip() == ",".join(CSV_HEADER)
     with pytest.raises(ValueError):
         emit([make_record("v", "s", 1, {})], "yaml", path="/dev/null")
+
+
+def test_make_record_converts_a_count_to_decimal_once(monkeypatch):
+    calls = []
+    digits = cli._digits
+    monkeypatch.setattr(cli, "_digits", lambda n: calls.append(n) or digits(n))
+    count = 7 ** 6000  # past the int-to-str limit
+    rec = make_record("v", "s", count, {})
+    assert calls == [count]
+    assert rec["value"] == rec["exact"] == digits(count)
+    calls.clear()
+    rec = make_record("v", "s", 3, {}, exact=Fraction(3, 2 ** 20000))
+    assert calls == [3, 3, 2 ** 20000]
+    assert rec["exact"] == f"3/{digits(2 ** 20000)}"
 
 
 def test_rerun_byte_identical(capsys):

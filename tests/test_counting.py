@@ -4,6 +4,7 @@ Frozen values were computed by hand or by the brute-force enumerations in
 this file; the closed forms must reproduce them exactly.
 """
 
+import inspect
 import math
 import random
 from fractions import Fraction
@@ -65,6 +66,96 @@ def test_gaussian_binomial_rejects_bad_args():
         gaussian_binomial(3, 1, 1)
     # out-of-range k is zero by contract, not an error
     assert gaussian_binomial(3, -1, 2) == 0
+
+
+# -- the ratio recurrence against the quotient of products -----------------
+
+ORACLE_FIELDS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31)
+
+
+def quotient_gaussian_binomial(n, k, q):
+    """[n, k]_q as the quotient of q-factorial products."""
+    num = den = 1
+    for i in range(k):
+        num *= q ** (n - i) - 1
+        den *= q ** (i + 1) - 1
+    assert num % den == 0
+    return num // den
+
+
+def quotient_rank_count(m, eta, r, q):
+    """m x eta matrices of rank r as the quotient of products."""
+    num = den = 1
+    for j in range(r):
+        num *= (q ** m - q ** j) * (q ** eta - q ** j)
+        den *= q ** r - q ** j
+    assert num % den == 0
+    return num // den
+
+
+def row_mismatches(row):
+    """The (n, q) rows for n <= 15 and (m, eta, q) rank vectors for
+    m, eta <= 6 that row(n, k, q, eta=0) gets wrong, over every q <= 31."""
+    bad = []
+    for q in ORACLE_FIELDS:
+        for n in range(16):
+            want = [quotient_gaussian_binomial(n, k, q) for k in range(n + 1)]
+            if row(n, n, q) != want:
+                bad.append((n, q))
+        for m in range(1, 7):
+            for eta in range(1, 7):
+                want = [quotient_rank_count(m, eta, r, q)
+                        for r in range(min(m, eta) + 1)]
+                if row(m, min(m, eta), q, eta) != want:
+                    bad.append((m, eta, q))
+    return bad
+
+
+def test_row_matches_the_quotient_oracle():
+    assert row_mismatches(counting._binomial_row) == []
+    for q in ORACLE_FIELDS:
+        for n in range(16):
+            for k in range(n + 1):
+                assert gaussian_binomial(n, k, q) == \
+                    quotient_gaussian_binomial(n, k, q)
+        for m in range(1, 7):
+            for eta in range(1, 7):
+                assert counting.rank_count_vector(m, eta, q) == tuple(
+                    quotient_rank_count(m, eta, r, q)
+                    for r in range(min(m, eta) + 1))
+                assert counting.grassmannian_vector(eta, q) == tuple(
+                    quotient_gaussian_binomial(eta, k, q)
+                    for k in range(eta + 1))
+
+
+@pytest.mark.parametrize("line, mutant", [
+    ("top //= q", "pass"),
+    ("for _ in range(k):", "for _ in range(k - 1):"),
+    ("top, low = q ** n, q", "top, low = q ** (n + 1), q"),
+    ("top, low = q ** n, q", "top, low = q ** n, q * q"),
+    ("full, gone = q ** eta, 1", "full, gone = q ** eta, q"),
+])
+def test_row_mutants_fail_the_oracle(line, mutant):
+    source = inspect.getsource(counting._binomial_row)
+    assert source.count(line) == 1
+    namespace = dict(vars(counting))
+    exec(source.replace(line, mutant), namespace)
+    assert row_mismatches(namespace["_binomial_row"])
+
+
+class PowerlessInt(int):
+    """An int that refuses to be raised to a power."""
+
+    def __pow__(self, exponent):
+        raise AssertionError(f"q^{exponent} built")
+
+
+def test_a_row_without_steps_builds_no_power_of_q():
+    assert gaussian_binomial(10 ** 9, 10 ** 9, 2) == 1
+    q = PowerlessInt(2)
+    for k in (0, 10 ** 9):
+        assert gaussian_binomial(10 ** 9, k, q) == 1
+    assert counting._binomial_row(10 ** 9, 0, q, 10 ** 9) == [1]
 
 
 # -- rank counts -----------------------------------------------------------

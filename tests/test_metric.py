@@ -137,6 +137,20 @@ def test_tuple_code_round_trip(code):
                 assert vector_code(q, row) == matrix_code(q, (row,))
 
 
+def test_long_vector_code_equals_horner_from_any_iterable():
+    rng = random.Random(41)
+    for q in (2, 3, 16):
+        for length in (0, 1, 63, 64, 65, 128, 1000, 4099):
+            entries = [rng.randrange(q) for _ in range(length)]
+            code = 0
+            for v in entries:
+                code = code * q + v
+            assert vector_code(q, entries) == code
+            assert vector_code(q, tuple(entries)) == code
+            assert vector_code(q, map(int, entries)) == code
+            assert vector_code(q, iter(entries)) == code
+
+
 def test_tuple_code_range_checked():
     with pytest.raises(ValueError):
         tuple_from_code(P222, 2 ** 8)
