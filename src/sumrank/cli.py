@@ -44,9 +44,36 @@ def _sig12(x):
     return float(f"{float(x):.12g}")
 
 
+_DIRECT_BITS = 4096  # below this, Decimal(n) is the faster conversion
+
+
 def _digits(n):
-    """Decimal digits of an int or bool, past the int-to-str limit too."""
-    return str(decimal.Decimal(int(n)))
+    """Decimal digits of an int or bool, past the int-to-str limit too.
+
+    Int-to-decimal conversion is quadratic in CPython, so a wide int is
+    split by a power of two (a linear shift) and the halves recombined as
+    hi * 2^h + lo in decimal, whose multiply is subquadratic.
+    """
+    n = int(n)
+    if n.bit_length() <= _DIRECT_BITS:
+        return str(decimal.Decimal(n))
+    with decimal.localcontext() as ctx:
+        ctx.prec, ctx.Emax = decimal.MAX_PREC, decimal.MAX_EMAX
+        ctx.traps[decimal.Inexact] = True
+        return str(_split_to_decimal(n, {}))
+
+
+def _split_to_decimal(n, powers):
+    # Splits at the largest power of two h below the bit length, so every
+    # split at one depth shares its 2^h, built once into powers.
+    bits = n.bit_length()
+    if bits <= _DIRECT_BITS:
+        return decimal.Decimal(n)
+    h = 1 << ((bits - 1).bit_length() - 1)
+    if h not in powers:
+        powers[h] = decimal.Decimal(2) ** h
+    return (_split_to_decimal(n >> h, powers) * powers[h]
+            + _split_to_decimal(n & ((1 << h) - 1), powers))
 
 
 def _value_cell(v):

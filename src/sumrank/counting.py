@@ -317,8 +317,10 @@ def rank_count_vector(m, eta, q):
 @functools.lru_cache(maxsize=None)
 def grassmannian_vector(eta, q):
     """Per-block counts by dimension: gaussian_binomial(eta, k, q) for
-    k = 0..eta, from one priced row."""
-    return tuple(_binomial_row(eta, eta, q))
+    k = 0..eta, from one priced row to eta // 2 mirrored by
+    [eta, k] = [eta, eta - k]."""
+    row = _binomial_row(eta, eta // 2, q)
+    return (*row, *reversed(row[:(eta + 1) // 2]))
 
 
 def _power_bits(base, ell, deg):

@@ -7,9 +7,15 @@ grid equality of bases.  Enumeration walks pivot patterns; sampling is
 rejection on uniform full-rank matrices, which is exactly uniform on the
 Grassmannian because every subspace has the same number of spanning k x n
 matrices.
+
+A rank alone is read by forward elimination, with no reduced form built:
+over F_2 each row is packed into an int and reduced by XOR against the
+basis found so far.  The full-rank sampler takes its entries from one
+iterator over ``getrandbits`` words, which consumes exactly the words that
+one ``randrange(q)`` per entry would.
 """
 
-from itertools import combinations, product
+from itertools import combinations, islice, product, repeat
 
 from . import counting
 from .guards import require_within
@@ -63,7 +69,42 @@ def _rref(field, rows):
 
 
 def _rank_rows(field, rows):
-    return len(_rref(field, rows)[0])
+    """Rank of the rows, by forward elimination only."""
+    if field.q == 2:
+        # One entry per byte.  Each basis vector lacks the leading bits of
+        # those before it, so min(v, v ^ b) in order clears every lead
+        # from v for good: v ends nonzero exactly when the row is new.
+        basis = []
+        for row in rows:
+            v = int.from_bytes(bytes(row), "big")
+            for b in basis:
+                v = min(v, v ^ b)
+            if v:
+                basis.append(v)
+        return len(basis)
+    mat = list(rows)
+    nrows = len(mat)
+    ncols = len(mat[0]) if nrows else 0
+    add, mul, neg, inv = field._add, field._mul, field._neg, field._inv
+    rank = 0
+    for col in range(ncols):
+        for i in range(rank, nrows):
+            if mat[i][col]:
+                break
+        else:
+            continue
+        mat[rank], mat[i] = mat[i], mat[rank]
+        source = mat[rank]
+        minus_inv = neg[inv[source[col]]]
+        rank += 1
+        if rank == nrows:
+            break
+        for i in range(rank, nrows):
+            target = mat[i]
+            if target[col]:
+                mrow = mul[mul[target[col]][minus_inv]]
+                mat[i] = [add[x][mrow[y]] for x, y in zip(target, source)]
+    return rank
 
 
 def mat_mul(field, a_rows, b_rows):
@@ -132,6 +173,8 @@ class Subspace:
         vector = tuple(vector)
         if len(vector) != self.ambient:
             raise ValueError("vector length does not match ambient dimension")
+        for v in vector:
+            self.field.check(v)
         return _rank_rows(self.field, (*self.basis, vector)) == self.dim
 
     def intersect(self, other):
@@ -225,8 +268,11 @@ def sample_full_rank(field, nrows, ncols, rng):
     """
     target = min(nrows, ncols)
     q = field.q
+    # randrange(q) redraws getrandbits(q.bit_length()) while the word is at
+    # least q; islice pulls no word past the last entry it takes.
+    draws = filter(q.__gt__, map(rng.getrandbits, repeat(q.bit_length())))
     while True:
-        rows = [tuple(rng.randrange(q) for _ in range(ncols)) for _ in range(nrows)]
+        rows = [tuple(islice(draws, ncols)) for _ in range(nrows)]
         if _rank_rows(field, rows) == target:
             return rows
 
@@ -238,4 +284,4 @@ def sample_subspace(field, ambient, k, rng):
     if k == 0:
         return Subspace.zero(field, ambient)
     rows = sample_full_rank(field, k, ambient, rng)
-    return Subspace.span(field, ambient, rows)
+    return Subspace(field, ambient, tuple(_rref(field, rows)[0]))

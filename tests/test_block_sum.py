@@ -105,8 +105,9 @@ def test_decomposable_unranking_matches_flat_table(eta, ell, w, q):
 
 
 class FirstDraw:
-    """An rng whose first randrange returns a chosen offset; later draws
-    come from a seeded Random."""
+    """An rng whose first randrange returns a chosen offset; later draws,
+    and the getrandbits words that the full-rank sampler reads, come from a
+    seeded Random."""
 
     def __init__(self, u, seed):
         self.u = u
@@ -118,6 +119,9 @@ class FirstDraw:
         u, self.u = self.u, None
         assert 0 <= u < n
         return u
+
+    def getrandbits(self, k):
+        return self.rng.getrandbits(k)
 
 
 @pytest.mark.parametrize("q, m, eta, ell, radius", BALL_SHAPES[:3])

@@ -7,6 +7,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import signal
 import subprocess
 import sys
@@ -671,6 +672,18 @@ def test_list_size_past_the_coset_guard(capsys, shape, refused):
     ("experiment list-size --q 2 --m 1 --eta 1 --ell 4 --rho 1/4 --eps 1/8 "
      "--codes 3 --format json", 10,
      "83bb39ebf5f6c78e00b3a9278efade1e0a39d5053c11e68169c612792ca0917a"),
+    # the full-rank sampler at powers of two, where randrange redraws half
+    # its words, and at a large prime
+    ("sample rank-matrix --q 8 --m 3 --eta 4 --r 2 --count 5", 6,
+     "f33851f904450d07bd74582f55331ee43dcf81385db59c7ffb63e62243d6aeb8"),
+    ("sample rank-matrix --q 1021 --m 2 --eta 3 --r 2 --count 3", 4,
+     "e59548f5ef7824c24c88bc0ef77276ad38ace57fcd03dc0173bde99f2d8a2b28"),
+    ("sample subspace --q 16 --ambient 5 --dim 3 --count 3", 4,
+     "563cf125a431b6fc58a5094814bde9358944b98d864a53285a2ab8e8898f10bf"),
+    ("sample ball --q 2 --m 3 --eta 3 --ell 2 --r 3 --count 5", 6,
+     "3a425ef0a37953810ca7f2ed0464bde4a50d3b17bc6939dcc96a9fdba0eea54f"),
+    ("sample linear-code --q 4 --m 2 --eta 2 --ell 2 --rate 1/2 --count 2",
+     3, "0962defa9d03b354a0eff635f12bd4543c49f227d2bd87291ce50ef9a7938ae4"),
 ])
 def test_sample_and_experiment_output_pinned(capsys, argv, lines, digest):
     status, out, _ = run_cli(capsys, argv.split())
@@ -822,6 +835,20 @@ def test_make_record_converts_a_count_to_decimal_once(monkeypatch):
     rec = make_record("v", "s", 3, {}, exact=Fraction(3, 2 ** 20000))
     assert calls == [3, 3, 2 ** 20000]
     assert rec["exact"] == f"3/{digits(2 ** 20000)}"
+
+
+@pytest.mark.parametrize("bits", [0, 1, 64, 4095, 4096, 4097, 8192, 8193,
+                                  20000, 70001])
+def test_digits_match_str_on_both_sides_of_the_split(bits):
+    rng = random.Random(bits)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # str() itself past 4,300 digits
+    try:
+        for n in (rng.getrandbits(bits), 1 << bits, (1 << bits) - 1):
+            assert cli._digits(n) == str(n)
+            assert cli._digits(-n) == str(-n)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_rerun_byte_identical(capsys):

@@ -498,3 +498,11 @@ def test_space_params_derived_fields():
     assert params.b == Fraction(3, 2)
     with pytest.raises(ValueError):
         params_for(2, 0, 2, 1)
+
+
+def test_grassmannian_vector_mirrors_the_half_row():
+    # the row to eta // 2 and its mirror, at even, odd and zero eta
+    for q in (2, 3, 4, 7):
+        for eta in range(20):
+            assert counting.grassmannian_vector(eta, q) == tuple(
+                gaussian_binomial(eta, k, q) for k in range(eta + 1))

@@ -2,12 +2,14 @@
 
 import random
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
 
+from sumrank import linalg
 from sumrank.counting import gaussian_binomial
-from sumrank.galois import field_from_order
+from sumrank.galois import MAX_Q, field_from_order
 from sumrank.guards import GuardError
 from sumrank.linalg import (Subspace, _rank_rows, _rref, enumerate_subspaces,
                             mat_mul, sample_full_rank, sample_subspace,
@@ -94,6 +96,14 @@ def test_subspace_contains_exhaustive():
         assert s.contains(v) == (v in members)
 
 
+@pytest.mark.parametrize("field, entry", [(F2, 2), (F2, -1), (F3, 3)])
+def test_subspace_contains_rejects_entries_outside_the_field(field, entry):
+    # the packed F_2 rank would read an entry of 2 as a vector of its own
+    s = Subspace.span(field, 2, [(1, 0)])
+    with pytest.raises(ValueError):
+        s.contains((entry, 0))
+
+
 def test_subspace_vectors_enumerates_whole_space():
     s = Subspace.span(F2, 4, [(1, 0, 0, 0), (0, 1, 1, 0)])
     vs = list(s.vectors())
@@ -172,6 +182,94 @@ def test_sample_full_rank_always_full_rank():
         assert _rank_rows(F3, rows) == 2
     # tall shapes target the column count
     assert _rank_rows(F2, sample_full_rank(F2, 3, 2, rng)) == 2
+
+
+def is_prime_power(q):
+    p = next(d for d in range(2, q + 1) if q % d == 0)
+    while q % p == 0:
+        q //= p
+    return q == 1
+
+
+PRIME_POWERS = [q for q in range(2, MAX_Q + 1) if is_prime_power(q)]
+
+
+def rank_by_rref(field, rows):
+    return len(_rref(field, rows)[0])
+
+
+def randrange_full_rank(field, nrows, ncols, rng, rank):
+    # the sampler as one randrange(q) per entry, the draws it must keep
+    q = field.q
+    while True:
+        rows = [tuple(rng.randrange(q) for _ in range(ncols))
+                for _ in range(nrows)]
+        if rank(field, rows) == min(nrows, ncols):
+            return rows
+
+
+# (nrows, ncols): square, wide, tall, a row and the empty shapes
+DRAW_SHAPES = [(1, 1), (2, 2), (3, 3), (2, 5), (4, 2), (1, 6), (0, 3), (3, 0)]
+
+
+@pytest.mark.parametrize("q", PRIME_POWERS)
+def test_sample_full_rank_consumes_the_randrange_draws(monkeypatch, q):
+    # A stand-in rank that rejects about half the draws at every q, so the
+    # redraws are compared without building q x q tables.
+    def coin_rank(field, rows):
+        return min(len(rows), len(rows[0]) if rows else 0) - (
+            sum(map(sum, rows)) % 2)
+    monkeypatch.setattr(linalg, "_rank_rows", coin_rank)
+    field = SimpleNamespace(q=q)
+    for seed, (nrows, ncols) in enumerate(DRAW_SHAPES):
+        ours, ref = random.Random(seed), random.Random(seed)
+        for _ in range(3):
+            assert sample_full_rank(field, nrows, ncols, ours) == \
+                randrange_full_rank(field, nrows, ncols, ref, coin_rank)
+            assert ours.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 8, 16, 127, 1021])
+def test_sample_full_rank_keeps_its_draws_with_the_real_rank(q):
+    field = field_from_order(q)
+    for seed, (nrows, ncols) in enumerate(DRAW_SHAPES):
+        ours, ref = random.Random(seed), random.Random(seed)
+        for _ in range(5):
+            assert sample_full_rank(field, nrows, ncols, ours) == \
+                randrange_full_rank(field, nrows, ncols, ref, rank_by_rref)
+            assert ours.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("q", [q for q in PRIME_POWERS if q <= 64])
+def test_rank_matches_rref_on_every_small_matrix(q):
+    field = field_from_order(q)
+    for k in range(13):
+        for n in range(13):
+            if q ** (k * n) > 2 ** 12:
+                continue
+            for entries in product(range(q), repeat=k * n):
+                rows = [entries[i * n:(i + 1) * n] for i in range(k)]
+                assert _rank_rows(field, rows) == rank_by_rref(field, rows)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 13, 16, 27, 32, 49, 127,
+                               128, 256, 509, 512, 1021])
+def test_rank_matches_rref_on_seeded_matrices(q):
+    # At large q a uniform matrix is nearly always of full rank, so half the
+    # matrices get a row that is a combination of the others.
+    field = field_from_order(q)
+    rng = random.Random(q)
+    for _ in range(300):
+        k, n = rng.randint(1, 7), rng.randint(1, 7)
+        rows = [tuple(rng.randrange(q) for _ in range(n)) for _ in range(k)]
+        if k > 1 and rng.random() < 0.5:
+            combo = (0,) * n
+            for row in rows[1:]:
+                combo = vec_add(field, combo,
+                                vec_scale(field, rng.randrange(q), row))
+            rows[0] = combo
+            rng.shuffle(rows)
+        assert _rank_rows(field, rows) == rank_by_rref(field, rows)
 
 
 def test_sample_subspace_dims_and_membership():
