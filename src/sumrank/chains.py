@@ -20,11 +20,12 @@ a max-plus distance transform over the q-ary Hamming cube.
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
-from itertools import accumulate, compress, repeat
+from itertools import accumulate, compress, islice, repeat
 from operator import add, and_, eq, index, itemgetter, lshift, mul, or_, xor
 
 from .guards import require_within
 from .metric import vector_code, vector_from_code
+from .montecarlo import uniform_draws
 
 # Exhaustive shift search sweeps q^gamma shifts; cap here.
 MAX_SHIFTS = 2 ** 20
@@ -290,7 +291,7 @@ def best_shift_chain(instance, mode="exhaustive", trials=None, rng=None):
     elif mode == "random":
         if not trials or rng is None:
             raise ValueError("random mode needs trials and rng")
-        shift_codes = (rng.randrange(q ** gamma) for _ in range(trials))
+        shift_codes = islice(uniform_draws(q ** gamma, rng), trials)
     else:
         raise ValueError(f"unknown mode {mode!r}")
     require_search_within(q, gamma, instance.size, mode, trials)
@@ -427,7 +428,10 @@ def random_chain_instance(field, gamma, set_size, c, rng):
     total = field.q ** gamma
     if set_size > total:
         raise ValueError(f"set_size {set_size} exceeds space size {total}")
+    draws = uniform_draws(total, rng)
     chosen = set()
+    # Only the draws still missing: the set fills at the last of them at
+    # the earliest, so one randrange per draw would make each of them too.
     while len(chosen) < set_size:
-        chosen.add(rng.randrange(total))
+        chosen.update(islice(draws, set_size - len(chosen)))
     return ChainInstance(field, gamma, chosen, c)

@@ -317,15 +317,20 @@ def _run_capacity(args):
 
 def _volume_cases(fields, args):
     """Histogram brute force against the closed-form sphere volumes, every
-    configuration with q^(m eta ell) below the cap."""
+    configuration with q^(m eta ell) at most the cap.  Each loop stops at
+    its first value past the cap, as every larger one is past it too."""
     limit = 2 ** args.max_space_log
     for field in fields:
         q = field.q
         for m in range(1, args.max_space_log + 1):
+            if q ** m > limit:
+                break
             for eta in range(1, args.max_space_log + 1):
+                if q ** (m * eta) > limit:
+                    break
                 for ell in range(1, args.max_space_log + 1):
                     if q ** (m * eta * ell) > limit:
-                        continue
+                        break
                     params = SpaceParams(field=field, m=m, eta=eta, ell=ell)
                     hist = metric.weight_histogram(params)
                     yield _space_config(params), all(

@@ -21,3 +21,12 @@ def require_within(value, limit, what):
         raise GuardError(
             f"{what} {shown} exceeds the enumeration limit {limit}")
     return value
+
+
+def require_power_within(q, e, limit, what):
+    """require_within(q ** e, limit, what) for q >= 2, refusing before q ** e
+    is built once e >= limit.bit_length(), as then q^e >= 2^e > limit."""
+    if e >= limit.bit_length():
+        raise GuardError(
+            f"{what} = {q}^{e} exceeds the enumeration limit {limit}")
+    return require_within(q ** e, limit, what)

@@ -15,10 +15,11 @@ iterator over ``getrandbits`` words, which consumes exactly the words that
 one ``randrange(q)`` per entry would.
 """
 
-from itertools import combinations, islice, product, repeat
+from itertools import combinations, islice, product
 
 from . import counting
 from .guards import require_within
+from .montecarlo import uniform_draws
 
 # enumerate_subspaces refuses Grassmannians larger than this.
 MAX_GRASSMANNIAN = 10 ** 6
@@ -267,10 +268,7 @@ def sample_full_rank(field, nrows, ncols, rng):
     handful of tries suffice.
     """
     target = min(nrows, ncols)
-    q = field.q
-    # randrange(q) redraws getrandbits(q.bit_length()) while the word is at
-    # least q; islice pulls no word past the last entry it takes.
-    draws = filter(q.__gt__, map(rng.getrandbits, repeat(q.bit_length())))
+    draws = uniform_draws(field.q, rng)
     while True:
         rows = [tuple(islice(draws, ncols)) for _ in range(nrows)]
         if _rank_rows(field, rows) == target:

@@ -20,10 +20,13 @@ import operator
 
 from . import counting, linalg
 from .counting import ball_volume, sphere_volume
-from .guards import require_within
+from .guards import require_power_within, require_within
 
 # Hard cap on full-space enumeration, q^(m*eta*ell) points.
 MAX_ENUMERATION = 2 ** 16
+# Weight histogram: q^(m*eta) block ranks plus ell^2 (t + 1)^2 convolution
+# products, t = min(m, eta); cap here.
+MAX_HISTOGRAM_WORK = 2 ** 20
 
 
 class BlockTuple:
@@ -175,18 +178,30 @@ def rank_table(field, m, eta):
 
 
 def weight_histogram(params):
-    """Exact weight distribution by enumerating every point of the space.
+    """Exact weight distribution of the whole space: entry w counts the
+    points of weight w among all q^(m*eta*ell).
 
-    This is the brute-force oracle for the volume formulas: entry w counts
-    the points of weight w among all q^(m*eta*ell).  Guarded at
-    MAX_ENUMERATION points.
+    This is the brute-force oracle for the volume formulas.  Every block is
+    ranked by elimination (rank_table); a point's weight is the sum of its
+    ell independent block ranks, so the block rank histogram convolved ell
+    times counts the points by weight.  The plain convolution here shares
+    nothing with counting's recurrence.  Guarded at MAX_HISTOGRAM_WORK block
+    matrices plus ell^2 (t + 1)^2 products, t = min(m, eta).
     """
-    space = params.q ** params.total_dim
-    require_within(space, MAX_ENUMERATION, "space size")
+    full = params.block_rank_cap
+    blocks = require_power_within(params.q, params.m * params.eta,
+                                  MAX_HISTOGRAM_WORK, "block matrix count")
+    require_within(blocks + (params.ell * (full + 1)) ** 2,
+                   MAX_HISTOGRAM_WORK, "weight histogram work")
     table = rank_table(params.field, params.m, params.eta)
-    hist = [0] * (params.max_weight + 1)
-    for ranks in itertools.product(table, repeat=params.ell):
-        hist[sum(ranks)] += 1
+    block = [table.count(k) for k in range(full + 1)]
+    hist = [1]
+    for _ in range(params.ell):
+        out = [0] * (len(hist) + full)
+        for w, count in enumerate(hist):
+            for k, ranked in enumerate(block, w):
+                out[k] += count * ranked
+        hist = out
     return hist
 
 
@@ -222,7 +237,8 @@ def enumerate_ball(params, r):
     MAX_ENUMERATION points of space: a brute-force test oracle, called by
     no package code."""
     params.check_radius(r)
-    require_within(params.q ** params.total_dim, MAX_ENUMERATION, "space size")
+    require_power_within(params.q, params.total_dim, MAX_ENUMERATION,
+                         "space size")
     return [tuple_from_code(params, code) for code in iter_ball(params, r)]
 
 

@@ -13,6 +13,7 @@ import hashlib
 import math
 import random
 from dataclasses import dataclass
+from itertools import repeat
 
 # Master seed used by the command line harness unless --seed is given.
 DEFAULT_MASTER_SEED = 1729
@@ -44,6 +45,15 @@ class RandomStream(random.Random):
     @property
     def key(self):
         return self._key
+
+
+def uniform_draws(total, rng):
+    """Endless uniform draws from range(total), total >= 1, that take the
+    generator words rng.randrange(total) takes: randrange redraws
+    getrandbits(total.bit_length()) while the word is at least total.
+    Read it with islice, which pulls no word past the last draw it takes."""
+    return filter(total.__gt__,
+                  map(rng.getrandbits, repeat(total.bit_length())))
 
 
 def wilson_interval(successes, trials, z=_Z95):

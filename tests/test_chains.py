@@ -16,6 +16,7 @@ from sumrank.chains import (BoundReport, ChainInstance, best_shift_chain,
 from sumrank.galois import field_from_order
 from sumrank.guards import GuardError
 from sumrank.metric import matrix_code, vector_from_code
+from sumrank.montecarlo import RandomStream
 
 F2 = field_from_order(2)
 F3 = field_from_order(3)
@@ -306,6 +307,31 @@ def test_bound_attainment_random_instances():
                 assert isinstance(report, BoundReport)
 
 
+def randrange_codes(total, set_size, rng):
+    """The sorted codes of one randrange(total) per draw until set_size
+    distinct codes are drawn."""
+    chosen = set()
+    while len(chosen) < set_size:
+        chosen.add(rng.randrange(total))
+    return tuple(sorted(chosen))
+
+
+@pytest.mark.parametrize("stream", [random.Random, RandomStream],
+                         ids=lambda s: s.__name__)
+@pytest.mark.parametrize("q, gamma, size", [
+    (2, 8, 40), (3, 5, 60), (2, 8, 256), (3, 5, 243), (2, 8, 1), (3, 5, 1)])
+def test_random_instance_takes_the_randrange_draws(stream, q, gamma, size):
+    # One getrandbits iterator, topped up by islice, reads the words of the
+    # randrange loop; at q = 2 the total is a power of two, so about half
+    # the words are redrawn
+    field = field_from_order(q)
+    for seed in range(10):
+        rng, draws = stream(seed), stream(seed)
+        inst = random_chain_instance(field, gamma, size, 1, rng)
+        assert inst.codes == randrange_codes(q ** gamma, size, draws)
+        assert rng.getstate() == draws.getstate()
+
+
 def test_random_instance_properties():
     rng = random.Random(37)
     inst = random_chain_instance(F2, 6, 16, 2, rng)
@@ -398,6 +424,33 @@ def assert_best_shift_matches_reference(inst, seed, trials):
     assert (sampled.length, sampled.shift, sampled.chain) == \
         reference_best_shift(inst, (draws.randrange(total)
                                     for _ in range(trials)))
+
+
+@pytest.mark.parametrize("stream", [random.Random, RandomStream],
+                         ids=lambda s: s.__name__)
+def test_random_shifts_take_the_randrange_draws(stream):
+    # Random-mode shifts come from one getrandbits iterator: the shifts and
+    # the state the search leaves are the randrange loop's, whether it stops
+    # at gamma // c or runs out of trials
+    stopped = ran_out = 0
+    for q, gamma, size, c in ((2, 8, 40, 3), (3, 5, 6, 5), (2, 6, 10, 3)):
+        total = q ** gamma
+        for seed in range(12):
+            inst = random_chain_instance(field_from_order(q), gamma, size, c,
+                                         random.Random(seed))
+            rng, draws, full = stream(seed), stream(seed), stream(seed)
+            result = best_shift_chain(inst, mode="random", trials=12, rng=rng)
+            assert (result.length, result.shift, result.chain) == \
+                reference_best_shift(inst, (draws.randrange(total)
+                                            for _ in range(12)))
+            assert rng.getstate() == draws.getstate()
+            for _ in range(12):
+                full.randrange(total)
+            if full.getstate() == draws.getstate():
+                ran_out += 1
+            else:
+                stopped += 1
+    assert stopped and ran_out
 
 
 def reference_exact(items, gamma, c):

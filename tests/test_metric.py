@@ -1,16 +1,21 @@
 """Block tuples, weight and distance, enumeration, exact samplers."""
 
+import itertools
+import math
 import random
+import re
+import time
 
 import pytest
 from hypothesis import given, strategies as st
 
 from sumrank.counting import SpaceParams, ball_volume, sphere_volume
 from sumrank.galois import field_from_order
-from sumrank.guards import GuardError
+from sumrank.guards import GuardError, require_power_within, require_within
 from sumrank.linalg import _rank_rows
 from sumrank.metric import (BlockTuple, enumerate_ball, iter_all_tuples,
                             iter_ball, matrix_code, matrix_from_code,
+                            rank_table,
                             sample_ball_uniform, sample_uniform_matrix_of_rank,
                             sample_uniform_tuple, sum_rank_distance,
                             tuple_code, tuple_from_code, vector_code,
@@ -191,6 +196,28 @@ def test_enumeration_matches_volumes():
                             if x.weight() <= r]
 
 
+def product_histogram(params):
+    """Weight distribution by walking all q^(m*eta*ell) points as ell-tuples
+    of block ranks."""
+    table = rank_table(params.field, params.m, params.eta)
+    hist = [0] * (params.max_weight + 1)
+    for ranks in itertools.product(table, repeat=params.ell):
+        hist[sum(ranks)] += 1
+    return hist
+
+
+# Every shape that `verify volumes --max-space-log 12` sweeps at q = 2, 3, 4.
+SWEPT_SHAPES = [params_for(q, m, eta, ell) for q in (2, 3, 4)
+                for m in range(1, 13) for eta in range(1, 13)
+                for ell in range(1, 13) if q ** (m * eta * ell) <= 2 ** 12]
+
+
+def test_weight_histogram_is_the_walk_over_every_point():
+    assert len(SWEPT_SHAPES) == 74 + 28 + 25
+    for params in SWEPT_SHAPES:
+        assert weight_histogram(params) == product_histogram(params)
+
+
 def test_weight_histogram_matches_volumes():
     params = params_for(2, 2, 3, 2)
     hist = weight_histogram(params)
@@ -199,8 +226,49 @@ def test_weight_histogram_matches_volumes():
 
 
 def test_weight_histogram_guard():
-    with pytest.raises(GuardError):
-        weight_histogram(params_for(2, 3, 3, 2))
+    # 2^18 points, past MAX_ENUMERATION, but only 2^9 block matrices ranked
+    params = params_for(2, 3, 3, 2)
+    assert weight_histogram(params) == [
+        sphere_volume(params, r) for r in range(params.max_weight + 1)]
+    # 2 block matrices plus (511 * 2)^2 products is inside 2^20; the points
+    # of weight w are those with w nonzero entries
+    assert weight_histogram(params_for(2, 1, 1, 511)) == [
+        math.comb(511, w) for w in range(512)]
+    for shape, refused in [
+            # past the cap by the exponent alone
+            ((2, 3, 7, 1), "block matrix count = 2^21 exceeds"),
+            ((3, 1, 13, 1), "block matrix count = 1594323 exceeds"),
+            # 2 + 1024^2
+            ((2, 1, 1, 512), "weight histogram work = 1048578 exceeds"),
+            # 2^18 + 888^2, each part inside the cap
+            ((2, 3, 6, 222), "weight histogram work = 1050688 exceeds")]:
+        with pytest.raises(GuardError, match=re.escape(refused)):
+            weight_histogram(params_for(*shape))
+
+
+def test_guards_refuse_huge_powers_before_building_them():
+    started = time.monotonic()
+    with pytest.raises(GuardError, match=r"block matrix count = 3\^1000000 "):
+        weight_histogram(params_for(3, 1000, 1000, 1))
+    with pytest.raises(GuardError, match=r"space size = 3\^1000000000 "):
+        enumerate_ball(params_for(3, 1000, 1000, 1000), 1)
+    assert time.monotonic() - started < 1.0
+
+
+def test_require_power_within_matches_require_within():
+    for q in (2, 3, 4, 7):
+        for e in range(0, 20):
+            try:
+                want = require_within(q ** e, 2 ** 16, "x")
+            except GuardError as exc:
+                with pytest.raises(GuardError) as got:
+                    require_power_within(q, e, 2 ** 16, "x")
+                # past 2^16 by the bit length alone, or by the value
+                assert str(got.value) in (
+                    str(exc), f"x = {q}^{e} exceeds the enumeration limit "
+                              f"{2 ** 16}")
+            else:
+                assert require_power_within(q, e, 2 ** 16, "x") == want
 
 
 def test_rank_matrix_sampler_rank_exact():
