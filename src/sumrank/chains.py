@@ -23,7 +23,7 @@ from functools import cached_property, lru_cache, partial
 from itertools import accumulate, compress, islice, repeat
 from operator import add, and_, eq, index, itemgetter, lshift, mul, or_, xor
 
-from .guards import require_within
+from .guards import require_power_within, require_within
 from .metric import vector_code, vector_from_code
 from .montecarlo import uniform_draws
 
@@ -188,7 +188,8 @@ def _heaviest(instance):
     if field.p != 2:  # negate k digits at a time
         k, sums, _ = _chunk_tables(field)
         base = q ** k
-        negate = [row.index(0) for row in sums]
+        # one digit is the field's own negation; wider chunks are bytes rows
+        negate = field._neg if k == 1 else [row.index(0) for row in sums]
         cut = partial(vector_from_code, base, -(-gamma // k))
         seeds = [vector_code(base, map(negate.__getitem__, cut(x)))
                  for x in seeds]
@@ -247,7 +248,7 @@ def require_search_within(q, gamma, set_size, mode, trials):
     ceil(gamma / k) chunks and maps every chunk over A, each step on numbers
     of up to gamma digits, and it keeps as many powers of q^k."""
     if mode == "exhaustive":
-        require_within(q ** gamma, MAX_SHIFTS, "shift count")
+        require_power_within(q, gamma, MAX_SHIFTS, "shift count")
     else:
         require_within(set_size * (trials + 1) * gamma ** 2,
                        MAX_RANDOM_DIGIT_STEPS, "random search digit steps")
@@ -405,8 +406,7 @@ def bound_attainment_report(instance, mode="exhaustive", trials=None, rng=None):
     if greedy.length >= target:
         return BoundReport(bound, target, greedy.length, True, False, None,
                            greedy.shift, greedy.chain)
-    total = q ** gamma
-    require_within(total, MAX_SHIFTS, "shift count")
+    total = require_power_within(q, gamma, MAX_SHIFTS, "shift count")
     best_shift, best = None, ()
     for shift_code in range(total):
         shift = vector_from_code(q, gamma, shift_code)

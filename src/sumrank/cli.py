@@ -37,6 +37,10 @@ CSV_HEADER = ["verb", "statistic", "trial", "value", "exact", "ci_low",
 
 _OUT_DIR_ENV = "SUMRANK_OUT_DIR"
 
+# Keys sorted, no spaces; built once, as json.dumps builds an encoder on
+# every call that passes options.
+_compact = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
 
 # -- record construction ---------------------------------------------------
 
@@ -130,12 +134,12 @@ def emit(records, fmt, path=None):
             for col in CSV_HEADER:
                 v = rec[col]
                 if col == "config":
-                    v = json.dumps(v, sort_keys=True, separators=(",", ":"))
+                    v = _compact(v)
                 row.append("" if v is None else v)
             writer.writerow(row)
     elif fmt == "json":
         for rec in records:
-            buf.write(json.dumps(rec, sort_keys=True, separators=(",", ":")))
+            buf.write(_compact(rec))
             buf.write("\n")
     else:
         raise ValueError(f"unknown format {fmt!r}")
@@ -315,27 +319,37 @@ def _run_capacity(args):
 
 # -- verb: verify ----------------------------------------------------------
 
-def _volume_cases(fields, args):
-    """Histogram brute force against the closed-form sphere volumes, every
-    configuration with q^(m eta ell) at most the cap.  Each loop stops at
-    its first value past the cap, as every larger one is past it too."""
-    limit = 2 ** args.max_space_log
+def _volume_shapes(fields, space_log):
+    """Every shape with q^(m eta ell) at most 2^space_log, each priced by
+    the histogram guard as it is reached.  Each loop stops at its first
+    value past the cap, as every larger one is past it too."""
+    def fits(q, n):  # q^n <= 2^space_log, never building 2^space_log
+        return n <= space_log and (q ** n - 1).bit_length() <= space_log
     for field in fields:
         q = field.q
-        for m in range(1, args.max_space_log + 1):
-            if q ** m > limit:
+        for m in range(1, space_log + 1):
+            if not fits(q, m):
                 break
-            for eta in range(1, args.max_space_log + 1):
-                if q ** (m * eta) > limit:
+            for eta in range(1, space_log + 1):
+                if not fits(q, m * eta):
                     break
-                for ell in range(1, args.max_space_log + 1):
-                    if q ** (m * eta * ell) > limit:
+                for ell in range(1, space_log + 1):
+                    if not fits(q, m * eta * ell):
                         break
                     params = SpaceParams(field=field, m=m, eta=eta, ell=ell)
-                    hist = metric.weight_histogram(params)
-                    yield _space_config(params), all(
-                        hist[r] == counting.sphere_volume(params, r)
-                        for r in range(params.max_weight + 1))
+                    metric.require_histogram_within(params)
+                    yield params
+
+
+def _volume_cases(fields, args):
+    """Histogram brute force against the closed-form sphere volumes.  The
+    whole sweep is priced before its first histogram, so a refused shape
+    stops it at once."""
+    for params in list(_volume_shapes(fields, args.max_space_log)):
+        hist = metric.weight_histogram(params)
+        yield _space_config(params), all(
+            hist[r] == counting.sphere_volume(params, r)
+            for r in range(params.max_weight + 1))
 
 
 def _gb_bound_cases(fields, args):
@@ -397,10 +411,6 @@ def _run_verify(args):
 
 
 # -- verbs: sample and experiment ------------------------------------------
-
-def _compact(obj):
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
 
 def _vectors(text):
     """Rows of ints like 1,0;0,1;1,1; an empty row is skipped."""

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from . import linalg, metric
 from .counting import ball_volume, _as_fraction
-from .guards import require_within
+from .guards import require_power_within, require_within
 from .metric import BlockTuple, sum_rank_distance, tuple_code, zero_tuple
 from .montecarlo import EstimateResult
 
@@ -141,8 +141,8 @@ def sample_general_code(params, rate, rng):
     Guarded: sweeps the whole space, q^mn points.
     """
     k = _dimension_from_rate(params, rate)
-    space = params.q ** params.total_dim
-    require_within(space, MAX_CODE_SPACE, "code space size")
+    space = require_power_within(params.q, params.total_dim, MAX_CODE_SPACE,
+                                 "code space size")
     denom = params.q ** (params.total_dim - k)
     words = []
     for code in range(space):
@@ -167,8 +167,8 @@ def _occupancy_by_center(code, radius):
     list size zero and are omitted.
     """
     params = code.params
-    space = params.q ** params.total_dim
-    require_within(space, MAX_CODE_SPACE, "code space size")
+    space = require_power_within(params.q, params.total_dim, MAX_CODE_SPACE,
+                                 "code space size")
     words = code.codewords()
     counts = {}
     for offset in metric.iter_ball(params, radius):
@@ -192,8 +192,8 @@ def _coset_histogram(code, radius):
     """
     params = code.params
     q, n = params.q, params.total_dim
-    blocks = require_within(q ** (params.m * params.eta), MAX_CODE_SPACE,
-                            "block matrix count")
+    blocks = require_power_within(q, params.m * params.eta, MAX_CODE_SPACE,
+                                  "block matrix count")
     ball = require_within(ball_volume(params, radius), MAX_CODE_SPACE,
                           "ball volume")
     require_within(blocks + ball * (1 + code.dimension), MAX_COSET_STEPS,
@@ -256,8 +256,8 @@ def expected_ball_occupancy(code, radius):
     codeword pair, so agreement is a real check and not an algebraic echo.
     """
     params = code.params
-    space = params.q ** params.total_dim
-    require_within(space, MAX_CODE_SPACE, "code space size")
+    space = require_power_within(params.q, params.total_dim, MAX_CODE_SPACE,
+                                 "code space size")
     closed = Fraction(code.size * ball_volume(params, radius), space)
     words = code.codewords()
     hits = 0
@@ -296,7 +296,8 @@ def span_ball_count(points, radius):
         if x.params != params:
             raise ValueError("points live in different spaces")
     gamma = len(points)
-    require_within(params.q ** gamma, MAX_CODE_SPACE, "span combination count")
+    require_power_within(params.q, gamma, MAX_CODE_SPACE,
+                         "span combination count")
     seen = set()
     hits = 0
     for combo in _span(params, points):

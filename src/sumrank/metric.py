@@ -177,6 +177,16 @@ def rank_table(field, m, eta):
                  for code in range(q ** (m * eta)))
 
 
+def require_histogram_within(params):
+    """Raise GuardError unless weight_histogram(params) is within
+    MAX_HISTOGRAM_WORK: q^(m*eta) block matrices plus ell^2 (t + 1)^2
+    products, t = min(m, eta).  Arithmetic only."""
+    blocks = require_power_within(params.q, params.m * params.eta,
+                                  MAX_HISTOGRAM_WORK, "block matrix count")
+    require_within(blocks + (params.ell * (params.block_rank_cap + 1)) ** 2,
+                   MAX_HISTOGRAM_WORK, "weight histogram work")
+
+
 def weight_histogram(params):
     """Exact weight distribution of the whole space: entry w counts the
     points of weight w among all q^(m*eta*ell).
@@ -185,14 +195,11 @@ def weight_histogram(params):
     ranked by elimination (rank_table); a point's weight is the sum of its
     ell independent block ranks, so the block rank histogram convolved ell
     times counts the points by weight.  The plain convolution here shares
-    nothing with counting's recurrence.  Guarded at MAX_HISTOGRAM_WORK block
-    matrices plus ell^2 (t + 1)^2 products, t = min(m, eta).
+    nothing with counting's recurrence.  Guarded by
+    require_histogram_within.
     """
+    require_histogram_within(params)
     full = params.block_rank_cap
-    blocks = require_power_within(params.q, params.m * params.eta,
-                                  MAX_HISTOGRAM_WORK, "block matrix count")
-    require_within(blocks + (params.ell * (full + 1)) ** 2,
-                   MAX_HISTOGRAM_WORK, "weight histogram work")
     table = rank_table(params.field, params.m, params.eta)
     block = [table.count(k) for k in range(full + 1)]
     hist = [1]

@@ -116,6 +116,25 @@ def test_verify_volumes_small(capsys):
     assert all(rec["value"] == "1" for rec in table["volumes_pass"])
 
 
+@pytest.mark.parametrize("space_log, work", [
+    # the first refused shapes: (1, 1, 512) by its convolution products,
+    # (1, 20, 1) by its 2^20 block matrices plus 4 products
+    ("1000000", 1048578),
+    ("20", 1048580),
+])
+def test_verify_volumes_prices_the_sweep_before_any_histogram(
+        capsys, monkeypatch, space_log, work):
+    built = []
+    monkeypatch.setattr(cli.metric, "weight_histogram", built.append)
+    start = time.perf_counter()
+    status, out, err = run_cli(capsys, ["verify", "volumes", "--q-list", "2",
+                                        "--max-space-log", space_log])
+    assert time.perf_counter() - start < 1.0
+    assert (status, out, built) == (3, "", [])
+    assert err == (f"guard violation: weight histogram work = {work} "
+                   f"exceeds the enumeration limit 1048576\n")
+
+
 def test_verify_all_output_pinned(capsys):
     status, out, _ = run_cli(capsys, ["verify", "all"])
     assert status == 0
@@ -211,12 +230,13 @@ def test_exhaustive_shift_guard_fires_before_the_draw(capsys):
     assert time.perf_counter() - start < 1.0
     assert status == 3
     assert out == ""
-    assert err == ("guard violation: shift count = 1099511627776 exceeds "
+    assert err == ("guard violation: shift count = 2^40 exceeds "
                    "the enumeration limit 1048576\n")
 
 
 def test_guard_on_a_count_past_the_str_digit_limit(capsys):
-    # 3^10000 has 4,772 digits, past the interpreter's int-to-str limit
+    # 3^10000 has 4,772 digits, past the interpreter's int-to-str limit;
+    # the guard names the power and never builds it
     start = time.perf_counter()
     status, out, err = run_cli(capsys, [
         "chain", "--q", "3", "--gamma", "10000", "--set-size", "3",
@@ -224,8 +244,34 @@ def test_guard_on_a_count_past_the_str_digit_limit(capsys):
     assert time.perf_counter() - start < 1.0
     assert status == 3
     assert out == ""
-    assert err == ("guard violation: shift count ~ 10^4771.2 exceeds the "
+    assert err == ("guard violation: shift count = 3^10000 exceeds the "
                    "enumeration limit 1048576\n")
+
+
+def test_shift_guard_refuses_a_huge_exponent_before_the_power(capsys):
+    # 1021^(10^8) has about 10^9 bits: refused by its exponent, never built
+    start = time.perf_counter()
+    status, out, err = run_cli(capsys, [
+        "chain", "--q", "1021", "--gamma", "100000000", "--set-size", "3",
+        "--instances", "1"])
+    assert time.perf_counter() - start < 1.0
+    assert status == 3
+    assert out == ""
+    assert err == ("guard violation: shift count = 1021^100000000 exceeds "
+                   "the enumeration limit 1048576\n")
+
+
+def test_general_code_guard_refuses_a_huge_exponent_before_the_power(capsys):
+    # a space of 5^(5 * 10^8) points: refused by its exponent, never built
+    start = time.perf_counter()
+    status, out, err = run_cli(capsys, [
+        "sample", "general-code", "--q", "5", "--m", "5", "--eta", "100000",
+        "--ell", "1000", "--rate", "1"])
+    assert time.perf_counter() - start < 1.0
+    assert status == 3
+    assert out == ""
+    assert err == ("guard violation: code space size = 5^500000000 exceeds "
+                   "the enumeration limit 1048576\n")
 
 
 def test_count_past_the_str_digit_limit_is_written_in_full(capsys):

@@ -1,6 +1,8 @@
 """Field arithmetic: axioms exhaustively on small orders, frozen oracles."""
 
 import random
+import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import given, strategies as st
@@ -180,7 +182,32 @@ def test_builtin_moduli_are_used():
                                125, 127, 243, 256])
 def test_tables_match_reference_build(q):
     f = field_from_order(q)
-    assert (f._add, f._mul, f._neg, f._inv) == reference_tables(f)
+    assert (tuple(map(tuple, f._add)), tuple(map(tuple, f._mul)), f._neg,
+            f._inv) == reference_tables(f)
+
+
+@pytest.mark.parametrize("q, kind", [(2, bytes), (256, bytes), (257, array),
+                                     (1021, array)])
+def test_table_rows_are_bytes_up_to_256_and_uint16_above(q, kind):
+    f = FieldSpec(q)  # not field_from_order: keep no field alive
+    for table in (f._add, f._mul):
+        assert type(table) is tuple and len(table) == q
+        assert {type(row) for row in table} == {kind}
+        assert {len(row) for row in table} == {q}
+        if kind is array:
+            assert {row.typecode for row in table} == {"H"}
+    assert type(f._neg) is tuple and type(f._inv) is tuple
+
+
+def test_largest_prime_field_peaks_under_5_mb():
+    # two tables of 16-bit rows hold 4.3 MB; the build adds one row's gather
+    tracemalloc.start()
+    try:
+        FieldSpec(1021)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * 10 ** 6
 
 
 def test_every_order_up_to_the_cap_builds():
