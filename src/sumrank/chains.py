@@ -188,8 +188,7 @@ def _heaviest(instance):
     if field.p != 2:  # negate k digits at a time
         k, sums, _ = _chunk_tables(field)
         base = q ** k
-        # one digit is the field's own negation; wider chunks are bytes rows
-        negate = field._neg if k == 1 else [row.index(0) for row in sums]
+        negate = [row.index(0) for row in sums]
         cut = partial(vector_from_code, base, -(-gamma // k))
         seeds = [vector_code(base, map(negate.__getitem__, cut(x)))
                  for x in seeds]
