@@ -11,7 +11,7 @@ search over cover states backs the harness when greedy misses a target.
 An instance is the sorted base-q codes of A; a vector given by its
 entries, a shift too, enters through the checked `encode`.  Each search
 reads one integer sweep: a shift w gives the masks and codes of A + w by
-C-level maps, XOR at q = 2 and fixed-size chunk addition tables otherwise.
+C-level maps, XOR at q = 2 and metric's chunk addition tables otherwise.
 The exhaustive shift search sweeps only the shifts it runs greedy on; it
 bounds the others from one table of the heaviest weight in A + w per shift,
 a max-plus distance transform over the q-ary Hamming cube.
@@ -19,21 +19,18 @@ a max-plus distance transform over the q-ary Hamming cube.
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, partial
 from itertools import accumulate, compress, islice, repeat
 from operator import add, and_, eq, index, itemgetter, lshift, mul, or_, xor
 
 from .guards import require_power_within, require_within
-from .metric import vector_code, vector_from_code
+from .metric import _chunk_tables, vector_code, vector_from_code
 from .montecarlo import uniform_draws
 
 # Exhaustive shift search sweeps q^gamma shifts; cap here.
 MAX_SHIFTS = 2 ** 20
 # Random shift search: set size x (trials + 1) x gamma^2 digit steps; cap here.
 MAX_RANDOM_DIGIT_STEPS = 2 ** 30
-# The shift sweep adds k-digit chunks through a q^k x q^k table, with q^k at
-# most this whatever gamma is (or k = 1).
-CHUNK_CODES = 256
 # The heaviest-weight table is built in ints of at most this many byte lanes
 # (or q), so that its temporaries stay small beside the table.
 TABLE_BLOCK = 4096
@@ -124,22 +121,6 @@ class ChainInstance:
                                  map(supports.__getitem__, low)))
             return masks, vals
         return shifted
-
-
-@lru_cache(maxsize=None)
-def _chunk_tables(field):
-    """(k, sums, supports) for chunks of k digits, q^k <= CHUNK_CODES or
-    k = 1: sums[a][b] is the code of the digit-wise sum of codes a and b,
-    supports[a] the support mask of code a, first digit in the top bit.
-    Above one digit every entry is below 256, so rows are stored as bytes."""
-    q = field.q
-    k, sums, supports = 1, field._add, (0,) + (1,) * (q - 1)
-    while q ** (k + 1) <= CHUNK_CODES:  # append one low digit
-        sums = tuple(bytes(s * q + d for s in row for d in low)
-                     for row in sums for low in field._add)
-        supports = bytes(m << 1 | (d > 0) for m in supports for d in range(q))
-        k += 1
-    return k, sums, supports
 
 
 def _greedy(masks, vals, c):

@@ -554,6 +554,8 @@ def _list_size_records(params, args, stream, cfg):
                          f"at n = {params.total_dim}; lower rho or eps")
     rate_used = Fraction(k, params.total_dim)
     radius = codes.radius_for(params, args.rho)
+    if args.codes:  # fail before drawing a code the guard refuses
+        codes.require_coset_histogram_within(params, radius, k)
     cfg.update(rate=str(rate_used), radius=radius)
     records = [
         make_record("experiment", "dimension", k, cfg, seed=seed),

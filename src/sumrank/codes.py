@@ -9,8 +9,10 @@ probability a rational with power-of-q denominator.
 """
 
 import collections
+import functools
 import math
 from fractions import Fraction
+from itertools import repeat
 
 from . import linalg, metric
 from .counting import ball_volume, _as_fraction
@@ -49,12 +51,13 @@ def _dimension_from_rate(params, rate):
 
 
 def _span(params, points):
-    """Every combination sum_i c_i x_i over c in F_q^len(points), repeats
-    included: the first point's coefficient varies fastest."""
-    combos = [zero_tuple(params)]
+    """Codes of every combination sum_i c_i x_i over c in F_q^len(points),
+    repeats included: the first point's coefficient varies fastest."""
+    add = metric.code_adder(params.field, params.total_dim)
+    combos = [0]
     for x in points:
-        scaled = [x.scale(c) for c in range(1, params.q)]
-        combos = combos + [c.add(s) for s in scaled for c in combos]
+        scaled = [tuple_code(x.scale(c)) for c in range(1, params.q)]
+        combos += [add(c, s) for s in scaled for c in combos]
     return combos
 
 
@@ -115,9 +118,8 @@ class Code:
         if not self.is_linear:
             return list(self.words)
         require_within(self.size, MAX_CODEWORDS, "codeword count")
-        words = _span(self.params, self.basis)
-        assert len(words) == self.size
-        return words
+        return [metric.tuple_from_code(self.params, x)
+                for x in _span(self.params, self.basis)]
 
     def to_json(self):
         if self.is_linear:
@@ -167,64 +169,54 @@ def _occupancy_by_center(code, radius):
     list size zero and are omitted.
     """
     params = code.params
-    space = require_power_within(params.q, params.total_dim, MAX_CODE_SPACE,
-                                 "code space size")
-    words = code.codewords()
-    counts = {}
+    require_power_within(params.q, params.total_dim, MAX_CODE_SPACE,
+                         "code space size")
+    add = metric.code_adder(params.field, params.total_dim)
+    words = list(map(tuple_code, code.codewords()))
+    counts = collections.Counter()
     for offset in metric.iter_ball(params, radius):
-        offset = metric.tuple_from_code(params, offset)
-        for w in words:
-            center = w.add(offset)
-            key = tuple_code(center)
-            counts[key] = counts.get(key, 0) + 1
+        counts.update(map(add, words, repeat(offset)))
     return counts
+
+
+def require_coset_histogram_within(params, radius, dimension):
+    """Raise GuardError unless a dimension-k linear code's coset histogram
+    is within its caps: q^(m*eta) block ranks and the ball points (one class
+    each at most) at MAX_CODE_SPACE apiece, and block ranks plus ball points
+    times 1 + k (walked, then reduced against k rows) at MAX_COSET_STEPS."""
+    blocks = require_power_within(params.q, params.m * params.eta,
+                                  MAX_CODE_SPACE, "block matrix count")
+    ball = require_within(ball_volume(params, radius), MAX_CODE_SPACE,
+                          "ball volume")
+    require_within(blocks + ball * (1 + dimension), MAX_COSET_STEPS,
+                   "coset reduction steps")
 
 
 def _coset_histogram(code, radius):
     """Map reduced code -> number of ball points in its coset, for a linear
     code: every center of a coset has that many codewords within radius.
 
-    Each ball point is reduced against the RREF basis, which zeroes it at
-    every pivot; that leaves the smallest code of its coset.  Guarded: the
-    q^(m*eta) block ranks and the ball points (one class each at most) at
-    MAX_CODE_SPACE apiece, and block ranks plus ball points times 1 + k
-    (walked, then reduced against k rows) at MAX_COSET_STEPS.
+    Each ball point is reduced against the RREF basis: at each pivot in
+    turn, read its digit c and add -c times the pivot's row, which zeroes
+    that digit.  That leaves the smallest code of its coset.  Guarded by
+    require_coset_histogram_within.
     """
     params = code.params
-    q, n = params.q, params.total_dim
-    blocks = require_power_within(q, params.m * params.eta, MAX_CODE_SPACE,
-                                  "block matrix count")
-    ball = require_within(ball_volume(params, radius), MAX_CODE_SPACE,
-                          "ball volume")
-    require_within(blocks + ball * (1 + code.dimension), MAX_COSET_STEPS,
-                   "coset reduction steps")
-    rows, pivots = linalg._rref(params.field,
-                                [x.to_vector() for x in code.basis])
-    points = metric.iter_ball(params, radius)
-    if q == 2:
-        reducers = [(1 << n - 1 - p, metric.vector_code(2, row))
-                    for p, row in zip(pivots, rows)]
-
-        def reduce(x):
-            for bit, row in reducers:
-                if x & bit:
-                    x ^= row
-            return x
-    else:
-        add, neg, mul = (params.field._add, params.field._neg,
-                         params.field._mul)
-        # each pivot with the entries of -c * its row, by c
-        reducers = [(p, [[neg[mul[c][v]] for v in row] for c in range(q)])
-                    for p, row in zip(pivots, rows)]
-
-        def reduce(x):
-            v = metric.vector_from_code(q, n, x)
-            for p, minus in reducers:
-                c = v[p]
-                if c:
-                    v = [add[a][b] for a, b in zip(v, minus[c])]
-            return metric.vector_code(q, v)
-    return collections.Counter(map(reduce, points))
+    field, q, n = params.field, params.q, params.total_dim
+    require_coset_histogram_within(params, radius, code.dimension)
+    rows, pivots = linalg._rref(field, [x.to_vector() for x in code.basis])
+    add, neg, mul = metric.code_adder(field, n), field._neg, field._mul
+    points = list(metric.iter_ball(params, radius))
+    for p, row in zip(pivots, rows):
+        minus = [0]  # codes of -c * row by c, by Horner: no list per c
+        for c in range(1, q):
+            scale, code = mul[neg[c]], 0
+            for v in row:
+                code = code * q + scale[v]
+            minus.append(code)
+        place = q ** (n - 1 - p)
+        points = [add(x, minus[x // place % q]) for x in points]
+    return collections.Counter(points)
 
 
 def max_list_size(code, radius):
@@ -240,10 +232,9 @@ def max_list_size(code, radius):
     params.check_radius(radius)
     counts = (_coset_histogram if code.is_linear
               else _occupancy_by_center)(code, radius)
-    if not counts:
-        return 0, zero_tuple(params)
-    best = max(counts.values())
-    witness = min(key for key, value in counts.items() if value == best)
+    best = max(counts.values(), default=0)
+    witness = min((key for key, value in counts.items() if value == best),
+                  default=0)  # the zero center when no center is hit
     return best, metric.tuple_from_code(params, witness)
 
 
@@ -252,19 +243,24 @@ def expected_ball_occupancy(code, radius):
     uniform centers X.
 
     Closed form: |C| * ball_volume / q^mn.  The exhaustive side recomputes
-    the average from scratch, one distance at a time over every center and
-    codeword pair, so agreement is a real check and not an algebraic echo.
+    the average from scratch, one sum w + x per codeword w and center x (x
+    and -x range over the same space), its weight read off the block ranks
+    that rank_table found by elimination, so agreement is a real check and
+    not an algebraic echo.
     """
     params = code.params
     space = require_power_within(params.q, params.total_dim, MAX_CODE_SPACE,
                                  "code space size")
     closed = Fraction(code.size * ball_volume(params, radius), space)
-    words = code.codewords()
-    hits = 0
-    for center in metric.iter_all_tuples(params):
-        for w in words:
-            if sum_rank_distance(w, center) <= radius:
-                hits += 1
+    ranks = metric.rank_table(params.field, params.m, params.eta)
+    weights = ranks  # of every point, by code: its block ranks summed
+    for _ in range(params.ell - 1):
+        weights = bytes(a + b for a in ranks for b in weights)
+    inside = weights.translate(bytes(w <= radius for w in range(256)))
+    add = metric.code_adder(params.field, params.total_dim)
+    words = list(map(tuple_code, code.codewords()))
+    hits = sum(inside[add(w, center)]
+               for center in range(space) for w in words)
     return closed, Fraction(hits, space)
 
 
@@ -274,14 +270,14 @@ def correlation_estimate(params, rho, trials, stream, center=None):
     """Estimate Pr[X1 + X2 in B(center, radius)] for independent uniform
     ball draws X1, X2 at radius floor(rho * n); center defaults to zero."""
     radius = radius_for(params, rho)
-    if center is None:
-        center = zero_tuple(params)
     successes = 0
     for i in range(trials):
         rng = stream.child(i)
         x1 = metric.sample_ball_uniform(params, radius, rng)
         x2 = metric.sample_ball_uniform(params, radius, rng)
-        if sum_rank_distance(x1.add(x2), center) <= radius:
+        total = x1.add(x2)
+        if (total.weight() if center is None
+                else sum_rank_distance(total, center)) <= radius:
             successes += 1
     return EstimateResult.from_counts(successes, trials)
 
@@ -298,15 +294,8 @@ def span_ball_count(points, radius):
     gamma = len(points)
     require_power_within(params.q, gamma, MAX_CODE_SPACE,
                          "span combination count")
-    seen = set()
-    hits = 0
-    for combo in _span(params, points):
-        key = tuple_code(combo)
-        if key not in seen:
-            seen.add(key)
-            if combo.weight() <= radius:
-                hits += 1
-    return hits
+    return sum(1 for x in set(_span(params, points))
+               if metric.tuple_from_code(params, x).weight() <= radius)
 
 
 def limited_correlation_estimate(params, rho, gamma, bound_factor, trials, stream):
@@ -346,15 +335,9 @@ def subset_span_event_estimate(params, rho, coefficient_vectors, trials, stream)
         rng = stream.child(i)
         points = [metric.sample_ball_uniform(params, radius, rng)
                   for _ in range(gamma)]
-        ok = True
-        for row in vectors:
-            combo = zero_tuple(params)
-            for c, x in zip(row, points):
-                if c:
-                    combo = combo.add(x.scale(c))
-            if combo.weight() > radius:
-                ok = False
-                break
-        if ok:
+        combos = (functools.reduce(BlockTuple.add, [
+            x.scale(c) for c, x in zip(row, points) if c], zero_tuple(params))
+            for row in vectors)
+        if all(combo.weight() <= radius for combo in combos):
             successes += 1
     return EstimateResult.from_counts(successes, trials)

@@ -52,11 +52,9 @@ class BlockTuple:
     def blocks(self):
         """The ell blocks, each a tuple of m rows of eta entries."""
         m, eta = self.params.m, self.params.eta
-        size = m * eta
         e = self.entries
-        return tuple(tuple(e[start + i:start + i + eta]
-                           for i in range(0, size, eta))
-                     for start in range(0, len(e), size))
+        rows = [e[i:i + eta] for i in range(0, len(e), eta)]
+        return tuple(tuple(rows[i:i + m]) for i in range(0, len(rows), m))
 
     def weight(self):
         """Sum of the block ranks; cached after the first call."""
@@ -162,10 +160,45 @@ def tuple_from_code(params, code):
     return BlockTuple(params, vector_from_code(params.q, params.total_dim, code))
 
 
-def iter_all_tuples(params):
-    """Every point of the space in code order; caller guards the size."""
-    for code in range(params.q ** params.total_dim):
-        yield tuple_from_code(params, code)
+# Odd characteristic adds codes k digits at a time through a q^k x q^k
+# table, with q^k at most this whatever the length is (or k = 1).
+CHUNK_CODES = 256
+
+
+@functools.lru_cache(maxsize=None)
+def _chunk_tables(field):
+    """(k, sums, supports) for chunks of k digits, q^k <= CHUNK_CODES or
+    k = 1: sums[a][b] is the code of the digit-wise sum of codes a and b,
+    supports[a] the support mask of code a, first digit in the top bit.
+    Above one digit every entry is below 256, so rows are stored as bytes."""
+    q = field.q
+    k, sums, supports = 1, field._add, (0,) + (1,) * (q - 1)
+    while q ** (k + 1) <= CHUNK_CODES:  # append one low digit
+        sums = tuple(bytes(s * q + d for s in row for d in low)
+                     for row in sums for low in field._add)
+        supports = bytes(m << 1 | (d > 0) for m in supports for d in range(q))
+        k += 1
+    return k, sums, supports
+
+
+def code_adder(field, length):
+    """add(a, b), the code of the digit-wise sum of codes a and b of
+    `length` entries: XOR at every q = 2^e, whose digits are bit fields of
+    the code, and k digits at a time through _chunk_tables otherwise."""
+    if field.p == 2:
+        return operator.xor
+    k, sums, _ = _chunk_tables(field)
+    base = field.q ** k
+    places = [base ** i for i in range(-(-length // k))]
+
+    def add(a, b):
+        total = 0
+        for place in places:
+            a, x = divmod(a, base)
+            b, y = divmod(b, base)
+            total += sums[x][y] * place
+        return total
+    return add
 
 
 @functools.lru_cache(maxsize=None)

@@ -7,7 +7,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from sumrank import chains
+from sumrank import chains, metric
 from sumrank.chains import (BoundReport, ChainInstance, best_shift_chain,
                             bound_attainment_report, bound_target,
                             chain_length_bound, encode, greedy_chain,
@@ -632,7 +632,7 @@ def test_chunk_tables_fixed_size_and_digitwise(q):
     k, sums, supports = chains._chunk_tables(field)
     size = q ** k
     assert k >= 1
-    assert size <= max(q, chains.CHUNK_CODES) < size * q
+    assert size <= max(q, metric.CHUNK_CODES) < size * q
     assert len(sums) == len(supports) == size
     assert all(len(row) == size for row in sums)
     if k == 1:

@@ -683,6 +683,54 @@ def test_list_size_past_the_coset_guard(capsys, shape, refused):
     assert err == f"guard violation: {refused}\n"
 
 
+def test_list_size_guard_fires_before_the_first_code(capsys):
+    # 2^900 block matrices: drawing the 11,812 x 27,000 generator first
+    # ran for more than 20 s
+    argv = ["experiment", "list-size", "--q", "2", "--m", "30", "--eta", "30",
+            "--ell", "30", "--rho", "1/4", "--eps", "1/8"]
+    start = time.perf_counter()
+    status, out, err = run_cli(capsys, [*argv, "--codes", "1"])
+    assert time.perf_counter() - start < 1.0
+    assert status == 3
+    assert out == ""
+    assert err == ("guard violation: block matrix count = 2^900 exceeds "
+                   "the enumeration limit 1048576\n")
+    # with no code to draw there is nothing to refuse
+    status, out, err = run_cli(capsys, [*argv, "--codes", "0"])
+    assert status == 0
+    assert err == ""
+    assert set(rows_by_statistic(out)) == {"dimension", "radius"}
+
+
+def test_correlation_without_center_builds_no_zero_point(capsys):
+    # a point of 10^8 entries: building the zero center took 8 s before
+    # the sampler's guard refused the draw
+    start = time.perf_counter()
+    status, out, err = run_cli(capsys, [
+        "experiment", "correlation", "--q", "2", "--m", "1000",
+        "--eta", "1000", "--ell", "100", "--rho", "1/2", "--trials", "1"])
+    assert time.perf_counter() - start < 1.0
+    assert status == 3
+    assert out == ""
+    assert err.startswith("guard violation: ")
+
+
+@pytest.mark.parametrize("q", ["2", "3"])
+def test_correlation_center_zero_matches_the_default(capsys, q):
+    argv = ["experiment", "correlation", "--q", q, "--m", "2", "--eta", "2",
+            "--ell", "2", "--rho", "1/2", "--trials", "60"]
+    cells = ("value", "exact", "ci_low", "ci_high", "trials", "seed")
+    tables = []
+    for extra in ([], ["--center", "0"]):
+        status, out, err = run_cli(capsys, [*argv, *extra])
+        assert status == 0 and err == ""
+        table = rows_by_statistic(out)
+        assert set(table) == {"correlation_probability", "successes"}
+        tables.append({name: [[rec[c] for c in cells] for rec in recs]
+                       for name, recs in table.items()})
+    assert tables[0] == tables[1]
+
+
 # One small op per sample target and per experiment, with the sha256 and
 # line count of its stdout; every record config and draw is pinned.
 @pytest.mark.parametrize("argv, lines, digest", [

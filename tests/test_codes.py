@@ -15,9 +15,8 @@ from sumrank.counting import SpaceParams, ball_volume
 from sumrank.galois import field_from_order
 from sumrank.guards import GuardError
 from sumrank.linalg import Subspace, _rank_rows
-from sumrank.metric import (BlockTuple, enumerate_ball, iter_all_tuples,
-                            sum_rank_distance, tuple_code, tuple_from_code,
-                            zero_tuple)
+from sumrank.metric import (BlockTuple, enumerate_ball, sum_rank_distance,
+                            tuple_code, tuple_from_code, zero_tuple)
 from sumrank.montecarlo import DEFAULT_MASTER_SEED, RandomStream
 
 F2 = field_from_order(2)
@@ -25,6 +24,12 @@ F2 = field_from_order(2)
 
 def params_for(q, m, eta, ell):
     return SpaceParams(field=field_from_order(q), m=m, eta=eta, ell=ell)
+
+
+def all_points(params):
+    """Every point of the space, in code order."""
+    return [tuple_from_code(params, code)
+            for code in range(params.q ** params.total_dim)]
 
 
 P114 = params_for(2, 1, 1, 4)
@@ -74,7 +79,7 @@ def test_linear_code_structure():
             assert a.add(b) in members
     # the members are the row space of the basis
     rows = [x.to_vector() for x in code.basis]
-    for x in iter_all_tuples(P114):
+    for x in all_points(P114):
         assert (x in members) == (_rank_rows(F2, rows + [x.to_vector()]) == 2)
 
 
@@ -132,7 +137,7 @@ def test_max_list_size_matches_center_sweep():
         code = sample_linear_code(P222, Fraction(3, 8), rng)
         size, witness = max_list_size(code, 1)
         sweep = max(list_size_at(code, center, 1)
-                    for center in iter_all_tuples(P222))
+                    for center in all_points(P222))
         assert size == sweep
         assert list_size_at(code, witness, 1) == size
 
@@ -163,6 +168,27 @@ def test_max_list_size_witness_deterministic():
     first = max_list_size(code, 1)
     second = max_list_size(code, 1)
     assert first == second
+
+
+@pytest.mark.parametrize("shape, rate", [
+    ((3, 1, 2, 2), Fraction(1, 2)), ((4, 1, 2, 2), Fraction(1, 2)),
+    ((5, 1, 1, 3), Fraction(1, 3))], ids=str)
+def test_general_max_list_size_is_the_largest_list_over_every_center(
+        shape, rate):
+    # one sum_rank_distance per codeword and center, sharing no code
+    # arithmetic with the sweep; the linear code, run as a general one,
+    # anchors the coset histogram that the sweep is compared with
+    params = params_for(*shape)
+    rng = random.Random(151)
+    linear = sample_linear_code(params, rate, rng)
+    for code in (sample_general_code(params, rate, rng),
+                 Code(params, words=linear.codewords())):
+        for radius in range(params.max_weight + 1):
+            lists = [list_size_at(code, center, radius)
+                     for center in all_points(params)]
+            best = max(lists)
+            assert max_list_size(code, radius) == (
+                best, tuple_from_code(params, lists.index(best)))
 
 
 def assert_cosets_match_the_sweep(code, radii=None):

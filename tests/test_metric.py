@@ -1,10 +1,13 @@
 """Block tuples, weight and distance, enumeration, exact samplers."""
 
+import functools
 import itertools
 import math
+import operator
 import random
 import re
 import time
+from array import array
 
 import pytest
 from hypothesis import given, strategies as st
@@ -13,7 +16,8 @@ from sumrank.counting import SpaceParams, ball_volume, sphere_volume
 from sumrank.galois import field_from_order
 from sumrank.guards import GuardError, require_power_within, require_within
 from sumrank.linalg import _rank_rows
-from sumrank.metric import (BlockTuple, enumerate_ball, iter_all_tuples,
+from sumrank import metric
+from sumrank.metric import (BlockTuple, code_adder, enumerate_ball,
                             iter_ball, matrix_code, matrix_from_code,
                             rank_table,
                             sample_ball_uniform, sample_uniform_matrix_of_rank,
@@ -126,6 +130,30 @@ def test_add_neg_sub_consistency():
         assert x.add(x.neg()) == zero_tuple(P222)
 
 
+@pytest.mark.parametrize("q, n", [
+    (2, 5), (4, 6), (8, 3), (16, 4),  # characteristic 2: XOR
+    (3, 4), (3, 5), (3, 7), (3, 12),  # k = 5: inside, at and past a chunk
+    (5, 4), (7, 5), (9, 3),  # k = 3, 2, 2, each with a partial top chunk
+    (17, 3), (257, 3), (1021, 2)], ids=str)  # k = 1: bytes, then uint16 rows
+def test_code_adder_matches_point_addition(q, n):
+    params = params_for(q, 1, 1, n)
+    field = params.field
+    add = code_adder(field, n)
+    if field.p == 2:
+        assert add is operator.xor
+    else:
+        k, sums, _ = metric._chunk_tables(field)
+        assert isinstance(sums[0], bytes if q <= 256 else array)
+        assert (k == 1) == (q > 16)
+    top = q ** n - 1
+    rng = random.Random(1000 * q + n)
+    codes = [0, top] + [rng.randrange(top + 1) for _ in range(30)]
+    for a in codes:
+        x = tuple_from_code(params, a)
+        for b in [0, top] + rng.sample(codes, 6):
+            assert add(a, b) == tuple_code(x.add(tuple_from_code(params, b)))
+
+
 @given(st.integers(min_value=0, max_value=2 ** 8 - 1))
 def test_tuple_code_round_trip(code):
     for params in CODE_SHAPES:
@@ -179,12 +207,6 @@ def test_matrix_code_round_trip():
         assert matrix_code(3, grid) == code
 
 
-def test_iter_all_tuples_is_the_whole_space():
-    params = params_for(2, 1, 2, 2)
-    seen = {tuple_code(x) for x in iter_all_tuples(params)}
-    assert seen == set(range(2 ** 4))
-
-
 def test_enumeration_matches_volumes():
     for params in (P222, params_for(3, 1, 2, 2)):
         for r in range(params.max_weight + 1):
@@ -192,8 +214,9 @@ def test_enumeration_matches_volumes():
             assert len(ball) == ball_volume(params, r)
             assert sum(x.weight() == r for x in ball) == sphere_volume(params, r)
             # the same points, in code order, as a weight() scan of the space
-            assert ball == [x for x in iter_all_tuples(params)
-                            if x.weight() <= r]
+            space = map(functools.partial(tuple_from_code, params),
+                        range(params.q ** params.total_dim))
+            assert ball == [x for x in space if x.weight() <= r]
 
 
 def product_histogram(params):
