@@ -36,22 +36,6 @@ MAX_RANDOM_DIGIT_STEPS = 2 ** 30
 TABLE_BLOCK = 4096
 
 
-def support(vector):
-    """Indices of the nonzero coordinates."""
-    return frozenset(i for i, v in enumerate(vector) if v)
-
-
-def is_increasing_chain(vectors, c):
-    """True when every vector adds at least c coordinates of new support."""
-    cover = frozenset()
-    for v in vectors:
-        gain = support(v) - cover
-        if len(gain) < c:
-            return False
-        cover = cover | gain
-    return True
-
-
 def encode(field, gamma, vector):
     """The base-q code of a vector over the field, checked: gamma entries,
     each an int (operator.index) in [0, q)."""
@@ -212,13 +196,6 @@ def _heaviest(instance):
     for i, x in enumerate(blocks):
         table[i * lanes:(i + 1) * lanes] = x.to_bytes(lanes, "little")
     return table.translate(bytes(bias) + bytes(range(256 - bias)))
-
-
-def greedy_chain(instance, shift):
-    """Greedy chain inside A + shift; returns the shifted vectors picked."""
-    field, gamma = instance.field, instance.gamma
-    vals = _greedy(*instance.sweep(encode(field, gamma, shift)), instance.c)
-    return [vector_from_code(field.q, gamma, v) for v in vals]
 
 
 def require_search_within(q, gamma, set_size, mode, trials):

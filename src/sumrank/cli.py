@@ -535,6 +535,8 @@ def _estimator(statistic, estimate):
 
 
 def _correlation(params, args, stream):
+    if args.trials >= 1:  # price the draws before building the center
+        counting.ball_volume(params, codes.radius_for(params, args.rho))
     center = None if args.center is None \
         else metric.tuple_from_code(params, args.center)
     return codes.correlation_estimate(params, args.rho, args.trials, stream,

@@ -155,13 +155,6 @@ def sample_general_code(params, rate, rng):
 
 # -- list sizes ------------------------------------------------------------
 
-def list_size_at(code, center, radius):
-    """Exact |B(center, radius) meet C|, one distance per codeword."""
-    code.params.check_radius(radius)
-    return sum(1 for w in code.codewords()
-               if sum_rank_distance(w, center) <= radius)
-
-
 def _occupancy_by_center(code, radius):
     """Map center -> |B(center, radius) meet C| for all centers hit.
 
@@ -236,32 +229,6 @@ def max_list_size(code, radius):
     witness = min((key for key, value in counts.items() if value == best),
                   default=0)  # the zero center when no center is hit
     return best, metric.tuple_from_code(params, witness)
-
-
-def expected_ball_occupancy(code, radius):
-    """(closed form, exhaustive average) of |B(X, radius) meet C| over
-    uniform centers X.
-
-    Closed form: |C| * ball_volume / q^mn.  The exhaustive side recomputes
-    the average from scratch, one sum w + x per codeword w and center x (x
-    and -x range over the same space), its weight read off the block ranks
-    that rank_table found by elimination, so agreement is a real check and
-    not an algebraic echo.
-    """
-    params = code.params
-    space = require_power_within(params.q, params.total_dim, MAX_CODE_SPACE,
-                                 "code space size")
-    closed = Fraction(code.size * ball_volume(params, radius), space)
-    ranks = metric.rank_table(params.field, params.m, params.eta)
-    weights = ranks  # of every point, by code: its block ranks summed
-    for _ in range(params.ell - 1):
-        weights = bytes(a + b for a in ranks for b in weights)
-    inside = weights.translate(bytes(w <= radius for w in range(256)))
-    add = metric.code_adder(params.field, params.total_dim)
-    words = list(map(tuple_code, code.codewords()))
-    hits = sum(inside[add(w, center)]
-               for center in range(space) for w in words)
-    return closed, Fraction(hits, space)
 
 
 # -- correlation style estimators ------------------------------------------

@@ -162,13 +162,6 @@ def gaussian_binomial(n, k, q):
     return _binomial_row(n, k, q)[k]
 
 
-def rank_matrix_count(m, eta, r, q):
-    """Number of m x eta matrices over F_q of rank exactly r."""
-    if not 0 <= r <= min(m, eta):
-        raise ValueError(f"rank r = {r} outside [0, {min(m, eta)}]")
-    return rank_count_vector(m, eta, q)[r]
-
-
 # -- the Euler product constant --------------------------------------------
 
 def euler_product_interval(q, tol):

@@ -8,15 +8,8 @@ composition, weighted by the product of Grassmannian sizes, then each factor
 uniform from its Grassmannian independently.
 """
 
-import itertools
-from fractions import Fraction
-
 from . import counting, linalg
-from .guards import require_within
 from .montecarlo import EstimateResult
-
-# enumerate_decomposable refuses families larger than this.
-MAX_DECOMPOSABLE = 10 ** 6
 
 
 class DecomposableSubspace:
@@ -59,18 +52,6 @@ class DecomposableSubspace:
         return DecomposableSubspace(
             tuple(a.add(b) for a, b in zip(self.factors, other.factors)))
 
-    def flatten(self):
-        """The same space inside F_q^(eta*ell); block i occupies coordinates
-        [i*eta, (i+1)*eta)."""
-        ambient = self.eta * self.ell
-        rows = []
-        for i, f in enumerate(self.factors):
-            for row in f.basis:
-                flat = [0] * ambient
-                flat[i * self.eta:(i + 1) * self.eta] = row
-                rows.append(tuple(flat))
-        return linalg.Subspace.span(self.field, ambient, rows)
-
     def _check(self, other):
         if (self.field != other.field or self.eta != other.eta
                 or self.ell != other.ell):
@@ -90,19 +71,6 @@ class DecomposableSubspace:
     def to_json(self):
         return {"eta": self.eta, "ell": self.ell,
                 "factors": [[list(r) for r in f.basis] for f in self.factors]}
-
-
-def enumerate_decomposable(field, eta, ell, w):
-    """All decomposable subspaces of total dimension w; guarded brute force."""
-    expected = counting.decomposable_count(eta, ell, w, field.q)
-    require_within(expected, MAX_DECOMPOSABLE, "decomposable family size")
-    out = []
-    for comp in counting.bounded_compositions(w, ell, upper=eta):
-        per_block = [linalg.enumerate_subspaces(field, eta, k) for k in comp]
-        for combo in itertools.product(*per_block):
-            out.append(DecomposableSubspace(combo))
-    assert len(out) == expected
-    return out
 
 
 def sample_decomposable_uniform(field, eta, ell, w, rng):
@@ -151,17 +119,3 @@ def intersection_dimension_estimate(field, eta, ell, w_x, w_y, trials, stream,
             successes += 1
     return EstimateResult.from_counts(successes, trials, dim_total)
 
-
-def intersection_event_probability_exact(field, eta, ell, w_x, w_y,
-                                         min_fraction=None, exact_dim=None):
-    """Exact event probability by double enumeration; guarded like
-    enumerate_decomposable."""
-    event = _event_threshold(w_x, min_fraction, exact_dim)
-    xs = enumerate_decomposable(field, eta, ell, w_x)
-    ys = enumerate_decomposable(field, eta, ell, w_y) if w_y != w_x else xs
-    hits = 0
-    for x in xs:
-        for y in ys:
-            if event(x.intersect(y).total_dim):
-                hits += 1
-    return Fraction(hits, len(xs) * len(ys))

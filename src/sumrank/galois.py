@@ -204,10 +204,6 @@ class FieldSpec:
             raise ZeroDivisionError("0 has no multiplicative inverse")
         return self._inv[a]
 
-    def elements(self):
-        """All q elements in canonical order (0 first, 1 second)."""
-        return list(range(self.q))
-
     def coeffs(self, a):
         """Coefficient list of element a, descending powers."""
         self.check(a)

@@ -127,16 +127,6 @@ def mat_mul(field, a_rows, b_rows):
     return out
 
 
-def vec_add(field, u, v):
-    add = field._add
-    return tuple(add[x][y] for x, y in zip(u, v))
-
-
-def vec_scale(field, c, u):
-    mrow = field._mul[c]
-    return tuple(mrow[x] for x in u)
-
-
 class Subspace:
     """A subspace of F_q^ambient, canonically held as its RREF basis."""
 
@@ -169,15 +159,6 @@ class Subspace:
     def dim(self):
         return len(self.basis)
 
-    def contains(self, vector):
-        """Membership: the vector leaves the rank of the basis unchanged."""
-        vector = tuple(vector)
-        if len(vector) != self.ambient:
-            raise ValueError("vector length does not match ambient dimension")
-        for v in vector:
-            self.field.check(v)
-        return _rank_rows(self.field, (*self.basis, vector)) == self.dim
-
     def intersect(self, other):
         """Zassenhaus intersection: reduce [[A A], [B 0]] and read off the
         rows whose left half vanished."""
@@ -199,19 +180,6 @@ class Subspace:
         self._check_compatible(other)
         return Subspace.span(self.field, self.ambient,
                              list(self.basis) + list(other.basis))
-
-    def vectors(self):
-        """Iterate all q^dim vectors of the subspace."""
-        field = self.field
-        if not self.basis:
-            yield (0,) * self.ambient
-            return
-        for coeffs in product(range(field.q), repeat=self.dim):
-            vec = (0,) * self.ambient
-            for c, row in zip(coeffs, self.basis):
-                if c:
-                    vec = vec_add(field, vec, vec_scale(field, c, row))
-            yield vec
 
     def _check_compatible(self, other):
         if self.field != other.field or self.ambient != other.ambient:

@@ -22,8 +22,6 @@ from . import counting, linalg
 from .counting import ball_volume, sphere_volume
 from .guards import require_power_within, require_within
 
-# Hard cap on full-space enumeration, q^(m*eta*ell) points.
-MAX_ENUMERATION = 2 ** 16
 # Weight histogram: q^(m*eta) block ranks plus ell^2 (t + 1)^2 convolution
 # products, t = min(m, eta); cap here.
 MAX_HISTOGRAM_WORK = 2 ** 20
@@ -272,16 +270,6 @@ def iter_ball(params, r):
     return walk(params.ell, r)
 
 
-def enumerate_ball(params, r):
-    """All points at weight <= r, as BlockTuples in code order, guarded at
-    MAX_ENUMERATION points of space: a brute-force test oracle, called by
-    no package code."""
-    params.check_radius(r)
-    require_power_within(params.q, params.total_dim, MAX_ENUMERATION,
-                         "space size")
-    return [tuple_from_code(params, code) for code in iter_ball(params, r)]
-
-
 # -- samplers --------------------------------------------------------------
 
 def sample_uniform_matrix_of_rank(field, m, eta, r, rng):
@@ -325,9 +313,3 @@ def sample_ball_uniform(params, radius, rng):
         v for part in comp
         for row in sample_uniform_matrix_of_rank(field, params.m, params.eta, part, rng)
         for v in row])
-
-
-def sample_uniform_tuple(params, rng):
-    """A point uniform on the whole space."""
-    q = params.q
-    return BlockTuple(params, [rng.randrange(q) for _ in range(params.total_dim)])

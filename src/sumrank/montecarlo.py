@@ -90,46 +90,3 @@ class EstimateResult:
         mean = None if value_total is None else value_total / trials
         return cls(successes, trials, successes / trials, low, high, mean)
 
-    def separated_below(self, other):
-        """True when this interval sits strictly below the other one."""
-        return self.ci_high < other.ci_low
-
-
-def chi_squared_tail(stat, dof):
-    """P(X >= stat) for X chi-squared with a positive integer dof.
-
-    The regularized upper gamma Q(dof/2, stat/2) in closed form: with
-    x = stat/2, Q(n, x) = e^-x sum_{a<n} x^a/a! and
-    Q(n + 1/2, x) = erfc(sqrt x) + e^-x sum_{a<n} x^(a+1/2)/Gamma(a + 3/2).
-    Each term is taken in the log domain, so none under- or overflows on its
-    own for thousands of degrees of freedom.
-    """
-    if dof < 1:
-        raise ValueError("dof must be positive")
-    x = stat / 2
-    if x <= 0:
-        return 1.0
-    n, odd = divmod(dof, 2)
-    shift = 0.5 * odd
-    log_x = math.log(x)
-    terms = [math.exp((a + shift) * log_x - x - math.lgamma(a + 1 + shift))
-             for a in range(n)]
-    if odd:
-        terms.append(math.erfc(math.sqrt(x)))
-    return math.fsum(terms)
-
-
-def chi_squared_uniform_pvalue(counts):
-    """Upper tail p-value of Pearson's chi-squared against the uniform law.
-
-    counts holds one observed count per category; expected counts are equal.
-    """
-    k = len(counts)
-    if k < 2:
-        raise ValueError("need at least two categories")
-    total = sum(counts)
-    if total == 0:
-        raise ValueError("no observations")
-    expected = total / k
-    stat = sum((c - expected) ** 2 for c in counts) / expected
-    return chi_squared_tail(stat, k - 1)

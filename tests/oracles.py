@@ -1,0 +1,229 @@
+"""Brute-force references that the tests check the package against.
+
+Each oracle enumerates, sums or samples the plain way: every ball point,
+every decomposable subspace, every vector of a subspace, one distance per
+codeword.  None of them is called by package code, so a change to the
+package cannot rewrite the reference it is checked against.  Each keeps its
+own guard, so a test that asks for too much fails fast instead of running
+for hours.
+"""
+
+import itertools
+import math
+from fractions import Fraction
+
+from sumrank import counting, linalg, metric
+from sumrank.codes import MAX_CODE_SPACE
+from sumrank.counting import SpaceParams, ball_volume
+from sumrank.decomposable import DecomposableSubspace, _event_threshold
+from sumrank.galois import field_from_order
+from sumrank.guards import require_power_within, require_within
+from sumrank.metric import (BlockTuple, iter_ball, sum_rank_distance,
+                            tuple_code, tuple_from_code)
+
+# Hard cap on full-space enumeration, q^(m*eta*ell) points.
+MAX_ENUMERATION = 2 ** 16
+# enumerate_decomposable refuses families larger than this.
+MAX_DECOMPOSABLE = 10 ** 6
+
+
+def params_for(q, m, eta, ell):
+    return SpaceParams(field=field_from_order(q), m=m, eta=eta, ell=ell)
+
+
+def is_prime_power(q):
+    p = next(d for d in range(2, q + 1) if q % d == 0)
+    while q % p == 0:
+        q //= p
+    return q == 1
+
+
+# -- points and balls ------------------------------------------------------
+
+def enumerate_ball(params, r):
+    """All points at weight <= r, as BlockTuples in code order, guarded at
+    MAX_ENUMERATION points of space."""
+    params.check_radius(r)
+    require_power_within(params.q, params.total_dim, MAX_ENUMERATION,
+                         "space size")
+    return [tuple_from_code(params, code) for code in iter_ball(params, r)]
+
+
+def sample_uniform_tuple(params, rng):
+    """A point uniform on the whole space."""
+    q = params.q
+    return BlockTuple(params, [rng.randrange(q) for _ in range(params.total_dim)])
+
+
+# -- codes -----------------------------------------------------------------
+
+def list_size_at(code, center, radius):
+    """Exact |B(center, radius) meet C|, one distance per codeword."""
+    code.params.check_radius(radius)
+    return sum(1 for w in code.codewords()
+               if sum_rank_distance(w, center) <= radius)
+
+
+def expected_ball_occupancy(code, radius):
+    """(closed form, exhaustive average) of |B(X, radius) meet C| over
+    uniform centers X.
+
+    Closed form: |C| * ball_volume / q^mn.  The exhaustive side recomputes
+    the average from scratch, one sum w + x per codeword w and center x (x
+    and -x range over the same space), its weight read off the block ranks
+    that rank_table found by elimination, so agreement is a real check and
+    not an algebraic echo.
+    """
+    params = code.params
+    space = require_power_within(params.q, params.total_dim, MAX_CODE_SPACE,
+                                 "code space size")
+    closed = Fraction(code.size * ball_volume(params, radius), space)
+    ranks = metric.rank_table(params.field, params.m, params.eta)
+    weights = ranks  # of every point, by code: its block ranks summed
+    for _ in range(params.ell - 1):
+        weights = bytes(a + b for a in ranks for b in weights)
+    inside = weights.translate(bytes(w <= radius for w in range(256)))
+    add = metric.code_adder(params.field, params.total_dim)
+    words = list(map(tuple_code, code.codewords()))
+    hits = sum(inside[add(w, center)]
+               for center in range(space) for w in words)
+    return closed, Fraction(hits, space)
+
+
+# -- chains ----------------------------------------------------------------
+
+def support(vector):
+    """Indices of the nonzero coordinates."""
+    return frozenset(i for i, v in enumerate(vector) if v)
+
+
+def is_increasing_chain(vectors, c):
+    """True when every vector adds at least c coordinates of new support."""
+    cover = frozenset()
+    for v in vectors:
+        gain = support(v) - cover
+        if len(gain) < c:
+            return False
+        cover = cover | gain
+    return True
+
+
+# -- decomposable subspaces ------------------------------------------------
+
+def enumerate_decomposable(field, eta, ell, w):
+    """All decomposable subspaces of total dimension w; guarded brute force."""
+    expected = counting.decomposable_count(eta, ell, w, field.q)
+    require_within(expected, MAX_DECOMPOSABLE, "decomposable family size")
+    out = []
+    for comp in counting.bounded_compositions(w, ell, upper=eta):
+        per_block = [linalg.enumerate_subspaces(field, eta, k) for k in comp]
+        for combo in itertools.product(*per_block):
+            out.append(DecomposableSubspace(combo))
+    assert len(out) == expected
+    return out
+
+
+def intersection_event_probability_exact(field, eta, ell, w_x, w_y,
+                                         min_fraction=None, exact_dim=None):
+    """Exact event probability by double enumeration; guarded like
+    enumerate_decomposable."""
+    event = _event_threshold(w_x, min_fraction, exact_dim)
+    xs = enumerate_decomposable(field, eta, ell, w_x)
+    ys = enumerate_decomposable(field, eta, ell, w_y) if w_y != w_x else xs
+    hits = 0
+    for x in xs:
+        for y in ys:
+            if event(x.intersect(y).total_dim):
+                hits += 1
+    return Fraction(hits, len(xs) * len(ys))
+
+
+def flatten(space):
+    """The decomposable space inside F_q^(eta*ell); block i occupies
+    coordinates [i*eta, (i+1)*eta)."""
+    ambient = space.eta * space.ell
+    rows = []
+    for i, f in enumerate(space.factors):
+        for row in f.basis:
+            flat = [0] * ambient
+            flat[i * space.eta:(i + 1) * space.eta] = row
+            rows.append(tuple(flat))
+    return linalg.Subspace.span(space.field, ambient, rows)
+
+
+# -- subspaces -------------------------------------------------------------
+
+def vec_add(field, u, v):
+    add = field._add
+    return tuple(add[x][y] for x, y in zip(u, v))
+
+
+def vec_scale(field, c, u):
+    mrow = field._mul[c]
+    return tuple(mrow[x] for x in u)
+
+
+def vectors(space):
+    """Iterate all q^dim vectors of the subspace."""
+    field = space.field
+    if not space.basis:
+        yield (0,) * space.ambient
+        return
+    for coeffs in itertools.product(range(field.q), repeat=space.dim):
+        vec = (0,) * space.ambient
+        for c, row in zip(coeffs, space.basis):
+            if c:
+                vec = vec_add(field, vec, vec_scale(field, c, row))
+        yield vec
+
+
+def contains(space, vector):
+    """Membership: the vector leaves the rank of the basis unchanged."""
+    vector = tuple(vector)
+    if len(vector) != space.ambient:
+        raise ValueError("vector length does not match ambient dimension")
+    for v in vector:
+        space.field.check(v)
+    return linalg._rank_rows(space.field, (*space.basis, vector)) == space.dim
+
+
+# -- chi-squared -----------------------------------------------------------
+
+def chi_squared_tail(stat, dof):
+    """P(X >= stat) for X chi-squared with a positive integer dof.
+
+    The regularized upper gamma Q(dof/2, stat/2) in closed form: with
+    x = stat/2, Q(n, x) = e^-x sum_{a<n} x^a/a! and
+    Q(n + 1/2, x) = erfc(sqrt x) + e^-x sum_{a<n} x^(a+1/2)/Gamma(a + 3/2).
+    Each term is taken in the log domain, so none under- or overflows on its
+    own for thousands of degrees of freedom.
+    """
+    if dof < 1:
+        raise ValueError("dof must be positive")
+    x = stat / 2
+    if x <= 0:
+        return 1.0
+    n, odd = divmod(dof, 2)
+    shift = 0.5 * odd
+    log_x = math.log(x)
+    terms = [math.exp((a + shift) * log_x - x - math.lgamma(a + 1 + shift))
+             for a in range(n)]
+    if odd:
+        terms.append(math.erfc(math.sqrt(x)))
+    return math.fsum(terms)
+
+
+def chi_squared_uniform_pvalue(counts):
+    """Upper tail p-value of Pearson's chi-squared against the uniform law.
+
+    counts holds one observed count per category; expected counts are equal.
+    """
+    k = len(counts)
+    if k < 2:
+        raise ValueError("need at least two categories")
+    total = sum(counts)
+    if total == 0:
+        raise ValueError("no observations")
+    expected = total / k
+    stat = sum((c - expected) ** 2 for c in counts) / expected
+    return chi_squared_tail(stat, k - 1)

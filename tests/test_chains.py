@@ -10,13 +10,14 @@ from hypothesis import given, strategies as st
 from sumrank import chains, metric
 from sumrank.chains import (BoundReport, ChainInstance, best_shift_chain,
                             bound_attainment_report, bound_target,
-                            chain_length_bound, encode, greedy_chain,
-                            is_increasing_chain, max_chain_exact,
-                            random_chain_instance, support)
+                            chain_length_bound, encode, max_chain_exact,
+                            random_chain_instance)
 from sumrank.galois import field_from_order
 from sumrank.guards import GuardError
 from sumrank.metric import matrix_code, vector_from_code
 from sumrank.montecarlo import RandomStream
+
+from oracles import is_increasing_chain, support
 
 F2 = field_from_order(2)
 F3 = field_from_order(3)
@@ -27,6 +28,14 @@ def instance(field, gamma, vectors, c):
     """A ChainInstance of vectors given by their entries."""
     return ChainInstance(field, gamma,
                          [encode(field, gamma, v) for v in vectors], c)
+
+
+def greedy_chain(inst, shift):
+    """The greedy chain inside A + shift, decoded: chains._greedy over the
+    sweep of the checked shift."""
+    field, gamma = inst.field, inst.gamma
+    vals = chains._greedy(*inst.sweep(encode(field, gamma, shift)), inst.c)
+    return [vector_from_code(field.q, gamma, v) for v in vals]
 
 
 def test_support():

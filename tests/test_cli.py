@@ -716,6 +716,30 @@ def test_correlation_without_center_builds_no_zero_point(capsys):
 
 
 @pytest.mark.parametrize("q", ["2", "3"])
+def test_correlation_center_is_priced_before_it_is_built(capsys, q):
+    # a center of 4 * 10^6 entries: built before the draws were priced, it
+    # took 0.8 s at q = 2 and 1.3 s at q = 3 to reach the same refusal
+    argv = ["experiment", "correlation", "--q", q, "--m", "200",
+            "--eta", "200", "--ell", "100", "--rho", "1/2", "--trials", "1"]
+    status, out, refused = run_cli(capsys, argv)
+    assert status == 3 and out == ""
+    start = time.perf_counter()
+    status, out, err = run_cli(capsys, [*argv, "--center", "0"])
+    assert time.perf_counter() - start < 1.0
+    assert status == 3
+    assert out == ""
+    assert err == refused
+    # a center outside the space is still an input error where it fits
+    status, out, err = run_cli(capsys, [
+        "experiment", "correlation", "--q", q, "--m", "1", "--eta", "1",
+        "--ell", "2", "--rho", "1/2", "--trials", "1",
+        "--center", str(int(q) ** 2)])
+    assert status == 2
+    assert out == ""
+    assert err == f"error: code {int(q) ** 2} outside [0, {int(q) ** 2})\n"
+
+
+@pytest.mark.parametrize("q", ["2", "3"])
 def test_correlation_center_zero_matches_the_default(capsys, q):
     argv = ["experiment", "correlation", "--q", q, "--m", "2", "--eta", "2",
             "--ell", "2", "--rho", "1/2", "--trials", "60"]

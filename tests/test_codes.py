@@ -6,24 +6,24 @@ from fractions import Fraction
 import pytest
 
 from sumrank import codes, counting, metric
-from sumrank.codes import (Code, correlation_estimate, expected_ball_occupancy,
-                           limited_correlation_estimate, list_size_at,
-                           max_list_size, radius_for, sample_general_code,
+from sumrank.codes import (Code, correlation_estimate,
+                           limited_correlation_estimate, max_list_size,
+                           radius_for, sample_general_code,
                            sample_linear_code, span_ball_count,
                            subset_span_event_estimate)
-from sumrank.counting import SpaceParams, ball_volume
+from sumrank.counting import ball_volume
 from sumrank.galois import field_from_order
 from sumrank.guards import GuardError
 from sumrank.linalg import Subspace, _rank_rows
-from sumrank.metric import (BlockTuple, enumerate_ball, sum_rank_distance,
-                            tuple_code, tuple_from_code, zero_tuple)
+from sumrank.metric import (BlockTuple, sum_rank_distance, tuple_code,
+                            tuple_from_code, zero_tuple)
 from sumrank.montecarlo import DEFAULT_MASTER_SEED, RandomStream
 
+import oracles
+from oracles import (enumerate_ball, expected_ball_occupancy, list_size_at,
+                     params_for, vectors)
+
 F2 = field_from_order(2)
-
-
-def params_for(q, m, eta, ell):
-    return SpaceParams(field=field_from_order(q), m=m, eta=eta, ell=ell)
 
 
 def all_points(params):
@@ -145,7 +145,7 @@ def test_max_list_size_matches_center_sweep():
 def test_max_list_size_exhaustive_above_the_enumeration_cap():
     # 2^17 points: more than enumerate_ball takes, within MAX_CODE_SPACE
     params = params_for(2, 1, 1, 17)
-    assert metric.MAX_ENUMERATION < 2 ** 17 <= codes.MAX_CODE_SPACE
+    assert oracles.MAX_ENUMERATION < 2 ** 17 <= codes.MAX_CODE_SPACE
     with pytest.raises(GuardError):
         enumerate_ball(params, 2)
     code = sample_linear_code(params, Fraction(2, 17), random.Random(113))
@@ -269,7 +269,7 @@ def test_large_block_shape_of_the_old_cap_still_runs():
     # as MAX_CODE_SPACE allowed
     params = params_for(2, 4, 5, 1)
     base = params.q ** (params.m * params.eta)
-    assert metric.MAX_ENUMERATION < base == codes.MAX_CODE_SPACE
+    assert oracles.MAX_ENUMERATION < base == codes.MAX_CODE_SPACE
     code = sample_linear_code(params, Fraction(1, 10), random.Random(137))
     size, witness = max_list_size(code, 1)
     assert list_size_at(code, witness, 1) == size
@@ -357,7 +357,7 @@ def span_elements(points):
     params = points[0].params
     flat = Subspace.span(params.field, params.total_dim,
                          [p.to_vector() for p in points])
-    return [BlockTuple(params, v) for v in flat.vectors()]
+    return [BlockTuple(params, v) for v in vectors(flat)]
 
 
 def test_span_ball_count_matches_subspace_enumeration():

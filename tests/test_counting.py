@@ -21,13 +21,11 @@ from sumrank.counting import (SpaceParams, ball_volume, block_sum_power,
                               euler_product_interval, gaussian_binomial,
                               gaussian_binomial_bounds_ok,
                               list_decoding_capacity, q_ary_entropy,
-                              rank_matrix_count, sphere_volume)
+                              rank_count_vector, sphere_volume)
 from sumrank.galois import MAX_Q, field_from_order
 from sumrank.linalg import _rank_rows
 
-
-def params_for(q, m, eta, ell):
-    return SpaceParams(field=field_from_order(q), m=m, eta=eta, ell=ell)
+from oracles import is_prime_power, params_for
 
 
 # -- Gaussian binomials ----------------------------------------------------
@@ -174,18 +172,14 @@ def brute_rank_census(q, m, eta):
                                      (2, 3, 3), (3, 2, 2), (3, 2, 3)])
 def test_rank_matrix_count_matches_brute_force(q, m, eta):
     hist = brute_rank_census(q, m, eta)
-    for r, count in enumerate(hist):
-        assert rank_matrix_count(m, eta, r, q) == count
+    assert rank_count_vector(m, eta, q) == tuple(hist)
     assert sum(hist) == q ** (m * eta)
 
 
 def test_rank_matrix_count_frozen():
-    assert rank_matrix_count(2, 2, 0, 2) == 1
-    assert rank_matrix_count(2, 2, 1, 2) == 9
-    assert rank_matrix_count(2, 2, 2, 2) == 6
-    assert rank_matrix_count(3, 2, 2, 2) == 42
-    with pytest.raises(ValueError):
-        rank_matrix_count(2, 2, 3, 2)
+    # ranks 0..2 of the 2 x 2 binary matrices: no count past min(m, eta)
+    assert rank_count_vector(2, 2, 2) == (1, 9, 6)
+    assert rank_count_vector(3, 2, 2)[2] == 42
 
 
 # -- Euler product ---------------------------------------------------------
@@ -268,7 +262,7 @@ def test_hamming_specialization_spot():
 def test_rank_specialization_spot():
     params = params_for(2, 3, 4, 1)
     for r in range(4):
-        assert sphere_volume(params, r) == rank_matrix_count(3, 4, r, 2)
+        assert sphere_volume(params, r) == rank_count_vector(3, 4, 2)[r]
 
 
 def test_volume_radius_validation():
@@ -296,14 +290,7 @@ def test_gb_bounds_spot():
 
 # -- fixed-point logs ------------------------------------------------------
 
-def _is_prime_power(q):
-    p = next(d for d in range(2, q + 1) if q % d == 0)
-    while q % p == 0:
-        q //= p
-    return q == 1
-
-
-PRIME_POWERS = [q for q in range(2, MAX_Q + 1) if _is_prime_power(q)]
+PRIME_POWERS = [q for q in range(2, MAX_Q + 1) if is_prime_power(q)]
 FRAC = counting._FRAC
 
 

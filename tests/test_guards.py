@@ -1,7 +1,10 @@
-"""Guards: how a refused value is written, and a source check that no
-guard builds q^e before comparing it."""
+"""Guards: how a refused value is written, and source checks: no guard
+builds q^e before comparing it, and every function of the package is named
+by the package or by perfbench."""
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -9,10 +12,11 @@ import pytest
 import sumrank
 from sumrank.guards import GuardError, require_within
 
+PACKAGE = sorted(Path(sumrank.__file__).parent.glob("*.py"))
 # Every module but guards.py, where require_power_within builds q^e only
 # once e is below the limit's bit length.
-SOURCES = sorted(path for path in Path(sumrank.__file__).parent.glob("*.py")
-                 if path.name != "guards.py")
+SOURCES = [path for path in PACKAGE if path.name != "guards.py"]
+PERFBENCH = sorted((Path(__file__).parents[1] / "perfbench").glob("*.py"))
 
 
 def test_a_value_past_the_str_digit_limit_is_written_as_a_power_of_ten():
@@ -72,3 +76,84 @@ def test_no_guard_builds_a_power_before_comparing_it():
     found = {path.name: powers_built_before_a_guard(ast.parse(
         path.read_text(), str(path))) for path in SOURCES}
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+# Functions of the package that nothing in it or in perfbench names, each
+# kept for a reason of its own.
+KEPT = {
+    "linalg.enumerate_subspaces":
+        "the enumerator of the exact linear-ensemble law, ROADMAP item 7",
+    "galois.FieldSpec.coeffs":
+        "the one statement of the element encoding: an index is its "
+        "polynomial's coefficients read as base-p digits",
+}
+
+# perfbench names what it traces as "module.Class.method" strings.
+DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
+
+
+def _names(node):
+    """Every name, attribute and dotted-string part under node."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+        elif (isinstance(n, ast.Constant) and isinstance(n.value, str)
+              and DOTTED.fullmatch(n.value)):
+            yield from n.value.split(".")
+
+
+def _functions(module, tree):
+    """(qualified name, node) of every function and method, dunders aside."""
+    for node in tree.body:
+        owner, members = ((f"{module}.{node.name}", node.body)
+                          if isinstance(node, ast.ClassDef) else (module, [node]))
+        for sub in members:
+            if (isinstance(sub, ast.FunctionDef)
+                    and not re.fullmatch(r"__\w+__", sub.name)):
+                yield f"{owner}.{sub.name}", sub
+
+
+def unreached(package, others=()):
+    """Qualified names of the functions in `package` (module name -> tree)
+    that no code in it or in `others` names outside their own body.  A
+    function named only inside unreached ones is unreached too, so the walk
+    repeats until nothing more drops out."""
+    found = {name: node for module, tree in package.items()
+             for name, node in _functions(module, tree)}
+    named = Counter()
+    for tree in (*package.values(), *others):
+        named.update(_names(tree))
+    dead = set()
+    while True:
+        new = {name for name, node in found.items() if name not in dead
+               and named[node.name] == Counter(_names(node))[node.name]}
+        if not new:
+            return sorted(dead)
+        for name in new:
+            named.subtract(_names(found[name]))
+        dead |= new
+
+
+@pytest.mark.parametrize("source, found", [
+    ("def f():\n    return f()", ["mod.f"]),
+    ("def f():\n    pass\ndef g():\n    return f()", ["mod.f", "mod.g"]),
+    ("def f():\n    pass\nALIAS = f", []),
+    ("class C:\n    def m(self):\n        pass", ["mod.C.m"]),
+    ("class C:\n    def __eq__(self, other):\n        pass\n"
+     "    def m(self):\n        pass\nTRACED = ('mod.C.m',)", []),
+])
+def test_the_reach_check_finds_what_it_looks_for(source, found):
+    assert unreached({"mod": ast.parse(source)}) == found
+
+
+def test_every_function_is_named_where_the_program_runs():
+    assert len(PACKAGE) > 5 and len(PERFBENCH) > 3
+    package = {path.stem: ast.parse(path.read_text(), str(path))
+               for path in PACKAGE}
+    others = [ast.parse(path.read_text(), str(path)) for path in PERFBENCH]
+    found = unreached(package, others)
+    unnamed = [name for name in found if name not in KEPT]
+    assert not unnamed, f"named nowhere the program runs: {unnamed}"
+    assert found == sorted(KEPT)

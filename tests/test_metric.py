@@ -12,27 +12,22 @@ from array import array
 import pytest
 from hypothesis import given, strategies as st
 
-from sumrank.counting import SpaceParams, ball_volume, sphere_volume
+from sumrank.counting import ball_volume, sphere_volume
 from sumrank.galois import field_from_order
 from sumrank.guards import GuardError, require_power_within, require_within
 from sumrank.linalg import _rank_rows
 from sumrank import metric
-from sumrank.metric import (BlockTuple, code_adder, enumerate_ball,
-                            iter_ball, matrix_code, matrix_from_code,
-                            rank_table,
-                            sample_ball_uniform, sample_uniform_matrix_of_rank,
-                            sample_uniform_tuple, sum_rank_distance,
+from sumrank.metric import (BlockTuple, code_adder, iter_ball, matrix_code,
+                            matrix_from_code, rank_table, sample_ball_uniform,
+                            sample_uniform_matrix_of_rank, sum_rank_distance,
                             tuple_code, tuple_from_code, vector_code,
                             weight_histogram, zero_tuple)
 from sumrank.montecarlo import RandomStream
 
+from oracles import enumerate_ball, params_for, sample_uniform_tuple
+
 F2 = field_from_order(2)
 F3 = field_from_order(3)
-
-
-def params_for(q, m, eta, ell):
-    field = F2 if q == 2 else field_from_order(q)
-    return SpaceParams(field=field, m=m, eta=eta, ell=ell)
 
 
 P222 = params_for(2, 2, 2, 2)
