@@ -23,14 +23,11 @@ from functools import cached_property, partial
 from itertools import accumulate, compress, islice, repeat
 from operator import add, and_, eq, index, itemgetter, lshift, mul, or_, xor
 
+from . import guards
 from .guards import require_power_within, require_within
 from .metric import _chunk_tables, vector_code, vector_from_code
 from .montecarlo import uniform_draws
 
-# Exhaustive shift search sweeps q^gamma shifts; cap here.
-MAX_SHIFTS = 2 ** 20
-# Random shift search: set size x (trials + 1) x gamma^2 digit steps; cap here.
-MAX_RANDOM_DIGIT_STEPS = 2 ** 30
 # The heaviest-weight table is built in ints of at most this many byte lanes
 # (or q), so that its temporaries stay small beside the table.
 TABLE_BLOCK = 4096
@@ -123,7 +120,7 @@ def _greedy(masks, vals, c):
 
 def _heaviest(instance):
     """bytearray whose entry w is the largest support weight in A + w (0
-    when A is empty), for q^gamma <= MAX_SHIFTS.
+    when A is empty), for q^gamma <= MAX_SWEEP.
 
     a + w is nonzero where a_i != -w_i, so that weight is the Hamming
     distance from -a to w, and the table is a max-plus distance transform
@@ -205,10 +202,11 @@ def require_search_within(q, gamma, set_size, mode, trials):
     ceil(gamma / k) chunks and maps every chunk over A, each step on numbers
     of up to gamma digits, and it keeps as many powers of q^k."""
     if mode == "exhaustive":
-        require_power_within(q, gamma, MAX_SHIFTS, "shift count")
+        require_power_within(q, gamma, guards.MAX_SWEEP, "shift count")
     else:
         require_within(set_size * (trials + 1) * gamma ** 2,
-                       MAX_RANDOM_DIGIT_STEPS, "random search digit steps")
+                       guards.MAX_RANDOM_DIGIT_STEPS,
+                       "random search digit steps")
 
 
 @dataclass(frozen=True)
@@ -222,7 +220,7 @@ def best_shift_chain(instance, mode="exhaustive", trials=None, rng=None):
     """Best greedy chain over shifts.
 
     mode "exhaustive" scans every shift in canonical order (guarded at
-    MAX_SHIFTS) and stops early once the ceiling floor(gamma / c) is hit;
+    MAX_SWEEP) and stops early once the ceiling floor(gamma / c) is hit;
     mode "random" tries `trials` uniform shifts from rng.  Either way the
     reported shift is the first one attaining the best length, so results
     are reproducible.
@@ -363,7 +361,7 @@ def bound_attainment_report(instance, mode="exhaustive", trials=None, rng=None):
     if greedy.length >= target:
         return BoundReport(bound, target, greedy.length, True, False, None,
                            greedy.shift, greedy.chain)
-    total = require_power_within(q, gamma, MAX_SHIFTS, "shift count")
+    total = require_power_within(q, gamma, guards.MAX_SWEEP, "shift count")
     best_shift, best = None, ()
     for shift_code in range(total):
         shift = vector_from_code(q, gamma, shift_code)

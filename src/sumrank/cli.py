@@ -29,7 +29,7 @@ from fractions import Fraction
 from . import chains, codes, counting, decomposable, linalg, metric
 from .counting import SpaceParams
 from .galois import field_from_order
-from .guards import GuardError
+from .guards import MAX_ENTRIES, MAX_MATRIX_WORK, GuardError, require_within
 from .montecarlo import DEFAULT_MASTER_SEED, RandomStream
 
 CSV_HEADER = ["verb", "statistic", "trial", "value", "exact", "ci_low",
@@ -464,38 +464,76 @@ def _record_config(args):
     return cfg
 
 
+# The price of one draw, from the flags: (entries built, matrix work), the
+# work being rows x rank x columns for each elimination and m x r x eta for
+# each product.  A shape the sampler refuses is refused here as the sampler
+# would, or priced at (0, 0) and left to it.
+def _ball_price(params, args):
+    # the point and the factors of its blocks, whose ranks sum to at most the
+    # radius; the count guard that each draw runs first bounds the work
+    params.check_radius(args.radius)
+    return params.total_dim + (params.m + params.eta) * args.radius, 0
+
+
+def _rank_matrix_price(field, args):
+    # U (m x r) and V (r x eta) full rank, both drawn and eliminated, and
+    # their product built
+    m, eta, r = args.m, args.eta, args.r
+    if not 0 <= r <= min(m, eta):
+        return 0, 0
+    entries = (m + eta) * r + m * eta
+    return entries, r * entries
+
+
+def _subspace_price(field, args):
+    # a full-rank k x n draw, eliminated for its rank and again for its RREF
+    n, k = args.ambient, args.dim
+    if not 0 <= k <= n:
+        return 0, 0
+    return k * n, 2 * k * k * n
+
+
+def _linear_code_price(params, args):
+    # a full-rank k x mn generator, eliminated once
+    k, n = codes.dimension_from_rate(params, args.rate), params.total_dim
+    return k * n, k * k * n
+
+
 # Each sample target: its help line; the flags it needs, which with q are
-# its record config; how to build its field or space; and one draw from the
-# child stream, as a point code or compact JSON.  Draws look their samplers up
-# when called, so a patched module attribute is the one that runs.
+# its record config; how to build its field or space; the price of one draw,
+# None where the sampler's own guard bounds it (the space sweep of
+# general-code, the count behind decomposable); and one draw from the child
+# stream, as a point code or compact JSON.  Draws look their samplers up when
+# called, so a patched module attribute is the one that runs.
 _SAMPLE_TARGETS = {
     "ball": ("uniform points of the sum-rank ball of radius --r",
-             ("m", "eta", "ell", "radius"), _space_of,
+             ("m", "eta", "ell", "radius"), _space_of, _ball_price,
              lambda params, args, rng: metric.tuple_code(
                  metric.sample_ball_uniform(params, args.radius, rng))),
     "rank-matrix": ("uniform m x eta matrices of rank --r",
-                    ("m", "eta", "r"), _field_of,
+                    ("m", "eta", "r"), _field_of, _rank_matrix_price,
                     lambda field, args, rng: metric.matrix_code(
                         field.q, metric.sample_uniform_matrix_of_rank(
                             field, args.m, args.eta, args.r, rng))),
     "subspace": ("uniform --dim-dimensional subspaces of F_q^ambient",
-                 ("ambient", "dim"), _field_of,
+                 ("ambient", "dim"), _field_of, _subspace_price,
                  lambda field, args, rng: _compact(linalg.sample_subspace(
                      field, args.ambient, args.dim, rng).to_json())),
     "decomposable": ("uniform products of per-block subspaces of total "
-                     "dimension --w", ("eta", "ell", "w"), _field_of,
+                     "dimension --w", ("eta", "ell", "w"), _field_of, None,
                      lambda field, args, rng: _compact(
                          decomposable.sample_decomposable_uniform(
                              field, args.eta, args.ell, args.w,
                              rng).to_json())),
     "linear-code": ("row spaces of uniform full-rank generators at --rate",
                     ("m", "eta", "ell", "rate"), _space_of,
+                    _linear_code_price,
                     lambda params, args, rng: _compact(
                         codes.sample_linear_code(
                             params, args.rate, rng).to_json())),
     "general-code": ("codes holding each point with probability "
                      "q^((rate-1)mn)", ("m", "eta", "ell", "rate"),
-                     _space_of,
+                     _space_of, None,
                      lambda params, args, rng: _compact(
                          codes.sample_general_code(
                              params, args.rate, rng).to_json())),
@@ -503,8 +541,12 @@ _SAMPLE_TARGETS = {
 
 
 def _run_sample(args):
-    _, _, build, draw = _SAMPLE_TARGETS[args.what]
+    _, _, build, price, draw = _SAMPLE_TARGETS[args.what]
     space = build(args)
+    if args.count and price:  # refuse before the first draw
+        entries, work = price(space, args)
+        require_within(entries, MAX_ENTRIES, "entries per draw")
+        require_within(work, MAX_MATRIX_WORK, "matrix work per draw")
     cfg = _record_config(args)
     stream = RandomStream(args.seed, "sample", args.what)
     return [make_record("sample", args.what,
@@ -762,7 +804,7 @@ def build_parser():
 
     p = sub.add_parser("sample", help="seeded draws from the exact samplers")
     targets = p.add_subparsers(dest="what", required=True, metavar="TARGET")
-    for name, (text, flags, _, _) in _SAMPLE_TARGETS.items():
+    for name, (text, flags, *_) in _SAMPLE_TARGETS.items():
         _add_target(targets, name, text, flags, (), "count")
 
     p = sub.add_parser("experiment", help="Monte Carlo estimators with "

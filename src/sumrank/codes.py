@@ -14,21 +14,11 @@ import math
 from fractions import Fraction
 from itertools import repeat
 
-from . import linalg, metric
+from . import guards, linalg, metric
 from .counting import ball_volume, _as_fraction
 from .guards import require_power_within, require_within
 from .metric import BlockTuple, sum_rank_distance, tuple_code, zero_tuple
 from .montecarlo import EstimateResult
-
-# Full-space sweeps (general-code draws and list sizes) cap here.
-MAX_CODE_SPACE = 2 ** 20
-# Linear codeword iteration caps at this many words.
-MAX_CODEWORDS = 2 ** 20
-# A linear code's list size ranks q^(m*eta) block codes, walks the ball and
-# reduces every ball point against its k basis rows; their sum caps here.
-# Every space of at most MAX_CODE_SPACE points fits:
-# q^mn * (2 + mn) <= 22 * 2^20.
-MAX_COSET_STEPS = 2 ** 25
 
 
 def radius_for(params, rho):
@@ -39,7 +29,9 @@ def radius_for(params, rho):
     return int(rho * params.n)
 
 
-def _dimension_from_rate(params, rate):
+def dimension_from_rate(params, rate):
+    """The code dimension rate * mn, for a rate in (0, 1] that makes it an
+    integer."""
     rate = _as_fraction(rate)
     if not 0 < rate <= 1:
         raise ValueError(f"rate = {rate} outside (0, 1]")
@@ -117,7 +109,7 @@ class Code:
         """All codewords; for linear codes iterates q^k combinations."""
         if not self.is_linear:
             return list(self.words)
-        require_within(self.size, MAX_CODEWORDS, "codeword count")
+        require_within(self.size, guards.MAX_SWEEP, "codeword count")
         return [metric.tuple_from_code(self.params, x)
                 for x in _span(self.params, self.basis)]
 
@@ -130,7 +122,7 @@ class Code:
 
 def sample_linear_code(params, rate, rng):
     """Row space of a uniform full-rank k x mn generator, k = rate * mn."""
-    k = _dimension_from_rate(params, rate)
+    k = dimension_from_rate(params, rate)
     rows = linalg.sample_full_rank(params.field, k, params.total_dim, rng)
     basis = tuple(BlockTuple(params, row) for row in rows)
     return Code(params, basis=basis)
@@ -142,8 +134,8 @@ def sample_general_code(params, rate, rng):
     The Bernoulli draw is exact: include iff randrange(q^((1-rate)mn)) == 0.
     Guarded: sweeps the whole space, q^mn points.
     """
-    k = _dimension_from_rate(params, rate)
-    space = require_power_within(params.q, params.total_dim, MAX_CODE_SPACE,
+    k = dimension_from_rate(params, rate)
+    space = require_power_within(params.q, params.total_dim, guards.MAX_SWEEP,
                                  "code space size")
     denom = params.q ** (params.total_dim - k)
     words = []
@@ -162,7 +154,7 @@ def _occupancy_by_center(code, radius):
     list size zero and are omitted.
     """
     params = code.params
-    require_power_within(params.q, params.total_dim, MAX_CODE_SPACE,
+    require_power_within(params.q, params.total_dim, guards.MAX_SWEEP,
                          "code space size")
     add = metric.code_adder(params.field, params.total_dim)
     words = list(map(tuple_code, code.codewords()))
@@ -175,13 +167,13 @@ def _occupancy_by_center(code, radius):
 def require_coset_histogram_within(params, radius, dimension):
     """Raise GuardError unless a dimension-k linear code's coset histogram
     is within its caps: q^(m*eta) block ranks and the ball points (one class
-    each at most) at MAX_CODE_SPACE apiece, and block ranks plus ball points
+    each at most) at MAX_SWEEP apiece, and block ranks plus ball points
     times 1 + k (walked, then reduced against k rows) at MAX_COSET_STEPS."""
     blocks = require_power_within(params.q, params.m * params.eta,
-                                  MAX_CODE_SPACE, "block matrix count")
-    ball = require_within(ball_volume(params, radius), MAX_CODE_SPACE,
+                                  guards.MAX_SWEEP, "block matrix count")
+    ball = require_within(ball_volume(params, radius), guards.MAX_SWEEP,
                           "ball volume")
-    require_within(blocks + ball * (1 + dimension), MAX_COSET_STEPS,
+    require_within(blocks + ball * (1 + dimension), guards.MAX_COSET_STEPS,
                    "coset reduction steps")
 
 
@@ -218,7 +210,7 @@ def max_list_size(code, radius):
 
     A linear code reads its coset histogram of B(0, radius) (guarded by
     block and ball size and by MAX_COSET_STEPS); a general code spreads
-    every codeword over the ball (guarded at MAX_CODE_SPACE points of
+    every codeword over the ball (guarded at MAX_SWEEP points of
     space).
     """
     params = code.params
@@ -259,7 +251,7 @@ def span_ball_count(points, radius):
         if x.params != params:
             raise ValueError("points live in different spaces")
     gamma = len(points)
-    require_power_within(params.q, gamma, MAX_CODE_SPACE,
+    require_power_within(params.q, gamma, guards.MAX_SWEEP,
                          "span combination count")
     return sum(1 for x in set(_span(params, points))
                if metric.tuple_from_code(params, x).weight() <= radius)

@@ -16,6 +16,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import guards
 from .galois import FieldSpec
 from .guards import require_within
 
@@ -24,12 +25,6 @@ _FRAC = 160
 
 # Default slack used when comparing exact counts against irrational bounds.
 LOG_MARGIN = 1e-9
-
-# Cap on the work of one exact count: products x bits of one operand x
-# 2,048-bit pieces of the other.  The largest counts under it take at
-# most about 2 s in the CLI on a 2-vCPU VM, most of it printing a count of
-# up to about 700,000 bits.
-MAX_COUNT_WORK = 2 ** 29
 
 
 @dataclass(frozen=True)
@@ -133,8 +128,8 @@ def _binomial_row(n, k, q, eta=0):
     j = min(k - 1, (n + eta - 1) // 2)
     widest = (j + 1) * (n + eta - j) * width + 2
     pieces = 1 + max(n, eta) * width // 2048
-    require_within((3 if eta else 2) * k * widest * pieces, MAX_COUNT_WORK,
-                   "Gaussian binomial work")
+    require_within((3 if eta else 2) * k * widest * pieces,
+                   guards.MAX_COUNT_WORK, "Gaussian binomial work")
     top, low = q ** n, q  # q^(n - j) and q^(j + 1)
     full, gone = q ** eta, 1  # q^eta and q^j
     for _ in range(k):
@@ -346,7 +341,8 @@ def _power_work(base, ell, deg):
 def _whole_power_fits(base, ell):
     # Whether every degree of base^ell is within MAX_COUNT_WORK, so that the
     # reads of an ascending sweep need not each be priced.
-    return _power_work(base, ell, ell * (len(base) - 1)) <= MAX_COUNT_WORK
+    return (_power_work(base, ell, ell * (len(base) - 1))
+            <= guards.MAX_COUNT_WORK)
 
 
 _POWERS = {}  # (base, ell) -> the longest prefix of base^ell computed
@@ -362,7 +358,7 @@ def block_sum_power(base, ell, deg):
     power = _POWERS.get((base, ell), ())
     if len(power) <= deg:
         if not _whole_power_fits(base, ell):
-            require_within(_power_work(base, ell, deg), MAX_COUNT_WORK,
+            require_within(_power_work(base, ell, deg), guards.MAX_COUNT_WORK,
                            "block-sum work")
         power = list(power) or [base[0] ** ell]
         for n in range(len(power), deg + 1):
@@ -377,7 +373,7 @@ def completion_powers(base, ell, deg):
     """(base^(ell-1), ..., base^0), each through degree deg or further:
     entry i holds the masses of the completions of a prefix of i blocks."""
     require_within(sum(_power_work(base, j, deg) for j in range(ell)),
-                   MAX_COUNT_WORK, "block-sum work")
+                   guards.MAX_COUNT_WORK, "block-sum work")
     return tuple(block_sum_power(base, j, deg) for j in reversed(range(ell)))
 
 

@@ -30,11 +30,7 @@ from array import array
 from itertools import product as _product
 from operator import itemgetter
 
-# The two tables of 16-bit rows take 2 q^2 bytes each, 4.2 MB for both at
-# q = 1024 (4.6 MB tracemalloc peak), and build in 41 ms at q = 1024, 34 ms
-# at q = 1021 and 21 ms at q = 729 (CPython 3.11, one Xeon vCPU); at
-# q = 4096 they would take 67 MB.
-MAX_Q = 1024
+from . import guards
 
 
 def _poly_rem(num, den, p):
@@ -89,7 +85,7 @@ class FieldSpec:
         if q < 2:
             raise ValueError(f"q = {q} is not a prime power")
         p = 2
-        while p * p <= q and p <= MAX_Q and q % p != 0:
+        while p * p <= q and p <= guards.MAX_Q and q % p != 0:
             p += 1
         if q % p != 0:
             p = q  # q is prime, or has no factor up to MAX_Q and exceeds it
@@ -100,8 +96,9 @@ class FieldSpec:
             e += 1
         if rest != 1:
             raise ValueError(f"q = {q} is not a prime power")
-        if q > MAX_Q:
-            raise ValueError(f"field order {q} exceeds supported maximum {MAX_Q}")
+        if q > guards.MAX_Q:
+            raise ValueError(
+                f"field order {q} exceeds supported maximum {guards.MAX_Q}")
         self.p = p
         self.e = e
         self.q = q
@@ -187,17 +184,8 @@ class FieldSpec:
             raise ValueError(f"{a!r} is not an element index of F_{self.q}")
         return a
 
-    def add(self, a, b):
-        return self._add[a][b]
-
     def sub(self, a, b):
         return self._add[a][self._neg[b]]
-
-    def mul(self, a, b):
-        return self._mul[a][b]
-
-    def neg(self, a):
-        return self._neg[a]
 
     def inv(self, a):
         if a == 0:

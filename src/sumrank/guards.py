@@ -1,11 +1,33 @@
-"""Enumeration guards.
+"""Enumeration guards: every size limit of the package and the checks that
+enforce it.
 
 Brute-force paths refuse to run above fixed size limits instead of silently
-truncating.  Every guarded function documents its limit; violations raise
-:class:`GuardError`.
+truncating.  Each cap is priced by plain arithmetic on the shape, before the
+work starts; violations raise :class:`GuardError`.
 """
 
 import math
+
+# Items one Python sweep walks: block matrices ranked, points of space or of
+# a ball, span combinations, codewords, shifts (metric, codes, chains).
+MAX_SWEEP = 2 ** 20
+# Products x operand bits x 2,048-bit pieces in one exact count
+# (counting._binomial_row, block_sum_power, completion_powers); the largest
+# counts under it take about 2 s in the CLI on a 2-vCPU VM.
+MAX_COUNT_WORK = 2 ** 29
+# Block ranks + ball points x (1 + k) (codes.require_coset_histogram_within);
+# every space of at most MAX_SWEEP points fits: q^mn (2 + mn) <= 22 * 2^20.
+MAX_COSET_STEPS = 2 ** 25
+# Set size x (trials + 1) x gamma^2 digit steps (chains.require_search_within)
+MAX_RANDOM_DIGIT_STEPS = 2 ** 30
+# Field entries one sample draw builds (cli._run_sample).
+MAX_ENTRIES = 2 ** 21
+# Elimination and product steps of one sample draw (cli._run_sample).
+MAX_MATRIX_WORK = 2 ** 25
+# Subspaces in one Grassmannian (linalg.enumerate_subspaces).
+MAX_GRASSMANNIAN = 10 ** 6
+# Field order (galois.FieldSpec); its tables take 4.2 MB and 41 ms at 1024.
+MAX_Q = 1024
 
 
 class GuardError(RuntimeError):

@@ -17,12 +17,9 @@ one ``randrange(q)`` per entry would.
 
 from itertools import combinations, islice, product
 
-from . import counting
+from . import counting, guards
 from .guards import require_within
 from .montecarlo import uniform_draws
-
-# enumerate_subspaces refuses Grassmannians larger than this.
-MAX_GRASSMANNIAN = 10 ** 6
 
 
 def _rref(field, rows):
@@ -208,7 +205,7 @@ def enumerate_subspaces(field, ambient, k):
     if not 0 <= k <= ambient:
         raise ValueError(f"k = {k} outside [0, {ambient}]")
     expected = counting.gaussian_binomial(ambient, k, field.q)
-    require_within(expected, MAX_GRASSMANNIAN, "Grassmannian size")
+    require_within(expected, guards.MAX_GRASSMANNIAN, "Grassmannian size")
     out = []
     if k == 0:
         return [Subspace.zero(field, ambient)]

@@ -18,13 +18,11 @@ import functools
 import itertools
 import operator
 
-from . import counting, linalg
-from .counting import ball_volume, sphere_volume
+from . import counting, guards, linalg
+# sphere_volume is not called here: perfbench's tracer test checks that the
+# tracer also patches a copy imported into another module, this one.
+from .counting import ball_volume, sphere_volume  # noqa: F401
 from .guards import require_power_within, require_within
-
-# Weight histogram: q^(m*eta) block ranks plus ell^2 (t + 1)^2 convolution
-# products, t = min(m, eta); cap here.
-MAX_HISTOGRAM_WORK = 2 ** 20
 
 
 class BlockTuple:
@@ -210,12 +208,12 @@ def rank_table(field, m, eta):
 
 def require_histogram_within(params):
     """Raise GuardError unless weight_histogram(params) is within
-    MAX_HISTOGRAM_WORK: q^(m*eta) block matrices plus ell^2 (t + 1)^2
+    MAX_SWEEP: q^(m*eta) block matrices plus ell^2 (t + 1)^2
     products, t = min(m, eta).  Arithmetic only."""
     blocks = require_power_within(params.q, params.m * params.eta,
-                                  MAX_HISTOGRAM_WORK, "block matrix count")
+                                  guards.MAX_SWEEP, "block matrix count")
     require_within(blocks + (params.ell * (params.block_rank_cap + 1)) ** 2,
-                   MAX_HISTOGRAM_WORK, "weight histogram work")
+                   guards.MAX_SWEEP, "weight histogram work")
 
 
 def weight_histogram(params):

@@ -13,11 +13,10 @@ import math
 from fractions import Fraction
 
 from sumrank import counting, linalg, metric
-from sumrank.codes import MAX_CODE_SPACE
 from sumrank.counting import SpaceParams, ball_volume
 from sumrank.decomposable import DecomposableSubspace, _event_threshold
 from sumrank.galois import field_from_order
-from sumrank.guards import require_power_within, require_within
+from sumrank.guards import MAX_SWEEP, require_power_within, require_within
 from sumrank.metric import (BlockTuple, iter_ball, sum_rank_distance,
                             tuple_code, tuple_from_code)
 
@@ -75,7 +74,7 @@ def expected_ball_occupancy(code, radius):
     not an algebraic echo.
     """
     params = code.params
-    space = require_power_within(params.q, params.total_dim, MAX_CODE_SPACE,
+    space = require_power_within(params.q, params.total_dim, MAX_SWEEP,
                                  "code space size")
     closed = Fraction(code.size * ball_volume(params, radius), space)
     ranks = metric.rank_table(params.field, params.m, params.eta)

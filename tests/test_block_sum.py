@@ -14,7 +14,7 @@ import pytest
 
 from sumrank import counting, decomposable, linalg, metric
 from sumrank.galois import field_from_order
-from sumrank.guards import GuardError
+from sumrank.guards import MAX_COUNT_WORK, GuardError
 
 from oracles import params_for
 
@@ -263,8 +263,7 @@ def test_power_bit_bound_is_never_below_the_real_bit_count():
 
 def test_kernel_refuses_work_past_the_cap_before_computing(fresh_powers):
     base = counting.rank_count_vector(64, 64, 2)
-    assert counting._power_work(base, 1000, 10 ** 4) > \
-        counting.MAX_COUNT_WORK
+    assert counting._power_work(base, 1000, 10 ** 4) > MAX_COUNT_WORK
     with pytest.raises(GuardError):
         counting.block_sum_power(base, 1000, 10 ** 4)
     assert (base, 1000) not in counting._POWERS

@@ -13,7 +13,7 @@ from sumrank.chains import (BoundReport, ChainInstance, best_shift_chain,
                             chain_length_bound, encode, max_chain_exact,
                             random_chain_instance)
 from sumrank.galois import field_from_order
-from sumrank.guards import GuardError
+from sumrank.guards import MAX_RANDOM_DIGIT_STEPS, GuardError
 from sumrank.metric import matrix_code, vector_from_code
 from sumrank.montecarlo import RandomStream
 
@@ -127,7 +127,7 @@ def test_greedy_chain_lives_in_shifted_set():
         shift = (1, 2, 0, 1)
         chain = greedy_chain(inst, shift)
         assert is_increasing_chain(chain, 1)
-        shifted = {tuple(field.add(x, s) for x, s in zip(v, shift))
+        shifted = {tuple(field._add[x][s] for x, s in zip(v, shift))
                    for v in inst.vectors}
         for v in chain:
             assert tuple(v) in shifted
@@ -199,8 +199,8 @@ def test_exact_target_consistent(seed):
 def brute_longest_chain(inst, shift):
     """The code-order-least longest chain among the orderings of subsets of
     A + shift, by listing them all."""
-    add = inst.field.add
-    shifted = [tuple(add(x, s) for x, s in zip(v, shift)) for v in inst.vectors]
+    add = inst.field._add
+    shifted = [tuple(add[x][s] for x, s in zip(v, shift)) for v in inst.vectors]
     chains_found = [list(p) for k in range(len(shifted) + 1)
                     for p in itertools.permutations(shifted, k)
                     if is_increasing_chain(p, inst.c)]
@@ -378,7 +378,7 @@ def reference_items(inst, shift):
     for v in inst.vectors:
         mask = val = 0
         for x, s in zip(v, shift):
-            y = inst.field.add(x, s)
+            y = inst.field._add[x][s]
             val = val * q + y
             mask = mask << 1 | (y != 0)
         out.append((mask, val))
@@ -599,7 +599,7 @@ def test_heaviest_table_is_zero_only_at_minus_a(field):
     a = (1, 2, 1)
     inst = instance(field, 3, [a], 1)
     table = chains._heaviest(inst)
-    minus_a = encode(field, 3, [field.neg(x) for x in a])
+    minus_a = encode(field, 3, [field._neg[x] for x in a])
     assert [w for w in range(q ** 3) if table[w] == 0] == [minus_a]
     assert table[encode(field, 3, a)] == 3
 
@@ -624,7 +624,7 @@ def test_random_search_guard_bounds_the_digit_steps():
     with pytest.raises(GuardError, match="random search digit steps"):
         chains.require_search_within(3, 10 ** 6, 3, "random", 3)
     chains.require_search_within(3, 2000, 3, "random", 3)
-    steps = chains.MAX_RANDOM_DIGIT_STEPS
+    steps = MAX_RANDOM_DIGIT_STEPS
     gamma = math.isqrt(steps // 2)  # one vector, one trial: 2 gamma^2
     chains.require_search_within(2, gamma, 1, "random", 1)
     with pytest.raises(GuardError):
@@ -650,7 +650,7 @@ def test_chunk_tables_fixed_size_and_digitwise(q):
     for _ in range(200):
         a, b = rng.randrange(size), rng.randrange(size)
         da, db = vector_from_code(q, k, a), vector_from_code(q, k, b)
-        total = tuple(field.add(x, y) for x, y in zip(da, db))
+        total = tuple(field._add[x][y] for x, y in zip(da, db))
         assert vector_from_code(q, k, sums[a][b]) == total
         assert supports[a] == int("".join("1" if x else "0" for x in da), 2)
 

@@ -702,6 +702,42 @@ def test_list_size_guard_fires_before_the_first_code(capsys):
     assert set(rows_by_statistic(out)) == {"dimension", "radius"}
 
 
+# Draws that ran for seconds or more before they were priced from their
+# flags; the first three were still running after 20 s under a 3 GB
+# address-space limit.
+SAMPLES_PRICED_BEFORE_THE_DRAW = [
+    pytest.param("sample rank-matrix --q 3 --m 100000 --eta 100000 --r 1",
+                 "entries per draw = 10000200000", id="rank-matrix"),
+    pytest.param("sample subspace --q 2 --ambient 100000 --dim 50000",
+                 "entries per draw = 5000000000", id="subspace"),
+    pytest.param("sample linear-code --q 2 --m 30 --eta 30 --ell 30 "
+                 "--rate 1/2", "entries per draw = 364500000",
+                 id="linear-code"),
+    # two rank-500 factors of 10^6 entries, eliminated and multiplied: 46 s
+    pytest.param("sample rank-matrix --q 3 --m 1000 --eta 1000 --r 500",
+                 "matrix work per draw = 1000000000", id="rank-matrix-work"),
+    # 10^7 blocks: still running at 120 s
+    pytest.param("sample ball --q 2 --m 1 --eta 1 --ell 10000000 --r 1",
+                 "entries per draw = 10000002", id="ball"),
+]
+
+
+@pytest.mark.parametrize("argv, refused", SAMPLES_PRICED_BEFORE_THE_DRAW)
+def test_sample_is_priced_before_the_first_draw(capsys, argv, refused):
+    start = time.perf_counter()
+    status, out, err = run_cli(capsys, [*argv.split(), "--count", "1"])
+    assert time.perf_counter() - start < 1.0
+    assert status == 3
+    assert out == ""
+    assert err.startswith(f"guard violation: {refused} exceeds the "
+                          "enumeration limit ")
+    # with no draw there is nothing to refuse
+    status, out, err = run_cli(capsys, [*argv.split(), "--count", "0"])
+    assert status == 0
+    assert err == ""
+    assert out == ",".join(CSV_HEADER) + "\n"
+
+
 def test_correlation_without_center_builds_no_zero_point(capsys):
     # a point of 10^8 entries: building the zero center took 8 s before
     # the sampler's guard refused the draw

@@ -13,7 +13,7 @@ from sumrank.codes import (Code, correlation_estimate,
                            subset_span_event_estimate)
 from sumrank.counting import ball_volume
 from sumrank.galois import field_from_order
-from sumrank.guards import GuardError
+from sumrank.guards import MAX_COSET_STEPS, MAX_SWEEP, GuardError
 from sumrank.linalg import Subspace, _rank_rows
 from sumrank.metric import (BlockTuple, sum_rank_distance, tuple_code,
                             tuple_from_code, zero_tuple)
@@ -143,9 +143,9 @@ def test_max_list_size_matches_center_sweep():
 
 
 def test_max_list_size_exhaustive_above_the_enumeration_cap():
-    # 2^17 points: more than enumerate_ball takes, within MAX_CODE_SPACE
+    # 2^17 points: more than enumerate_ball takes, within MAX_SWEEP
     params = params_for(2, 1, 1, 17)
-    assert oracles.MAX_ENUMERATION < 2 ** 17 <= codes.MAX_CODE_SPACE
+    assert oracles.MAX_ENUMERATION < 2 ** 17 <= MAX_SWEEP
     with pytest.raises(GuardError):
         enumerate_ball(params, 2)
     code = sample_linear_code(params, Fraction(2, 17), random.Random(113))
@@ -253,9 +253,9 @@ def test_witness_is_the_smallest_reduced_code_among_tied_classes():
 
 
 def test_linear_list_size_past_the_code_space_cap():
-    # 2^24 points, past MAX_CODE_SPACE; the radius-1 ball has 55
+    # 2^24 points, past MAX_SWEEP; the radius-1 ball has 55
     params = params_for(2, 2, 2, 6)
-    assert params.q ** params.total_dim > codes.MAX_CODE_SPACE
+    assert params.q ** params.total_dim > MAX_SWEEP
     code = sample_linear_code(params, Fraction(1, 2), random.Random(131))
     classes = codes._coset_histogram(code, 1)
     assert sum(classes.values()) == ball_volume(params, 1) == 55
@@ -266,10 +266,10 @@ def test_linear_list_size_past_the_code_space_cap():
 
 def test_large_block_shape_of_the_old_cap_still_runs():
     # one block of 2^20 matrices: past MAX_ENUMERATION, as large a space
-    # as MAX_CODE_SPACE allowed
+    # as MAX_SWEEP allowed
     params = params_for(2, 4, 5, 1)
     base = params.q ** (params.m * params.eta)
-    assert oracles.MAX_ENUMERATION < base == codes.MAX_CODE_SPACE
+    assert oracles.MAX_ENUMERATION < base == MAX_SWEEP
     code = sample_linear_code(params, Fraction(1, 10), random.Random(137))
     size, witness = max_list_size(code, 1)
     assert list_size_at(code, witness, 1) == size
@@ -280,8 +280,8 @@ def test_coset_guard_admits_every_space_the_old_cap_admitted():
     # block codes and ball points each at most q^mn, k at most mn
     for q in range(2, 1025):
         n = 1
-        while q ** n <= codes.MAX_CODE_SPACE:
-            assert q ** n * (2 + n) <= codes.MAX_COSET_STEPS, (q, n)
+        while q ** n <= MAX_SWEEP:
+            assert q ** n * (2 + n) <= MAX_COSET_STEPS, (q, n)
             n += 1
 
 
@@ -290,7 +290,7 @@ def test_coset_guard_counts_walks_and_reductions():
     params = params_for(2, 1, 1, 64)
     code = sample_linear_code(params, Fraction(60, 64), random.Random(139))
     ball = ball_volume(params, 4)
-    assert ball <= codes.MAX_CODE_SPACE
+    assert ball <= MAX_SWEEP
     steps = 2 + ball * 61
     with pytest.raises(GuardError, match=f"coset reduction steps = {steps} "):
         max_list_size(code, 4)

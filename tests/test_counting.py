@@ -22,7 +22,8 @@ from sumrank.counting import (SpaceParams, ball_volume, block_sum_power,
                               gaussian_binomial_bounds_ok,
                               list_decoding_capacity, q_ary_entropy,
                               rank_count_vector, sphere_volume)
-from sumrank.galois import MAX_Q, field_from_order
+from sumrank.galois import field_from_order
+from sumrank.guards import MAX_Q
 from sumrank.linalg import _rank_rows
 
 from oracles import is_prime_power, params_for

@@ -1,6 +1,6 @@
-"""Guards: how a refused value is written, and source checks: no guard
-builds q^e before comparing it, and every function of the package is named
-by the package or by perfbench."""
+"""Guards: how a refused value is written, and source checks: every cap
+lives in guards.py, no guard builds q^e before comparing it, and every
+function of the package is named by the package or by perfbench."""
 
 import ast
 import re
@@ -13,8 +13,8 @@ import sumrank
 from sumrank.guards import GuardError, require_within
 
 PACKAGE = sorted(Path(sumrank.__file__).parent.glob("*.py"))
-# Every module but guards.py, where require_power_within builds q^e only
-# once e is below the limit's bit length.
+# Every module but guards.py, which holds every cap, and where
+# require_power_within builds q^e only once e is below the limit's bit length.
 SOURCES = [path for path in PACKAGE if path.name != "guards.py"]
 PERFBENCH = sorted((Path(__file__).parents[1] / "perfbench").glob("*.py"))
 
@@ -25,6 +25,36 @@ def test_a_value_past_the_str_digit_limit_is_written_as_a_power_of_ten():
         require_within(3 ** 10000, 2 ** 20, "shift count")
     assert str(exc.value) == ("shift count ~ 10^4771.2 exceeds the "
                               "enumeration limit 1048576")
+
+
+def caps_assigned(tree):
+    """The MAX_* names that module-level statements of tree assign."""
+    targets = []
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets += node.targets
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            targets.append(node.target)
+    return [n.id for target in targets for n in ast.walk(target)
+            if isinstance(n, ast.Name) and n.id.startswith("MAX_")]
+
+
+@pytest.mark.parametrize("source, names", [
+    ("MAX_X = 1", ["MAX_X"]),
+    ("A, MAX_Y = MAX_Z = 1, 2", ["MAX_Y", "MAX_Z"]),
+    ("MAX_W: int = 1\nMAX_W += 1", ["MAX_W", "MAX_W"]),
+    ("from .guards import MAX_SWEEP\nLIMIT = MAX_SWEEP", []),
+    ("def f():\n    MAX_V = 1", []),
+])
+def test_the_cap_check_finds_what_it_looks_for(source, names):
+    assert caps_assigned(ast.parse(source)) == names
+
+
+def test_every_cap_lives_in_guards():
+    assert len(SOURCES) > 5
+    found = {path.name: caps_assigned(ast.parse(path.read_text(), str(path)))
+             for path in SOURCES}
+    assert {name: caps for name, caps in found.items() if caps} == {}
 
 
 def _variable_powers(node):
