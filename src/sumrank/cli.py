@@ -464,15 +464,21 @@ def _record_config(args):
     return cfg
 
 
-# The price of one draw, from the flags: (entries built, matrix work), the
-# work being rows x rank x columns for each elimination and m x r x eta for
-# each product.  A shape the sampler refuses is refused here as the sampler
-# would, or priced at (0, 0) and left to it.
-def _ball_price(params, args):
+# The price of one draw: (entries built, matrix work), the work being rows x
+# rank x columns for each elimination and m x r x eta for each product.  A
+# shape the sampler refuses is refused here as the sampler would, or priced
+# at (0, 0) and left to it.  sample and experiment refuse a draw over
+# either cap before their first.
+def _require_draw_within(entries, work):
+    require_within(entries, MAX_ENTRIES, "entries per draw")
+    require_within(work, MAX_MATRIX_WORK, "matrix work per draw")
+
+
+def _ball_price(params, radius):
     # the point and the factors of its blocks, whose ranks sum to at most the
     # radius; the count guard that each draw runs first bounds the work
-    params.check_radius(args.radius)
-    return params.total_dim + (params.m + params.eta) * args.radius, 0
+    params.check_radius(radius)
+    return params.total_dim + (params.m + params.eta) * radius, 0
 
 
 def _rank_matrix_price(field, args):
@@ -493,10 +499,14 @@ def _subspace_price(field, args):
     return k * n, 2 * k * k * n
 
 
-def _linear_code_price(params, args):
+def _rho_ball_price(params, args):
+    # one ball point at radius floor(rho * n), as sample ball prices it
+    return _ball_price(params, codes.radius_for(params, args.rho))
+
+
+def _linear_code_price(params, k):
     # a full-rank k x mn generator, eliminated once
-    k, n = codes.dimension_from_rate(params, args.rate), params.total_dim
-    return k * n, k * k * n
+    return k * params.total_dim, k * k * params.total_dim
 
 
 # Each sample target: its help line; the flags it needs, which with q are
@@ -507,7 +517,8 @@ def _linear_code_price(params, args):
 # called, so a patched module attribute is the one that runs.
 _SAMPLE_TARGETS = {
     "ball": ("uniform points of the sum-rank ball of radius --r",
-             ("m", "eta", "ell", "radius"), _space_of, _ball_price,
+             ("m", "eta", "ell", "radius"), _space_of,
+             lambda params, args: _ball_price(params, args.radius),
              lambda params, args, rng: metric.tuple_code(
                  metric.sample_ball_uniform(params, args.radius, rng))),
     "rank-matrix": ("uniform m x eta matrices of rank --r",
@@ -527,7 +538,8 @@ _SAMPLE_TARGETS = {
                              rng).to_json())),
     "linear-code": ("row spaces of uniform full-rank generators at --rate",
                     ("m", "eta", "ell", "rate"), _space_of,
-                    _linear_code_price,
+                    lambda params, args: _linear_code_price(
+                        params, codes.dimension_from_rate(params, args.rate)),
                     lambda params, args, rng: _compact(
                         codes.sample_linear_code(
                             params, args.rate, rng).to_json())),
@@ -544,9 +556,7 @@ def _run_sample(args):
     _, _, build, price, draw = _SAMPLE_TARGETS[args.what]
     space = build(args)
     if args.count and price:  # refuse before the first draw
-        entries, work = price(space, args)
-        require_within(entries, MAX_ENTRIES, "entries per draw")
-        require_within(work, MAX_MATRIX_WORK, "matrix work per draw")
+        _require_draw_within(*price(space, args))
     cfg = _record_config(args)
     stream = RandomStream(args.seed, "sample", args.what)
     return [make_record("sample", args.what,
@@ -598,8 +608,9 @@ def _list_size_records(params, args, stream, cfg):
                          f"at n = {params.total_dim}; lower rho or eps")
     rate_used = Fraction(k, params.total_dim)
     radius = codes.radius_for(params, args.rho)
-    if args.codes:  # fail before drawing a code the guard refuses
+    if args.codes:  # fail before drawing a code a guard refuses
         codes.require_coset_histogram_within(params, radius, k)
+        _require_draw_within(*_linear_code_price(params, k))
     cfg.update(rate=str(rate_used), radius=radius)
     records = [
         make_record("experiment", "dimension", k, cfg, seed=seed),
@@ -612,9 +623,8 @@ def _list_size_records(params, args, stream, cfg):
         sizes[size] = sizes.get(size, 0) + 1
         records.append(make_record("experiment", "max_list_size", size, cfg,
                                    trial=i, seed=seed))
-        records.append(make_record("experiment", "witness_center",
-                                   metric.tuple_code(witness), cfg, trial=i,
-                                   seed=seed))
+        records.append(make_record("experiment", "witness_center", witness,
+                                   cfg, trial=i, seed=seed))
     for size in sorted(sizes):
         records.append(make_record(
             "experiment", f"codes_with_max_list_{size:04d}", sizes[size],
@@ -624,19 +634,20 @@ def _list_size_records(params, args, stream, cfg):
 
 # Each experiment: its help line; the flags it needs (a tuple among them:
 # exactly one of those), the optional flags, which with q are its record
-# config when given; its run count; how to build its field or space; and
-# its records.
+# config when given; its run count; how to build its field or space; the
+# price of one draw, None where the records price it (list-size) or a count
+# guard bounds it (dimension); and its records.
 # list-size emits many records, so it has its own.
 _EXPERIMENTS = {
     "correlation": ("Pr[X1 + X2 in the ball around --center (default 0)] "
                     "for uniform ball points X1, X2",
                     ("m", "eta", "ell", "rho"), ("center",), "trials",
-                    _space_of,
+                    _space_of, _rho_ball_price,
                     _estimator("correlation_probability", _correlation)),
     "dimension": ("intersection dimension of two uniform decomposable "
                   "subspaces",
                   ("eta", "ell", "wx", "wy", ("min_fraction", "exact_dim")),
-                  (), "trials", _field_of, _estimator(
+                  (), "trials", _field_of, None, _estimator(
                       "event_probability",
                       lambda field, args, stream:
                       decomposable.intersection_dimension_estimate(
@@ -646,7 +657,8 @@ _EXPERIMENTS = {
     "span-correlation": ("Pr[the span of --gamma ball points meets the ball "
                          "in bound-factor * gamma points or more]",
                          ("m", "eta", "ell", "rho", "gamma", "bound_factor"),
-                         (), "trials", _space_of, _estimator(
+                         (), "trials", _space_of, _rho_ball_price,
+                         _estimator(
                              "span_correlation_probability",
                              lambda params, args, stream:
                              codes.limited_correlation_estimate(
@@ -655,7 +667,7 @@ _EXPERIMENTS = {
     "subset-event": ("Pr[every combination in --vectors of ball points "
                      "lands in the ball]",
                      ("m", "eta", "ell", "rho", "vectors"), (), "trials",
-                     _space_of, _estimator(
+                     _space_of, _rho_ball_price, _estimator(
                          "subset_event_probability",
                          lambda params, args, stream:
                          codes.subset_span_event_estimate(
@@ -663,14 +675,15 @@ _EXPERIMENTS = {
                              stream))),
     "list-size": ("worst-case list sizes of random linear codes at rate "
                   "capacity - eps", ("m", "eta", "ell", "rho", "eps"), (),
-                  "codes", _space_of,
-                  _list_size_records),
+                  "codes", _space_of, None, _list_size_records),
 }
 
 
 def _run_experiment(args):
-    _, _, _, _, build, records = _EXPERIMENTS[args.what]
+    _, _, _, count, build, price, records = _EXPERIMENTS[args.what]
     space = build(args)
+    if getattr(args, count) >= 1 and price:  # refuse before the first draw
+        _require_draw_within(*price(space, args))
     stream = RandomStream(args.seed, "experiment", args.what)
     return records(space, args, stream, _record_config(args)), 0
 
@@ -810,7 +823,7 @@ def build_parser():
     p = sub.add_parser("experiment", help="Monte Carlo estimators with "
                                           "Wilson intervals")
     targets = p.add_subparsers(dest="what", required=True, metavar="TARGET")
-    for name, (text, flags, optional, count, _, _) in _EXPERIMENTS.items():
+    for name, (text, flags, optional, count, *_) in _EXPERIMENTS.items():
         _add_target(targets, name, text, flags, optional, count)
 
     p = sub.add_parser("chain", help="support-chain bound attainment on "

@@ -6,18 +6,19 @@ iff a uniform draw below q^((1-R)mn) is zero); linear codes are row spaces
 of uniform full-rank k x mn generators with k = R*mn.  Both require the
 code dimension R*mn to be an integer, which keeps every inclusion
 probability a rational with power-of-q denominator.
+
+Enumerated points (codewords, list-size witnesses) are integer codes and
+sampled ball points stay BlockTuples; only Code.to_json decodes a code.
 """
 
 import collections
-import functools
-import math
-from fractions import Fraction
+import operator
 from itertools import repeat
 
 from . import guards, linalg, metric
 from .counting import ball_volume, _as_fraction
 from .guards import require_power_within, require_within
-from .metric import BlockTuple, sum_rank_distance, tuple_code, zero_tuple
+from .metric import BlockTuple
 from .montecarlo import EstimateResult
 
 
@@ -42,19 +43,9 @@ def dimension_from_rate(params, rate):
     return int(k)
 
 
-def _span(params, points):
-    """Codes of every combination sum_i c_i x_i over c in F_q^len(points),
-    repeats included: the first point's coefficient varies fastest."""
-    add = metric.code_adder(params.field, params.total_dim)
-    combos = [0]
-    for x in points:
-        scaled = [tuple_code(x.scale(c)) for c in range(1, params.q)]
-        combos += [add(c, s) for s in scaled for c in combos]
-    return combos
-
-
 class Code:
-    """A code in the metric space, either linear (basis) or general (set)."""
+    """A code in the metric space: linear, held as the entry rows of its
+    basis, or general, held as the sorted integer codes of its words."""
 
     __slots__ = ("params", "basis", "words")
 
@@ -63,22 +54,17 @@ class Code:
             raise ValueError("provide exactly one of basis and words")
         self.params = params
         if basis is not None:
-            basis = tuple(basis)
-            for x in basis:
-                if x.params != params:
-                    raise ValueError("basis element has mismatched params")
-            rows = [x.to_vector() for x in basis]
-            if rows and linalg._rank_rows(params.field, rows) != len(rows):
+            basis = tuple(metric.check_entries(params, row) for row in basis)
+            if basis and linalg._rank_rows(params.field, basis) != len(basis):
                 raise ValueError("basis rows are linearly dependent")
-            self.basis = basis
-            self.words = None
+            self.basis, self.words = basis, None
         else:
-            words = frozenset(words)
-            for x in words:
-                if x.params != params:
-                    raise ValueError("codeword has mismatched params")
-            self.basis = None
-            self.words = words
+            words = tuple(sorted(set(map(operator.index, words))))
+            space = params.q ** params.total_dim if words else 0
+            for end in words[:1] + words[-1:]:  # sorted: the ends suffice
+                if not 0 <= end < space:
+                    raise ValueError(f"code {end} outside [0, {space})")
+            self.basis, self.words = None, words
 
     @property
     def is_linear(self):
@@ -96,36 +82,35 @@ class Code:
             return self.params.q ** len(self.basis)
         return len(self.words)
 
-    @property
-    def rate(self):
-        """k/mn as an exact rational for linear codes, log_q|C|/mn otherwise."""
-        if self.is_linear:
-            return Fraction(len(self.basis), self.params.total_dim)
-        if not self.words:
-            return None
-        return math.log(len(self.words), self.params.q) / self.params.total_dim
-
     def codewords(self):
-        """All codewords; for linear codes iterates q^k combinations."""
+        """The codes of all codewords.  A linear code lists its q^k
+        combinations, the first basis row's coefficient varying fastest."""
         if not self.is_linear:
             return list(self.words)
         require_within(self.size, guards.MAX_SWEEP, "codeword count")
-        return [metric.tuple_from_code(self.params, x)
-                for x in _span(self.params, self.basis)]
+        params = self.params
+        add = metric.code_adder(params.field, params.total_dim)
+        combos = [0]
+        for row in self.basis:
+            scaled = [metric.vector_code(params.q, map(mul.__getitem__, row))
+                      for mul in params.field._mul[1:]]
+            combos += [add(c, s) for s in scaled for c in combos]
+        return combos
 
     def to_json(self):
+        params = self.params
         if self.is_linear:
-            return {"kind": "linear", "basis": [x.to_json() for x in self.basis]}
-        ordered = sorted(self.words, key=tuple_code)
-        return {"kind": "general", "codewords": [x.to_json() for x in ordered]}
+            return {"kind": "linear", "basis": [
+                BlockTuple(params, row).to_json() for row in self.basis]}
+        return {"kind": "general", "codewords": [
+            metric.tuple_from_code(params, w).to_json() for w in self.words]}
 
 
 def sample_linear_code(params, rate, rng):
     """Row space of a uniform full-rank k x mn generator, k = rate * mn."""
     k = dimension_from_rate(params, rate)
     rows = linalg.sample_full_rank(params.field, k, params.total_dim, rng)
-    basis = tuple(BlockTuple(params, row) for row in rows)
-    return Code(params, basis=basis)
+    return Code(params, basis=rows)
 
 
 def sample_general_code(params, rate, rng):
@@ -138,11 +123,8 @@ def sample_general_code(params, rate, rng):
     space = require_power_within(params.q, params.total_dim, guards.MAX_SWEEP,
                                  "code space size")
     denom = params.q ** (params.total_dim - k)
-    words = []
-    for code in range(space):
-        if rng.randrange(denom) == 0:
-            words.append(metric.tuple_from_code(params, code))
-    return Code(params, words=words)
+    return Code(params, words=[code for code in range(space)
+                               if rng.randrange(denom) == 0])
 
 
 # -- list sizes ------------------------------------------------------------
@@ -157,7 +139,7 @@ def _occupancy_by_center(code, radius):
     require_power_within(params.q, params.total_dim, guards.MAX_SWEEP,
                          "code space size")
     add = metric.code_adder(params.field, params.total_dim)
-    words = list(map(tuple_code, code.codewords()))
+    words = code.codewords()
     counts = collections.Counter()
     for offset in metric.iter_ball(params, radius):
         counts.update(map(add, words, repeat(offset)))
@@ -189,7 +171,7 @@ def _coset_histogram(code, radius):
     params = code.params
     field, q, n = params.field, params.q, params.total_dim
     require_coset_histogram_within(params, radius, code.dimension)
-    rows, pivots = linalg._rref(field, [x.to_vector() for x in code.basis])
+    rows, pivots = linalg._rref(field, code.basis)
     add, neg, mul = metric.code_adder(field, n), field._neg, field._mul
     points = list(metric.iter_ball(params, radius))
     for p, row in zip(pivots, rows):
@@ -205,8 +187,8 @@ def _coset_histogram(code, radius):
 
 
 def max_list_size(code, radius):
-    """Largest list size over every center, with a witness center: the
-    smallest center code among the largest lists.
+    """Largest list size over every center, with a witness: the smallest
+    center code among the largest lists.
 
     A linear code reads its coset histogram of B(0, radius) (guarded by
     block and ball size and by MAX_COSET_STEPS); a general code spreads
@@ -220,41 +202,58 @@ def max_list_size(code, radius):
     best = max(counts.values(), default=0)
     witness = min((key for key, value in counts.items() if value == best),
                   default=0)  # the zero center when no center is hit
-    return best, metric.tuple_from_code(params, witness)
+    return best, witness
 
 
 # -- correlation style estimators ------------------------------------------
 
-def correlation_estimate(params, rho, trials, stream, center=None):
-    """Estimate Pr[X1 + X2 in B(center, radius)] for independent uniform
-    ball draws X1, X2 at radius floor(rho * n); center defaults to zero."""
-    radius = radius_for(params, rho)
+def _ball_trials(params, radius, gamma, trials, stream, event):
+    """Estimate Pr[event(points)] over independent draws of gamma points
+    uniform on B(0, radius), trial i drawing from stream.child(i)."""
     successes = 0
     for i in range(trials):
         rng = stream.child(i)
-        x1 = metric.sample_ball_uniform(params, radius, rng)
-        x2 = metric.sample_ball_uniform(params, radius, rng)
-        total = x1.add(x2)
-        if (total.weight() if center is None
-                else sum_rank_distance(total, center)) <= radius:
+        if event([metric.sample_ball_uniform(params, radius, rng)
+                  for _ in range(gamma)]):
             successes += 1
     return EstimateResult.from_counts(successes, trials)
 
 
+def _inside(row, points, radius):
+    """Whether sum_i row[i] * points[i], over the shorter of the two, lies
+    in B(0, radius)."""
+    total = points[0] if row[0] == 1 else points[0].scale(row[0])
+    for c, x in zip(row[1:], points[1:]):
+        if c:
+            total = total.add(x if c == 1 else x.scale(c))
+    return total.weight() <= radius
+
+
+def correlation_estimate(params, rho, trials, stream, center=None):
+    """Estimate Pr[X1 + X2 in B(center, radius)] for independent uniform
+    ball draws X1, X2 at radius floor(rho * n); center defaults to zero.
+    The center is negated once: X1 + X2 - center is one more addition."""
+    radius = radius_for(params, rho)
+    shift = [] if center is None else [center.neg()]
+    return _ball_trials(params, radius, 2, trials, stream,
+                        lambda xs: _inside((1, 1, 1), xs + shift, radius))
+
+
 def span_ball_count(points, radius):
     """Number of distinct span elements of the given points inside
-    B(0, radius); guarded at q^len(points) combinations."""
+    B(0, radius); guarded at q^len(points) combinations, each built from
+    one before it by one addition."""
     if not points:
         raise ValueError("need at least one point")
-    params = points[0].params
-    for x in points:
-        if x.params != params:
-            raise ValueError("points live in different spaces")
-    gamma = len(points)
-    require_power_within(params.q, gamma, guards.MAX_SWEEP,
+    params = points[0].params  # add refuses points of another space
+    require_power_within(params.q, len(points), guards.MAX_SWEEP,
                          "span combination count")
-    return sum(1 for x in set(_span(params, points))
-               if metric.tuple_from_code(params, x).weight() <= radius)
+    combos = [points[0].scale(c) for c in range(params.q)]
+    for x in points[1:]:
+        combos += [y.add(s) for s in [x.scale(c) for c in range(1, params.q)]
+                   for y in combos]
+    distinct = {y.entries: y for y in combos}.values()
+    return sum(1 for y in distinct if y.weight() <= radius)
 
 
 def limited_correlation_estimate(params, rho, gamma, bound_factor, trials, stream):
@@ -262,14 +261,8 @@ def limited_correlation_estimate(params, rho, gamma, bound_factor, trials, strea
     for independent uniform ball draws at radius floor(rho * n)."""
     radius = radius_for(params, rho)
     threshold = _as_fraction(bound_factor) * gamma
-    successes = 0
-    for i in range(trials):
-        rng = stream.child(i)
-        points = [metric.sample_ball_uniform(params, radius, rng)
-                  for _ in range(gamma)]
-        if span_ball_count(points, radius) >= threshold:
-            successes += 1
-    return EstimateResult.from_counts(successes, trials)
+    return _ball_trials(params, radius, gamma, trials, stream,
+                        lambda xs: span_ball_count(xs, radius) >= threshold)
 
 
 def subset_span_event_estimate(params, rho, coefficient_vectors, trials, stream):
@@ -280,23 +273,13 @@ def subset_span_event_estimate(params, rho, coefficient_vectors, trials, stream)
     """
     radius = radius_for(params, rho)
     vectors = [tuple(int(c) for c in row) for row in coefficient_vectors]
-    if not vectors:
-        raise ValueError("need at least one coefficient vector")
+    if not vectors or not vectors[0]:
+        raise ValueError("need at least one nonempty coefficient vector")
     gamma = len(vectors[0])
-    q = params.q
     for row in vectors:
         if len(row) != gamma:
             raise ValueError("coefficient vectors have unequal lengths")
-        if any(not 0 <= c < q for c in row):
+        if any(not 0 <= c < params.q for c in row):
             raise ValueError("coefficient outside field range")
-    successes = 0
-    for i in range(trials):
-        rng = stream.child(i)
-        points = [metric.sample_ball_uniform(params, radius, rng)
-                  for _ in range(gamma)]
-        combos = (functools.reduce(BlockTuple.add, [
-            x.scale(c) for c, x in zip(row, points) if c], zero_tuple(params))
-            for row in vectors)
-        if all(combo.weight() <= radius for combo in combos):
-            successes += 1
-    return EstimateResult.from_counts(successes, trials)
+    return _ball_trials(params, radius, gamma, trials, stream, lambda xs: all(
+        _inside(row, xs, radius) for row in vectors))

@@ -1,12 +1,12 @@
 """The sum-rank metric space: tuples of matrices, weights, balls, samplers.
 
 A point is an ell-tuple of m x eta matrices over F_q; its weight is the sum
-of the block ranks.  A point is stored as its flat vector: the blocks in
-order, each block row-major, the same entries every other layer reads
-(linalg rows, code bases, the integer encoding).  Enumeration code indexes
-points, matrices and plain vectors by one integer encoding (base q, entries
-in to_vector() order, most significant first), which keeps brute-force
-oracles cheap and deterministic.
+of the block ranks.  A sampled point is a BlockTuple, its flat vector: the
+blocks in order, each block row-major, the same entries every other layer
+reads (linalg rows, code bases, the integer encoding).  Enumeration code
+indexes points, matrices and plain vectors by one integer encoding (base q,
+entries in to_vector() order, most significant first); only the CLI/JSON
+edge converts between the two, as decoding is quadratic in the length.
 
 The ball sampler is exact.  It draws weight and per-block ranks by inverse
 CDF on exact integer counts, then factors each block as U V with uniform
@@ -32,16 +32,8 @@ class BlockTuple:
     __slots__ = ("params", "entries", "_weight")
 
     def __init__(self, params, vector):
-        entries = tuple(map(operator.index, vector))
-        if len(entries) != params.total_dim:
-            raise ValueError(f"expected {params.total_dim} entries, "
-                             f"got {len(entries)}")
-        low, high = min(entries), max(entries)
-        if low < 0 or high >= params.q:
-            bad = low if low < 0 else high
-            raise ValueError(f"entry {bad} outside field of order {params.q}")
         self.params = params
-        self.entries = entries
+        self.entries = check_entries(params, vector)
         self._weight = None
 
     @property
@@ -60,7 +52,8 @@ class BlockTuple:
         return self._weight
 
     def add(self, other):
-        self._check(other)
+        if self.params != other.params:
+            raise ValueError("points live in different spaces")
         add = self.params.field._add
         return BlockTuple(self.params, [add[x][y] for x, y
                                         in zip(self.entries, other.entries)])
@@ -80,10 +73,6 @@ class BlockTuple:
         """The m*eta*ell entries, blocks in order, each block row-major."""
         return self.entries
 
-    def _check(self, other):
-        if self.params != other.params:
-            raise ValueError("points live in different spaces")
-
     def __eq__(self, other):
         return (isinstance(other, BlockTuple)
                 and self.params == other.params and self.entries == other.entries)
@@ -98,12 +87,17 @@ class BlockTuple:
         return [[list(row) for row in block] for block in self.blocks]
 
 
-def zero_tuple(params):
-    return BlockTuple(params, (0,) * params.total_dim)
-
-
-def sum_rank_distance(x, y):
-    return x.sub(y).weight()
+def check_entries(params, vector):
+    """The vector as a tuple of m*eta*ell field indices, or ValueError."""
+    entries = tuple(map(operator.index, vector))
+    if len(entries) != params.total_dim:
+        raise ValueError(f"expected {params.total_dim} entries, "
+                         f"got {len(entries)}")
+    low, high = min(entries), max(entries)
+    if low < 0 or high >= params.q:
+        bad = low if low < 0 else high
+        raise ValueError(f"entry {bad} outside field of order {params.q}")
+    return entries
 
 
 # -- integer codes ---------------------------------------------------------
@@ -247,7 +241,7 @@ def iter_ball(params, r):
 
     Blocks are chosen most significant first, each among the block codes
     whose rank fits the radius left, so every prefix walked extends to a
-    ball point.
+    ball point.  The walk keeps a stack of its own, not a frame per block.
     """
     params.check_radius(r)
     base = params.q ** (params.m * params.eta)
@@ -257,15 +251,23 @@ def iter_ball(params, r):
             else list(itertools.compress(range(base), map(t.__ge__, ranks)))
             for t in range(r + 1)]
 
-    def walk(blocks, left):
-        if blocks == 1:
-            yield from fits[left]
-            return
-        step = base ** (blocks - 1)
-        for head in fits[left]:
-            yield from map((head * step).__add__,
-                           walk(blocks - 1, left - ranks[head]))
-    return walk(params.ell, r)
+    def walk():
+        # per block being chosen: (code of the blocks before it, radius
+        # left, its choices left)
+        stack = [(0, r, iter(fits[r]))]
+        while stack:
+            prefix, left, heads = stack[-1]
+            after = params.ell - len(stack)  # blocks after this one
+            if after == 0:  # the last block: each choice is a point
+                stack.pop()
+                yield from map((prefix * base).__add__, fits[left])
+            elif (head := next(heads, None)) is None:
+                stack.pop()
+            elif (rest := left - ranks[head]) == 0:  # the rest are zero
+                yield (prefix * base + head) * base ** after
+            else:
+                stack.append((prefix * base + head, rest, iter(fits[rest])))
+    return walk()
 
 
 # -- samplers --------------------------------------------------------------

@@ -17,8 +17,7 @@ from sumrank.counting import SpaceParams, ball_volume
 from sumrank.decomposable import DecomposableSubspace, _event_threshold
 from sumrank.galois import field_from_order
 from sumrank.guards import MAX_SWEEP, require_power_within, require_within
-from sumrank.metric import (BlockTuple, iter_ball, sum_rank_distance,
-                            tuple_code, tuple_from_code)
+from sumrank.metric import BlockTuple, iter_ball, tuple_from_code
 
 # Hard cap on full-space enumeration, q^(m*eta*ell) points.
 MAX_ENUMERATION = 2 ** 16
@@ -39,6 +38,14 @@ def is_prime_power(q):
 
 # -- points and balls ------------------------------------------------------
 
+def zero_tuple(params):
+    return BlockTuple(params, (0,) * params.total_dim)
+
+
+def sum_rank_distance(x, y):
+    return x.sub(y).weight()
+
+
 def enumerate_ball(params, r):
     """All points at weight <= r, as BlockTuples in code order, guarded at
     MAX_ENUMERATION points of space."""
@@ -58,9 +65,10 @@ def sample_uniform_tuple(params, rng):
 
 def list_size_at(code, center, radius):
     """Exact |B(center, radius) meet C|, one distance per codeword."""
-    code.params.check_radius(radius)
-    return sum(1 for w in code.codewords()
-               if sum_rank_distance(w, center) <= radius)
+    params = code.params
+    params.check_radius(radius)
+    return sum(1 for w in code.codewords() if sum_rank_distance(
+        tuple_from_code(params, w), center) <= radius)
 
 
 def expected_ball_occupancy(code, radius):
@@ -83,7 +91,7 @@ def expected_ball_occupancy(code, radius):
         weights = bytes(a + b for a in ranks for b in weights)
     inside = weights.translate(bytes(w <= radius for w in range(256)))
     add = metric.code_adder(params.field, params.total_dim)
-    words = list(map(tuple_code, code.codewords()))
+    words = code.codewords()
     hits = sum(inside[add(w, center)]
                for center in range(space) for w in words)
     return closed, Fraction(hits, space)

@@ -738,6 +738,55 @@ def test_sample_is_priced_before_the_first_draw(capsys, argv, refused):
     assert out == ",".join(CSV_HEADER) + "\n"
 
 
+# Experiments price one draw as sample does: a ball point, or list-size's
+# k x mn generator.
+EXPERIMENTS_PRICED_BEFORE_THE_DRAW = [
+    # points of 3,001,000 entries: exit 0 after 2.6 s
+    pytest.param("experiment correlation --q 2 --m 500 --eta 500 --ell 12 "
+                 "--rho 1/6000 --trials 2",
+                 "entries per draw = 3001000", id="correlation"),
+    # a 748 x 1500 generator, drawn for 29 s
+    pytest.param("experiment list-size --q 2 --m 1 --eta 1 --ell 1500 "
+                 "--rho 1/1500 --eps 1/2 --codes 1",
+                 "matrix work per draw = 839256000", id="list-size"),
+]
+
+
+@pytest.mark.parametrize("argv, refused", EXPERIMENTS_PRICED_BEFORE_THE_DRAW)
+def test_experiment_is_priced_before_the_first_draw(capsys, argv, refused):
+    start = time.perf_counter()
+    status, out, err = run_cli(capsys, argv.split())
+    assert time.perf_counter() - start < 1.0
+    assert status == 3
+    assert out == ""
+    assert err.startswith(f"guard violation: {refused} exceeds the "
+                          "enumeration limit ")
+
+
+def test_list_size_walks_a_ball_of_more_blocks_than_the_recursion_limit(
+        capsys):
+    # one frame per block raised RecursionError, exit 1, from ell = 1,000 on
+    status, out, err = run_cli(capsys, [
+        "experiment", "list-size", "--q", "2", "--m", "1", "--eta", "1",
+        "--ell", "1200", "--rho", "1/1200", "--eps", "99/100", "--codes", "1"])
+    assert status == 0
+    assert err == ""
+    assert len(rows_by_statistic(out)["max_list_size"]) == 1
+
+
+def test_span_correlation_of_large_draws_is_quick(capsys):
+    # each span element decoded from a whole-point code: 48 s
+    start = time.perf_counter()
+    status, out, err = run_cli(capsys, [
+        "experiment", "span-correlation", "--q", "3", "--m", "100",
+        "--eta", "100", "--ell", "12", "--rho", "1/1200", "--gamma", "2",
+        "--bound-factor", "1/2", "--trials", "1"])
+    assert time.perf_counter() - start < 2.0
+    assert status == 0
+    assert err == ""
+    assert rows_by_statistic(out)["successes"][0]["value"] == "1"
+
+
 def test_correlation_without_center_builds_no_zero_point(capsys):
     # a point of 10^8 entries: building the zero center took 8 s before
     # the sampler's guard refused the draw

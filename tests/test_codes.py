@@ -1,6 +1,7 @@
 """Random code ensembles, list sizes, occupancy, correlation estimators."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -15,13 +16,12 @@ from sumrank.counting import ball_volume
 from sumrank.galois import field_from_order
 from sumrank.guards import MAX_COSET_STEPS, MAX_SWEEP, GuardError
 from sumrank.linalg import Subspace, _rank_rows
-from sumrank.metric import (BlockTuple, sum_rank_distance, tuple_code,
-                            tuple_from_code, zero_tuple)
+from sumrank.metric import BlockTuple, tuple_code, tuple_from_code
 from sumrank.montecarlo import DEFAULT_MASTER_SEED, RandomStream
 
 import oracles
 from oracles import (enumerate_ball, expected_ball_occupancy, list_size_at,
-                     params_for, vectors)
+                     params_for, sum_rank_distance, vectors, zero_tuple)
 
 F2 = field_from_order(2)
 
@@ -69,18 +69,19 @@ def test_linear_code_structure():
     code = sample_linear_code(P114, Fraction(1, 2), rng)
     words = code.codewords()
     assert code.is_linear and code.dimension == 2
-    assert code.size == len(words) == 4
-    assert code.rate == Fraction(1, 2)
-    assert zero_tuple(P114) in words
+    assert code.size == len(words) == len(set(words)) == 4
+    assert 0 in words
     members = set(words)
-    # closed under addition
-    for a in words:
-        for b in words:
-            assert a.add(b) in members
+    # closed under addition, added as points
+    points = [tuple_from_code(P114, w) for w in words]
+    for a in points:
+        for b in points:
+            assert tuple_code(a.add(b)) in members
     # the members are the row space of the basis
-    rows = [x.to_vector() for x in code.basis]
+    rows = list(code.basis)
     for x in all_points(P114):
-        assert (x in members) == (_rank_rows(F2, rows + [x.to_vector()]) == 2)
+        assert (tuple_code(x) in members) == (
+            _rank_rows(F2, rows + [x.to_vector()]) == 2)
 
 
 def test_non_integral_dimension_rejected():
@@ -97,8 +98,8 @@ def test_general_code_membership_and_size_concentration():
         code = sample_general_code(P114, Fraction(1, 2), random.Random(seed))
         sizes.append(code.size)
         words = code.codewords()
-        assert len(set(tuple_code(w) for w in words)) == code.size
-        assert set(words) == code.words
+        assert len(set(words)) == code.size
+        assert words == sorted(words) == list(code.words)
     mean = sum(sizes) / len(sizes)
     assert 2.0 < mean < 6.5
 
@@ -115,7 +116,7 @@ def test_list_size_at_matches_direct_count():
         members = set(code.codewords())
         for radius in radii:
             direct = sum(1 for offset in enumerate_ball(P222, radius)
-                         if center.add(offset) in members)
+                         if tuple_code(center.add(offset)) in members)
             assert list_size_at(code, center, radius) == direct
 
 
@@ -126,7 +127,7 @@ def test_list_size_crossover_paths_agree():
     center = tuple_from_code(P222, 77)
     assert ball_volume(P222, 1) < code.size
     direct = sum(1 for w in code.codewords()
-                 if sum_rank_distance(w, center) <= 1)
+                 if sum_rank_distance(tuple_from_code(P222, w), center) <= 1)
     assert list_size_at(code, center, 1) == direct
     assert list_size_at(code, center, 4) == code.size
 
@@ -139,7 +140,7 @@ def test_max_list_size_matches_center_sweep():
         sweep = max(list_size_at(code, center, 1)
                     for center in all_points(P222))
         assert size == sweep
-        assert list_size_at(code, witness, 1) == size
+        assert list_size_at(code, tuple_from_code(P222, witness), 1) == size
 
 
 def test_max_list_size_exhaustive_above_the_enumeration_cap():
@@ -151,7 +152,7 @@ def test_max_list_size_exhaustive_above_the_enumeration_cap():
     code = sample_linear_code(params, Fraction(2, 17), random.Random(113))
     size, witness = max_list_size(code, 2)
     assert 1 <= size <= code.size
-    assert list_size_at(code, witness, 2) == size
+    assert list_size_at(code, tuple_from_code(params, witness), 2) == size
 
 
 def test_max_list_size_monotone_in_radius():
@@ -187,8 +188,7 @@ def test_general_max_list_size_is_the_largest_list_over_every_center(
             lists = [list_size_at(code, center, radius)
                      for center in all_points(params)]
             best = max(lists)
-            assert max_list_size(code, radius) == (
-                best, tuple_from_code(params, lists.index(best)))
+            assert max_list_size(code, radius) == (best, lists.index(best))
 
 
 def assert_cosets_match_the_sweep(code, radii=None):
@@ -241,14 +241,14 @@ def test_witness_is_the_smallest_reduced_code_among_tied_classes():
     # Three cosets hold two radius-1 points each.  Their reduced codes are
     # 16, 6 and 64 in the order the ball first meets them; 6 has weight 2,
     # so it lies outside the ball and is the witness.
-    code = Code(P222, basis=[tuple_from_code(P222, 38),
-                             tuple_from_code(P222, 198)])
+    code = Code(P222, basis=[tuple_from_code(P222, 38).to_vector(),
+                             tuple_from_code(P222, 198).to_vector()])
     classes = codes._coset_histogram(code, 1)
     assert sorted(key for key, size in classes.items() if size == 2) \
         == [6, 16, 64]
     assert max(classes.values()) == 2
     assert tuple_from_code(P222, 6).weight() == 2
-    assert max_list_size(code, 1) == (2, tuple_from_code(P222, 6))
+    assert max_list_size(code, 1) == (2, 6)
     assert_cosets_match_the_sweep(code)
 
 
@@ -261,7 +261,7 @@ def test_linear_list_size_past_the_code_space_cap():
     assert sum(classes.values()) == ball_volume(params, 1) == 55
     size, witness = max_list_size(code, 1)
     assert size == max(classes.values())
-    assert list_size_at(code, witness, 1) == size
+    assert list_size_at(code, tuple_from_code(params, witness), 1) == size
 
 
 def test_large_block_shape_of_the_old_cap_still_runs():
@@ -272,7 +272,7 @@ def test_large_block_shape_of_the_old_cap_still_runs():
     assert oracles.MAX_ENUMERATION < base == MAX_SWEEP
     code = sample_linear_code(params, Fraction(1, 10), random.Random(137))
     size, witness = max_list_size(code, 1)
-    assert list_size_at(code, witness, 1) == size
+    assert list_size_at(code, tuple_from_code(params, witness), 1) == size
     assert_cosets_match_the_sweep(code, (1,))
 
 
@@ -303,7 +303,7 @@ def test_coset_guard_caps_the_ball_at_zero_dimension():
     empty = Code(params, basis=[])
     with pytest.raises(GuardError, match="ball volume = 16777216 "):
         max_list_size(empty, 12)
-    assert max_list_size(empty, 3) == (1, zero_tuple(params))
+    assert max_list_size(empty, 3) == (1, 0)
 
 
 def test_coset_guard_caps_the_block_table():
@@ -360,14 +360,33 @@ def span_elements(points):
     return [BlockTuple(params, v) for v in vectors(flat)]
 
 
-def test_span_ball_count_matches_subspace_enumeration():
+@pytest.mark.parametrize("params", [
+    P114, params_for(3, 1, 2, 2), params_for(4, 1, 1, 3)],
+    ids=lambda p: f"q{p.q}")
+def test_span_ball_count_matches_subspace_enumeration(params):
+    # at q > 2 a combination scales its points by c != 1
     rng = random.Random(107)
     for _ in range(15):
-        points = [tuple_from_code(P114, rng.randrange(16)) for _ in range(3)]
-        for radius in (1, 2, 3):
+        points = [tuple_from_code(params, rng.randrange(
+            params.q ** params.total_dim)) for _ in range(3)]
+        for radius in range(1, params.max_weight):
             expected = sum(1 for x in span_elements(points)
                            if x.weight() <= radius)
             assert span_ball_count(points, radius) == expected
+
+
+def test_span_ball_count_of_two_large_draws_is_quick():
+    # nine combinations of 120,000-entry points: decoding each span element
+    # from its whole-point code took about 48 s
+    params = params_for(3, 100, 100, 12)
+    rng = random.Random(163)
+    points = [metric.sample_ball_uniform(params, 10, rng) for _ in range(2)]
+    start = time.perf_counter()
+    count = span_ball_count(points, 10)
+    assert time.perf_counter() - start < 5.0
+    # zero, the draws and their doubles, which are their negatives; every
+    # other combination leaves the ball
+    assert count == 5
 
 
 def test_limited_correlation_probability_range():
@@ -389,10 +408,29 @@ def test_subset_event_validation():
     with pytest.raises(ValueError):
         subset_span_event_estimate(P114, Fraction(1, 2), (), 10, stream)
     with pytest.raises(ValueError):
+        subset_span_event_estimate(P114, Fraction(1, 2), ((),), 10, stream)
+    with pytest.raises(ValueError):
         subset_span_event_estimate(P114, Fraction(1, 2), ((1, 0), (1,)), 10,
                                    stream)
     with pytest.raises(ValueError):
         subset_span_event_estimate(P114, Fraction(1, 2), ((2, 0),), 10, stream)
+
+
+def test_code_checks_its_rows_and_word_codes():
+    row = (0, 1, 1, 0)
+    Code(P114, basis=[row])
+    with pytest.raises(ValueError, match="exactly one"):
+        Code(P114)
+    with pytest.raises(ValueError, match="expected 4 entries, got 3"):
+        Code(P114, basis=[row[:3]])
+    with pytest.raises(ValueError, match="entry 2 outside field of order 2"):
+        Code(P114, basis=[(0, 2, 0, 0)])
+    with pytest.raises(ValueError, match="linearly dependent"):
+        Code(P114, basis=[row, row])
+    assert Code(P114, words=[15, 0, 15]).words == (0, 15)
+    for bad in (-1, 16):
+        with pytest.raises(ValueError, match=rf"code {bad} outside \[0, 16\)"):
+            Code(P114, words=[3, bad])
 
 
 def test_code_json_shapes():

@@ -19,12 +19,12 @@ from sumrank.linalg import _rank_rows
 from sumrank import metric
 from sumrank.metric import (BlockTuple, code_adder, iter_ball, matrix_code,
                             matrix_from_code, rank_table, sample_ball_uniform,
-                            sample_uniform_matrix_of_rank, sum_rank_distance,
-                            tuple_code, tuple_from_code, vector_code,
-                            weight_histogram, zero_tuple)
+                            sample_uniform_matrix_of_rank, tuple_code,
+                            tuple_from_code, vector_code, weight_histogram)
 from sumrank.montecarlo import RandomStream
 
-from oracles import enumerate_ball, params_for, sample_uniform_tuple
+from oracles import (enumerate_ball, params_for, sample_uniform_tuple,
+                     sum_rank_distance, zero_tuple)
 
 F2 = field_from_order(2)
 F3 = field_from_order(3)
@@ -330,3 +330,14 @@ def test_iter_ball_is_a_weight_scan_in_code_order(shape):
         assert list(iter_ball(params, r)) == [
             code for code in range(params.q ** params.total_dim)
             if tuple_from_code(params, code).weight() <= r]
+
+
+@pytest.mark.parametrize("q, ell", [(2, 1200), (3, 1100)])
+def test_iter_ball_walks_more_blocks_than_the_recursion_limit(q, ell):
+    # one block per frame raised RecursionError from ell = 1,000 on
+    params = params_for(q, 1, 1, ell)
+    codes = list(iter_ball(params, 1))
+    assert len(codes) == ball_volume(params, 1)
+    assert all(a < b for a, b in zip(codes, codes[1:]))
+    assert codes == sorted(
+        [0] + [c * q ** i for i in range(ell) for c in range(1, q)])
