@@ -8,10 +8,11 @@ lexicographic, i.e. canonical integer, order).  Greedy can be beaten: a
 single full-support vector swallows every coordinate at once, so an exact
 search over cover states backs the harness when greedy misses a target.
 
-An instance is the sorted base-q codes of A; a vector given by its
-entries, a shift too, enters through the checked `encode`.  Each search
-reads one integer sweep: a shift w gives the masks and codes of A + w by
-C-level maps, XOR at q = 2 and metric's chunk addition tables otherwise.
+An instance is the sorted base-q codes of A, and shifts and chains are
+codes too: nothing here decodes a vector but the chunk cuts of the sweeps.
+Each search reads one integer sweep: a shift w gives the masks and codes
+of A + w by C-level maps, XOR at q = 2 and metric's chunk addition tables
+otherwise.
 The exhaustive shift search sweeps only the shifts it runs greedy on; it
 bounds the others from one table of the heaviest weight in A + w per shift,
 a max-plus distance transform over the q-ary Hamming cube.
@@ -31,17 +32,6 @@ from .montecarlo import uniform_draws
 # The heaviest-weight table is built in ints of at most this many byte lanes
 # (or q), so that its temporaries stay small beside the table.
 TABLE_BLOCK = 4096
-
-
-def encode(field, gamma, vector):
-    """The base-q code of a vector over the field, checked: gamma entries,
-    each an int (operator.index) in [0, q)."""
-    vector = tuple(map(index, vector))
-    if len(vector) != gamma:
-        raise ValueError("vector length does not match gamma")
-    if any(not 0 <= x < field.q for x in vector):
-        raise ValueError("vector entry outside field range")
-    return vector_code(field.q, vector)
 
 
 @dataclass(frozen=True)
@@ -69,12 +59,6 @@ class ChainInstance:
     @property
     def size(self):
         return len(self.codes)
-
-    @property
-    def vectors(self):
-        """The vectors of A, decoded, in canonical (code) order."""
-        return tuple(vector_from_code(self.field.q, self.gamma, x)
-                     for x in self.codes)
 
     @cached_property
     def sweep(self):
@@ -211,7 +195,9 @@ def require_search_within(q, gamma, set_size, mode, trials):
 
 @dataclass(frozen=True)
 class ChainSearchResult:
-    shift: tuple
+    """The best greedy chain: the shift's code and the chain's codes."""
+
+    shift: int
     chain: tuple
     length: int
 
@@ -269,15 +255,14 @@ def best_shift_chain(instance, mode="exhaustive", trials=None, rng=None):
             if len(vals) >= cap:
                 break
     length, shift_code, vals = best
-    return ChainSearchResult(
-        shift=vector_from_code(q, gamma, shift_code),
-        chain=tuple(vector_from_code(q, gamma, v) for v in vals),
-        length=length)
+    return ChainSearchResult(shift=shift_code, chain=tuple(vals),
+                             length=length)
 
 
-def max_chain_exact(instance, shift, target=None):
-    """Longest chain inside A + shift, capped at target (gamma // c when no
-    target is given), by depth-first search over covers.
+def max_chain_exact(instance, shift_code, target=None):
+    """The codes of a longest chain inside A + shift, capped at target
+    (gamma // c when no target is given), by depth-first search over
+    covers; ValueError when shift_code is outside [0, q^gamma).
 
     The search takes vectors in canonical order at lengths 1, 2, ... up to
     the cap and keeps the chain from the last length that succeeds: the
@@ -285,10 +270,11 @@ def max_chain_exact(instance, shift, target=None):
     least longest chain.  Each step adds at least c coordinates, so a cover
     with `free` uncovered coordinates extends by at most free // c.
     """
-    field, gamma, c = instance.field, instance.gamma, instance.c
+    gamma, c = instance.gamma, instance.c
+    if not 0 <= index(shift_code) < instance.field.q ** gamma:
+        raise ValueError(f"shift code {shift_code} outside [0, q^gamma)")
     cap = gamma // c if target is None else target
-    items = sorted(zip(*instance.sweep(encode(field, gamma, shift))),
-                   key=itemgetter(1))
+    items = sorted(zip(*instance.sweep(shift_code)), key=itemgetter(1))
 
     def search(length):
         """The canonically first chain of `length` vectors, or []."""
@@ -313,7 +299,7 @@ def max_chain_exact(instance, shift, target=None):
     vals = []
     while len(vals) < cap and (found := search(len(vals) + 1)):
         vals = found
-    return [vector_from_code(field.q, gamma, v) for v in vals]
+    return vals
 
 
 def chain_length_bound(set_size, q, gamma, c):
@@ -333,7 +319,8 @@ def bound_target(set_size, q, gamma, c):
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Outcome of checking one instance against the guaranteed length."""
+    """Outcome of checking one instance against the guaranteed length; the
+    shift and the chain are codes."""
 
     bound: float
     target: int
@@ -341,7 +328,7 @@ class BoundReport:
     achieved: bool
     exact_used: bool
     exact_length: int | None
-    shift: tuple
+    shift: int
     chain: tuple
 
 
@@ -364,10 +351,9 @@ def bound_attainment_report(instance, mode="exhaustive", trials=None, rng=None):
     total = require_power_within(q, gamma, guards.MAX_SWEEP, "shift count")
     best_shift, best = None, ()
     for shift_code in range(total):
-        shift = vector_from_code(q, gamma, shift_code)
-        chain = tuple(max_chain_exact(instance, shift, target=target))
+        chain = tuple(max_chain_exact(instance, shift_code, target=target))
         if len(chain) > len(best):
-            best_shift, best = shift, chain
+            best_shift, best = shift_code, chain
             if len(chain) >= target:
                 break
     return BoundReport(bound, target, greedy.length, len(best) >= target,

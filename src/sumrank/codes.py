@@ -88,13 +88,12 @@ class Code:
         if not self.is_linear:
             return list(self.words)
         require_within(self.size, guards.MAX_SWEEP, "codeword count")
-        params = self.params
-        add = metric.code_adder(params.field, params.total_dim)
+        field = self.params.field
+        add = metric.code_adder(field, self.params.total_dim)
         combos = [0]
         for row in self.basis:
-            scaled = [metric.vector_code(params.q, map(mul.__getitem__, row))
-                      for mul in params.field._mul[1:]]
-            combos += [add(c, s) for s in scaled for c in combos]
+            combos += [add(c, s) for s in _multiples(field, row)[1:]
+                       for c in combos]
         return combos
 
     def to_json(self):
@@ -104,6 +103,12 @@ class Code:
                 BlockTuple(params, row).to_json() for row in self.basis]}
         return {"kind": "general", "codewords": [
             metric.tuple_from_code(params, w).to_json() for w in self.words]}
+
+
+def _multiples(field, row):
+    """The codes of c * row, by c in [0, q)."""
+    return [metric.vector_code(field.q, map(mul.__getitem__, row))
+            for mul in field._mul]
 
 
 def sample_linear_code(params, rate, rng):
@@ -172,15 +177,11 @@ def _coset_histogram(code, radius):
     field, q, n = params.field, params.q, params.total_dim
     require_coset_histogram_within(params, radius, code.dimension)
     rows, pivots = linalg._rref(field, code.basis)
-    add, neg, mul = metric.code_adder(field, n), field._neg, field._mul
+    add = metric.code_adder(field, n)
     points = list(metric.iter_ball(params, radius))
     for p, row in zip(pivots, rows):
-        minus = [0]  # codes of -c * row by c, by Horner: no list per c
-        for c in range(1, q):
-            scale, code = mul[neg[c]], 0
-            for v in row:
-                code = code * q + scale[v]
-            minus.append(code)
+        # minus[c] is the code of -c * row
+        minus = list(map(_multiples(field, row).__getitem__, field._neg))
         place = q ** (n - 1 - p)
         points = [add(x, minus[x // place % q]) for x in points]
     return collections.Counter(points)

@@ -184,14 +184,6 @@ class FieldSpec:
             raise ValueError(f"{a!r} is not an element index of F_{self.q}")
         return a
 
-    def sub(self, a, b):
-        return self._add[a][self._neg[b]]
-
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("0 has no multiplicative inverse")
-        return self._inv[a]
-
     def coeffs(self, a):
         """Coefficient list of element a, descending powers."""
         self.check(a)

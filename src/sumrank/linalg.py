@@ -30,8 +30,7 @@ def _rref(field, rows):
     mat = [list(r) for r in rows]
     nrows = len(mat)
     ncols = len(mat[0]) if nrows else 0
-    mul = field._mul
-    sub_row = field.sub
+    add, mul, neg, inv = field._add, field._mul, field._neg, field._inv
     pivots = []
     prow = 0
     for col in range(ncols):
@@ -45,20 +44,18 @@ def _rref(field, rows):
         mat[prow], mat[pivot] = mat[pivot], mat[prow]
         lead = mat[prow][col]
         if lead != 1:
-            inv = field.inv(lead)
             row = mat[prow]
-            mrow = mul[inv]
+            mrow = mul[inv[lead]]
             for j in range(col, ncols):
                 row[j] = mrow[row[j]]
         for i in range(nrows):
             if i != prow and mat[i][col]:
-                factor = mat[i][col]
-                mrow = mul[factor]
+                mrow = mul[neg[mat[i][col]]]  # target -= factor * source
                 target = mat[i]
                 source = mat[prow]
                 for j in range(col, ncols):
                     if source[j]:
-                        target[j] = sub_row(target[j], mrow[source[j]])
+                        target[j] = add[target[j]][mrow[source[j]]]
         pivots.append(col)
         prow += 1
         if prow == nrows:

@@ -6,7 +6,7 @@ blocks in order, each block row-major, the same entries every other layer
 reads (linalg rows, code bases, the integer encoding).  Enumeration code
 indexes points, matrices and plain vectors by one integer encoding (base q,
 entries in to_vector() order, most significant first); only the CLI/JSON
-edge converts between the two, as decoding is quadratic in the length.
+edge converts between the two.
 
 The ball sampler is exact.  It draws weight and per-block ranks by inverse
 CDF on exact integer counts, then factors each block as U V with uniform
@@ -124,9 +124,16 @@ def vector_code(q, entries):
 
 
 def vector_from_code(q, length, code):
-    """The length entries whose vector_code is code."""
+    """The length entries whose vector_code is code, the mirror of
+    vector_code: one divmod by q per entry up to 64 entries, and
+    divmod(code, q^(length - half)) into the halves above that."""
     if not 0 <= code < q ** length:
         raise ValueError(f"code {code} outside [0, {q ** length})")
+    if length > 64:
+        half = length // 2
+        high, low = divmod(code, q ** (length - half))
+        return (vector_from_code(q, half, high)
+                + vector_from_code(q, length - half, low))
     out = [0] * length
     for i in range(length - 1, -1, -1):
         code, out[i] = divmod(code, q)
@@ -135,11 +142,6 @@ def vector_from_code(q, length, code):
 
 def matrix_code(q, block):
     return vector_code(q, [v for row in block for v in row])
-
-
-def matrix_from_code(q, m, eta, code):
-    entries = vector_from_code(q, m * eta, code)
-    return tuple(entries[r * eta:(r + 1) * eta] for r in range(m))
 
 
 def tuple_code(x):
@@ -194,10 +196,11 @@ def code_adder(field, length):
 @functools.lru_cache(maxsize=None)
 def rank_table(field, m, eta):
     """Rank of every m x eta matrix as bytes indexed by matrix code; the
-    caller guards the q^(m*eta) eliminations."""
-    q = field.q
-    return bytes(linalg._rank_rows(field, matrix_from_code(q, m, eta, code))
-                 for code in range(q ** (m * eta)))
+    caller guards the q^(m*eta) eliminations.  product() yields the
+    matrices as row tuples in code order, each row a shared tuple."""
+    rows = itertools.product(range(field.q), repeat=eta)
+    return bytes(map(functools.partial(linalg._rank_rows, field),
+                     itertools.product(rows, repeat=m)))
 
 
 def require_histogram_within(params):

@@ -10,6 +10,7 @@ for hours.
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 from sumrank import counting, linalg, metric
@@ -34,6 +35,47 @@ def is_prime_power(q):
     while q % p == 0:
         q //= p
     return q == 1
+
+
+# -- integer codes ---------------------------------------------------------
+
+def decode(q, length, code):
+    """The length base-q digits of code, most significant first, one divmod
+    by q per digit."""
+    if not 0 <= code < q ** length:
+        raise ValueError(f"code {code} outside [0, {q ** length})")
+    out = []
+    for _ in range(length):
+        code, digit = divmod(code, q)
+        out.append(digit)
+    return tuple(reversed(out))
+
+
+def encode(field, length, vector):
+    """The base-q code of a vector over the field, checked: `length`
+    entries, each an int (operator.index) in [0, q)."""
+    vector = tuple(map(operator.index, vector))
+    if len(vector) != length:
+        raise ValueError("vector length does not match")
+    if any(not 0 <= x < field.q for x in vector):
+        raise ValueError("vector entry outside field range")
+    code = 0
+    for x in vector:
+        code = code * field.q + x
+    return code
+
+
+def rank_table_by_elimination(field, m, eta):
+    """Rank of every m x eta matrix by matrix code, each decoded on its own
+    and ranked by elimination."""
+    q = field.q
+    require_power_within(q, m * eta, MAX_ENUMERATION, "matrix count")
+    out = bytearray()
+    for code in range(q ** (m * eta)):
+        entries = decode(q, m * eta, code)
+        out.append(linalg._rank_rows(
+            field, [entries[r * eta:(r + 1) * eta] for r in range(m)]))
+    return bytes(out)
 
 
 # -- points and balls ------------------------------------------------------

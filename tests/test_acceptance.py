@@ -31,7 +31,8 @@ from sumrank.montecarlo import DEFAULT_MASTER_SEED, RandomStream
 from oracles import (chi_squared_uniform_pvalue, enumerate_ball,
                      enumerate_decomposable, expected_ball_occupancy, flatten,
                      intersection_event_probability_exact,
-                     sample_uniform_tuple, sum_rank_distance)
+                     rank_table_by_elimination, sample_uniform_tuple,
+                     sum_rank_distance)
 
 F2 = field_from_order(2)
 STREAM = RandomStream(DEFAULT_MASTER_SEED, "acceptance")
@@ -163,9 +164,8 @@ def test_criterion_07_sampler_uniformity_chi_squared():
     check("subspace", [s.basis for s in subspaces],
           lambda rng: linalg.sample_subspace(F2, 4, 2, rng).basis)
 
-    rank_one = [code for code in range(16)
-                if linalg._rank_rows(
-                    F2, metric.matrix_from_code(2, 2, 2, code)) == 1]
+    rank_one = [code for code, rank
+                in enumerate(rank_table_by_elimination(F2, 2, 2)) if rank == 1]
     assert len(rank_one) == 9
     check("rank-matrix", rank_one,
           lambda rng: metric.matrix_code(

@@ -10,14 +10,14 @@ from hypothesis import given, strategies as st
 from sumrank import chains, metric
 from sumrank.chains import (BoundReport, ChainInstance, best_shift_chain,
                             bound_attainment_report, bound_target,
-                            chain_length_bound, encode, max_chain_exact,
+                            chain_length_bound, max_chain_exact,
                             random_chain_instance)
 from sumrank.galois import field_from_order
 from sumrank.guards import MAX_RANDOM_DIGIT_STEPS, GuardError
 from sumrank.metric import matrix_code, vector_from_code
 from sumrank.montecarlo import RandomStream
 
-from oracles import is_increasing_chain, support
+from oracles import decode, encode, is_increasing_chain, support
 
 F2 = field_from_order(2)
 F3 = field_from_order(3)
@@ -30,12 +30,35 @@ def instance(field, gamma, vectors, c):
                          [encode(field, gamma, v) for v in vectors], c)
 
 
+def vectors_of(inst, codes=None):
+    """The vectors of the codes, those of A by default, decoded."""
+    q, gamma = inst.field.q, inst.gamma
+    return [decode(q, gamma, x)
+            for x in (inst.codes if codes is None else codes)]
+
+
 def greedy_chain(inst, shift):
     """The greedy chain inside A + shift, decoded: chains._greedy over the
     sweep of the checked shift."""
-    field, gamma = inst.field, inst.gamma
-    vals = chains._greedy(*inst.sweep(encode(field, gamma, shift)), inst.c)
-    return [vector_from_code(field.q, gamma, v) for v in vals]
+    shift_code = encode(inst.field, inst.gamma, shift)
+    return vectors_of(inst, chains._greedy(*inst.sweep(shift_code), inst.c))
+
+
+def exact_chain(inst, shift, target=None):
+    """max_chain_exact inside A + shift, the shift and chain as vectors."""
+    return vectors_of(inst, max_chain_exact(
+        inst, encode(inst.field, inst.gamma, shift), target=target))
+
+
+def assert_chain_in_shifted_set(inst, shift_code, chain):
+    """The chain's codes, decoded, are an increasing chain inside A + shift."""
+    shift = decode(inst.field.q, inst.gamma, shift_code)
+    add = inst.field._add
+    shifted = {tuple(add[x][s] for x, s in zip(v, shift))
+               for v in vectors_of(inst)}
+    vectors = vectors_of(inst, chain)
+    assert is_increasing_chain(vectors, inst.c)
+    assert set(vectors) <= shifted
 
 
 def test_support():
@@ -81,7 +104,7 @@ def test_instance_rejects_entries_that_are_not_integers():
 def test_instance_canonical_order():
     inst = instance(F2, 2, [(1, 1), (0, 1), (1, 0)], 1)
     assert inst.codes == (1, 2, 3)
-    assert inst.vectors == ((0, 1), (1, 0), (1, 1))
+    assert vectors_of(inst) == [(0, 1), (1, 0), (1, 1)]
     assert inst.size == 3
 
 
@@ -91,7 +114,8 @@ def test_greedy_prefers_largest_gain():
     chain = greedy_chain(inst, (0, 0, 0, 0))
     assert chain == [(1, 1, 1, 1)]
     # exact search avoids the full-support trap
-    assert max_chain_exact(inst, (0, 0, 0, 0)) == [(0, 0, 1, 1), (1, 1, 0, 0)]
+    assert exact_chain(inst, (0, 0, 0, 0)) == [(0, 0, 1, 1), (1, 1, 0, 0)]
+    assert max_chain_exact(inst, 0) == [0b0011, 0b1100]
 
 
 def test_greedy_tie_break_smallest_value():
@@ -106,18 +130,35 @@ def test_greedy_shift_length_checked():
         greedy_chain(inst, (0, 0))
 
 
-def test_shift_entries_checked_by_every_search():
-    # at q = 3 the shift (0, 3) has the code of (1, 0); no search may read
-    # it as that shift, and a short shift is no shift at all
+def test_shift_entries_checked_by_the_encoder():
+    # at q = 3 the shift (0, 3) would have the code of (1, 0); the encoder
+    # that hands shifts to the searches refuses it, and shifts of the wrong
+    # length
     inst = instance(F3, 2, ((0, 1), (1, 0), (2, 2)), 1)
     assert encode(F3, 2, (1, 0)) == 3
     for shift in ((0, 3), (0, -1), (0,), (0, 0, 0)):
-        for search in (greedy_chain, max_chain_exact):
+        for search in (greedy_chain, exact_chain):
             with pytest.raises(ValueError):
                 search(inst, shift)
-    for search in (greedy_chain, max_chain_exact):
+    for search in (greedy_chain, exact_chain):
         with pytest.raises(TypeError):
             search(inst, (0, 1.0))
+
+
+@pytest.mark.parametrize("field, gamma", [(F2, 4), (F3, 2), (F4, 3)],
+                         ids=lambda x: getattr(x, "q", x))
+def test_exact_search_checks_its_shift_code(field, gamma):
+    # -1 and q^gamma are the codes just outside the shifts
+    total = field.q ** gamma
+    inst = random_chain_instance(field, gamma, 3, 1, random.Random(gamma))
+    for shift_code in (-1, total):
+        with pytest.raises(ValueError, match="outside"):
+            max_chain_exact(inst, shift_code)
+    with pytest.raises(TypeError):
+        max_chain_exact(inst, 1.0)
+    for shift_code in (0, total - 1):
+        assert_chain_in_shifted_set(inst, shift_code,
+                                    max_chain_exact(inst, shift_code))
 
 
 def test_greedy_chain_lives_in_shifted_set():
@@ -128,7 +169,7 @@ def test_greedy_chain_lives_in_shifted_set():
         chain = greedy_chain(inst, shift)
         assert is_increasing_chain(chain, 1)
         shifted = {tuple(field._add[x][s] for x, s in zip(v, shift))
-                   for v in inst.vectors}
+                   for v in vectors_of(inst)}
         for v in chain:
             assert tuple(v) in shifted
 
@@ -138,10 +179,11 @@ def test_best_shift_exhaustive_q3_frozen():
         F3, 3, ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (2, 1, 0)), 1)
     result = best_shift_chain(inst)
     assert result.length == 2
-    assert result.shift == (0, 2, 0)
-    assert result.chain == ((0, 2, 1), (1, 0, 1))
+    assert result.shift == encode(F3, 3, (0, 2, 0))
+    assert vectors_of(inst, result.chain) == [(0, 2, 1), (1, 0, 1)]
+    assert_chain_in_shifted_set(inst, result.shift, result.chain)
     # greedy misses the length-3 chain the unshifted set holds
-    assert len(max_chain_exact(inst, (0, 0, 0))) == 3
+    assert len(max_chain_exact(inst, 0)) == 3
 
 
 def test_best_shift_random_mode_bounded_by_exhaustive():
@@ -152,7 +194,9 @@ def test_best_shift_random_mode_bounded_by_exhaustive():
         sampled = best_shift_chain(inst, mode="random", trials=40,
                                    rng=random.Random(3))
         assert sampled.length <= full.length
-        assert is_increasing_chain(sampled.chain, 2)
+        for result in (full, sampled):
+            assert result.length == len(result.chain)
+            assert_chain_in_shifted_set(inst, result.shift, result.chain)
 
 
 def test_best_shift_mode_validation():
@@ -175,11 +219,11 @@ def test_exact_at_least_greedy(seed, c):
     inst = random_chain_instance(F2, 6, rng.randrange(4, 24), c, rng)
     shift = tuple(rng.randrange(2) for _ in range(6))
     greedy = greedy_chain(inst, shift)
-    exact = max_chain_exact(inst, shift)
+    exact = exact_chain(inst, shift)
     assert is_increasing_chain(greedy, c)
     assert is_increasing_chain(exact, c)
     assert len(exact) >= len(greedy)
-    shifted = {tuple(x ^ s for x, s in zip(v, shift)) for v in inst.vectors}
+    shifted = {tuple(x ^ s for x, s in zip(v, shift)) for v in vectors_of(inst)}
     assert all(tuple(v) in shifted for v in exact)
 
 
@@ -187,9 +231,9 @@ def test_exact_at_least_greedy(seed, c):
 def test_exact_target_consistent(seed):
     rng = random.Random(seed)
     inst = random_chain_instance(F2, 6, 12, 2, rng)
-    best = max_chain_exact(inst, (0,) * 6)
+    best = max_chain_exact(inst, 0)
     for target in range(len(best) + 2):
-        found = max_chain_exact(inst, (0,) * 6, target=target)
+        found = max_chain_exact(inst, 0, target=target)
         if target <= len(best):
             assert len(found) >= target
         else:  # out of reach: the longest chain
@@ -200,7 +244,8 @@ def brute_longest_chain(inst, shift):
     """The code-order-least longest chain among the orderings of subsets of
     A + shift, by listing them all."""
     add = inst.field._add
-    shifted = [tuple(add[x][s] for x, s in zip(v, shift)) for v in inst.vectors]
+    shifted = [tuple(add[x][s] for x, s in zip(v, shift))
+               for v in vectors_of(inst)]
     chains_found = [list(p) for k in range(len(shifted) + 1)
                     for p in itertools.permutations(shifted, k)
                     if is_increasing_chain(p, inst.c)]
@@ -221,11 +266,11 @@ def test_exact_matches_brute_force_longest_chain():
     rng = random.Random(43)
     for inst in small_instances(rng, 150, 4):
         q = inst.field.q
-        shift = vector_from_code(q, inst.gamma, rng.randrange(q ** inst.gamma))
+        shift = decode(q, inst.gamma, rng.randrange(q ** inst.gamma))
         best = brute_longest_chain(inst, shift)
-        assert max_chain_exact(inst, shift) == best
+        assert exact_chain(inst, shift) == best
         for target in range(len(best) + 2):
-            found = max_chain_exact(inst, shift, target=target)
+            found = exact_chain(inst, shift, target=target)
             if target <= len(best):
                 assert len(found) == target
                 assert is_increasing_chain(found, inst.c)
@@ -240,7 +285,7 @@ def test_violation_reports_longest_exact_chain_over_all_shifts(monkeypatch):
     rng = random.Random(47)
     for inst in small_instances(rng, 20, 3):
         q, gamma = inst.field.q, inst.gamma
-        lengths = [len(brute_longest_chain(inst, vector_from_code(q, gamma, s)))
+        lengths = [len(brute_longest_chain(inst, decode(q, gamma, s)))
                    for s in range(q ** gamma)]
         longest = max(lengths)
         report = bound_attainment_report(inst)
@@ -249,18 +294,19 @@ def test_violation_reports_longest_exact_chain_over_all_shifts(monkeypatch):
         assert report.exact_used
         assert report.exact_length == longest == len(report.chain)
         # the first shift, in code order, holding a longest chain
-        assert report.shift == vector_from_code(q, gamma,
-                                                lengths.index(longest))
-        assert report.chain == tuple(brute_longest_chain(inst, report.shift))
+        assert report.shift == lengths.index(longest)
+        assert vectors_of(inst, report.chain) == brute_longest_chain(
+            inst, decode(q, gamma, report.shift))
+        assert_chain_in_shifted_set(inst, report.shift, report.chain)
 
 
 def test_full_space_exact_fallback(monkeypatch):
     calls = []
     search = chains.max_chain_exact
 
-    def counted(inst, shift, target=None):
-        calls.append((shift, target))
-        return search(inst, shift, target=target)
+    def counted(inst, shift_code, target=None):
+        calls.append((shift_code, target))
+        return search(inst, shift_code, target=target)
     monkeypatch.setattr(chains, "max_chain_exact", counted)
     inst = ChainInstance(F2, 6, range(64), 2)
     report = bound_attainment_report(inst)
@@ -269,17 +315,18 @@ def test_full_space_exact_fallback(monkeypatch):
     assert report.exact_used
     assert report.achieved
     assert report.exact_length == 2
-    assert is_increasing_chain(report.chain, 2)
+    assert_chain_in_shifted_set(inst, report.shift, report.chain)
     # the exact fallback stops at the first shift reaching the target
-    assert calls == [((0,) * 6, 2)]
+    assert calls == [(0, 2)]
     # out of reach: one capped search per shift, the first longest kept
     calls.clear()
     monkeypatch.setattr(chains, "bound_target",
                         lambda size, q, gamma, c: gamma // c + 1)
     report = bound_attainment_report(inst)
     assert not report.achieved
-    assert (report.exact_length, report.shift) == (3, (0,) * 6)
-    assert calls == [(vector_from_code(2, 6, s), 4) for s in range(64)]
+    assert (report.exact_length, report.shift) == (3, 0)
+    assert_chain_in_shifted_set(inst, report.shift, report.chain)
+    assert calls == [(s, 4) for s in range(64)]
 
 
 def test_bound_values_frozen():
@@ -314,6 +361,7 @@ def test_bound_attainment_random_instances():
                 if not report.exact_used:
                     assert report.greedy_length >= report.target
                 assert isinstance(report, BoundReport)
+                assert_chain_in_shifted_set(inst, report.shift, report.chain)
 
 
 def randrange_codes(total, set_size, rng):
@@ -345,7 +393,7 @@ def test_random_instance_properties():
     rng = random.Random(37)
     inst = random_chain_instance(F2, 6, 16, 2, rng)
     assert inst.size == 16
-    assert len(set(inst.vectors)) == 16
+    assert len(set(vectors_of(inst))) == 16
     again = random_chain_instance(F2, 6, 16, 2, random.Random(37))
     assert again == inst
     with pytest.raises(ValueError):
@@ -358,10 +406,11 @@ def test_random_instance_properties():
     for field in (F2, F3, F4):
         q = field.q
         inst = random_chain_instance(field, 4, 12, 1, random.Random(41))
-        codes = [matrix_code(q, (v,)) for v in inst.vectors]
+        vectors = vectors_of(inst)
+        codes = [matrix_code(q, (v,)) for v in vectors]
         assert tuple(codes) == inst.codes == tuple(sorted(codes))
-        assert codes == [int("".join(map(str, v)), q) for v in inst.vectors]
-        assert [vector_from_code(q, 4, c) for c in codes] == list(inst.vectors)
+        assert codes == [int("".join(map(str, v)), q) for v in vectors]
+        assert [vector_from_code(q, 4, c) for c in codes] == vectors
 
 
 # -- the integer shift sweep against the per-coordinate reference -----------
@@ -375,7 +424,7 @@ def reference_items(inst, shift):
     coordinate at a time through the field's addition."""
     q = inst.field.q
     out = []
-    for v in inst.vectors:
+    for v in vectors_of(inst):
         mask = val = 0
         for x, s in zip(v, shift):
             y = inst.field._add[x][s]
@@ -405,16 +454,15 @@ def reference_greedy(items, c):
 
 
 def reference_best_shift(inst, shift_codes):
-    """(length, shift, chain) of the first shift reaching the best greedy
-    length, stopping early at gamma // c."""
+    """(length, shift, chain), as codes, of the first shift reaching the
+    best greedy length, stopping early at gamma // c."""
     q, gamma = inst.field.q, inst.gamma
     best = None
     for code in shift_codes:
-        shift = vector_from_code(q, gamma, code)
+        shift = decode(q, gamma, code)
         vals = reference_greedy(reference_items(inst, shift), inst.c)
         if best is None or len(vals) > best[0]:
-            best = (len(vals), shift,
-                    tuple(vector_from_code(q, gamma, v) for v in vals))
+            best = (len(vals), code, tuple(vals))
             if len(vals) >= gamma // inst.c:
                 break
     return best
@@ -427,12 +475,14 @@ def assert_best_shift_matches_reference(inst, seed, trials):
     result = best_shift_chain(inst)
     assert (result.length, result.shift, result.chain) == \
         reference_best_shift(inst, range(total))
+    assert_chain_in_shifted_set(inst, result.shift, result.chain)
     draws = random.Random(seed)
     sampled = best_shift_chain(inst, mode="random", trials=trials,
                                rng=random.Random(seed))
     assert (sampled.length, sampled.shift, sampled.chain) == \
         reference_best_shift(inst, (draws.randrange(total)
                                     for _ in range(trials)))
+    assert_chain_in_shifted_set(inst, sampled.shift, sampled.chain)
 
 
 @pytest.mark.parametrize("stream", [random.Random, RandomStream],
@@ -494,7 +544,7 @@ def tie_heavy_instances(rng, field, count):
         gamma = rng.randint(2, top)
         weight = rng.randint(1, gamma)
         pool = [code for code in range(q ** gamma)
-                if len(support(vector_from_code(q, gamma, code))) == weight]
+                if len(support(decode(q, gamma, code))) == weight]
         picked = set(rng.sample(pool, min(len(pool), rng.randint(1, 24))))
         picked.update(rng.sample(range(q ** gamma), rng.randint(0, 3)))
         yield ChainInstance(field, gamma, picked, rng.randint(1, 2))
@@ -509,17 +559,15 @@ def test_shift_sweep_matches_reference(field):
         gamma = inst.gamma
         codes = range(q ** gamma)
         for code in codes:
-            shift = vector_from_code(q, gamma, code)
+            shift = decode(q, gamma, code)
             items = reference_items(inst, shift)
             assert list(zip(*inst.sweep(code))) == items
             want = reference_greedy(items, inst.c)
-            assert greedy_chain(inst, shift) == [
-                vector_from_code(q, gamma, v) for v in want]
+            assert greedy_chain(inst, shift) == vectors_of(inst, want)
         for code in rng.sample(codes, min(len(codes), 6)):
-            shift = vector_from_code(q, gamma, code)
+            shift = decode(q, gamma, code)
             want = reference_exact(reference_items(inst, shift), gamma, inst.c)
-            assert max_chain_exact(inst, shift) == [
-                vector_from_code(q, gamma, v) for v in want]
+            assert max_chain_exact(inst, code) == want
         assert_best_shift_matches_reference(inst, rng.randrange(2 ** 32), 9)
 
 
@@ -544,8 +592,8 @@ def test_shift_whose_heaviest_vector_has_weight_c_is_searched():
     inst = instance(F2, 4, ((0, 1, 0, 0), (1, 0, 1, 1)), 2)
     result = best_shift_chain(inst)
     assert result.length == 2
-    assert result.shift == (0, 0, 0, 1)
-    assert result.chain == ((0, 1, 0, 1), (1, 0, 1, 0))
+    assert result.shift == 0b0001
+    assert vectors_of(inst, result.chain) == [(0, 1, 0, 1), (1, 0, 1, 0)]
 
 
 def test_greedy_runs_on_few_shifts_of_a_dense_set(monkeypatch):
@@ -649,9 +697,9 @@ def test_chunk_tables_fixed_size_and_digitwise(q):
     rng = random.Random(61)
     for _ in range(200):
         a, b = rng.randrange(size), rng.randrange(size)
-        da, db = vector_from_code(q, k, a), vector_from_code(q, k, b)
+        da, db = decode(q, k, a), decode(q, k, b)
         total = tuple(field._add[x][y] for x, y in zip(da, db))
-        assert vector_from_code(q, k, sums[a][b]) == total
+        assert decode(q, k, sums[a][b]) == total
         assert supports[a] == int("".join("1" if x else "0" for x in da), 2)
 
 

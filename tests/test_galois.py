@@ -72,7 +72,7 @@ def test_prime_field_matches_int_arithmetic():
         for b in range(7):
             assert f._add[a][b] == (a + b) % 7
             assert f._mul[a][b] == (a * b) % 7
-            assert f.sub(a, b) == (a - b) % 7
+            assert f._add[a][f._neg[b]] == (a - b) % 7
         assert f._neg[a] == (-a) % 7
 
 
@@ -107,9 +107,8 @@ def test_inverses_exhaustive():
     for q in (2, 3, 4, 5, 8, 9, 16, 25, 27):
         f = field_from_order(q)
         for a in range(1, q):
-            assert f._mul[a][f.inv(a)] == 1
-    with pytest.raises(ZeroDivisionError):
-        field_from_order(4).inv(0)
+            assert f._mul[a][f._inv[a]] == 1
+        assert f._inv[0] is None
 
 
 def test_gf4_multiplication_table():
@@ -229,7 +228,7 @@ def test_every_order_up_to_the_cap_builds():
             assert add[a][0] == a and mul[a][1] == a
             assert add[a][neg[a]] == 0
             if a:
-                assert mul[a][f.inv(a)] == 1
+                assert mul[a][f._inv[a]] == 1
 
 
 def test_field_from_order_builds_once():
@@ -253,6 +252,6 @@ def test_check_rejects_out_of_range():
 @given(st.integers(min_value=0, max_value=26), st.integers(min_value=0, max_value=26))
 def test_gf27_subtraction_inverts_addition(a, b):
     f = field_from_order(27)
-    assert f.sub(f._add[a][b], b) == a
+    assert f._add[f._add[a][b]][f._neg[b]] == a
     if b != 0:
-        assert f._mul[f._mul[a][f.inv(b)]][b] == a
+        assert f._mul[f._mul[a][f._inv[b]]][b] == a

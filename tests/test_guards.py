@@ -1,6 +1,7 @@
 """Guards: how a refused value is written, and source checks: every cap
-lives in guards.py, no guard builds q^e before comparing it, and every
-function of the package is named by the package or by perfbench."""
+lives in guards.py, no guard builds q^e before comparing it, every
+function of the package is named by the package or by perfbench, and only
+the CLI/JSON edge and the chain sweeps' chunk cuts decode a code."""
 
 import ast
 import re
@@ -187,3 +188,44 @@ def test_every_function_is_named_where_the_program_runs():
     unnamed = [name for name in found if name not in KEPT]
     assert not unnamed, f"named nowhere the program runs: {unnamed}"
     assert found == sorted(KEPT)
+
+
+# The functions that may decode a code into its entries: the CLI/JSON edge,
+# and the chunk cuts of the chain sweeps.
+DECODERS = {"metric.tuple_from_code", "chains.ChainInstance.sweep",
+            "chains._heaviest"}
+# Decoders and encoders that enumerated codes no longer pass through.
+RETIRED = {"matrix_from_code", "encode"}
+
+
+def decoding(module, tree):
+    """Qualified names of the functions and methods in tree, vector_from_code
+    itself aside, that name vector_from_code."""
+    return [name for name, node in _functions(module, tree)
+            if node.name != "vector_from_code"
+            and "vector_from_code" in _names(node)]
+
+
+@pytest.mark.parametrize("source, found", [
+    ("def f(c):\n    return metric.vector_from_code(2, 3, c)", ["mod.f"]),
+    ("class C:\n    def m(self):\n"
+     "        return partial(vector_from_code, 2, 3)", ["mod.C.m"]),
+    ("def vector_from_code(q, n, c):\n    return vector_from_code(q, 1, c)",
+     []),
+    ("from .metric import vector_from_code\ndef f(c):\n    return c", []),
+])
+def test_the_decoding_check_finds_what_it_looks_for(source, found):
+    assert decoding("mod", ast.parse(source)) == found
+
+
+def test_only_the_edge_and_the_chunk_cuts_decode_codes():
+    assert len(PACKAGE) > 5
+    trees = {path.stem: ast.parse(path.read_text(), str(path))
+             for path in PACKAGE}
+    found = [name for module, tree in trees.items()
+             for name in decoding(module, tree)]
+    assert found and [name for name in found if name not in DECODERS] == []
+    defined = [name for module, tree in trees.items()
+               for name, node in _functions(module, tree)
+               if node.name in RETIRED]
+    assert defined == []

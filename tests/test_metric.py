@@ -18,12 +18,14 @@ from sumrank.guards import GuardError, require_power_within, require_within
 from sumrank.linalg import _rank_rows
 from sumrank import metric
 from sumrank.metric import (BlockTuple, code_adder, iter_ball, matrix_code,
-                            matrix_from_code, rank_table, sample_ball_uniform,
+                            rank_table, sample_ball_uniform,
                             sample_uniform_matrix_of_rank, tuple_code,
-                            tuple_from_code, vector_code, weight_histogram)
+                            tuple_from_code, vector_code, vector_from_code,
+                            weight_histogram)
 from sumrank.montecarlo import RandomStream
 
-from oracles import (enumerate_ball, params_for, sample_uniform_tuple,
+from oracles import (decode, enumerate_ball, params_for,
+                     rank_table_by_elimination, sample_uniform_tuple,
                      sum_rank_distance, zero_tuple)
 
 F2 = field_from_order(2)
@@ -179,13 +181,35 @@ def test_long_vector_code_equals_horner_from_any_iterable():
             assert vector_code(q, iter(entries)) == code
 
 
+def test_long_vector_from_code_is_the_digit_by_digit_decoder():
+    rng = random.Random(43)
+    for q in (2, 3, 16, 1021):
+        for length in (0, 1, 63, 64, 65, 128, 1000, 4099):
+            top = q ** length - 1
+            for code in (0, top, rng.randrange(top + 1)):
+                assert vector_from_code(q, length, code) == \
+                    decode(q, length, code)
+
+
+def test_a_long_code_decodes_in_near_linear_time():
+    # One divmod by q per digit off the whole code took seconds here;
+    # halving the code, the mirror of vector_code, takes well under one.
+    rng = random.Random(47)
+    entries = tuple(rng.randrange(3) for _ in range(120_000))
+    code = vector_code(3, entries)
+    start = time.perf_counter()
+    assert vector_from_code(3, len(entries), code) == entries
+    assert time.perf_counter() - start < 1.0
+
+
 def test_tuple_code_range_checked():
     with pytest.raises(ValueError):
         tuple_from_code(P222, 2 ** 8)
     with pytest.raises(ValueError):
         tuple_from_code(P222, -1)
-    with pytest.raises(ValueError):
-        matrix_from_code(2, 2, 2, 16)
+    for code in (-1, 3 ** 100):
+        with pytest.raises(ValueError):
+            vector_from_code(3, 100, code)
 
 
 def test_vector_round_trip():
@@ -198,8 +222,22 @@ def test_vector_round_trip():
 
 def test_matrix_code_round_trip():
     for code in range(3 ** 4):
-        grid = matrix_from_code(3, 2, 2, code)
-        assert matrix_code(3, grid) == code
+        entries = decode(3, 4, code)
+        assert matrix_code(3, (entries[:2], entries[2:])) == code
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
+def test_rank_table_is_elimination_on_each_matrix(q):
+    # every block shape with q^(m*eta) <= 2^12, the one-row and one-column
+    # edges among them at every length up to that
+    field = field_from_order(q)
+    shapes = [(m, eta) for m in range(1, 13) for eta in range(1, 13)
+              if q ** (m * eta) <= 2 ** 12]
+    longest = max(eta for m, eta in shapes)
+    assert {(1, longest), (longest, 1)} <= set(shapes)
+    for m, eta in shapes:
+        assert rank_table(field, m, eta) == \
+            rank_table_by_elimination(field, m, eta), (m, eta)
 
 
 def test_enumeration_matches_volumes():
