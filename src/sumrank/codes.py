@@ -155,13 +155,15 @@ def require_coset_histogram_within(params, radius, dimension):
     """Raise GuardError unless a dimension-k linear code's coset histogram
     is within its caps: q^(m*eta) block ranks and the ball points (one class
     each at most) at MAX_SWEEP apiece, and block ranks plus ball points
-    times 1 + k (walked, then reduced against k rows) at MAX_COSET_STEPS."""
+    times 1 + k adds (walked, then reduced against k rows), an add priced
+    by metric.code_adder_steps, at MAX_COSET_STEPS."""
     blocks = require_power_within(params.q, params.m * params.eta,
                                   guards.MAX_SWEEP, "block matrix count")
     ball = require_within(ball_volume(params, radius), guards.MAX_SWEEP,
                           "ball volume")
-    require_within(blocks + ball * (1 + dimension), guards.MAX_COSET_STEPS,
-                   "coset reduction steps")
+    add = metric.code_adder_steps(params.field, params.total_dim)
+    require_within(blocks + ball * (1 + dimension * add),
+                   guards.MAX_COSET_STEPS, "coset reduction steps")
 
 
 def _coset_histogram(code, radius):

@@ -371,7 +371,12 @@ def block_sum_power(base, ell, deg):
 @functools.lru_cache(maxsize=None)
 def completion_powers(base, ell, deg):
     """(base^(ell-1), ..., base^0), each through degree deg or further:
-    entry i holds the masses of the completions of a prefix of i blocks."""
+    entry i holds the masses of the completions of a prefix of i blocks.
+    Raises GuardError, before the first power, past MAX_SWEEP for the ell
+    powers of at most deg + 1 coefficients built in Python, or past
+    MAX_COUNT_WORK for their products."""
+    require_within(ell * (deg + 1), guards.MAX_SWEEP,
+                   "completion power coefficients")
     require_within(sum(_power_work(base, j, deg) for j in range(ell)),
                    guards.MAX_COUNT_WORK, "block-sum work")
     return tuple(block_sum_power(base, j, deg) for j in reversed(range(ell)))

@@ -9,14 +9,16 @@ work starts; violations raise :class:`GuardError`.
 import math
 
 # Items one Python sweep walks: block matrices ranked, points of space or of
-# a ball, span combinations, codewords, shifts (metric, codes, chains).
+# a ball, span combinations, codewords, shifts (metric, codes, chains), and
+# the ell x (deg + 1) coefficients of counting.completion_powers.
 MAX_SWEEP = 2 ** 20
 # Products x operand bits x 2,048-bit pieces in one exact count
 # (counting._binomial_row, block_sum_power, completion_powers); the largest
 # counts under it take about 2 s in the CLI on a 2-vCPU VM.
 MAX_COUNT_WORK = 2 ** 29
-# Block ranks + ball points x (1 + k) (codes.require_coset_histogram_within);
-# every space of at most MAX_SWEEP points fits: q^mn (2 + mn) <= 22 * 2^20.
+# Block ranks + ball points x (1 + k adds), an add priced by
+# metric.code_adder_steps (codes.require_coset_histogram_within); every
+# space of at most MAX_SWEEP points fits: q^mn (2 + mn steps) <= 24 * 2^20.
 MAX_COSET_STEPS = 2 ** 25
 # Set size x (trials + 1) x gamma^2 digit steps (chains.require_search_within)
 MAX_RANDOM_DIGIT_STEPS = 2 ** 30

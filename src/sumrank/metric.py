@@ -9,9 +9,12 @@ entries in to_vector() order, most significant first); only the CLI/JSON
 edge converts between the two.
 
 The ball sampler is exact.  It draws weight and per-block ranks by inverse
-CDF on exact integer counts, then factors each block as U V with uniform
-full-rank factors; every rank-r matrix has the same number of such
-factorizations, so the result is exactly uniform on the ball.
+CDF on exact integer counts, then draws each block of rank r as U V with
+uniform full-rank factors, rank 1 as an outer product; every rank-r matrix
+has the same number of such factorizations, so the result is exactly
+uniform on the ball.  Points the sampler and the point arithmetic build
+from the field tables skip the entry check, and a weight reads each block's
+rank from rank_table where the table is small.
 """
 
 import functools
@@ -19,6 +22,7 @@ import itertools
 import operator
 
 from . import counting, guards, linalg
+from .montecarlo import uniform_draws
 # sphere_volume is not called here: perfbench's tracer test checks that the
 # tracer also patches a copy imported into another module, this one.
 from .counting import ball_volume, sphere_volume  # noqa: F401
@@ -36,38 +40,46 @@ class BlockTuple:
         self.entries = check_entries(params, vector)
         self._weight = None
 
+    @classmethod
+    def _built(cls, params, entries):
+        """The point of a tuple of total_dim entries read from the field
+        tables, so already in [0, q): no check_entries."""
+        point = object.__new__(cls)
+        point.params = params
+        point.entries = entries
+        point._weight = None
+        return point
+
     @property
     def blocks(self):
         """The ell blocks, each a tuple of m rows of eta entries."""
-        m, eta = self.params.m, self.params.eta
-        e = self.entries
-        rows = [e[i:i + eta] for i in range(0, len(e), eta)]
-        return tuple(tuple(rows[i:i + m]) for i in range(0, len(rows), m))
+        return _blocks(self.entries, self.params.m, self.params.eta)
 
     def weight(self):
         """Sum of the block ranks; cached after the first call."""
         if self._weight is None:
-            field = self.params.field
-            self._weight = sum(linalg._rank_rows(field, block) for block in self.blocks)
+            p = self.params
+            self._weight = _weigher(p.field, p.m, p.eta)(self.entries)
         return self._weight
 
     def add(self, other):
         if self.params != other.params:
             raise ValueError("points live in different spaces")
-        add = self.params.field._add
-        return BlockTuple(self.params, [add[x][y] for x, y
-                                        in zip(self.entries, other.entries)])
+        rows = map(self.params.field._add.__getitem__, self.entries)
+        return BlockTuple._built(self.params, tuple(
+            map(operator.getitem, rows, other.entries)))
 
     def neg(self):
-        return BlockTuple(self.params,
-                          map(self.params.field._neg.__getitem__, self.entries))
+        return BlockTuple._built(self.params, tuple(
+            map(self.params.field._neg.__getitem__, self.entries)))
 
     def sub(self, other):
         return self.add(other.neg())
 
     def scale(self, c):
         mrow = self.params.field._mul[self.params.field.check(c)]
-        return BlockTuple(self.params, map(mrow.__getitem__, self.entries))
+        return BlockTuple._built(self.params, tuple(
+            map(mrow.__getitem__, self.entries)))
 
     def to_vector(self):
         """The m*eta*ell entries, blocks in order, each block row-major."""
@@ -98,6 +110,30 @@ def check_entries(params, vector):
         bad = low if low < 0 else high
         raise ValueError(f"entry {bad} outside field of order {params.q}")
     return entries
+
+
+def _blocks(entries, m, eta):
+    rows = [entries[i:i + eta] for i in range(0, len(entries), eta)]
+    return tuple(tuple(rows[i:i + m]) for i in range(0, len(rows), m))
+
+
+@functools.lru_cache(maxsize=None)
+def _weigher(field, m, eta):
+    """weigh(entries), the sum of the block ranks of a point's entries: the
+    nonzero blocks counted when min(m, eta) = 1, rank_table read at each
+    block code when q^(m*eta) <= WEIGHT_TABLE_CODES, and each block ranked
+    by elimination otherwise."""
+    size = m * eta
+    if min(m, eta) == 1:
+        return lambda entries: sum(map(any, zip(*[iter(entries)] * size)))
+    if (size < WEIGHT_TABLE_CODES.bit_length()  # q^size >= 2^size
+            and field.q ** size <= WEIGHT_TABLE_CODES):
+        q, ranks = field.q, rank_table(field, m, eta)
+        return lambda entries: sum(
+            ranks[vector_code(q, entries[i:i + size])]
+            for i in range(0, len(entries), size))
+    return lambda entries: sum(
+        linalg._rank_rows(field, block) for block in _blocks(entries, m, eta))
 
 
 # -- integer codes ---------------------------------------------------------
@@ -155,6 +191,9 @@ def tuple_from_code(params, code):
 # Odd characteristic adds codes k digits at a time through a q^k x q^k
 # table, with q^k at most this whatever the length is (or k = 1).
 CHUNK_CODES = 256
+# BlockTuple.weight reads rank_table for blocks of at most this many codes,
+# a table of at most 4 KB.
+WEIGHT_TABLE_CODES = 2 ** 12
 
 
 @functools.lru_cache(maxsize=None)
@@ -163,14 +202,21 @@ def _chunk_tables(field):
     k = 1: sums[a][b] is the code of the digit-wise sum of codes a and b,
     supports[a] the support mask of code a, first digit in the top bit.
     Above one digit every entry is below 256, so rows are stored as bytes."""
-    q = field.q
-    k, sums, supports = 1, field._add, (0,) + (1,) * (q - 1)
-    while q ** (k + 1) <= CHUNK_CODES:  # append one low digit
+    q, k = field.q, _chunk_digits(field.q)
+    sums, supports = field._add, (0,) + (1,) * (q - 1)
+    for _ in range(k - 1):  # append one low digit
         sums = tuple(bytes(s * q + d for s in row for d in low)
                      for row in sums for low in field._add)
         supports = bytes(m << 1 | (d > 0) for m in supports for d in range(q))
-        k += 1
     return k, sums, supports
+
+
+def _chunk_digits(q):
+    # the k of _chunk_tables: the most digits with q^k <= CHUNK_CODES, or 1
+    k = 1
+    while q ** (k + 1) <= CHUNK_CODES:
+        k += 1
+    return k
 
 
 def code_adder(field, length):
@@ -191,6 +237,16 @@ def code_adder(field, length):
             total += sums[x][y] * place
         return total
     return add
+
+
+def code_adder_steps(field, length):
+    """The price of one code_adder(field, length) call: 1 at q = 2^e, one
+    XOR; otherwise its ceil(length / k) chunk steps, each counted once per
+    started 1,024 bits of code, as its divmods run over the whole code."""
+    if field.p == 2:
+        return 1
+    bits = length * field.q.bit_length()
+    return -(-length // _chunk_digits(field.q)) * -(-bits // 1024)
 
 
 @functools.lru_cache(maxsize=None)
@@ -275,17 +331,33 @@ def iter_ball(params, r):
 
 # -- samplers --------------------------------------------------------------
 
+def _nonzero_vector(draws, length):
+    # sample_full_rank's rejection on a length x 1 or 1 x length draw: a
+    # vector has rank 1 unless all its entries are zero
+    while not any(vector := tuple(itertools.islice(draws, length))):
+        pass
+    return vector
+
+
 def sample_uniform_matrix_of_rank(field, m, eta, r, rng):
     """A uniform m x eta matrix of rank exactly r, as a grid of rows.
 
     Factors as U V with U uniform full-rank m x r and V uniform full-rank
     r x eta; each rank-r matrix has exactly |GL_r| such factorizations, so
-    the product is uniform.
+    the product is uniform.  Rank 1 is the outer product of a nonzero
+    column u and a nonzero row v, drawn with the generator words, and
+    redrawn at the all-zero vectors, that sample_full_rank takes for U and
+    V; row i is u_i v, which is row i of U V.
     """
     if not 0 <= r <= min(m, eta):
         raise ValueError(f"rank r = {r} outside [0, {min(m, eta)}]")
     if r == 0:
         return tuple((0,) * eta for _ in range(m))
+    if r == 1:
+        draws = uniform_draws(field.q, rng)
+        u = _nonzero_vector(draws, m)
+        v = _nonzero_vector(draws, eta)
+        return tuple(tuple(map(field._mul[x].__getitem__, v)) for x in u)
     left = linalg.sample_full_rank(field, m, r, rng)
     right = linalg.sample_full_rank(field, r, eta, rng)
     return tuple(linalg.mat_mul(field, left, right))
@@ -311,8 +383,9 @@ def sample_ball_uniform(params, radius, rng):
     params.check_radius(radius)
     comp = _ball_composition(
         params, radius, rng.randrange(ball_volume(params, radius)))
-    field = params.field
-    return BlockTuple(params, [
-        v for part in comp
-        for row in sample_uniform_matrix_of_rank(field, params.m, params.eta, part, rng)
-        for v in row])
+    field, m, eta = params.field, params.m, params.eta
+    entries = []
+    for part in comp:
+        for row in sample_uniform_matrix_of_rank(field, m, eta, part, rng):
+            entries += row
+    return BlockTuple._built(params, tuple(entries))

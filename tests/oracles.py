@@ -97,6 +97,21 @@ def enumerate_ball(params, r):
     return [tuple_from_code(params, code) for code in iter_ball(params, r)]
 
 
+def sample_rank_matrix_by_factors(field, m, eta, r, rng):
+    """A uniform m x eta matrix of rank r as U V at every r >= 1: full-rank
+    factors from linalg.sample_full_rank, multiplied by linalg.mat_mul."""
+    if r == 0:
+        return tuple((0,) * eta for _ in range(m))
+    left = linalg.sample_full_rank(field, m, r, rng)
+    right = linalg.sample_full_rank(field, r, eta, rng)
+    return tuple(linalg.mat_mul(field, left, right))
+
+
+def block_rank_sum(x):
+    """The weight of a point, each block ranked by elimination."""
+    return sum(linalg._rank_rows(x.params.field, block) for block in x.blocks)
+
+
 def sample_uniform_tuple(params, rng):
     """A point uniform on the whole space."""
     q = params.q

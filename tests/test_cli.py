@@ -738,6 +738,46 @@ def test_sample_is_priced_before_the_first_draw(capsys, argv, refused):
     assert out == ",".join(CSV_HEADER) + "\n"
 
 
+# Ball and decomposable draws price the ell completion powers of their
+# rank or dimension composition, ell x (deg + 1) coefficients built in
+# Python, before building them: the ball took 44 s, the decomposable draw
+# was still running at 100 s.
+COMPLETION_POWERS_PRICED_BEFORE_THE_DRAW = [
+    pytest.param("sample ball --q 2 --m 1 --eta 1 --ell 2000000 --r 1",
+                 "completion power coefficients = 4000000", id="ball"),
+    pytest.param("sample decomposable --q 2 --eta 1 --ell 10000000 --w 1",
+                 "completion power coefficients = 20000000",
+                 id="decomposable"),
+]
+
+
+@pytest.mark.parametrize("argv, refused",
+                         COMPLETION_POWERS_PRICED_BEFORE_THE_DRAW)
+def test_completion_powers_are_priced_before_they_are_built(capsys, argv,
+                                                             refused):
+    start = time.perf_counter()
+    status, out, err = run_cli(capsys, argv.split())
+    assert time.perf_counter() - start < 1.0
+    assert status == 3
+    assert out == ""
+    assert err.startswith(f"guard violation: {refused} exceeds the "
+                          "enumeration limit ")
+
+
+def test_list_size_prices_each_odd_q_add_by_its_chunks(capsys):
+    # 4,001 points reduced against 18 rows, each add 400 chunk steps over
+    # a 2,000-digit code: exit 0 after 9 s
+    start = time.perf_counter()
+    status, out, err = run_cli(capsys, [
+        "experiment", "list-size", "--q", "3", "--m", "1", "--eta", "1",
+        "--ell", "2000", "--rho", "1/2000", "--eps", "99/100", "--codes", "1"])
+    assert time.perf_counter() - start < 1.0
+    assert status == 3
+    assert out == ""
+    assert err.startswith("guard violation: coset reduction steps = "
+                          "115232804 exceeds the enumeration limit ")
+
+
 # Experiments price one draw as sample does: a ball point, or list-size's
 # k x mn generator.
 EXPERIMENTS_PRICED_BEFORE_THE_DRAW = [

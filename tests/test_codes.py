@@ -3,6 +3,7 @@
 import random
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -20,8 +21,9 @@ from sumrank.metric import BlockTuple, tuple_code, tuple_from_code
 from sumrank.montecarlo import DEFAULT_MASTER_SEED, RandomStream
 
 import oracles
-from oracles import (enumerate_ball, expected_ball_occupancy, list_size_at,
-                     params_for, sum_rank_distance, vectors, zero_tuple)
+from oracles import (enumerate_ball, expected_ball_occupancy,
+                     is_prime_power, list_size_at, params_for,
+                     sum_rank_distance, vectors, zero_tuple)
 
 F2 = field_from_order(2)
 
@@ -282,6 +284,31 @@ def test_coset_guard_admits_every_space_the_old_cap_admitted():
         n = 1
         while q ** n <= MAX_SWEEP:
             assert q ** n * (2 + n) <= MAX_COSET_STEPS, (q, n)
+            n += 1
+
+
+def test_coset_guard_prices_every_add_by_its_chunks():
+    # an add walks ceil(n / k) chunks at odd q, again per 1,024 bits of
+    # code, and is one XOR at q = 2^e; every space of at most MAX_SWEEP
+    # points still fits
+    for q in (2, 4, 8, 16, 256):
+        assert metric.code_adder_steps(field_from_order(q), 5000) == 1
+    f3, f5 = field_from_order(3), field_from_order(5)
+    assert [metric.code_adder_steps(f3, n) for n in (1, 5, 6, 12)] == \
+        [1, 1, 2, 3]
+    assert metric.code_adder_steps(f3, 512) == 103
+    assert metric.code_adder_steps(f3, 513) == 103 * 2
+    assert metric.code_adder_steps(f3, 2000) == 400 * 4
+    assert metric.code_adder_steps(f5, 10) == 4
+    for q in range(3, 1025, 2):
+        if not is_prime_power(q):
+            continue
+        field = SimpleNamespace(p=next(d for d in range(3, q + 1)
+                                       if q % d == 0), q=q)
+        n = 1
+        while q ** n <= MAX_SWEEP:
+            steps = metric.code_adder_steps(field, n)
+            assert q ** n * (2 + n * steps) <= MAX_COSET_STEPS, (q, n)
             n += 1
 
 

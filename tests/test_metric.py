@@ -24,9 +24,9 @@ from sumrank.metric import (BlockTuple, code_adder, iter_ball, matrix_code,
                             weight_histogram)
 from sumrank.montecarlo import RandomStream
 
-from oracles import (decode, enumerate_ball, params_for,
-                     rank_table_by_elimination, sample_uniform_tuple,
-                     sum_rank_distance, zero_tuple)
+from oracles import (block_rank_sum, decode, enumerate_ball, params_for,
+                     rank_table_by_elimination, sample_rank_matrix_by_factors,
+                     sample_uniform_tuple, sum_rank_distance, zero_tuple)
 
 F2 = field_from_order(2)
 F3 = field_from_order(3)
@@ -333,6 +333,81 @@ def test_rank_matrix_sampler_rank_exact():
         for _ in range(40):
             grid = sample_uniform_matrix_of_rank(F2, 2, 3, r, rng)
             assert _rank_rows(F2, grid) == r
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 16, 127, 256, 1021])
+def test_rank_matrix_sampler_is_the_factor_product_draw_for_draw(q):
+    # rank 1 is an outer product, drawn from the words U and V would take
+    field = field_from_order(q)
+    for m, eta in itertools.product(range(1, 5), repeat=2):
+        for r in range(min(m, eta) + 1):
+            for seed in range(3):
+                ours = random.Random(f"{q}/{m}/{eta}/{r}/{seed}")
+                theirs = random.Random(f"{q}/{m}/{eta}/{r}/{seed}")
+                for _ in range(4):
+                    grid = sample_uniform_matrix_of_rank(field, m, eta, r, ours)
+                    assert grid == sample_rank_matrix_by_factors(
+                        field, m, eta, r, theirs), (m, eta, r, seed)
+                    assert all(type(row) is tuple for row in grid)
+                assert ours.getstate() == theirs.getstate(), (m, eta, r, seed)
+
+
+@pytest.mark.parametrize("q, m, eta", [(2, 2, 2), (3, 1, 3), (4, 2, 3),
+                                       (1021, 2, 1)], ids=str)
+def test_built_points_are_the_checked_points(q, m, eta):
+    # the sampler and the point arithmetic skip check_entries
+    params = params_for(q, m, eta, 3)
+    rng = RandomStream(3, "built", q, m, eta)
+    for _ in range(20):
+        x = sample_ball_uniform(params, params.max_weight, rng)
+        y = sample_ball_uniform(params, 2, rng)
+        c = rng.randrange(q)
+        for point in (x, y, x.add(y), x.scale(c), x.neg(), x.sub(y)):
+            checked = BlockTuple(params, point.to_vector())
+            assert type(point.entries) is tuple
+            assert point == checked and hash(point) == hash(checked)
+            assert point.weight() == checked.weight() == block_rank_sum(point)
+    with pytest.raises(ValueError, match=f"entry {q} outside field"):
+        BlockTuple(params, (q,) + (0,) * (params.total_dim - 1))
+
+
+# Each weight branch: min(m, eta) = 1 counts nonzero blocks, q^(m*eta) <=
+# WEIGHT_TABLE_CODES reads rank_table (the last three shapes exactly at it),
+# and larger blocks are eliminated.
+WEIGHT_SHAPES = [(1021, 1, 2), (2, 3, 1), (5, 1, 1), (2, 2, 2), (3, 2, 2),
+                 (4, 2, 2), (5, 2, 2), (7, 2, 2), (8, 2, 2), (4, 2, 3),
+                 (2, 3, 4), (4, 3, 3), (3, 3, 3), (2, 2, 7)]
+
+
+@pytest.mark.parametrize("q, m, eta", WEIGHT_SHAPES, ids=str)
+def test_weight_is_the_sum_of_block_eliminations(q, m, eta):
+    params = params_for(q, m, eta, 3)
+    rng = RandomStream(5, "weight", q, m, eta)
+    for _ in range(40):
+        x = random_tuple(params, rng)
+        y = sample_ball_uniform(params, rng.randrange(params.max_weight + 1),
+                                rng)
+        for point in (x, y, x.add(y)):
+            assert point.weight() == block_rank_sum(point)
+
+
+def test_weight_builds_no_rank_table_above_its_threshold(monkeypatch):
+    built = []
+
+    def recording_rank_table(field, m, eta):
+        built.append((field.q, m, eta))
+        return rank_table(field, m, eta)
+    monkeypatch.setattr(metric, "rank_table", recording_rank_table)
+    metric._weigher.cache_clear()
+    for q, m, eta in WEIGHT_SHAPES:
+        params = params_for(q, m, eta, 2)
+        x = random_tuple(params, random.Random(53))
+        assert x.weight() == block_rank_sum(x)
+    assert built == [(q, m, eta) for q, m, eta in WEIGHT_SHAPES
+                     if min(m, eta) > 1
+                     and q ** (m * eta) <= metric.WEIGHT_TABLE_CODES]
+    assert (8, 2, 2) in built and (2, 3, 4) in built and (4, 2, 3) in built
+    assert metric.WEIGHT_TABLE_CODES == 2 ** 12
 
 
 def test_ball_sampler_stays_inside_and_reproduces():
