@@ -9,10 +9,9 @@ single full-support vector swallows every coordinate at once, so an exact
 search over cover states backs the harness when greedy misses a target.
 
 An instance is the sorted base-q codes of A, and shifts and chains are
-codes too: nothing here decodes a vector but the chunk cuts of the sweeps.
-Each search reads one integer sweep: a shift w gives the masks and codes
-of A + w by C-level maps, XOR at q = 2 and metric's chunk addition tables
-otherwise.
+codes too: nothing here decodes a code.  metric's code_set cuts A once,
+and gives each search the masks and codes of A + w per shift and the
+heaviest-weight table the codes of -A.
 The exhaustive shift search sweeps only the shifts it runs greedy on; it
 bounds the others from one table of the heaviest weight in A + w per shift,
 a max-plus distance transform over the q-ary Hamming cube.
@@ -20,13 +19,12 @@ a max-plus distance transform over the q-ary Hamming cube.
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
 from itertools import accumulate, compress, islice, repeat
-from operator import add, and_, eq, index, itemgetter, lshift, mul, or_, xor
+from operator import and_, eq, index, itemgetter
 
 from . import guards
 from .guards import require_power_within, require_within
-from .metric import _chunk_tables, vector_code, vector_from_code
+from .metric import code_set
 from .montecarlo import uniform_draws
 
 # The heaviest-weight table is built in ints of at most this many byte lanes
@@ -36,7 +34,9 @@ TABLE_BLOCK = 4096
 
 @dataclass(frozen=True)
 class ChainInstance:
-    """A chain search problem: the sorted codes of A, length, step size."""
+    """A chain search problem: the sorted codes of A, length, step size.
+    sweep(w) gives the support masks and codes of A + w, in set order, and
+    neg() the codes of -A: metric's code_set of A, cut once."""
 
     field: "object"
     gamma: int
@@ -55,37 +55,13 @@ class ChainInstance:
                           and codes[-1] < self.field.q ** self.gamma):
             raise ValueError("vector code outside [0, q^gamma)")
         object.__setattr__(self, "codes", codes)
+        shift, neg = code_set(self.field, self.gamma, codes)
+        object.__setattr__(self, "sweep", shift)
+        object.__setattr__(self, "neg", neg)
 
     @property
     def size(self):
         return len(self.codes)
-
-    @cached_property
-    def sweep(self):
-        """The map from a shift's code w to the support masks and the
-        base-q codes of A + w, in set order, built on first use."""
-        q = self.field.q
-        codes = self.codes
-        if q == 2:  # a code is its own support mask, and + w is XOR
-            return lambda w: (list(map(xor, codes, repeat(w))),) * 2
-        k, sums, supports = _chunk_tables(self.field)
-        base = q ** k
-        count = -(-self.gamma // k)
-        # the k-digit chunks of each code, top first, peeled off the low end
-        cut = partial(vector_from_code, base, count)
-        chunks = list(zip(*map(cut, codes))) or [()] * count
-
-        def shifted(w):
-            rows = [sums[d].__getitem__ for d in cut(w)]
-            vals = list(map(rows[0], chunks[0]))
-            masks = list(map(supports.__getitem__, vals))
-            for row, part in zip(rows[1:], chunks[1:]):
-                low = list(map(row, part))
-                vals = list(map(add, map(mul, vals, repeat(base)), low))
-                masks = list(map(or_, map(lshift, masks, repeat(k)),
-                                 map(supports.__getitem__, low)))
-            return masks, vals
-        return shifted
 
 
 def _greedy(masks, vals, c):
@@ -116,8 +92,7 @@ def _heaviest(instance):
     of the digit, doubled to cover its q - 1 offsets by two windows; across
     blocks, from the maxima before and after each block of a group.
     """
-    field, gamma = instance.field, instance.gamma
-    q = field.q
+    q, gamma = instance.field.q, instance.gamma
     inner = 1  # digits inside a block
     while inner < gamma and q ** (inner + 1) <= TABLE_BLOCK:
         inner += 1
@@ -130,16 +105,8 @@ def _heaviest(instance):
         ge = ((a | high) - b & high) >> 7  # 1 in each lane where a >= b
         return b ^ (a ^ b) & ge * 255
 
-    seeds = instance.codes  # -a = a in characteristic 2
-    if field.p != 2:  # negate k digits at a time
-        k, sums, _ = _chunk_tables(field)
-        base = q ** k
-        negate = [row.index(0) for row in sums]
-        cut = partial(vector_from_code, base, -(-gamma // k))
-        seeds = [vector_code(base, map(negate.__getitem__, cut(x)))
-                 for x in seeds]
     table = bytearray(q ** gamma)
-    for x in seeds:
+    for x in instance.neg():
         table[x] = bias
     blocks = [int.from_bytes(table[i:i + lanes], "little")
               for i in range(0, len(table), lanes)]
@@ -182,9 +149,7 @@ def _heaviest(instance):
 def require_search_within(q, gamma, set_size, mode, trials):
     """Raise GuardError when a shift search is past its cap: q^gamma shifts
     when exhaustive; when random, set_size * (trials + 1) * gamma^2 digit
-    steps.  That bounds the random sweep: it cuts A and each shift into
-    ceil(gamma / k) chunks and maps every chunk over A, each step on numbers
-    of up to gamma digits, and it keeps as many powers of q^k."""
+    steps, a sweep of A per shift over numbers of up to gamma digits."""
     if mode == "exhaustive":
         require_power_within(q, gamma, guards.MAX_SWEEP, "shift count")
     else:
@@ -264,42 +229,34 @@ def max_chain_exact(instance, shift_code, target=None):
     (gamma // c when no target is given), by depth-first search over
     covers; ValueError when shift_code is outside [0, q^gamma).
 
-    The search takes vectors in canonical order at lengths 1, 2, ... up to
-    the cap and keeps the chain from the last length that succeeds: the
-    first chain of the target length when one exists, else the canonically
-    least longest chain.  Each step adds at least c coordinates, so a cover
-    with `free` uncovered coordinates extends by at most free // c.
+    One search takes vectors in canonical order and keeps each chain longer
+    than the best so far, the canonically first of its length, until one
+    reaches the cap.  A step adds at least c coordinates, so a cover with
+    `free` uncovered ones is pruned when free // c more cannot beat the best.
     """
     gamma, c = instance.gamma, instance.c
     if not 0 <= index(shift_code) < instance.field.q ** gamma:
         raise ValueError(f"shift code {shift_code} outside [0, q^gamma)")
     cap = gamma // c if target is None else target
     items = sorted(zip(*instance.sweep(shift_code)), key=itemgetter(1))
+    best, chain = [], []
 
-    def search(length):
-        """The canonically first chain of `length` vectors, or []."""
-        chain = []
-
-        def extend(cover, depth):
-            if depth >= length:
-                return True
-            free = gamma - cover.bit_count()
-            if depth + free // c < length:
-                return False
-            for mask, val in items:
-                if (mask & ~cover).bit_count() >= c:
-                    chain.append(val)
-                    if extend(cover | mask, depth + 1):
-                        return True
-                    chain.pop()
+    def extend(cover):
+        """Whether a chain of cap vectors is found below this cover."""
+        if len(chain) + (gamma - cover.bit_count()) // c <= len(best):
             return False
-        extend(0, 0)
-        return chain
-
-    vals = []
-    while len(vals) < cap and (found := search(len(vals) + 1)):
-        vals = found
-    return vals
+        for mask, val in items:
+            if (mask & ~cover).bit_count() >= c:
+                chain.append(val)
+                if len(chain) > len(best):
+                    best[:] = chain
+                if len(best) >= cap or extend(cover | mask):
+                    return True
+                chain.pop()
+        return False
+    if cap > 0:
+        extend(0)
+    return best
 
 
 def chain_length_bound(set_size, q, gamma, c):

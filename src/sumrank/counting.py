@@ -283,8 +283,8 @@ def gaussian_binomial_bounds_ok(n, k, q, margin=LOG_MARGIN):
 # Points and product subspaces split into ell independent blocks.  The
 # objects whose blocks have weights (k_1, ..., k_ell) number
 # prod_i P[k_i], where P is the per-block count vector, so the sum over all
-# compositions of s is the coefficient of x^s in P(x)^ell.  One kernel,
-# block_sum_power, computes those coefficients by Miller's recurrence
+# compositions of s is the coefficient of x^s in P(x)^ell.  One loop,
+# _miller, computes those coefficients by Miller's recurrence
 # (Knuth, TAOCP Vol. 2, 4.7): Q = P^ell satisfies P Q' = ell P' Q, so
 #     n P_0 Q_n = sum_{k=1..min(n, b)} ((ell + 1) k - n) P_k Q_{n-k},
 # an exact division.  Degrees 0..d cost about d b products for b + 1 = len(P),
@@ -348,23 +348,28 @@ def _whole_power_fits(base, ell):
 _POWERS = {}  # (base, ell) -> the longest prefix of base^ell computed
 
 
+def _miller(base, ell, deg, prefix=()):
+    # base^ell through degree deg or its top degree, extending a prefix
+    top = len(base) - 1
+    power = list(prefix) or [base[0] ** ell]
+    for n in range(len(power), min(deg, ell * top) + 1):
+        power.append(sum(((ell + 1) * k - n) * base[k] * power[n - k]
+                         for k in range(1, min(n, top) + 1)) // (n * base[0]))
+    return tuple(power)
+
+
 def block_sum_power(base, ell, deg):
     """Coefficients of base(x)^ell through degree deg or further (all of
     them past its top degree), for base[0] >= 1: entry s sums
     prod_i base[k_i] over the compositions (k_1, ..., k_ell) of s.  Raises
     GuardError, before computing, past MAX_COUNT_WORK."""
-    top = len(base) - 1
-    deg = min(deg, ell * top)
+    deg = min(deg, ell * (len(base) - 1))
     power = _POWERS.get((base, ell), ())
     if len(power) <= deg:
         if not _whole_power_fits(base, ell):
             require_within(_power_work(base, ell, deg), guards.MAX_COUNT_WORK,
                            "block-sum work")
-        power = list(power) or [base[0] ** ell]
-        for n in range(len(power), deg + 1):
-            power.append(sum(((ell + 1) * k - n) * base[k] * power[n - k]
-                             for k in range(1, min(n, top) + 1)) // (n * base[0]))
-        power = _POWERS[base, ell] = tuple(power)
+        power = _POWERS[base, ell] = _miller(base, ell, deg, power)
     return power
 
 
@@ -373,13 +378,13 @@ def completion_powers(base, ell, deg):
     """(base^(ell-1), ..., base^0), each through degree deg or further:
     entry i holds the masses of the completions of a prefix of i blocks.
     Raises GuardError, before the first power, past MAX_SWEEP for the ell
-    powers of at most deg + 1 coefficients built in Python, or past
-    MAX_COUNT_WORK for their products."""
+    powers of at most deg + 1 coefficients, or past MAX_COUNT_WORK for ell
+    times the products of the largest.  No power is cached on its own."""
     require_within(ell * (deg + 1), guards.MAX_SWEEP,
                    "completion power coefficients")
-    require_within(sum(_power_work(base, j, deg) for j in range(ell)),
+    require_within(ell * _power_work(base, max(ell - 1, 0), deg),
                    guards.MAX_COUNT_WORK, "block-sum work")
-    return tuple(block_sum_power(base, j, deg) for j in reversed(range(ell)))
+    return tuple(_miller(base, j, deg) for j in reversed(range(ell)))
 
 
 def unrank_block_sum(base, ell, total, u):

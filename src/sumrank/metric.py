@@ -5,8 +5,9 @@ of the block ranks.  A sampled point is a BlockTuple, its flat vector: the
 blocks in order, each block row-major, the same entries every other layer
 reads (linalg rows, code bases, the integer encoding).  Enumeration code
 indexes points, matrices and plain vectors by one integer encoding (base q,
-entries in to_vector() order, most significant first); only the CLI/JSON
-edge converts between the two.
+entries in to_vector() order, most significant first).  Only this module
+decodes a code: at the CLI/JSON edge, and in code_set, which cuts a set of
+codes once into chunk columns for the chain searches.
 
 The ball sampler is exact.  It draws weight and per-block ranks by inverse
 CDF on exact integer counts, then draws each block of rank r as U V with
@@ -198,17 +199,17 @@ WEIGHT_TABLE_CODES = 2 ** 12
 
 @functools.lru_cache(maxsize=None)
 def _chunk_tables(field):
-    """(k, sums, supports) for chunks of k digits, q^k <= CHUNK_CODES or
-    k = 1: sums[a][b] is the code of the digit-wise sum of codes a and b,
-    supports[a] the support mask of code a, first digit in the top bit.
-    Above one digit every entry is below 256, so rows are stored as bytes."""
+    """(k, sums, supports, negatives) for k-digit chunks, q^k <= CHUNK_CODES
+    or k = 1: sums[a][b] is the code of the digit-wise sum of codes a and b,
+    supports[a] the support mask of a, first digit in the top bit, negatives[a]
+    the code of -a.  Above one digit q^k <= 256, so rows are bytes."""
     q, k = field.q, _chunk_digits(field.q)
     sums, supports = field._add, (0,) + (1,) * (q - 1)
     for _ in range(k - 1):  # append one low digit
         sums = tuple(bytes(s * q + d for s in row for d in low)
                      for row in sums for low in field._add)
         supports = bytes(m << 1 | (d > 0) for m in supports for d in range(q))
-    return k, sums, supports
+    return k, sums, supports, tuple(row.index(0) for row in sums)
 
 
 def _chunk_digits(q):
@@ -219,13 +220,47 @@ def _chunk_digits(q):
     return k
 
 
+def _join(columns, radix):
+    # the numbers whose base-radix digits, top first, are the columns
+    out = list(columns[0])
+    for column in columns[1:]:
+        out = list(map(operator.add, map(operator.mul, out,
+                                         itertools.repeat(radix)), column))
+    return out
+
+
+def code_set(field, length, codes):
+    """(shift, neg) for codes of `length` entries read as a set A: shift(w)
+    gives the support masks and codes of A + w, neg() the codes of -A, in
+    list order.  At q = 2 a code is its mask and + w is XOR; otherwise the
+    codes are cut here, once, into k-digit chunk columns read at C level."""
+    if field.q == 2:
+        return (lambda w: (list(map(operator.xor, codes,
+                                    itertools.repeat(w))),) * 2,
+                lambda: list(codes))
+    k, sums, supports, negatives = _chunk_tables(field)
+    base, count = field.q ** k, -(-length // k)
+    cut = functools.partial(vector_from_code, base, count)
+    columns = list(zip(*map(cut, codes))) or [()] * count
+
+    def shift(w):
+        parts = [list(map(sums[d].__getitem__, column))
+                 for d, column in zip(cut(w), columns)]
+        return (_join([map(supports.__getitem__, p) for p in parts], 1 << k),
+                _join(parts, base))
+
+    def neg():
+        return _join([map(negatives.__getitem__, c) for c in columns], base)
+    return shift, neg
+
+
 def code_adder(field, length):
     """add(a, b), the code of the digit-wise sum of codes a and b of
     `length` entries: XOR at every q = 2^e, whose digits are bit fields of
     the code, and k digits at a time through _chunk_tables otherwise."""
     if field.p == 2:
         return operator.xor
-    k, sums, _ = _chunk_tables(field)
+    k, sums = _chunk_tables(field)[:2]
     base = field.q ** k
     places = [base ** i for i in range(-(-length // k))]
 

@@ -172,6 +172,30 @@ def is_increasing_chain(vectors, c):
     return True
 
 
+def chain_by_deepening(items, gamma, c, cap):
+    """The codes of the canonically first longest chain over the (support
+    mask, code) items, at most cap long, by iterative deepening: one
+    depth-first search per length 1, 2, ... up to cap, vectors in code
+    order, keeping the chain of the last length found."""
+    items = sorted(items, key=operator.itemgetter(1))
+
+    def first(length, cover, depth):
+        if depth == length:
+            return []
+        if depth + (gamma - cover.bit_count()) // c < length:
+            return None
+        for mask, val in items:
+            if (mask & ~cover).bit_count() >= c:
+                rest = first(length, cover | mask, depth + 1)
+                if rest is not None:
+                    return [val] + rest
+        return None
+    best = []
+    while len(best) < cap and (found := first(len(best) + 1, 0, 0)) is not None:
+        best = found
+    return best
+
+
 # -- decomposable subspaces ------------------------------------------------
 
 def enumerate_decomposable(field, eta, ell, w):

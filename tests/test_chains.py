@@ -17,7 +17,8 @@ from sumrank.guards import MAX_RANDOM_DIGIT_STEPS, GuardError
 from sumrank.metric import matrix_code, vector_from_code
 from sumrank.montecarlo import RandomStream
 
-from oracles import decode, encode, is_increasing_chain, support
+from oracles import (chain_by_deepening, decode, encode,
+                     is_increasing_chain, support)
 
 F2 = field_from_order(2)
 F3 = field_from_order(3)
@@ -512,28 +513,6 @@ def test_random_shifts_take_the_randrange_draws(stream):
     assert stopped and ran_out
 
 
-def reference_exact(items, gamma, c):
-    """The canonically least longest chain over the items, by depth-first
-    search at lengths 1, 2, ..."""
-    items = sorted(items, key=lambda mv: mv[1])
-
-    def first(length, cover, depth):
-        if depth == length:
-            return []
-        if depth + (gamma - cover.bit_count()) // c < length:
-            return None
-        for mask, val in items:
-            if (mask & ~cover).bit_count() >= c:
-                rest = first(length, cover | mask, depth + 1)
-                if rest is not None:
-                    return [val] + rest
-        return None
-    best = []
-    while (found := first(len(best) + 1, 0, 0)) is not None:
-        best = found
-    return best
-
-
 def tie_heavy_instances(rng, field, count):
     """Seeded instances whose vectors mostly share one support weight, so
     that greedy steps tie on the gain and the code decides; gamma <= 6 and
@@ -566,7 +545,8 @@ def test_shift_sweep_matches_reference(field):
             assert greedy_chain(inst, shift) == vectors_of(inst, want)
         for code in rng.sample(codes, min(len(codes), 6)):
             shift = decode(q, gamma, code)
-            want = reference_exact(reference_items(inst, shift), gamma, inst.c)
+            want = chain_by_deepening(reference_items(inst, shift), gamma,
+                                      inst.c, gamma // inst.c)
             assert max_chain_exact(inst, code) == want
         assert_best_shift_matches_reference(inst, rng.randrange(2 ** 32), 9)
 
@@ -605,7 +585,7 @@ def test_greedy_runs_on_few_shifts_of_a_dense_set(monkeypatch):
         calls.append(1)
         return greedy(masks, vals, c)
     monkeypatch.setattr(chains, "_greedy", counted)
-    # the cached property reads the instance dict first
+    # the frozen instance holds sweep in its dict
     inst.__dict__["sweep"] = lambda w: swept.append(w) or sweep(w)
     result = best_shift_chain(inst)
     # the best stays below gamma // c, so every shift is visited; a skipped
@@ -686,11 +666,11 @@ def test_random_search_guard_bounds_the_digit_steps():
 @pytest.mark.parametrize("q", [3, 4, 5, 7, 16, 17, 1021])
 def test_chunk_tables_fixed_size_and_digitwise(q):
     field = field_from_order(q)
-    k, sums, supports = chains._chunk_tables(field)
+    k, sums, supports, negatives = metric._chunk_tables(field)
     size = q ** k
     assert k >= 1
     assert size <= max(q, metric.CHUNK_CODES) < size * q
-    assert len(sums) == len(supports) == size
+    assert len(sums) == len(supports) == len(negatives) == size
     assert all(len(row) == size for row in sums)
     if k == 1:
         assert sums is field._add
@@ -701,6 +681,7 @@ def test_chunk_tables_fixed_size_and_digitwise(q):
         total = tuple(field._add[x][y] for x, y in zip(da, db))
         assert decode(q, k, sums[a][b]) == total
         assert supports[a] == int("".join("1" if x else "0" for x in da), 2)
+        assert decode(q, k, negatives[a]) == tuple(field._neg[x] for x in da)
 
 
 @pytest.mark.parametrize("field", [F3, F4, F5], ids=lambda f: f"F{f.q}")
@@ -709,7 +690,7 @@ def test_sweep_chunks_match_the_power_formula(field):
     # top first; peeling them off the low end must give the same sweep.
     rng = random.Random(89 + field.q)
     q = field.q
-    k, sums, supports = chains._chunk_tables(field)
+    k, sums, supports, _ = metric._chunk_tables(field)
     base = q ** k
     for _ in range(12):
         gamma = rng.randint(1, 200)
@@ -725,3 +706,45 @@ def test_sweep_chunks_match_the_power_formula(field):
                 vals = [v * base + d for v, d in zip(vals, low)]
                 masks = [m << k | supports[d] for m, d in zip(masks, low)]
             assert inst.sweep(w) == (masks, vals)
+
+
+@pytest.mark.parametrize("field", [F2, F3, F4, F5], ids=lambda f: f"F{f.q}")
+def test_one_search_matches_iterative_deepening(field):
+    # The canonically first chain of the longest length up to the cap, at
+    # no target, the bound's target, 0 and 1
+    rng = random.Random(101 + field.q)
+    q = field.q
+    top = max(g for g in range(1, 9) if q ** g <= 256)
+    for _ in range(40):
+        gamma, c = rng.randint(1, top), rng.randint(1, 3)
+        size = rng.randint(1, min(q ** gamma, 30))
+        inst = random_chain_instance(field, gamma, size, c, rng)
+        targets = (None, bound_target(size, q, gamma, c), 0, 1)
+        for shift in rng.sample(range(q ** gamma), min(q ** gamma, 4)):
+            items = list(zip(*inst.sweep(shift)))
+            for target in targets:
+                cap = gamma // c if target is None else target
+                assert max_chain_exact(inst, shift, target) == \
+                    chain_by_deepening(items, gamma, c, cap)
+
+
+@pytest.mark.parametrize("field", [F3, F4, F5], ids=lambda f: f"F{f.q}")
+def test_an_instance_decodes_each_code_once(monkeypatch, field):
+    calls = []
+    decode_code = metric.vector_from_code
+    monkeypatch.setattr(metric, "vector_from_code", lambda q, n, code: (
+        calls.append(code) or decode_code(q, n, code)))
+    inst = random_chain_instance(field, 5, 40, 2, random.Random(97))
+    # the set is cut once, when the instance is built
+    assert calls == list(inst.codes)
+    calls.clear()
+    chains._heaviest(inst)
+    assert calls == []
+    swept, shift = [], inst.sweep
+    inst.__dict__["sweep"] = lambda w: swept.append(w) or shift(w)
+    for w in range(0, field.q ** 5, 37):
+        inst.sweep(w)
+    best_shift_chain(inst)
+    bound_attainment_report(inst)
+    # every later decode is the shift of one sweep
+    assert calls == swept and len(swept) > field.q ** 5 // 37

@@ -764,6 +764,31 @@ def test_completion_powers_are_priced_before_they_are_built(capsys, argv,
                           "enumeration limit ")
 
 
+# The largest ell the coefficient cap admits at degree 1 builds its ell
+# completion powers once and caches none of them on its own: each argv
+# took 6 to 8 s in-process with 524,289 cached powers, and prints the same
+# bytes in about 2 s.
+COMPLETION_POWERS_AT_THE_CAP = [
+    pytest.param("sample ball --q 2 --m 1 --eta 1 --ell 524288 --r 1",
+                 "c4f68f76842bb8e62c38ca1824680b59"
+                 "081657a89e7df4af90d1c0de238036ed", id="ball"),
+    pytest.param("sample decomposable --q 2 --eta 1 --ell 524288 --w 1",
+                 "121432e8975ee7dd1f1d10c8ef4ea9b3"
+                 "232f317e7898ace74f4999423b9e46b9", id="decomposable"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", COMPLETION_POWERS_AT_THE_CAP)
+def test_completion_powers_at_the_cap_cache_one_power(capsys, argv, digest):
+    counting._POWERS.clear()
+    counting.completion_powers.cache_clear()
+    status, out, err = run_cli(capsys, argv.split())
+    assert (status, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+    # the per-block count vector is (1, 1) for both, read to ell blocks
+    assert list(counting._POWERS) == [((1, 1), 524288)]
+
+
 def test_list_size_prices_each_odd_q_add_by_its_chunks(capsys):
     # 4,001 points reduced against 18 rows, each add 400 chunk steps over
     # a 2,000-digit code: exit 0 after 9 s

@@ -1,7 +1,7 @@
 """Guards: how a refused value is written, and source checks: every cap
 lives in guards.py, no guard builds q^e before comparing it, every
 function of the package is named by the package or by perfbench, and only
-the CLI/JSON edge and the chain sweeps' chunk cuts decode a code."""
+metric decodes a code."""
 
 import ast
 import re
@@ -191,9 +191,8 @@ def test_every_function_is_named_where_the_program_runs():
 
 
 # The functions that may decode a code into its entries: the CLI/JSON edge,
-# and the chunk cuts of the chain sweeps.
-DECODERS = {"metric.tuple_from_code", "chains.ChainInstance.sweep",
-            "chains._heaviest"}
+# and the chunk cuts of a code set, both in metric.
+DECODERS = {"metric.tuple_from_code", "metric.code_set"}
 # Decoders and encoders that enumerated codes no longer pass through.
 RETIRED = {"matrix_from_code", "encode"}
 
@@ -229,3 +228,11 @@ def test_only_the_edge_and_the_chunk_cuts_decode_codes():
                for name, node in _functions(module, tree)
                if node.name in RETIRED]
     assert defined == []
+
+
+def test_only_metric_reads_the_chunk_tables():
+    assert len(PACKAGE) > 5
+    found = [path.stem for path in PACKAGE
+             if "_chunk_tables" in _names(ast.parse(path.read_text(),
+                                                    str(path)))]
+    assert found == ["metric"]

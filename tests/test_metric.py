@@ -24,9 +24,10 @@ from sumrank.metric import (BlockTuple, code_adder, iter_ball, matrix_code,
                             weight_histogram)
 from sumrank.montecarlo import RandomStream
 
-from oracles import (block_rank_sum, decode, enumerate_ball, params_for,
-                     rank_table_by_elimination, sample_rank_matrix_by_factors,
-                     sample_uniform_tuple, sum_rank_distance, zero_tuple)
+from oracles import (block_rank_sum, decode, encode, enumerate_ball,
+                     params_for, rank_table_by_elimination,
+                     sample_rank_matrix_by_factors, sample_uniform_tuple,
+                     sum_rank_distance, zero_tuple)
 
 F2 = field_from_order(2)
 F3 = field_from_order(3)
@@ -139,7 +140,7 @@ def test_code_adder_matches_point_addition(q, n):
     if field.p == 2:
         assert add is operator.xor
     else:
-        k, sums, _ = metric._chunk_tables(field)
+        k, sums = metric._chunk_tables(field)[:2]
         assert isinstance(sums[0], bytes if q <= 256 else array)
         assert (k == 1) == (q > 16)
     top = q ** n - 1
@@ -149,6 +150,40 @@ def test_code_adder_matches_point_addition(q, n):
         x = tuple_from_code(params, a)
         for b in [0, top] + rng.sample(codes, 6):
             assert add(a, b) == tuple_code(x.add(tuple_from_code(params, b)))
+
+
+# k = 5, 4, 3 and 2 digits per chunk at q = 3, 4, 5 and 9, and 1 above 16
+CODE_SET_ORDERS = [3, 4, 5, 9, 17, 257, 1021]
+
+
+@pytest.mark.parametrize("q", CODE_SET_ORDERS)
+def test_code_set_matches_digit_by_digit_arithmetic(q):
+    field = field_from_order(q)
+    k = metric._chunk_tables(field)[0]
+    rng = random.Random(7 * q)
+    # one chunk, several chunks, and a partial top chunk
+    for length in sorted({1, k, 3 * k, 3 * k + 1, 2 * k - 1}):
+        top = q ** length
+        for size in (0, 1, 7):
+            codes = [rng.randrange(top) for _ in range(size)]
+            shift, neg = metric.code_set(field, length, codes)
+            vectors = [decode(q, length, x) for x in codes]
+            assert neg() == [
+                encode(field, length, [field._neg[x] for x in v])
+                for v in vectors]
+            for w in {0, top - 1, rng.randrange(top)}:
+                sums = [[field._add[x][y] for x, y in
+                         zip(v, decode(q, length, w))] for v in vectors]
+                assert shift(w) == (
+                    [int("".join("1" if x else "0" for x in s), 2)
+                     for s in sums],
+                    [encode(field, length, s) for s in sums])
+
+
+@pytest.mark.parametrize("q", CODE_SET_ORDERS)
+def test_every_chunk_code_plus_its_negative_is_zero(q):
+    k, sums, _, negatives = metric._chunk_tables(field_from_order(q))
+    assert [sums[a][negatives[a]] for a in range(q ** k)] == [0] * q ** k
 
 
 @given(st.integers(min_value=0, max_value=2 ** 8 - 1))
