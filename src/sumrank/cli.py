@@ -9,10 +9,10 @@ floats rounded to 12 significant digits, and exact rationals ride along as
 
 Verbs: volume, count-decomposable, capacity, verify, sample, experiment,
 chain.  `sumrank <verb> --help` lists each verb's flags; sample and
-experiment take one subcommand per target, so `sumrank sample ball --help`
-lists that target's, and a flag that a target does not take is an input
-error.  Records carry no timing by default; opt in with --timing, which
-fills the runtime column and gives up byte-stable reruns.
+experiment read one table of targets, one subcommand each, so `sumrank
+sample ball --help` lists that target's, and a flag that a target does not
+take is an input error.  Records carry no timing by default; opt in with
+--timing, which fills the runtime column and gives up byte-stable reruns.
 """
 
 import argparse
@@ -29,7 +29,7 @@ from fractions import Fraction
 from . import chains, codes, counting, decomposable, linalg, metric
 from .counting import SpaceParams
 from .galois import field_from_order
-from .guards import MAX_ENTRIES, MAX_MATRIX_WORK, GuardError, require_within
+from .guards import GuardError
 from .montecarlo import DEFAULT_MASTER_SEED, RandomStream
 
 CSV_HEADER = ["verb", "statistic", "trial", "value", "exact", "ci_low",
@@ -464,105 +464,15 @@ def _record_config(args):
     return cfg
 
 
-# The price of one draw: (entries built, matrix work), the work being rows x
-# rank x columns for each elimination and m x r x eta for each product.  A
-# shape the sampler refuses is refused here as the sampler would, or priced
-# at (0, 0) and left to it.  sample and experiment refuse a draw over
-# either cap before their first.
-def _require_draw_within(entries, work):
-    require_within(entries, MAX_ENTRIES, "entries per draw")
-    require_within(work, MAX_MATRIX_WORK, "matrix work per draw")
-
-
-def _ball_price(params, radius):
-    # the point and the factors of its blocks, whose ranks sum to at most the
-    # radius; the count guard that each draw runs first bounds the work
-    params.check_radius(radius)
-    return params.total_dim + (params.m + params.eta) * radius, 0
-
-
-def _rank_matrix_price(field, args):
-    # U (m x r) and V (r x eta) full rank, both drawn and eliminated, and
-    # their product built
-    m, eta, r = args.m, args.eta, args.r
-    if not 0 <= r <= min(m, eta):
-        return 0, 0
-    entries = (m + eta) * r + m * eta
-    return entries, r * entries
-
-
-def _subspace_price(field, args):
-    # a full-rank k x n draw, eliminated for its rank and again for its RREF
-    n, k = args.ambient, args.dim
-    if not 0 <= k <= n:
-        return 0, 0
-    return k * n, 2 * k * k * n
-
-
-def _rho_ball_price(params, args):
-    # one ball point at radius floor(rho * n), as sample ball prices it
-    return _ball_price(params, codes.radius_for(params, args.rho))
-
-
-def _linear_code_price(params, k):
-    # a full-rank k x mn generator, eliminated once
-    return k * params.total_dim, k * k * params.total_dim
-
-
-# Each sample target: its help line; the flags it needs, which with q are
-# its record config; how to build its field or space; the price of one draw,
-# None where the sampler's own guard bounds it (the space sweep of
-# general-code, the count behind decomposable); and one draw from the child
-# stream, as a point code or compact JSON.  Draws look their samplers up when
-# called, so a patched module attribute is the one that runs.
-_SAMPLE_TARGETS = {
-    "ball": ("uniform points of the sum-rank ball of radius --r",
-             ("m", "eta", "ell", "radius"), _space_of,
-             lambda params, args: _ball_price(params, args.radius),
-             lambda params, args, rng: metric.tuple_code(
-                 metric.sample_ball_uniform(params, args.radius, rng))),
-    "rank-matrix": ("uniform m x eta matrices of rank --r",
-                    ("m", "eta", "r"), _field_of, _rank_matrix_price,
-                    lambda field, args, rng: metric.matrix_code(
-                        field.q, metric.sample_uniform_matrix_of_rank(
-                            field, args.m, args.eta, args.r, rng))),
-    "subspace": ("uniform --dim-dimensional subspaces of F_q^ambient",
-                 ("ambient", "dim"), _field_of, _subspace_price,
-                 lambda field, args, rng: _compact(linalg.sample_subspace(
-                     field, args.ambient, args.dim, rng).to_json())),
-    "decomposable": ("uniform products of per-block subspaces of total "
-                     "dimension --w", ("eta", "ell", "w"), _field_of, None,
-                     lambda field, args, rng: _compact(
-                         decomposable.sample_decomposable_uniform(
-                             field, args.eta, args.ell, args.w,
-                             rng).to_json())),
-    "linear-code": ("row spaces of uniform full-rank generators at --rate",
-                    ("m", "eta", "ell", "rate"), _space_of,
-                    lambda params, args: _linear_code_price(
-                        params, codes.dimension_from_rate(params, args.rate)),
-                    lambda params, args, rng: _compact(
-                        codes.sample_linear_code(
-                            params, args.rate, rng).to_json())),
-    "general-code": ("codes holding each point with probability "
-                     "q^((rate-1)mn)", ("m", "eta", "ell", "rate"),
-                     _space_of, None,
-                     lambda params, args, rng: _compact(
-                         codes.sample_general_code(
-                             params, args.rate, rng).to_json())),
-}
-
-
-def _run_sample(args):
-    _, _, build, price, draw = _SAMPLE_TARGETS[args.what]
-    space = build(args)
-    if args.count and price:  # refuse before the first draw
-        _require_draw_within(*price(space, args))
-    cfg = _record_config(args)
-    stream = RandomStream(args.seed, "sample", args.what)
-    return [make_record("sample", args.what,
-                        draw(space, args, stream.child(i)), cfg, trial=i,
-                        seed=args.seed)
-            for i in range(args.count)], 0
+def _draws(draw):
+    """Records of --count draws, each one draw(space, args, rng) from its
+    child stream: a point code or compact JSON."""
+    def records(space, args, stream, cfg):
+        return [make_record("sample", args.what,
+                            draw(space, args, stream.child(i)), cfg, trial=i,
+                            seed=args.seed)
+                for i in range(args.count)]
+    return records
 
 
 def _estimator(statistic, estimate):
@@ -587,10 +497,10 @@ def _estimator(statistic, estimate):
 
 
 def _correlation(params, args, stream):
-    if args.trials >= 1:  # price the draws before building the center
+    center = None  # none for a run of no trials, which the estimator refuses
+    if args.center is not None and args.trials >= 1:  # after the price
         counting.ball_volume(params, codes.radius_for(params, args.rho))
-    center = None if args.center is None \
-        else metric.tuple_from_code(params, args.center)
+        center = metric.tuple_from_code(params, args.center)
     return codes.correlation_estimate(params, args.rho, args.trials, stream,
                                       center=center)
 
@@ -610,7 +520,7 @@ def _list_size_records(params, args, stream, cfg):
     radius = codes.radius_for(params, args.rho)
     if args.codes:  # fail before drawing a code a guard refuses
         codes.require_coset_histogram_within(params, radius, k)
-        _require_draw_within(*_linear_code_price(params, k))
+        linalg.require_full_rank_within(k, params.total_dim)
     cfg.update(rate=str(rate_used), radius=radius)
     records = [
         make_record("experiment", "dimension", k, cfg, seed=seed),
@@ -632,17 +542,64 @@ def _list_size_records(params, args, stream, cfg):
     return records
 
 
-# Each experiment: its help line; the flags it needs (a tuple among them:
-# exactly one of those), the optional flags, which with q are its record
-# config when given; its run count; how to build its field or space; the
-# price of one draw, None where the records price it (list-size) or a count
-# guard bounds it (dimension); and its records.
-# list-size emits many records, so it has its own.
-_EXPERIMENTS = {
+def _admit_rho_ball(params, args):
+    metric.require_ball_draw_within(params, codes.radius_for(params, args.rho))
+
+
+# Each target of each verb: its help line; the flags it needs (a tuple among
+# them: exactly one of those) and its optional flags, which with q are its
+# record config when given; its run count; how to build its field or space;
+# the check that refuses one draw past its price, called once before the
+# first, None where the records price it (list-size) or the sampler's own
+# guard bounds it; and its records.  Records look their samplers up when
+# called, so a patched module attribute is the one that runs.
+_TARGETS = {"sample": {
+    "ball": ("uniform points of the sum-rank ball of radius --r",
+             ("m", "eta", "ell", "radius"), (), "count", _space_of,
+             lambda params, args: metric.require_ball_draw_within(
+                 params, args.radius),
+             _draws(lambda params, args, rng: metric.tuple_code(
+                 metric.sample_ball_uniform(params, args.radius, rng)))),
+    "rank-matrix": ("uniform m x eta matrices of rank --r",
+                    ("m", "eta", "r"), (), "count", _field_of,
+                    lambda field, args: metric.require_rank_matrix_within(
+                        args.m, args.eta, args.r),
+                    _draws(lambda field, args, rng: metric.matrix_code(
+                        field.q, metric.sample_uniform_matrix_of_rank(
+                            field, args.m, args.eta, args.r, rng)))),
+    "subspace": ("uniform --dim-dimensional subspaces of F_q^ambient",
+                 ("ambient", "dim"), (), "count", _field_of,
+                 lambda field, args: linalg.require_subspace_within(
+                     args.ambient, args.dim),
+                 _draws(lambda field, args, rng: _compact(
+                     linalg.sample_subspace(
+                         field, args.ambient, args.dim, rng).to_json()))),
+    "decomposable": ("uniform products of per-block subspaces of total "
+                     "dimension --w", ("eta", "ell", "w"), (), "count",
+                     _field_of, None,
+                     _draws(lambda field, args, rng: _compact(
+                         decomposable.sample_decomposable_uniform(
+                             field, args.eta, args.ell, args.w,
+                             rng).to_json()))),
+    "linear-code": ("row spaces of uniform full-rank generators at --rate",
+                    ("m", "eta", "ell", "rate"), (), "count", _space_of,
+                    lambda params, args: linalg.require_full_rank_within(
+                        codes.dimension_from_rate(params, args.rate),
+                        params.total_dim),
+                    _draws(lambda params, args, rng: _compact(
+                        codes.sample_linear_code(
+                            params, args.rate, rng).to_json()))),
+    "general-code": ("codes holding each point with probability "
+                     "q^((rate-1)mn)", ("m", "eta", "ell", "rate"), (),
+                     "count", _space_of, None,
+                     _draws(lambda params, args, rng: _compact(
+                         codes.sample_general_code(
+                             params, args.rate, rng).to_json()))),
+}, "experiment": {
     "correlation": ("Pr[X1 + X2 in the ball around --center (default 0)] "
                     "for uniform ball points X1, X2",
                     ("m", "eta", "ell", "rho"), ("center",), "trials",
-                    _space_of, _rho_ball_price,
+                    _space_of, _admit_rho_ball,
                     _estimator("correlation_probability", _correlation)),
     "dimension": ("intersection dimension of two uniform decomposable "
                   "subspaces",
@@ -657,7 +614,7 @@ _EXPERIMENTS = {
     "span-correlation": ("Pr[the span of --gamma ball points meets the ball "
                          "in bound-factor * gamma points or more]",
                          ("m", "eta", "ell", "rho", "gamma", "bound_factor"),
-                         (), "trials", _space_of, _rho_ball_price,
+                         (), "trials", _space_of, _admit_rho_ball,
                          _estimator(
                              "span_correlation_probability",
                              lambda params, args, stream:
@@ -667,7 +624,7 @@ _EXPERIMENTS = {
     "subset-event": ("Pr[every combination in --vectors of ball points "
                      "lands in the ball]",
                      ("m", "eta", "ell", "rho", "vectors"), (), "trials",
-                     _space_of, _rho_ball_price, _estimator(
+                     _space_of, _admit_rho_ball, _estimator(
                          "subset_event_probability",
                          lambda params, args, stream:
                          codes.subset_span_event_estimate(
@@ -676,15 +633,15 @@ _EXPERIMENTS = {
     "list-size": ("worst-case list sizes of random linear codes at rate "
                   "capacity - eps", ("m", "eta", "ell", "rho", "eps"), (),
                   "codes", _space_of, None, _list_size_records),
-}
+}}
 
 
-def _run_experiment(args):
-    _, _, _, count, build, price, records = _EXPERIMENTS[args.what]
+def _run_target(args):
+    _, _, _, count, build, admit, records = _TARGETS[args.verb][args.what]
     space = build(args)
-    if getattr(args, count) >= 1 and price:  # refuse before the first draw
-        _require_draw_within(*price(space, args))
-    stream = RandomStream(args.seed, "experiment", args.what)
+    if getattr(args, count) >= 1 and admit:  # refuse before the first draw
+        admit(space, args)
+    stream = RandomStream(args.seed, args.verb, args.what)
     return records(space, args, stream, _record_config(args)), 0
 
 
@@ -815,16 +772,14 @@ def build_parser():
                    help="decomposable sweeps: largest eta (default 6)")
     _add_output_flags(p)
 
-    p = sub.add_parser("sample", help="seeded draws from the exact samplers")
-    targets = p.add_subparsers(dest="what", required=True, metavar="TARGET")
-    for name, (text, flags, *_) in _SAMPLE_TARGETS.items():
-        _add_target(targets, name, text, flags, (), "count")
-
-    p = sub.add_parser("experiment", help="Monte Carlo estimators with "
-                                          "Wilson intervals")
-    targets = p.add_subparsers(dest="what", required=True, metavar="TARGET")
-    for name, (text, flags, optional, count, *_) in _EXPERIMENTS.items():
-        _add_target(targets, name, text, flags, optional, count)
+    for verb, text in (
+            ("sample", "seeded draws from the exact samplers"),
+            ("experiment", "Monte Carlo estimators with Wilson intervals")):
+        p = sub.add_parser(verb, help=text)
+        targets = p.add_subparsers(dest="what", required=True,
+                                   metavar="TARGET")
+        for name, entry in _TARGETS[verb].items():
+            _add_target(targets, name, *entry[:4])
 
     p = sub.add_parser("chain", help="support-chain bound attainment on "
                                      "random vector sets")
@@ -852,8 +807,8 @@ _RUNNERS = {
     "count-decomposable": _run_count_decomposable,
     "capacity": _run_capacity,
     "verify": _run_verify,
-    "sample": _run_sample,
-    "experiment": _run_experiment,
+    "sample": _run_target,
+    "experiment": _run_target,
     "chain": _run_chain,
 }
 

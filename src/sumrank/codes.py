@@ -264,6 +264,8 @@ def limited_correlation_estimate(params, rho, gamma, bound_factor, trials, strea
     for independent uniform ball draws at radius floor(rho * n)."""
     radius = radius_for(params, rho)
     threshold = _as_fraction(bound_factor) * gamma
+    require_power_within(params.q, gamma, guards.MAX_SWEEP,
+                         "span combination count")  # before any draw
     return _ball_trials(params, radius, gamma, trials, stream,
                         lambda xs: span_ball_count(xs, radius) >= threshold)
 

@@ -378,11 +378,14 @@ def completion_powers(base, ell, deg):
     """(base^(ell-1), ..., base^0), each through degree deg or further:
     entry i holds the masses of the completions of a prefix of i blocks.
     Raises GuardError, before the first power, past MAX_SWEEP for the ell
-    powers of at most deg + 1 coefficients, or past MAX_COUNT_WORK for ell
-    times the products of the largest.  No power is cached on its own."""
+    powers of at most deg + 1 coefficients, or past MAX_COUNT_WORK for
+    their work, at most 32 runs of exponents each priced at its largest
+    (work never falls as the exponent grows).  No power is cached alone."""
     require_within(ell * (deg + 1), guards.MAX_SWEEP,
                    "completion power coefficients")
-    require_within(ell * _power_work(base, max(ell - 1, 0), deg),
+    step = -(-ell // 32) or 1
+    require_within(sum(min(step, top + 1) * _power_work(base, top, deg)
+                       for top in range(ell - 1, -1, -step)),
                    guards.MAX_COUNT_WORK, "block-sum work")
     return tuple(_miller(base, j, deg) for j in reversed(range(ell)))
 

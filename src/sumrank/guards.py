@@ -22,9 +22,9 @@ MAX_COUNT_WORK = 2 ** 29
 MAX_COSET_STEPS = 2 ** 25
 # Set size x (trials + 1) x gamma^2 digit steps (chains.require_search_within)
 MAX_RANDOM_DIGIT_STEPS = 2 ** 30
-# Field entries one sample draw builds (cli._run_sample).
+# Field entries one sampler draw builds (require_draw_within).
 MAX_ENTRIES = 2 ** 21
-# Elimination and product steps of one sample draw (cli._run_sample).
+# Elimination and product steps of one sampler draw (require_draw_within).
 MAX_MATRIX_WORK = 2 ** 25
 # Subspaces in one Grassmannian (linalg.enumerate_subspaces).
 MAX_GRASSMANNIAN = 10 ** 6
@@ -54,3 +54,9 @@ def require_power_within(q, e, limit, what):
         raise GuardError(
             f"{what} = {q}^{e} exceeds the enumeration limit {limit}")
     return require_within(q ** e, limit, what)
+
+
+def require_draw_within(entries, work):
+    """Refuse one sampler draw past MAX_ENTRIES or MAX_MATRIX_WORK."""
+    require_within(entries, MAX_ENTRIES, "entries per draw")
+    require_within(work, MAX_MATRIX_WORK, "matrix work per draw")

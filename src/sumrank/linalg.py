@@ -222,6 +222,13 @@ def enumerate_subspaces(field, ambient, k):
     return out
 
 
+def require_full_rank_within(nrows, ncols):
+    """Price one sample_full_rank draw, eliminated once: its entries, and
+    rows x rank x columns steps."""
+    guards.require_draw_within(
+        nrows * ncols, nrows * min(nrows, ncols) * ncols)
+
+
 def sample_full_rank(field, nrows, ncols, rng):
     """Uniform full-rank nrows x ncols row tuples by rejection.
 
@@ -235,6 +242,14 @@ def sample_full_rank(field, nrows, ncols, rng):
         rows = [tuple(islice(draws, ncols)) for _ in range(nrows)]
         if _rank_rows(field, rows) == target:
             return rows
+
+
+def require_subspace_within(ambient, k):
+    """Price one sample_subspace draw: a full-rank k x ambient draw,
+    eliminated for its rank and again for its RREF.  A k outside
+    [0, ambient] is left to the sampler's ValueError."""
+    if 0 <= k <= ambient:
+        guards.require_draw_within(k * ambient, 2 * k * k * ambient)
 
 
 def sample_subspace(field, ambient, k, rng):

@@ -374,6 +374,15 @@ def _nonzero_vector(draws, length):
     return vector
 
 
+def require_rank_matrix_within(m, eta, r):
+    """Price one sample_uniform_matrix_of_rank draw: U (m x r) and V
+    (r x eta), each drawn and eliminated, and their product built.  An r
+    outside [0, min(m, eta)] is left to the sampler's ValueError."""
+    if 0 <= r <= min(m, eta):
+        entries = (m + eta) * r + m * eta
+        guards.require_draw_within(entries, r * entries)
+
+
 def sample_uniform_matrix_of_rank(field, m, eta, r, rng):
     """A uniform m x eta matrix of rank exactly r, as a grid of rows.
 
@@ -411,6 +420,15 @@ def _ball_composition(params, radius, u):
         u -= spheres[weight]
         weight += 1
     return counting.unrank_block_sum(base, params.ell, weight, u)
+
+
+def require_ball_draw_within(params, radius):
+    """Price one sample_ball_uniform draw: the point and the factors of its
+    blocks, whose ranks sum to at most the radius; the draw's count guard
+    bounds their work."""
+    params.check_radius(radius)
+    guards.require_draw_within(
+        params.total_dim + (params.m + params.eta) * radius, 0)
 
 
 def sample_ball_uniform(params, radius, rng):

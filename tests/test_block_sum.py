@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from sumrank import counting, decomposable, linalg, metric
+from sumrank import counting, decomposable, guards, linalg, metric
 from sumrank.galois import field_from_order
 from sumrank.guards import MAX_COUNT_WORK, GuardError
 
@@ -277,6 +277,30 @@ def test_kernel_refuses_work_past_the_cap_before_computing(fresh_powers):
     with pytest.raises(GuardError):
         counting.block_sum_power(base, 1000, 10 ** 4)
     assert len(counting._POWERS[base, 1000]) == 21
+
+
+@pytest.mark.parametrize("base, ell, deg", [
+    ((1, 1), 1024, 512),
+    (counting.grassmannian_vector(2, 2), 512, 1024),
+    (counting.rank_count_vector(4, 4, 3), 128, 512),
+    (counting.rank_count_vector(2, 2, 16), 256, 512),
+    ((1, 3, 1), 7, 5),  # fewer tails than runs: each priced on its own
+], ids=["ball-q2-1x1", "decomposable-q2-eta2", "ball-q3-4x4", "ball-q16-2x2",
+        "short"])
+def test_completion_price_bounds_the_tails_work_closely(
+        fresh_powers, monkeypatch, base, ell, deg):
+    # The price is at least the work of the ell tails priced one by one,
+    # and within 5 % of it on these shapes; ell times the largest tail's
+    # work, the price it replaces, is 2 to 3 times the sum where ell > 32.
+    exact = sum(counting._power_work(base, j, deg) for j in range(ell))
+    monkeypatch.setattr(counting, "_miller", lambda *args: ())  # price only
+    monkeypatch.setattr(guards, "MAX_COUNT_WORK", exact - 1)
+    with pytest.raises(GuardError, match="^block-sum work = "):
+        counting.completion_powers(base, ell, deg)
+    monkeypatch.setattr(guards, "MAX_COUNT_WORK", exact * 105 // 100)
+    assert counting.completion_powers(base, ell, deg) == ((),) * ell
+    if ell > 32:
+        assert ell * counting._power_work(base, ell - 1, deg) > exact * 2
 
 
 def test_gaussian_binomial_refuses_work_past_the_cap():

@@ -15,6 +15,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sumrank import cli, counting
 from sumrank.cli import CSV_HEADER, build_parser, emit, main, make_record
@@ -382,7 +383,7 @@ def test_target_positional_is_named_target(capsys, argv):
 
 
 @pytest.mark.parametrize("verb, table", [
-    ("sample", cli._SAMPLE_TARGETS), ("experiment", cli._EXPERIMENTS)])
+    (verb, cli._TARGETS[verb]) for verb in ("sample", "experiment")])
 def test_verb_help_lists_every_target(capsys, verb, table):
     with pytest.raises(SystemExit) as exc:
         main([verb, "--help"])
@@ -778,6 +779,17 @@ COMPLETION_POWERS_AT_THE_CAP = [
 ]
 
 
+def test_completion_powers_priced_in_runs_of_tails(capsys):
+    # ell times the largest tail's work, 1,072,693,248, refused this draw;
+    # the tails priced in 32 runs come to 508,003,328, within the cap
+    status, out, err = run_cli(capsys, [
+        "sample", "ball", "--q", "2", "--m", "1", "--eta", "1",
+        "--ell", "1024", "--r", "512"])
+    assert (status, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "16c75a5edeea1d1899819c32c71bbf9c34d0a3be9da458c6460b122a16c94aad")
+
+
 @pytest.mark.parametrize("argv, digest", COMPLETION_POWERS_AT_THE_CAP)
 def test_completion_powers_at_the_cap_cache_one_power(capsys, argv, digest):
     counting._POWERS.clear()
@@ -826,6 +838,22 @@ def test_experiment_is_priced_before_the_first_draw(capsys, argv, refused):
     assert out == ""
     assert err.startswith(f"guard violation: {refused} exceeds the "
                           "enumeration limit ")
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("sample rank-matrix --q 2 --m 2 --eta 2 --r 3",
+     "rank r = 3 outside [0, 2]"),
+    ("sample rank-matrix --q 2 --m 10000000 --eta 10000000 --r -1",
+     "rank r = -1 outside [0, 10000000]"),
+    ("sample subspace --q 2 --ambient 2 --dim 3", "k = 3 outside [0, 2]"),
+    ("sample ball --q 2 --m 1 --eta 1 --ell 2 --r 3",
+     "radius r = 3 outside [0, 2]"),
+])
+def test_a_shape_out_of_range_gets_the_samplers_message(capsys, argv,
+                                                         message):
+    status, out, err = run_cli(capsys, argv.split())
+    assert (status, out) == (2, "")
+    assert err == f"error: {message}\n"
 
 
 def test_list_size_walks_a_ball_of_more_blocks_than_the_recursion_limit(
@@ -887,6 +915,27 @@ def test_correlation_center_is_priced_before_it_is_built(capsys, q):
     assert status == 2
     assert out == ""
     assert err == f"error: code {int(q) ** 2} outside [0, {int(q) ** 2})\n"
+
+
+@pytest.mark.parametrize("argv, status, message", [
+    # the 10^7-entry center was built before the estimator refused the run:
+    # still running after 20 s
+    pytest.param("experiment correlation --q 3 --m 100000 --eta 100 "
+                 "--ell 1 --rho 1/2 --center 0 --trials 0", 2,
+                 "error: trials must be positive", id="center-no-trials"),
+    # 10^9 ball points drawn before the span's guard: still running at 10 s
+    pytest.param("experiment span-correlation --q 7 --m 3 --eta 3 --ell 2 "
+                 "--rho 2/3 --gamma 1000000000 --bound-factor 2/3 --trials 2",
+                 3, "guard violation: span combination count = 7^1000000000 "
+                 "exceeds the enumeration limit 1048576", id="gamma"),
+])
+def test_an_experiment_refuses_before_building_its_inputs(capsys, argv,
+                                                          status, message):
+    start = time.perf_counter()
+    with wall_clock_backstop(5):
+        result = run_cli(capsys, argv.split())
+    assert time.perf_counter() - start < 1.0
+    assert result == (status, "", message + "\n")
 
 
 @pytest.mark.parametrize("q", ["2", "3"])
@@ -1206,3 +1255,58 @@ def test_no_runtime_dependency():
     with open(os.path.join(os.path.dirname(src), "pyproject.toml"),
               "rb") as fh:
         assert tomllib.load(fh)["project"]["dependencies"] == []
+
+
+# -- every sample and experiment target under drawn flags --------------------
+
+# Values drawn for each flag type, the usable ones first and more often,
+# then out-of-range and malformed text; "-1/2" reads as an option, so
+# argparse refuses it too.  10^9 is past every cap: a guard or an input
+# check must refuse it at once (an unpriced --gamma drew 10^9 points).
+FUZZ_VALUES = {
+    int: st.sampled_from(["1", "2", "3", "1", "2", "0", "-1", "1000000000"]),
+    cli._fraction: st.sampled_from(["1/4", "1/8", "1/2", "1/3", "2/3",
+                                    "1/16", "0", "1", "3/2", "-1/2", "1/0",
+                                    "x", ""]),
+    cli._vectors: st.sampled_from(["1,0;0,1", "1,1", "1;1", "2,1;1,2",
+                                   "1,0;0,1;1,1", "0,0", "1,0,1", "", ";",
+                                   "1,a", "1,,0"]),
+}
+# Prime powers, then orders that are not.
+FUZZ_Q = ["2", "3", "4", "2", "3", "5", "7", "8", "9", "16", "0", "1", "6",
+          "12", "-2"]
+# The largest run count drawn: draws x entries have no run-level price.
+FUZZ_RUNS = {"count": 3, "trials": 20, "codes": 2}
+
+
+@st.composite
+def target_argvs(draw):
+    verb, name = draw(st.sampled_from([
+        (verb, name) for verb, table in cli._TARGETS.items()
+        for name in table]))
+    _, flags, optional, count, *_ = cli._TARGETS[verb][name]
+    argv = [verb, name, "--q", draw(st.sampled_from(FUZZ_Q))]
+    for key in flags + tuple(key for key in optional if draw(st.booleans())):
+        if isinstance(key, tuple):
+            key = draw(st.sampled_from(key))
+        argv += ["--" + key.replace("_", "-"),
+                 draw(FUZZ_VALUES[cli._FLAGS[key][0]])]
+    return argv + ["--" + count, str(draw(st.integers(0, FUZZ_RUNS[count])))]
+
+
+# Most drawn argvs are input errors, so the test draws 800 of them to run
+# every target to exit 0 too; it takes about 2 s.
+@settings(max_examples=800)
+@given(target_argvs())
+def test_every_target_exits_cleanly_on_drawn_flags(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with wall_clock_backstop(10), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        try:
+            status = main(argv)
+        except SystemExit as exc:  # argparse refusing a flag
+            status = exc.code
+    # an exception other than SystemExit fails the test with its traceback
+    assert status in (0, 2, 3), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    assert status == 0 or out.getvalue() == "", argv

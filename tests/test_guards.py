@@ -1,7 +1,7 @@
-"""Guards: how a refused value is written, and source checks: every cap
-lives in guards.py, no guard builds q^e before comparing it, every
-function of the package is named by the package or by perfbench, and only
-metric decodes a code."""
+"""Guards: how a refused value is written, the price of one sampler draw,
+and source checks: every cap lives in guards.py, no guard builds q^e before
+comparing it, every function of the package is named by the package or by
+perfbench, only metric decodes a code, and the CLI prices no draw itself."""
 
 import ast
 import re
@@ -11,7 +11,11 @@ from pathlib import Path
 import pytest
 
 import sumrank
-from sumrank.guards import GuardError, require_within
+from sumrank import linalg, metric
+from sumrank.counting import SpaceParams
+from sumrank.galois import field_from_order
+from sumrank.guards import (MAX_ENTRIES, MAX_MATRIX_WORK, GuardError,
+                            require_draw_within, require_within)
 
 PACKAGE = sorted(Path(sumrank.__file__).parent.glob("*.py"))
 # Every module but guards.py, which holds every cap, and where
@@ -26,6 +30,78 @@ def test_a_value_past_the_str_digit_limit_is_written_as_a_power_of_ten():
         require_within(3 ** 10000, 2 ** 20, "shift count")
     assert str(exc.value) == ("shift count ~ 10^4771.2 exceeds the "
                               "enumeration limit 1048576")
+
+
+def line(ell):
+    return SpaceParams(field=field_from_order(2), m=1, eta=1, ell=ell)
+
+
+# Each draw price at a cap, and one step past it with the refusal.
+DRAW_PRICES = [
+    pytest.param(require_draw_within, (MAX_ENTRIES, MAX_MATRIX_WORK),
+                 (MAX_ENTRIES + 1, 0), "entries per draw = 2097153",
+                 id="draw-entries"),
+    pytest.param(require_draw_within, (0, MAX_MATRIX_WORK),
+                 (0, MAX_MATRIX_WORK + 1), "matrix work per draw = 33554433",
+                 id="draw-work"),
+    # 2^20 entries and 2^19 rank-1 blocks of two factor entries each
+    pytest.param(metric.require_ball_draw_within, (line(2 ** 20), 2 ** 19),
+                 (line(2 ** 20 + 1), 2 ** 19), "entries per draw = 2097153",
+                 id="ball"),
+    pytest.param(metric.require_rank_matrix_within, (1, MAX_ENTRIES, 0),
+                 (1, MAX_ENTRIES + 1, 0), "entries per draw = 2097153",
+                 id="rank-matrix-entries"),
+    # (32 + 16368) x 32 factor entries and 32 x 16368 product entries make
+    # 2^20, each worked 32 times
+    pytest.param(metric.require_rank_matrix_within, (32, 16368, 32),
+                 (32, 16369, 32), "matrix work per draw = 33556480",
+                 id="rank-matrix-work"),
+    pytest.param(linalg.require_full_rank_within, (1, MAX_ENTRIES),
+                 (1, MAX_ENTRIES + 1), "entries per draw = 2097153",
+                 id="full-rank-entries"),
+    pytest.param(linalg.require_full_rank_within, (32, 2 ** 15),
+                 (32, 2 ** 15 + 1), "matrix work per draw = 33555456",
+                 id="full-rank-work"),
+    pytest.param(linalg.require_full_rank_within, (2 ** 15, 32),
+                 (2 ** 15 + 1, 32), "matrix work per draw = 33555456",
+                 id="full-rank-work-tall"),
+    pytest.param(linalg.require_subspace_within, (MAX_ENTRIES, 1),
+                 (MAX_ENTRIES + 1, 1), "entries per draw = 2097153",
+                 id="subspace-entries"),
+    pytest.param(linalg.require_subspace_within, (2 ** 16, 16),
+                 (2 ** 16 + 1, 16), "matrix work per draw = 33554944",
+                 id="subspace-work"),
+]
+
+
+@pytest.mark.parametrize("check, at_cap, past, refused", DRAW_PRICES)
+def test_a_draw_at_its_cap_passes_and_one_step_past_is_refused(
+        check, at_cap, past, refused):
+    assert check(*at_cap) is None
+    with pytest.raises(GuardError) as exc:
+        check(*past)
+    limit = MAX_ENTRIES if refused.startswith("entries") else MAX_MATRIX_WORK
+    assert str(exc.value) == f"{refused} exceeds the enumeration limit {limit}"
+
+
+@pytest.mark.parametrize("check, shape", [
+    (metric.require_rank_matrix_within, (10 ** 6, 10 ** 6, 10 ** 6 + 1)),
+    (metric.require_rank_matrix_within, (10 ** 6, 10 ** 6, -1)),
+    (linalg.require_subspace_within, (10 ** 6, 10 ** 6 + 1)),
+    (linalg.require_subspace_within, (10 ** 6, -1)),
+])
+def test_a_rank_or_dimension_out_of_range_is_left_to_the_sampler(check,
+                                                                  shape):
+    assert check(*shape) is None
+
+
+def test_a_ball_radius_out_of_range_is_refused_as_the_sampler_would():
+    for check in (metric.require_ball_draw_within,
+                  lambda params, r: metric.sample_ball_uniform(params, r,
+                                                               None)):
+        with pytest.raises(ValueError) as exc:
+            check(line(2), 3)
+        assert str(exc.value) == "radius r = 3 outside [0, 2]"
 
 
 def caps_assigned(tree):
@@ -236,3 +312,10 @@ def test_only_metric_reads_the_chunk_tables():
              if "_chunk_tables" in _names(ast.parse(path.read_text(),
                                                     str(path)))]
     assert found == ["metric"]
+
+
+def test_the_cli_prices_no_draw_itself():
+    cli = Path(sumrank.__file__).parent / "cli.py"
+    found = set(_names(ast.parse(cli.read_text(), str(cli))))
+    assert found & {"MAX_ENTRIES", "MAX_MATRIX_WORK"} == set()
+    assert "require_draw_within" not in found
