@@ -17,6 +17,7 @@ bounds the others from one table of the heaviest weight in A + w per shift,
 a max-plus distance transform over the q-ary Hamming cube.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import accumulate, compress, islice, repeat
@@ -78,6 +79,26 @@ def _greedy(masks, vals, c):
         cover |= masks[vals.index(val)]
 
 
+@functools.lru_cache(maxsize=None)
+def _heaviest_plan(q, gamma, block):
+    """The per-shape constants of _heaviest at TABLE_BLOCK = block: (inner,
+    lanes, ones, high, reach, lows), lows[p][t] the lanes whose digit p is
+    below t, per digit inside a block."""
+    inner = 1  # digits inside a block
+    while inner < gamma and q ** (inner + 1) <= block:
+        inner += 1
+    lanes = q ** inner
+    ones = int.from_bytes(b"\1" * lanes, "little")
+    reach = (q - 1).bit_length() - 1  # windows of 2^reach <= q - 1 offsets
+    turns = {1, q - (1 << reach), *(1 << i for i in range(reach))}
+    lows = [{t: int.from_bytes((b"\xff" * (t * q ** p)
+                                + bytes((q - t) * q ** p))
+                               * (lanes // q ** (p + 1)), "little")
+             for t in turns}
+            for p in range(inner)]
+    return inner, lanes, ones, ones << 7, reach, lows
+
+
 def _heaviest(instance):
     """bytearray whose entry w is the largest support weight in A + w (0
     when A is empty), for q^gamma <= MAX_SWEEP.
@@ -90,16 +111,14 @@ def _heaviest(instance):
     g[w] + gamma + 1 (lanes below that hold no vector yet), so every lane
     stays under 128.  Inside a block that largest g is read off cyclic turns
     of the digit, doubled to cover its q - 1 offsets by two windows; across
-    blocks, from the maxima before and after each block of a group.
+    blocks, from the maxima before and after each block of a group.  The
+    lane masks depend on the shape only, and are built once per shape by
+    _heaviest_plan.
     """
     q, gamma = instance.field.q, instance.gamma
-    inner = 1  # digits inside a block
-    while inner < gamma and q ** (inner + 1) <= TABLE_BLOCK:
-        inner += 1
-    lanes = q ** inner
+    inner, lanes, ones, high, reach, lows = _heaviest_plan(q, gamma,
+                                                           TABLE_BLOCK)
     bias = gamma + 1
-    ones = int.from_bytes(b"\1" * lanes, "little")
-    high = ones << 7
 
     def lane_max(a, b):
         ge = ((a | high) - b & high) >> 7  # 1 in each lane where a >= b
@@ -110,18 +129,13 @@ def _heaviest(instance):
         table[x] = bias
     blocks = [int.from_bytes(table[i:i + lanes], "little")
               for i in range(0, len(table), lanes)]
-    reach = (q - 1).bit_length() - 1  # windows of 2^reach <= q - 1 offsets
-    turns = {1, q - (1 << reach), *(1 << i for i in range(reach))}
     for p in range(inner):
         span = q ** p  # lanes between codes one apart in this digit
-        lows = {t: int.from_bytes((b"\xff" * (t * span)
-                                   + bytes((q - t) * span))
-                                  * (lanes // (q * span)), "little")
-                for t in turns}
+        low = lows[p]
 
         def turn(x, t):
             """Lane w of x moved to the code whose digit is t lower, mod q."""
-            part = x & lows[t]  # the lanes whose digit is below t
+            part = x & low[t]  # the lanes whose digit is below t
             return (x ^ part) >> 8 * t * span | part << 8 * (q - t) * span
         for i, x in enumerate(blocks):
             window = x
@@ -167,6 +181,14 @@ class ChainSearchResult:
     length: int
 
 
+def _kept(c, gamma, length):
+    """The translate table of the shifts worth greedy once the best chain
+    has `length` vectors: 1 at every weight top with c <= top <= gamma -
+    length * c, the tops with 1 + (gamma - top) // c > length, else 0."""
+    return (bytes(c) + b"\1" * max(0, gamma - length * c - c + 1)).ljust(
+        256, b"\0")
+
+
 def best_shift_chain(instance, mode="exhaustive", trials=None, rng=None):
     """Best greedy chain over shifts.
 
@@ -183,42 +205,50 @@ def best_shift_chain(instance, mode="exhaustive", trials=None, rng=None):
     the best, so a shift whose bound does not exceed the best length is
     skipped without running greedy; the result is the same.  Exhaustive
     mode reads `top` from the instance's heaviest-weight table, built once
-    greedy on the first shift falls short of the ceiling, and sweeps only
-    the shifts it keeps; random mode, whose shifts are few and whose gamma
-    may be far past any table, takes `top` from each shift's sweep.  Both
-    are guarded by `require_search_within`.
+    greedy on the first shift falls short of the ceiling: the table
+    translated by _kept marks the shifts to sweep, found in turn by
+    bytes.find and marked anew only when the best grows.  Random mode,
+    whose shifts are few and whose gamma may be far past any table, takes
+    `top` from each shift's sweep.  Both are guarded by
+    `require_search_within`.
     """
     q = instance.field.q
     gamma = instance.gamma
     c = instance.c
     cap = gamma // c
-    best = None
-    if mode == "exhaustive":
-        shift_codes = range(q ** gamma)
-    elif mode == "random":
+    if mode == "random":
         if not trials or rng is None:
             raise ValueError("random mode needs trials and rng")
         shift_codes = islice(uniform_draws(q ** gamma, rng), trials)
-    else:
+    elif mode != "exhaustive":
         raise ValueError(f"unknown mode {mode!r}")
     require_search_within(q, gamma, instance.size, mode, trials)
-    heaviest = None  # built once greedy on the first shift falls short
-    for shift_code in shift_codes:
-        swept = None
-        if best is not None:
-            if mode == "random":
-                swept = instance.sweep(shift_code)
-                top = max(map(int.bit_count, swept[0]), default=0)
-            else:
-                heaviest = heaviest or _heaviest(instance)
-                top = heaviest[shift_code]
-            if top < c or 1 + (gamma - top) // c <= best[0]:
-                continue
-        vals = _greedy(*(swept or instance.sweep(shift_code)), c)
-        if best is None or len(vals) > best[0]:
-            best = (len(vals), shift_code, vals)
-            if len(vals) >= cap:
-                break
+    if mode == "exhaustive":
+        vals = _greedy(*instance.sweep(0), c)
+        best = (len(vals), 0, vals)
+        if best[0] < cap:
+            heaviest, keep, pos = _heaviest(instance), None, 0
+            while best[0] < cap:
+                keep = keep or heaviest.translate(_kept(c, gamma, best[0]))
+                pos = keep.find(1, pos + 1)
+                if pos < 0:
+                    break
+                vals = _greedy(*instance.sweep(pos), c)
+                if len(vals) > best[0]:
+                    best, keep = (len(vals), pos, vals), None
+    else:
+        best = None
+        for shift_code in shift_codes:
+            masks, vals = instance.sweep(shift_code)
+            if best is not None:
+                top = max(map(int.bit_count, masks), default=0)
+                if top < c or 1 + (gamma - top) // c <= best[0]:
+                    continue
+            vals = _greedy(masks, vals, c)
+            if best is None or len(vals) > best[0]:
+                best = (len(vals), shift_code, vals)
+                if len(vals) >= cap:
+                    break
     length, shift_code, vals = best
     return ChainSearchResult(shift=shift_code, chain=tuple(vals),
                              length=length)

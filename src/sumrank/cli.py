@@ -21,6 +21,7 @@ import decimal
 import functools
 import io
 import json
+import operator
 import os
 import sys
 import time
@@ -129,14 +130,14 @@ def emit(records, fmt, path=None):
     if fmt == "csv":
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(CSV_HEADER)
+        cells = operator.itemgetter(*CSV_HEADER[:-1])  # config comes last
+        cfg = encoded = None
         for rec in records:
-            row = []
-            for col in CSV_HEADER:
-                v = rec[col]
-                if col == "config":
-                    v = _compact(v)
-                row.append("" if v is None else v)
-            writer.writerow(row)
+            # the records of one run share one config dict: encode it once
+            if encoded is None or rec["config"] is not cfg:
+                cfg = rec["config"]
+                encoded = _compact(cfg)
+            writer.writerow((*cells(rec), encoded))
     elif fmt == "json":
         for rec in records:
             buf.write(_compact(rec))

@@ -229,6 +229,20 @@ def _join(columns, radix):
     return out
 
 
+def _columns(codes, base, count):
+    """The count base-`base` digit columns of codes below base^count, top
+    digit first, each a tuple in list order: every code split at once by
+    divmod(code, base^(count - half)), as vector_from_code halves one, and
+    the high and low parts cut in turn."""
+    if count == 1:
+        return [tuple(codes)]
+    half = count // 2
+    parts = list(zip(*map(divmod, codes,
+                          itertools.repeat(base ** (count - half)))))
+    high, low = parts or ((), ())
+    return _columns(high, base, half) + _columns(low, base, count - half)
+
+
 def code_set(field, length, codes):
     """(shift, neg) for codes of `length` entries read as a set A: shift(w)
     gives the support masks and codes of A + w, neg() the codes of -A, in
@@ -241,7 +255,7 @@ def code_set(field, length, codes):
     k, sums, supports, negatives = _chunk_tables(field)
     base, count = field.q ** k, -(-length // k)
     cut = functools.partial(vector_from_code, base, count)
-    columns = list(zip(*map(cut, codes))) or [()] * count
+    columns = _columns(codes, base, count)
 
     def shift(w):
         parts = [list(map(sums[d].__getitem__, column))

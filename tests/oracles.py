@@ -8,12 +8,15 @@ own guard, so a test that asks for too much fails fast instead of running
 for hours.
 """
 
+import csv
+import io
 import itertools
+import json
 import math
 import operator
 from fractions import Fraction
 
-from sumrank import counting, linalg, metric
+from sumrank import cli, counting, linalg, metric
 from sumrank.counting import SpaceParams, ball_volume
 from sumrank.decomposable import DecomposableSubspace, _event_threshold
 from sumrank.galois import field_from_order
@@ -315,3 +318,21 @@ def chi_squared_uniform_pvalue(counts):
     expected = total / k
     stat = sum((c - expected) ** 2 for c in counts) / expected
     return chi_squared_tail(stat, k - 1)
+
+
+def emit_csv_by_column(records):
+    """The CSV text of records, sorted as cli.emit sorts them, written one
+    cell at a time with every record's config encoded anew."""
+    records = sorted(records, key=lambda r: (r["trial"], r["statistic"]))
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(cli.CSV_HEADER)
+    for rec in records:
+        row = []
+        for col in cli.CSV_HEADER:
+            v = rec[col]
+            if col == "config":
+                v = json.dumps(v, sort_keys=True, separators=(",", ":"))
+            row.append("" if v is None else v)
+        writer.writerow(row)
+    return buf.getvalue()

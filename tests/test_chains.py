@@ -597,6 +597,73 @@ def test_greedy_runs_on_few_shifts_of_a_dense_set(monkeypatch):
         reference_best_shift(inst, range(2 ** 8))
 
 
+def test_kept_table_is_the_greedy_bound():
+    # 1 at weight top exactly when greedy on a shift whose heaviest vector
+    # has that weight could beat a best of `length` vectors
+    for gamma in range(1, 21):
+        for c in range(1, gamma + 2):
+            for length in range(gamma + 1):
+                table = chains._kept(c, gamma, length)
+                assert table == bytes(
+                    top >= c and 1 + (gamma - top) // c > length
+                    for top in range(256))
+                edge = gamma - length * c  # the bound's edge is kept
+                if edge >= c:
+                    assert table[edge] == 1
+
+
+def per_shift_scan(inst):
+    """(greedy's shifts, (length, shift, chain)) of the exhaustive scan
+    that read each shift's heaviest weight in turn."""
+    q, gamma, c = inst.field.q, inst.gamma, inst.c
+    ran, best = [], None
+    for code in range(q ** gamma):
+        masks, vals = inst.sweep(code)
+        if best is not None:
+            top = max(map(int.bit_count, masks), default=0)
+            if top < c or 1 + (gamma - top) // c <= best[0]:
+                continue
+        ran.append(code)
+        vals = chains._greedy(masks, vals, c)
+        if best is None or len(vals) > best[0]:
+            best = (len(vals), code, tuple(vals))
+            if len(vals) >= gamma // c:
+                break
+    return ran, best
+
+
+# The chain shapes of the benchmark's exhaustive-oracles workload, at the
+# CLI's c = 2
+ORACLE_CHAIN_SHAPES = [(F2, 8, 48), (F2, 8, 64), (F2, 8, 128), (F2, 8, 160),
+                       (F2, 7, 96), (F2, 7, 112), (F3, 5, 30), (F3, 5, 40),
+                       (F3, 5, 200)]
+
+
+@pytest.mark.parametrize("field, gamma, size", ORACLE_CHAIN_SHAPES,
+                         ids=lambda x: getattr(x, "q", x))
+def test_scan_runs_greedy_on_the_shifts_of_the_per_shift_loop(
+        monkeypatch, field, gamma, size):
+    calls = []
+    greedy = chains._greedy
+
+    def counted(masks, vals, c):
+        calls.append(1)
+        return greedy(masks, vals, c)
+    for seed in range(8):  # the first instance of the CLI op at each seed
+        inst = random_chain_instance(field, gamma, size, 2,
+                                     RandomStream(seed, "chain").child(0))
+        ran, want = per_shift_scan(inst)
+        assert want == reference_best_shift(inst, range(field.q ** gamma))
+        calls.clear()
+        swept, sweep = [], inst.sweep
+        inst.__dict__["sweep"] = lambda w: swept.append(w) or sweep(w)
+        with monkeypatch.context() as patch:
+            patch.setattr(chains, "_greedy", counted)
+            result = best_shift_chain(inst)
+        assert (result.length, result.shift, result.chain) == want
+        assert swept == ran and len(calls) == len(ran)
+
+
 def assert_heaviest_matches_sweep(inst):
     q, gamma = inst.field.q, inst.gamma
     table = chains._heaviest(inst)
@@ -613,11 +680,18 @@ def test_heaviest_table_matches_sweep(monkeypatch, field, block):
     # small blocks send every digit but the lowest through the pass across
     # blocks; odd characteristic tells -a from a
     monkeypatch.setattr(chains, "TABLE_BLOCK", block)
+    shapes, plan = [], chains._heaviest_plan
+    monkeypatch.setattr(chains, "_heaviest_plan",
+                        lambda *shape: shapes.append(shape) or plan(*shape))
     rng = random.Random(59 + field.q)
     for inst in tie_heavy_instances(rng, field, 12):
         assert_heaviest_matches_sweep(inst)
     empty = ChainInstance(field, 2, (), 1)
     assert chains._heaviest(empty) == bytes(field.q ** 2)
+    # every table was built from a plan of the patched block size, not from
+    # one cached for another
+    assert shapes and {block} == {b for _, _, b in shapes}
+    assert all(plan(*shape)[1] <= max(block, field.q) for shape in shapes)
 
 
 @pytest.mark.parametrize("field", [F3, F5, F17], ids=lambda f: f"F{f.q}")
@@ -735,8 +809,8 @@ def test_an_instance_decodes_each_code_once(monkeypatch, field):
     monkeypatch.setattr(metric, "vector_from_code", lambda q, n, code: (
         calls.append(code) or decode_code(q, n, code)))
     inst = random_chain_instance(field, 5, 40, 2, random.Random(97))
-    # the set is cut once, when the instance is built
-    assert calls == list(inst.codes)
+    # the set is cut into columns when the instance is built, no code alone
+    assert calls == []
     calls.clear()
     chains._heaviest(inst)
     assert calls == []

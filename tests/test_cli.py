@@ -22,6 +22,8 @@ from sumrank.cli import CSV_HEADER, build_parser, emit, main, make_record
 from sumrank.counting import SpaceParams
 from sumrank.galois import field_from_order
 
+from oracles import emit_csv_by_column
+
 
 def run_cli(capsys, argv):
     status = main(argv)
@@ -1138,6 +1140,32 @@ def test_emit_empty_and_bad_format():
     assert emit([], "csv", path="/dev/null").strip() == ",".join(CSV_HEADER)
     with pytest.raises(ValueError):
         emit([make_record("v", "s", 1, {})], "yaml", path="/dev/null")
+
+
+def test_emit_csv_matches_the_per_cell_writer(tmp_path):
+    shared = {"q": 3, "mode": "exhaustive", "rho": "1/4"}
+    other = {"q": 5, "nested": {"b": [1, 2], "a": None}}
+    values = [None, True, False, 0.1, 2.5e-300, Fraction(3, 7),
+              Fraction(-1, 3 ** 40), 7 ** 2000, -12, "text, quoted \""]
+
+    def run(configs):
+        # several records per trial, out of order, so emit's sort matters
+        return [make_record("v", f"s{i % 3}", value, config, trial=i % 4,
+                            ci=(0.25, 1 / 3) if i % 2 else None, trials=i,
+                            seed=None if i % 3 else 9)
+                for i, (value, config) in enumerate(zip(values, configs))]
+    n = len(values)
+    cases = {
+        "shared": [shared] * n,
+        "equal": [dict(shared) for _ in range(n)],
+        "alternating": [(shared, other)[i % 2] for i in range(n)],
+        "empty": [{}] * n,
+    }
+    for name, configs in cases.items():
+        records = run(configs)
+        want = emit_csv_by_column(records)
+        assert emit(records, "csv", path=str(tmp_path / name)) == want, name
+        assert (tmp_path / name).read_text() == want
 
 
 def test_make_record_converts_a_count_to_decimal_once(monkeypatch):

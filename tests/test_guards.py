@@ -319,3 +319,18 @@ def test_the_cli_prices_no_draw_itself():
     found = set(_names(ast.parse(cli.read_text(), str(cli))))
     assert found & {"MAX_ENTRIES", "MAX_MATRIX_WORK"} == set()
     assert "require_draw_within" not in found
+
+
+def test_the_package_parses_as_its_oldest_admitted_python():
+    # requires-python admits 3.10, so newer syntax would pass every check run
+    # on a newer interpreter and fail on 3.10
+    pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    oldest = tuple(map(int, re.search(r'requires-python = ">=(\d+)\.(\d+)"',
+                                      pyproject).groups()))
+    assert oldest == (3, 10)
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass",
+                  feature_version=oldest)
+    assert len(PACKAGE) > 5
+    for path in PACKAGE:
+        ast.parse(path.read_text(), str(path), feature_version=oldest)

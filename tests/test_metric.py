@@ -180,6 +180,22 @@ def test_code_set_matches_digit_by_digit_arithmetic(q):
                     [encode(field, length, s) for s in sums])
 
 
+@pytest.mark.parametrize("q", [3, 4, 5, 17])
+def test_columns_match_per_code_decoding(q):
+    # one chunk, a few, and past the 64 digits where vector_from_code halves
+    k = metric._chunk_tables(field_from_order(q))[0]
+    base = q ** k
+    rng = random.Random(11 * q)
+    for count in [*range(1, 10), 65, 66, 131]:
+        top = base ** count
+        for size in (0, 1, 2, 30):
+            codes = [0, top - 1][:size] + [rng.randrange(top)
+                                           for _ in range(size - 2)]
+            want = list(zip(*(metric.vector_from_code(base, count, x)
+                              for x in codes))) or [()] * count
+            assert metric._columns(codes, base, count) == want
+
+
 @pytest.mark.parametrize("q", CODE_SET_ORDERS)
 def test_every_chunk_code_plus_its_negative_is_zero(q):
     k, sums, _, negatives = metric._chunk_tables(field_from_order(q))
