@@ -307,12 +307,12 @@ def bound_target(set_size, q, gamma, c):
 @dataclass(frozen=True)
 class BoundReport:
     """Outcome of checking one instance against the guaranteed length; the
-    shift and the chain are codes."""
+    shift and the chain are codes; achieved is None when undecided."""
 
     bound: float
     target: int
     greedy_length: int
-    achieved: bool
+    achieved: bool | None
     exact_used: bool
     exact_length: int | None
     shift: int
@@ -326,18 +326,19 @@ def bound_attainment_report(instance, mode="exhaustive", trials=None, rng=None):
     exact search, capped at the target, takes over shift by shift.  It keeps
     the first longest chain and stops at the first shift that reaches the
     target; when none does, the bound is violated and the report holds the
-    longest exact chain over all shifts.
+    longest exact chain over all shifts.  Past MAX_SWEEP shifts (random mode
+    only) it is skipped, and the instance is undecided.
     """
     q, gamma = instance.field.q, instance.gamma
     bound = chain_length_bound(instance.size, q, gamma, instance.c)
     target = bound_target(instance.size, q, gamma, instance.c)
     greedy = best_shift_chain(instance, mode=mode, trials=trials, rng=rng)
-    if greedy.length >= target:
-        return BoundReport(bound, target, greedy.length, True, False, None,
+    if greedy.length >= target or q ** gamma > guards.MAX_SWEEP:
+        return BoundReport(bound, target, greedy.length,
+                           greedy.length >= target or None, False, None,
                            greedy.shift, greedy.chain)
-    total = require_power_within(q, gamma, guards.MAX_SWEEP, "shift count")
     best_shift, best = None, ()
-    for shift_code in range(total):
+    for shift_code in range(q ** gamma):
         chain = tuple(max_chain_exact(instance, shift_code, target=target))
         if len(chain) > len(best):
             best_shift, best = shift_code, chain

@@ -8,11 +8,15 @@ floats rounded to 12 significant digits, and exact rationals ride along as
 "num/den" strings in the `exact` column.
 
 Verbs: volume, count-decomposable, capacity, verify, sample, experiment,
-chain.  `sumrank <verb> --help` lists each verb's flags; sample and
-experiment read one table of targets, one subcommand each, so `sumrank
-sample ball --help` lists that target's, and a flag that a target does not
-take is an input error.  Records carry no timing by default; opt in with
---timing, which fills the runtime column and gives up byte-stable reruns.
+chain.  Every verb is a row of one table, read by one runner and made into
+the parser by one loop; verify, sample and experiment have a row and a
+subcommand per target, so `sumrank verify gb-bounds --help` lists that
+target's flags, and one it does not read, or one given before the target
+name, is an input error.  A row's admit prices the run from its flags before
+its first case or draw; a verify run sums the work of the rows and powers
+its sweeps build, and past MAX_COUNT_WORK exits 3 with "sweep work through
+<statistic> = N".  Records carry no timing by default; opt in with --timing,
+which fills the runtime column and gives up byte-stable reruns.
 """
 
 import argparse
@@ -27,10 +31,10 @@ import sys
 import time
 from fractions import Fraction
 
-from . import chains, codes, counting, decomposable, linalg, metric
+from . import chains, codes, counting, decomposable, guards, linalg, metric
 from .counting import SpaceParams
 from .galois import field_from_order
-from .guards import GuardError
+from .guards import GuardError, require_within
 from .montecarlo import DEFAULT_MASTER_SEED, RandomStream
 
 CSV_HEADER = ["verb", "statistic", "trial", "value", "exact", "ci_low",
@@ -191,228 +195,6 @@ def _count(text):
     return value
 
 
-def _field_of(args):
-    return field_from_order(args.q)
-
-
-def _space_of(args):
-    return SpaceParams(field=_field_of(args), m=args.m, eta=args.eta,
-                       ell=args.ell)
-
-
-def _space_config(params, **extra):
-    cfg = {"q": params.q, "m": params.m, "eta": params.eta, "ell": params.ell}
-    cfg.update(extra)
-    return cfg
-
-
-def _add_output_flags(parser):
-    parser.add_argument("--format", choices=("csv", "json"), default="csv",
-                        help="output format (default csv)")
-    parser.add_argument("--out", metavar="PATH",
-                        help=f"output file; relative paths land in "
-                             f"${_OUT_DIR_ENV} when set, default stdout")
-    parser.add_argument("--timing", action="store_true",
-                        help="fill the runtime column (breaks byte-identical"
-                             " reruns)")
-
-
-def _add_field_flags(parser):
-    parser.add_argument("--q", type=int, required=True,
-                        help="field order, a prime power")
-
-
-def _add_space_flags(parser, m=True):
-    _add_field_flags(parser)
-    for key in ("m", "eta", "ell")[0 if m else 1:]:
-        _add_flag(parser, key, required=True)
-
-
-# -- verb: volume ----------------------------------------------------------
-
-def _run_volume(args):
-    params = _space_of(args)
-    r = args.r
-    cfg = _space_config(params, r=r)
-    records = []
-
-    def add(name, value, exact=None):
-        records.append(make_record("volume", name, value, cfg, exact=exact))
-
-    sphere = counting.sphere_volume(params, r)
-    ball = counting.ball_volume(params, r)
-    add("sphere_volume", sphere)
-    add("ball_volume", ball)
-    s_lo, s_hi = counting.sphere_bounds_logq(params, r)
-    b_lo, b_hi = counting.ball_bounds_logq(params, r)
-    add("sphere_logq", counting.logq_int(sphere, params.q))
-    add("sphere_lower_logq", s_lo)
-    add("sphere_upper_logq", s_hi)
-    add("ball_logq", counting.logq_int(ball, params.q))
-    add("ball_lower_logq", b_lo)
-    add("ball_upper_logq", b_hi)
-    return records, 0
-
-
-# -- verb: count-decomposable ----------------------------------------------
-
-def _run_count_decomposable(args):
-    field = _field_of(args)
-    q = field.q
-    eta, ell, w = args.eta, args.ell, args.w
-    cfg = {"q": q, "eta": eta, "ell": ell, "w": w}
-    records = []
-    count = counting.decomposable_count(eta, ell, w, q)
-    grass = counting.gaussian_binomial(eta * ell, w, q)
-    lo, hi = counting.decomposable_bounds_logq(eta, ell, w, q)
-    records.append(make_record("count-decomposable", "decomposable_count",
-                               count, cfg))
-    records.append(make_record("count-decomposable", "grassmannian_count",
-                               grass, cfg))
-    records.append(make_record("count-decomposable", "decomposable_logq",
-                               counting.logq_int(count, q), cfg))
-    records.append(make_record("count-decomposable", "lower_logq", lo, cfg))
-    records.append(make_record("count-decomposable", "upper_logq", hi, cfg))
-    records.append(make_record("count-decomposable", "dominated",
-                               count <= grass, cfg))
-    return records, 0
-
-
-# -- verb: capacity --------------------------------------------------------
-
-def _capacity_records(q, b, rho, trial):
-    cfg = {"q": q, "b": str(b), "rho": str(rho)}
-    penalty = counting.capacity_penalty(rho, b)
-    cap = counting.list_decoding_capacity(rho, b)
-    ent_cap = 1 - counting.q_ary_entropy(rho, q)
-    singleton = 1 - rho
-    recs = [
-        make_record("capacity", "capacity", cap, cfg, trial=trial),
-        make_record("capacity", "penalty", penalty, cfg, trial=trial),
-        make_record("capacity", "entropy_capacity", ent_cap, cfg, trial=trial),
-        make_record("capacity", "singleton", singleton, cfg, trial=trial),
-    ]
-    return recs
-
-
-def _run_capacity(args):
-    q = field_from_order(args.q).q
-    if args.b is not None and (args.m is not None or args.eta is not None):
-        raise ValueError("capacity takes --b or --m and --eta, not both")
-    if args.rho is not None and args.grid is not None:
-        raise ValueError("capacity takes --rho or --grid, not both")
-    if args.b is not None:
-        b = args.b
-    elif args.m is not None and args.eta is not None:
-        b = Fraction(args.eta, args.m)
-    else:
-        raise ValueError("capacity needs --b, or both --m and --eta")
-    records = []
-    if args.rho is not None:
-        records.extend(_capacity_records(q, b, args.rho, trial=0))
-    else:
-        steps = 19 if args.grid is None else args.grid
-        for i in range(1, steps + 1):
-            rho = Fraction(i, steps + 1)
-            records.extend(_capacity_records(q, b, rho, trial=i - 1))
-    return records, 0
-
-
-# -- verb: verify ----------------------------------------------------------
-
-def _volume_shapes(fields, space_log):
-    """Every shape with q^(m eta ell) at most 2^space_log, each priced by
-    the histogram guard as it is reached.  Each loop stops at its first
-    value past the cap, as every larger one is past it too."""
-    def fits(q, n):  # q^n <= 2^space_log, never building 2^space_log
-        return n <= space_log and (q ** n - 1).bit_length() <= space_log
-    for field in fields:
-        q = field.q
-        for m in range(1, space_log + 1):
-            if not fits(q, m):
-                break
-            for eta in range(1, space_log + 1):
-                if not fits(q, m * eta):
-                    break
-                for ell in range(1, space_log + 1):
-                    if not fits(q, m * eta * ell):
-                        break
-                    params = SpaceParams(field=field, m=m, eta=eta, ell=ell)
-                    metric.require_histogram_within(params)
-                    yield params
-
-
-def _volume_cases(fields, args):
-    """Histogram brute force against the closed-form sphere volumes.  The
-    whole sweep is priced before its first histogram, so a refused shape
-    stops it at once."""
-    for params in list(_volume_shapes(fields, args.max_space_log)):
-        hist = metric.weight_histogram(params)
-        yield _space_config(params), all(
-            hist[r] == counting.sphere_volume(params, r)
-            for r in range(params.max_weight + 1))
-
-
-def _gb_bound_cases(fields, args):
-    for q in (field.q for field in fields):
-        for n in range(0, args.n_max + 1):
-            for k in range(0, n + 1):
-                yield ({"q": q, "n": n, "k": k},
-                       counting.gaussian_binomial_bounds_ok(n, k, q))
-
-
-def _volume_bound_cases(fields, args):
-    for field in fields:
-        for side in range(1, args.m_max + 1):
-            for ell in range(1, args.ell_max + 1):
-                params = SpaceParams(field=field, m=side, eta=side, ell=ell)
-                for r in range(0, params.max_weight + 1):
-                    yield _space_config(params, r=r), (
-                        counting.sphere_bounds_ok(params, r)
-                        and counting.ball_bounds_ok(params, r))
-
-
-def _decomposable_cases(check):
-    """Cases of check(eta, ell, w, q) over the (q, eta, ell, w) grid."""
-    def cases(fields, args):
-        for q in (field.q for field in fields):
-            for eta in range(1, args.eta_max + 1):
-                for ell in range(1, args.ell_max + 1):
-                    for w in range(0, eta * ell + 1):
-                        yield ({"q": q, "eta": eta, "ell": ell, "w": w},
-                               check(eta, ell, w, q))
-    return cases
-
-
-# Each target is a statistic name and a generator of (config, passed)
-# cases over the fields of --q-list; one failed case makes the run exit 1.
-_VERIFY_TARGETS = {
-    "volumes": ("volumes_pass", _volume_cases),
-    "gb-bounds": ("gb_bounds_pass", _gb_bound_cases),
-    "volume-bounds": ("volume_bounds_pass", _volume_bound_cases),
-    "decomposable-bounds": ("decomposable_bounds_pass", _decomposable_cases(
-        counting.decomposable_bounds_ok)),
-    "decomposable-dominance": ("decomposable_dominance_pass",
-                               _decomposable_cases(
-                                   counting.decomposable_le_grassmannian)),
-}
-
-
-def _run_verify(args):
-    targets = list(_VERIFY_TARGETS) if args.target == "all" else [args.target]
-    fields = [field_from_order(q) for q in args.q_list]
-    records = []
-    all_ok = True
-    for name in targets:
-        statistic, cases = _VERIFY_TARGETS[name]
-        for cfg, good in cases(fields, args):
-            all_ok = all_ok and good
-            records.append(make_record("verify", statistic, good, cfg))
-    return records, 0 if all_ok else 1
-
-
-# -- verbs: sample and experiment ------------------------------------------
-
 def _vectors(text):
     """Rows of ints like 1,0;0,1;1,1; an empty row is skipped."""
     try:
@@ -423,47 +205,281 @@ def _vectors(text):
             f"not a vector list: {text!r}") from exc
 
 
-# Every target flag and every --m/--eta/--ell by dest, which is also the
-# record-config key and, with - for _, the option: type, help, aliases.
+def _field_of(args):
+    return field_from_order(args.q)
+
+
+def _space_of(args):
+    return SpaceParams(field=_field_of(args), m=args.m, eta=args.eta,
+                       ell=args.ell)
+
+
+def _flag(kind, text, *aliases, **extra):
+    """A flag's extra option strings and its add_argument keywords."""
+    return aliases, dict(type=kind, help=text, **extra)
+
+
+# Every flag by dest, which is also the record-config key and, with - for _,
+# the option; (verb, dest) entries give that verb its own help or default.
 _FLAGS = {
-    "m": (int, "block row count"),
-    "eta": (int, "block column count"),
-    "ell": (int, "number of blocks"),
-    "radius": (int, "ball radius", "--r"),
-    "r": (int, "matrix rank"),
-    "w": (int, "total dimension"),
-    "ambient": (int, "ambient dimension"),
-    "dim": (int, "subspace dimension"),
-    "rate": (_fraction, "code rate as a fraction"),
-    "rho": (_fraction, "relative radius in (0,1)"),
-    "center": (int, "center point code (default zero)"),
-    "wx": (int, "first total dimension"),
-    "wy": (int, "second total dimension"),
-    "min_fraction": (_fraction, "event dim >= ceil(fraction * wx)"),
-    "exact_dim": (int, "event dim == this"),
-    "gamma": (int, "number of draws per trial"),
-    "bound_factor": (_fraction, "threshold factor on gamma"),
-    "vectors": (_vectors, "coefficient rows like 1,0;0,1"),
-    "eps": (_fraction, "capacity gap"),
+    "q": _flag(int, "field order, a prime power"),
+    "m": _flag(int, "block row count"),
+    "eta": _flag(int, "block column count"),
+    "ell": _flag(int, "number of blocks"),
+    "radius": _flag(int, "ball radius", "--r"),
+    "r": _flag(int, "matrix rank"),
+    "w": _flag(int, "total dimension"),
+    "ambient": _flag(int, "ambient dimension"),
+    "dim": _flag(int, "subspace dimension"),
+    "rate": _flag(_fraction, "code rate as a fraction"),
+    "rho": _flag(_fraction, "relative radius in (0,1)"),
+    "center": _flag(int, "center point code (default zero)"),
+    "wx": _flag(int, "first total dimension"),
+    "wy": _flag(int, "second total dimension"),
+    "min_fraction": _flag(_fraction, "event dim >= ceil(fraction * wx)"),
+    "exact_dim": _flag(int, "event dim == this"),
+    "gamma": _flag(int, "number of draws per trial"),
+    "bound_factor": _flag(_fraction, "threshold factor on gamma"),
+    "vectors": _flag(_vectors, "coefficient rows like 1,0;0,1"),
+    "eps": _flag(_fraction, "capacity gap"),
+    "b": _flag(_fraction, "shape ratio eta/m as a fraction"),
+    "set_size": _flag(int, "vectors per instance"),
+    "c": _flag(int, "required new support per step (default 2)", default=2),
+    "q_list": _flag(_int_list, "field orders to sweep (default 2,3)",
+                    default=(2, 3)),
+    "max_space_log": _flag(_count, "volumes: cap q^(m eta ell) at 2^this "
+                                   "(default 12)", default=12),
+    "n_max": _flag(_count, "gb-bounds: largest n (default 8)", default=8),
+    "m_max": _flag(_count, "volume-bounds: largest m = eta (default 4)",
+                   default=4),
+    "ell_max": _flag(_count, "largest block count (default 4)", default=4),
+    "eta_max": _flag(_count, "decomposable sweeps: largest eta (default 6)",
+                     default=6),
+    ("volume", "r"): _flag(int, "radius"),
+    ("capacity", "q"): _flag(int, "field order (default 2)", default=2),
+    ("capacity", "m"): _flag(int, "block rows"),
+    ("capacity", "eta"): _flag(int, "block columns"),
+    ("capacity", "rho"): _flag(_fraction, "single relative radius in (0,1)"),
+    ("chain", "gamma"): _flag(int, "ambient vector length"),
+    "count": _flag(_count, "number of draws (default 1)", default=1),
+    "trials": _flag(int, "trial count (default 10000)", default=10000),
+    "codes": _flag(_count, "number of sampled codes (default 100)",
+                   default=100),
+    "grid": _flag(_count, "interior grid points i/(grid+1) when --rho "
+                          "absent (default 19)"),
+    "instances": _flag(_count, "random instances (default 100)",
+                       default=100),
+    "mode": _flag(str, "shift search mode", choices=("exhaustive", "random"),
+                  default="exhaustive"),
+    "shift_trials": _flag(_count, "random mode: shifts to try"),
+    "seed": _flag(int, f"master seed (default {DEFAULT_MASTER_SEED})",
+                  default=DEFAULT_MASTER_SEED),
 }
 
-# Each target's run count (type, default, help), never in its config.
-_RUN_COUNTS = {"count": (_count, 1, "number of draws"),
-               "trials": (int, 10000, "trial count"),
-               "codes": (_count, 100, "number of sampled codes")}
 
-
-def _record_config(args):
-    """q plus each target flag that was given, rationals as num/den and
-    --vectors rows as 1,0;0,1."""
-    cfg = {"q": args.q}
+def _record_config(args, runs):
+    """Each flag given but the run flags, rationals as num/den and --vectors
+    rows as 1,0;0,1."""
+    cfg = {}
     for key, value in vars(args).items():
         if key == "vectors":
             value = ";".join(",".join(map(str, row)) for row in value)
-        if key in _FLAGS and value is not None:
+        if key in _FLAGS and key not in runs and value is not None:
             cfg[key] = str(value) if isinstance(value, Fraction) else value
     return cfg
 
+
+# -- verbs: volume, count-decomposable, capacity ----------------------------
+
+def _volume_records(params, args, stream, cfg):
+    r = args.r
+    sphere = counting.sphere_volume(params, r)
+    ball = counting.ball_volume(params, r)
+    s_lo, s_hi = counting.sphere_bounds_logq(params, r)
+    b_lo, b_hi = counting.ball_bounds_logq(params, r)
+    return [make_record("volume", name, value, cfg) for name, value in (
+        ("sphere_volume", sphere), ("ball_volume", ball),
+        ("sphere_logq", counting.logq_int(sphere, params.q)),
+        ("sphere_lower_logq", s_lo), ("sphere_upper_logq", s_hi),
+        ("ball_logq", counting.logq_int(ball, params.q)),
+        ("ball_lower_logq", b_lo), ("ball_upper_logq", b_hi))], 0
+
+
+def _count_decomposable_records(field, args, stream, cfg):
+    q, eta, ell, w = field.q, args.eta, args.ell, args.w
+    count = counting.decomposable_count(eta, ell, w, q)
+    grass = counting.gaussian_binomial(eta * ell, w, q)
+    lo, hi = counting.decomposable_bounds_logq(eta, ell, w, q)
+    return [make_record("count-decomposable", name, value, cfg)
+            for name, value in (
+                ("decomposable_count", count), ("grassmannian_count", grass),
+                ("decomposable_logq", counting.logq_int(count, q)),
+                ("lower_logq", lo), ("upper_logq", hi),
+                ("dominated", count <= grass))], 0
+
+
+def _capacity_records(field, args, stream, cfg):
+    if args.b is not None and (args.m is not None or args.eta is not None):
+        raise ValueError("capacity takes --b or --m and --eta, not both")
+    if args.rho is not None and args.grid is not None:
+        raise ValueError("capacity takes --rho or --grid, not both")
+    if args.b is None and (args.m is None or args.eta is None):
+        raise ValueError("capacity needs --b, or both --m and --eta")
+    b = Fraction(args.eta, args.m) if args.b is None else args.b
+    steps = 19 if args.grid is None else args.grid
+    points = ([args.rho] if args.rho is not None else
+              [Fraction(i, steps + 1) for i in range(1, steps + 1)])
+    records = []
+    for trial, rho in enumerate(points):
+        cfg = {"q": field.q, "b": str(b), "rho": str(rho)}
+        records += [make_record("capacity", name, value, cfg, trial=trial)
+                    for name, value in (
+                        ("capacity", counting.list_decoding_capacity(rho, b)),
+                        ("penalty", counting.capacity_penalty(rho, b)),
+                        ("entropy_capacity",
+                         1 - counting.q_ary_entropy(rho, field.q)),
+                        ("singleton", 1 - rho))]
+    return records, 0
+
+
+# -- verb: verify ----------------------------------------------------------
+#
+# A sweep yields, in the order its cases run, groups (records, price,
+# cases) over the fields of --q-list: price() is the work of the
+# Gaussian-binomial row or block-sum power the cases build first, as its own
+# guard prices it, and cases lazily yields (config, verdict), reading the
+# sweep's loop variables, so each group is read before the next.  A
+# per-block vector is priced in a group of its own before it is built.
+
+@functools.lru_cache(maxsize=None)
+def _volume_shapes(field, space_log):
+    """Every shape with q^(m eta ell) at most 2^space_log, each priced by
+    the histogram guard, found once per process.  Each loop stops at its
+    first value past the cap, as every larger one is past it too."""
+    def fits(n):  # q^n <= 2^space_log, never building 2^space_log
+        return n <= space_log and (field.q ** n - 1).bit_length() <= space_log
+    shapes = []
+    for m in range(1, space_log + 1):
+        if not fits(m):
+            break
+        for eta in range(1, space_log + 1):
+            if not fits(m * eta):
+                break
+            for ell in range(1, space_log + 1):
+                if not fits(m * eta * ell):
+                    break
+                shapes.append(SpaceParams(field=field, m=m, eta=eta, ell=ell))
+                metric.require_histogram_within(shapes[-1])
+    return tuple(shapes)
+
+
+def _volumes(fields, args):
+    """Histograms against sphere volumes, priced per shape (int() is 0)."""
+    for field in fields:
+        shapes = _volume_shapes(field, args.max_space_log)
+        yield len(shapes), int, (
+            ({"q": p.q, "m": p.m, "eta": p.eta, "ell": p.ell},
+             _histogram_ok(p)) for p in shapes)
+
+
+def _histogram_ok(params):
+    hist = metric.weight_histogram(params)
+    return all(hist[r] == counting.sphere_volume(params, r)
+               for r in range(params.max_weight + 1))
+
+
+def _binomials_work(n, q):
+    """The work of gaussian_binomial(n, k, q), k = 0..n: rows to n // 2."""
+    return sum((1 + (2 * k < n)) * counting.binomial_work(n, k, q)
+               for k in range(n // 2 + 1))
+
+
+def _gb_bounds(fields, args):
+    for q in (field.q for field in fields):
+        for n in range(0, args.n_max + 1):
+            yield n + 1, functools.partial(_binomials_work, n, q), (
+                ({"q": q, "n": n, "k": k},
+                 counting.gaussian_binomial_bounds_ok(n, k, q))
+                for k in range(0, n + 1))
+
+
+def _volume_bounds(fields, args):
+    for field in fields:
+        for side in range(1, args.m_max + 1):
+            yield 0, functools.partial(counting.binomial_work, side, side,
+                                       field.q, side), ()
+            base = counting.rank_count_vector(side, side, field.q)
+            for ell in range(1, args.ell_max + 1):
+                params = SpaceParams(field=field, m=side, eta=side, ell=ell)
+                yield side * ell + 1, functools.partial(
+                    counting.power_work, base, ell, side * ell), (
+                    ({"q": field.q, "m": side, "eta": side, "ell": ell,
+                      "r": r}, counting.sphere_bounds_ok(params, r)
+                     and counting.ball_bounds_ok(params, r))
+                    for r in range(side * ell + 1))
+
+
+def _decomposable(check, rows=None):
+    """counting.<check>(eta, ell, w, q) over the (q, eta, ell, w) grid: a row
+    per (q, eta), a power per (q, eta, ell), and rows(n, q) per (eta, ell)."""
+    def sweep(fields, args):
+        verdict = getattr(counting, check)
+        for q in (field.q for field in fields):
+            for eta in range(1, args.eta_max + 1):
+                yield 0, functools.partial(counting.binomial_work, eta,
+                                           eta // 2, q), ()
+                base = counting.grassmannian_vector(eta, q)
+                for ell in range(1, args.ell_max + 1):
+                    n = eta * ell
+                    yield 0, functools.partial(counting.power_work, base,
+                                               ell, n), ()
+                    yield n + 1, (functools.partial(rows, n, q) if rows
+                                  else int), (
+                        ({"q": q, "eta": eta, "ell": ell, "w": w},
+                         verdict(eta, ell, w, q)) for w in range(n + 1))
+    return sweep
+
+
+def _verify(text, flags, *sweeps):
+    """The row of a verify target, whose sweeps (statistic, groups) run in
+    turn.  The admit refuses it at the first group that takes the summed
+    price past MAX_COUNT_WORK, or the records held past MAX_SWEEP."""
+    def admit(fields, args):
+        work = held = 0
+        for statistic, sweep in sweeps:
+            for records, price, _ in sweep(fields, args):
+                work += price()
+                held += records
+                if work > guards.MAX_COUNT_WORK or held > guards.MAX_SWEEP:
+                    require_within(work, guards.MAX_COUNT_WORK,
+                                   f"sweep work through {statistic}")
+                    require_within(held, guards.MAX_SWEEP,
+                                   f"sweep records through {statistic}")
+
+    def records(fields, args, stream, cfg):
+        recs, failed = [], False
+        for statistic, sweep in sweeps:
+            for _, _, cases in sweep(fields, args):
+                for config, good in cases:
+                    failed = failed or not good
+                    recs.append(make_record("verify", statistic, good,
+                                            config))
+        return recs, int(failed)
+    return (text, (), ("q_list", *flags), (),
+            lambda args: [field_from_order(q) for q in args.q_list], admit,
+            records)
+
+
+_VOLUMES = ("volumes_pass", _volumes)
+_GB_BOUNDS = ("gb_bounds_pass", _gb_bounds)
+_VOLUME_BOUNDS = ("volume_bounds_pass", _volume_bounds)
+_DECOMPOSABLE_BOUNDS = ("decomposable_bounds_pass",
+                        _decomposable("decomposable_bounds_ok"))
+_DOMINANCE = ("decomposable_dominance_pass",
+              _decomposable("decomposable_le_grassmannian", _binomials_work))
+
+
+# -- verbs: sample and experiment ------------------------------------------
 
 def _draws(draw):
     """Records of --count draws, each one draw(space, args, rng) from its
@@ -472,7 +488,7 @@ def _draws(draw):
         return [make_record("sample", args.what,
                             draw(space, args, stream.child(i)), cfg, trial=i,
                             seed=args.seed)
-                for i in range(args.count)]
+                for i in range(args.count)], 0
     return records
 
 
@@ -493,7 +509,7 @@ def _estimator(statistic, estimate):
             recs.append(make_record("experiment", "mean_value",
                                     est.mean_value, cfg, trials=est.trials,
                                     seed=seed))
-        return recs
+        return recs, 0
     return records
 
 
@@ -540,50 +556,116 @@ def _list_size_records(params, args, stream, cfg):
         records.append(make_record(
             "experiment", f"codes_with_max_list_{size:04d}", sizes[size],
             cfg, seed=seed, trials=args.codes))
-    return records
+    return records, 0
 
 
 def _admit_rho_ball(params, args):
     metric.require_ball_draw_within(params, codes.radius_for(params, args.rho))
 
 
-# Each target of each verb: its help line; the flags it needs (a tuple among
-# them: exactly one of those) and its optional flags, which with q are its
-# record config when given; its run count; how to build its field or space;
-# the check that refuses one draw past its price, called once before the
-# first, None where the records price it (list-size) or the sampler's own
-# guard bounds it; and its records.  Records look their samplers up when
-# called, so a patched module attribute is the one that runs.
-_TARGETS = {"sample": {
+# -- verb: chain -----------------------------------------------------------
+
+def _chain_field(args):
+    field = _field_of(args)
+    if args.mode == "random" and not args.shift_trials:
+        raise ValueError("--mode random needs a positive --shift-trials")
+    if args.mode == "exhaustive" and args.shift_trials is not None:
+        raise ValueError("--shift-trials needs --mode random")
+    return field
+
+
+def _chain_records(field, args, stream, cfg):
+    """The bound report of each instance, and the decided ones achieved."""
+    cfg.update(mode=args.mode)
+    records, achieved = [], 0
+    for i in range(args.instances):
+        inst = chains.random_chain_instance(field, args.gamma, args.set_size,
+                                            args.c, stream.child(i))
+        rep = chains.bound_attainment_report(
+            inst, mode=args.mode, trials=args.shift_trials,
+            rng=stream.child(i, "shift"))
+        achieved += bool(rep.achieved)
+        records += [make_record("chain", name, getattr(rep, name), cfg,
+                                trial=i, seed=args.seed)
+                    for name in ("bound", "target", "greedy_length",
+                                 "achieved", "exact_used", "exact_length")]
+    records.append(make_record("chain", "instances_achieved", achieved, cfg,
+                               seed=args.seed, trials=args.instances))
+    return records, 0
+
+
+# -- the table -------------------------------------------------------------
+
+# Every verb, in help order, and its rows: one per target, or one keyed None
+# for a verb that takes no target.  A row gives its help line; the flags it
+# needs (a tuple among them: exactly one of those) and its optional flags,
+# its record config when given; its run flags, the run count first; how to
+# build its field, space or fields; the check that refuses the run past its
+# price before the first case or draw (none at a run count of 0), None where
+# a guard inside bounds each count or draw; and its records and exit status,
+# looking samplers up when called, so a patched module attribute runs.
+_TARGETS = {"volume": {None: (
+    "exact sphere and ball volumes with log-domain bounds",
+    ("q", "m", "eta", "ell", "r"), (), (), _space_of, None, _volume_records),
+}, "count-decomposable": {None: (
+    "product-subspace counts, bounds, and the Grassmannian comparison",
+    ("q", "eta", "ell", "w"), (), (), _field_of, None,
+    _count_decomposable_records),
+}, "capacity": {None: (
+    "list-decoding capacity against entropy and Singleton style baselines",
+    (), ("q", "b", "m", "eta", "rho"), ("grid",), _field_of, None,
+    _capacity_records),
+}, "verify": {
+    "volumes": _verify("weight histograms against the closed-form sphere "
+                       "volumes", ("max_space_log",), _VOLUMES),
+    "gb-bounds": _verify("Gaussian binomials against their two-sided bounds",
+                         ("n_max",), _GB_BOUNDS),
+    "volume-bounds": _verify("sphere and ball volumes against their "
+                             "log-domain bounds", ("m_max", "ell_max"),
+                             _VOLUME_BOUNDS),
+    "decomposable-bounds": _verify("decomposable counts against their "
+                                   "log-domain bounds",
+                                   ("eta_max", "ell_max"),
+                                   _DECOMPOSABLE_BOUNDS),
+    "decomposable-dominance": _verify("decomposable counts against the "
+                                      "Grassmannian", ("eta_max", "ell_max"),
+                                      _DOMINANCE),
+    "all": _verify("every sweep above, in that order",
+                   ("max_space_log", "n_max", "m_max", "ell_max", "eta_max"),
+                   _VOLUMES, _GB_BOUNDS, _VOLUME_BOUNDS,
+                   _DECOMPOSABLE_BOUNDS, _DOMINANCE),
+}, "sample": {
     "ball": ("uniform points of the sum-rank ball of radius --r",
-             ("m", "eta", "ell", "radius"), (), "count", _space_of,
+             ("q", "m", "eta", "ell", "radius"), (), ("count", "seed"),
+             _space_of,
              lambda params, args: metric.require_ball_draw_within(
                  params, args.radius),
              _draws(lambda params, args, rng: metric.tuple_code(
                  metric.sample_ball_uniform(params, args.radius, rng)))),
     "rank-matrix": ("uniform m x eta matrices of rank --r",
-                    ("m", "eta", "r"), (), "count", _field_of,
+                    ("q", "m", "eta", "r"), (), ("count", "seed"), _field_of,
                     lambda field, args: metric.require_rank_matrix_within(
                         args.m, args.eta, args.r),
                     _draws(lambda field, args, rng: metric.matrix_code(
                         field.q, metric.sample_uniform_matrix_of_rank(
                             field, args.m, args.eta, args.r, rng)))),
     "subspace": ("uniform --dim-dimensional subspaces of F_q^ambient",
-                 ("ambient", "dim"), (), "count", _field_of,
+                 ("q", "ambient", "dim"), (), ("count", "seed"), _field_of,
                  lambda field, args: linalg.require_subspace_within(
                      args.ambient, args.dim),
                  _draws(lambda field, args, rng: _compact(
                      linalg.sample_subspace(
                          field, args.ambient, args.dim, rng).to_json()))),
     "decomposable": ("uniform products of per-block subspaces of total "
-                     "dimension --w", ("eta", "ell", "w"), (), "count",
-                     _field_of, None,
+                     "dimension --w", ("q", "eta", "ell", "w"), (),
+                     ("count", "seed"), _field_of, None,
                      _draws(lambda field, args, rng: _compact(
                          decomposable.sample_decomposable_uniform(
                              field, args.eta, args.ell, args.w,
                              rng).to_json()))),
     "linear-code": ("row spaces of uniform full-rank generators at --rate",
-                    ("m", "eta", "ell", "rate"), (), "count", _space_of,
+                    ("q", "m", "eta", "ell", "rate"), (), ("count", "seed"),
+                    _space_of,
                     lambda params, args: linalg.require_full_rank_within(
                         codes.dimension_from_rate(params, args.rate),
                         params.total_dim),
@@ -591,21 +673,22 @@ _TARGETS = {"sample": {
                         codes.sample_linear_code(
                             params, args.rate, rng).to_json()))),
     "general-code": ("codes holding each point with probability "
-                     "q^((rate-1)mn)", ("m", "eta", "ell", "rate"), (),
-                     "count", _space_of, None,
+                     "q^((rate-1)mn)", ("q", "m", "eta", "ell", "rate"), (),
+                     ("count", "seed"), _space_of, None,
                      _draws(lambda params, args, rng: _compact(
                          codes.sample_general_code(
                              params, args.rate, rng).to_json()))),
 }, "experiment": {
     "correlation": ("Pr[X1 + X2 in the ball around --center (default 0)] "
                     "for uniform ball points X1, X2",
-                    ("m", "eta", "ell", "rho"), ("center",), "trials",
-                    _space_of, _admit_rho_ball,
+                    ("q", "m", "eta", "ell", "rho"), ("center",),
+                    ("trials", "seed"), _space_of, _admit_rho_ball,
                     _estimator("correlation_probability", _correlation)),
     "dimension": ("intersection dimension of two uniform decomposable "
                   "subspaces",
-                  ("eta", "ell", "wx", "wy", ("min_fraction", "exact_dim")),
-                  (), "trials", _field_of, None, _estimator(
+                  ("q", "eta", "ell", "wx", "wy",
+                   ("min_fraction", "exact_dim")),
+                  (), ("trials", "seed"), _field_of, None, _estimator(
                       "event_probability",
                       lambda field, args, stream:
                       decomposable.intersection_dimension_estimate(
@@ -614,9 +697,9 @@ _TARGETS = {"sample": {
                           exact_dim=args.exact_dim))),
     "span-correlation": ("Pr[the span of --gamma ball points meets the ball "
                          "in bound-factor * gamma points or more]",
-                         ("m", "eta", "ell", "rho", "gamma", "bound_factor"),
-                         (), "trials", _space_of, _admit_rho_ball,
-                         _estimator(
+                         ("q", "m", "eta", "ell", "rho", "gamma",
+                          "bound_factor"), (), ("trials", "seed"), _space_of,
+                         _admit_rho_ball, _estimator(
                              "span_correlation_probability",
                              lambda params, args, stream:
                              codes.limited_correlation_estimate(
@@ -624,94 +707,76 @@ _TARGETS = {"sample": {
                                  args.bound_factor, args.trials, stream))),
     "subset-event": ("Pr[every combination in --vectors of ball points "
                      "lands in the ball]",
-                     ("m", "eta", "ell", "rho", "vectors"), (), "trials",
-                     _space_of, _admit_rho_ball, _estimator(
+                     ("q", "m", "eta", "ell", "rho", "vectors"), (),
+                     ("trials", "seed"), _space_of, _admit_rho_ball,
+                     _estimator(
                          "subset_event_probability",
                          lambda params, args, stream:
                          codes.subset_span_event_estimate(
                              params, args.rho, args.vectors, args.trials,
                              stream))),
     "list-size": ("worst-case list sizes of random linear codes at rate "
-                  "capacity - eps", ("m", "eta", "ell", "rho", "eps"), (),
-                  "codes", _space_of, None, _list_size_records),
+                  "capacity - eps", ("q", "m", "eta", "ell", "rho", "eps"),
+                  (), ("codes", "seed"), _space_of, None,
+                  _list_size_records),
+}, "chain": {None: (
+    "support-chain bound attainment on random vector sets",
+    ("q", "gamma", "set_size"), ("c",),
+    ("instances", "mode", "shift_trials", "seed"), _chain_field,
+    lambda field, args: chains.require_search_within(
+        field.q, args.gamma, args.set_size, args.mode, args.shift_trials),
+    _chain_records),
 }}
 
+_VERB_HELP = {"verify": "exact and log-domain bound sweeps; exit 1 when "
+                        "any check fails",
+              "sample": "seeded draws from the exact samplers",
+              "experiment": "Monte Carlo estimators with Wilson intervals"}
 
-def _run_target(args):
-    _, _, _, count, build, admit, records = _TARGETS[args.verb][args.what]
+
+def _run(args):
+    *_, runs, build, admit, records = _TARGETS[args.verb][args.what]
     space = build(args)
-    if getattr(args, count) >= 1 and admit:  # refuse before the first draw
-        admit(space, args)
-    stream = RandomStream(args.seed, args.verb, args.what)
-    return records(space, args, stream, _record_config(args)), 0
-
-
-# -- verb: chain -----------------------------------------------------------
-
-def _run_chain(args):
-    field = _field_of(args)
-    if args.mode == "random" and not args.shift_trials:
-        raise ValueError("--mode random needs a positive --shift-trials")
-    if args.mode == "exhaustive" and args.shift_trials is not None:
-        raise ValueError("--shift-trials needs --mode random")
-    if args.instances:  # fail before drawing a set the guard refuses
-        chains.require_search_within(field.q, args.gamma, args.set_size,
-                                     args.mode, args.shift_trials)
-    seed = args.seed
-    stream = RandomStream(seed, "chain")
-    cfg = {"q": field.q, "gamma": args.gamma, "set_size": args.set_size,
-           "c": args.c, "mode": args.mode}
-    records = []
-    achieved = 0
-    for i in range(args.instances):
-        inst = chains.random_chain_instance(field, args.gamma, args.set_size,
-                                            args.c, stream.child(i))
-        rep = chains.bound_attainment_report(
-            inst, mode=args.mode, trials=args.shift_trials,
-            rng=stream.child(i, "shift"))
-        achieved += rep.achieved
-
-        def add(name, value):
-            records.append(make_record("chain", name, value, cfg, trial=i,
-                                       seed=seed))
-        add("bound", rep.bound)
-        add("target", rep.target)
-        add("greedy_length", rep.greedy_length)
-        add("achieved", rep.achieved)
-        add("exact_used", rep.exact_used)
-        add("exact_length", rep.exact_length)
-    records.append(make_record("chain", "instances_achieved", achieved, cfg,
-                               seed=seed, trials=args.instances))
-    return records, 0
+    if admit and (not runs or getattr(args, runs[0]) >= 1):
+        admit(space, args)  # refuse before the first case or draw
+    key = (args.verb,) if args.what is None else (args.verb, args.what)
+    stream = RandomStream(args.seed, *key) if "seed" in runs else None
+    return records(space, args, stream, _record_config(args, runs))
 
 
 # -- parser ----------------------------------------------------------------
 
-def _add_flag(parser, key, **kwargs):
-    kind, text, *aliases = _FLAGS[key]
+def _add_output_flags(parser):
+    parser.add_argument("--format", choices=("csv", "json"), default="csv",
+                        help="output format (default csv)")
+    parser.add_argument("--out", metavar="PATH",
+                        help=f"output file; relative paths land in "
+                             f"${_OUT_DIR_ENV} when set, default stdout")
+    parser.add_argument("--timing", action="store_true",
+                        help="fill the runtime column (breaks byte-identical"
+                             " reruns)")
+
+
+def _add_flag(parser, verb, key, **kwargs):
+    aliases, spec = _FLAGS.get((verb, key)) or _FLAGS[key]
     parser.add_argument(*aliases, "--" + key.replace("_", "-"), dest=key,
-                        type=kind, help=text, **kwargs)
+                        **spec, **kwargs)
 
 
-def _add_target(targets, name, text, flags, optional, count):
-    """The subcommand of one sample or experiment target.  Abbreviations
-    are off: --m must not be read as dimension's --min-fraction."""
-    p = targets.add_parser(name, allow_abbrev=False, help=text)
-    _add_field_flags(p)
+def _add_row(parsers, verb, name, text, flags, optional, runs):
+    """The subcommand of one row.  Abbreviations are off for sample and
+    experiment targets: --m must not be read as --min-fraction."""
+    p = parsers.add_parser(name, help=text,
+                           allow_abbrev=verb not in ("sample", "experiment"))
     for key in flags:
         if isinstance(key, tuple):
             group = p.add_mutually_exclusive_group(required=True)
             for choice in key:
-                _add_flag(group, choice)
+                _add_flag(group, verb, choice)
         else:
-            _add_flag(p, key, required=True)
-    for key in optional:
-        _add_flag(p, key)
-    kind, default, text = _RUN_COUNTS[count]
-    p.add_argument("--" + count, type=kind, default=default,
-                   help=f"{text} (default {default})")
-    p.add_argument("--seed", type=int, default=DEFAULT_MASTER_SEED,
-                   help=f"master seed (default {DEFAULT_MASTER_SEED})")
+            _add_flag(p, verb, key, required=True)
+    for key in optional + runs:
+        _add_flag(p, verb, key)
     _add_output_flags(p)
 
 
@@ -726,99 +791,22 @@ def build_parser():
         prog="sumrank",
         description="Sum-rank metric volumes, random codes, and seeded "
                     "experiments.")
+    parser.set_defaults(what=None)
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    p = sub.add_parser("volume", help="exact sphere and ball volumes with "
-                                      "log-domain bounds")
-    _add_space_flags(p)
-    p.add_argument("--r", type=int, required=True, help="radius")
-    _add_output_flags(p)
-
-    p = sub.add_parser("count-decomposable",
-                       help="product-subspace counts, bounds, and the "
-                            "Grassmannian comparison")
-    _add_space_flags(p, m=False)
-    p.add_argument("--w", type=int, required=True, help="total dimension")
-    _add_output_flags(p)
-
-    p = sub.add_parser("capacity",
-                       help="list-decoding capacity against entropy and "
-                            "Singleton style baselines")
-    p.add_argument("--q", type=int, default=2, help="field order (default 2)")
-    p.add_argument("--b", type=_fraction, default=None,
-                   help="shape ratio eta/m as a fraction")
-    p.add_argument("--m", type=int, default=None, help="block rows")
-    p.add_argument("--eta", type=int, default=None, help="block columns")
-    p.add_argument("--rho", type=_fraction, default=None,
-                   help="single relative radius in (0,1)")
-    p.add_argument("--grid", type=_count, default=None,
-                   help="interior grid points i/(grid+1) when --rho absent "
-                        "(default 19)")
-    _add_output_flags(p)
-
-    p = sub.add_parser("verify", help="exact and log-domain bound sweeps; "
-                                      "exit 1 when any check fails")
-    p.add_argument("target", choices=sorted(_VERIFY_TARGETS) + ["all"])
-    p.add_argument("--q-list", type=_int_list, default=(2, 3),
-                   help="field orders to sweep (default 2,3)")
-    p.add_argument("--max-space-log", type=_count, default=12,
-                   help="volumes: cap q^(m eta ell) at 2^this (default 12)")
-    p.add_argument("--n-max", type=_count, default=8,
-                   help="gb-bounds: largest n (default 8)")
-    p.add_argument("--m-max", type=_count, default=4,
-                   help="volume-bounds: largest m = eta (default 4)")
-    p.add_argument("--ell-max", type=_count, default=4,
-                   help="largest block count (default 4)")
-    p.add_argument("--eta-max", type=_count, default=6,
-                   help="decomposable sweeps: largest eta (default 6)")
-    _add_output_flags(p)
-
-    for verb, text in (
-            ("sample", "seeded draws from the exact samplers"),
-            ("experiment", "Monte Carlo estimators with Wilson intervals")):
-        p = sub.add_parser(verb, help=text)
-        targets = p.add_subparsers(dest="what", required=True,
-                                   metavar="TARGET")
-        for name, entry in _TARGETS[verb].items():
-            _add_target(targets, name, *entry[:4])
-
-    p = sub.add_parser("chain", help="support-chain bound attainment on "
-                                     "random vector sets")
-    _add_field_flags(p)
-    p.add_argument("--gamma", type=int, required=True,
-                   help="ambient vector length")
-    p.add_argument("--set-size", type=int, required=True,
-                   help="vectors per instance")
-    p.add_argument("--c", type=int, default=2,
-                   help="required new support per step (default 2)")
-    p.add_argument("--instances", type=_count, default=100,
-                   help="random instances (default 100)")
-    p.add_argument("--mode", choices=("exhaustive", "random"),
-                   default="exhaustive", help="shift search mode")
-    p.add_argument("--shift-trials", type=_count, default=None,
-                   help="random mode: shifts to try")
-    p.add_argument("--seed", type=int, default=DEFAULT_MASTER_SEED,
-                   help=f"master seed (default {DEFAULT_MASTER_SEED})")
-    _add_output_flags(p)
+    for verb, rows in _TARGETS.items():
+        parsers = sub if None in rows else sub.add_parser(
+            verb, help=_VERB_HELP[verb]).add_subparsers(
+                dest="what", required=True, metavar="TARGET")
+        for name, row in rows.items():
+            _add_row(parsers, verb, name or verb, *row[:4])
     return parser
-
-
-_RUNNERS = {
-    "volume": _run_volume,
-    "count-decomposable": _run_count_decomposable,
-    "capacity": _run_capacity,
-    "verify": _run_verify,
-    "sample": _run_target,
-    "experiment": _run_target,
-    "chain": _run_chain,
-}
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
     started = time.monotonic()
     try:
-        records, status = _RUNNERS[args.verb](args)
+        records, status = _run(args)
     except GuardError as exc:
         print(f"guard violation: {exc}", file=sys.stderr)
         return 3

@@ -110,6 +110,19 @@ def bounded_compositions(total, parts, upper=None):
 
 # -- Gaussian binomials and matrix counts ----------------------------------
 
+def binomial_work(n, k, q, eta=0):
+    """The work that _binomial_row(n, k, q, eta) prices; arithmetic only."""
+    # Step j's widest product, entry j + 1 times q^(j + 1) - 1, is below
+    # 4 q^((j + 1)(n + eta - j)) with q <= 2^width, widest at the vertex j
+    # clamped to k - 1.  Each of its 2 or 3 products (the division counted
+    # as one) takes a factor of at most max(n, eta) powers of q.
+    width = (q - 1).bit_length()
+    j = min(k - 1, (n + eta - 1) // 2)
+    widest = (j + 1) * (n + eta - j) * width + 2
+    pieces = 1 + max(n, eta) * width // 2048
+    return (3 if eta else 2) * k * widest * pieces
+
+
 def _binomial_row(n, k, q, eta=0):
     """[n, j]_q for j = 0..k <= n by the ratio recurrence
         [n, j + 1] = [n, j] (q^(n - j) - 1) / (q^(j + 1) - 1),
@@ -120,16 +133,8 @@ def _binomial_row(n, k, q, eta=0):
     row = [1]
     if not k:
         return row  # no step, so no power of q is built
-    # Step j's widest product, entry j + 1 times q^(j + 1) - 1, is below
-    # 4 q^((j + 1)(n + eta - j)) with q <= 2^width, widest at the vertex j
-    # clamped to k - 1.  Each of its 2 or 3 products (the division counted
-    # as one) takes a factor of at most max(n, eta) powers of q.
-    width = (q - 1).bit_length()
-    j = min(k - 1, (n + eta - 1) // 2)
-    widest = (j + 1) * (n + eta - j) * width + 2
-    pieces = 1 + max(n, eta) * width // 2048
-    require_within((3 if eta else 2) * k * widest * pieces,
-                   guards.MAX_COUNT_WORK, "Gaussian binomial work")
+    require_within(binomial_work(n, k, q, eta), guards.MAX_COUNT_WORK,
+                   "Gaussian binomial work")
     top, low = q ** n, q  # q^(n - j) and q^(j + 1)
     full, gone = q ** eta, 1  # q^eta and q^j
     for _ in range(k):
@@ -323,12 +328,12 @@ def _power_bits(base, ell, deg):
                + int(deg * (math.log2(ell + deg + 1) + rate)) + 1)
 
 
-def _power_work(base, ell, deg):
-    # Work of coefficients 0..deg of base^ell by the recurrence: each
-    # product takes a coefficient of at most _power_bits bits times P_k,
-    # one pass per 2,048 bits of P_k (CPython multiplies schoolbook up to
-    # about that size, so large blocks cost more per product).  It grows
-    # with deg.
+def power_work(base, ell, deg):
+    """Work of coefficients 0..deg of base^ell by the recurrence, the
+    price block_sum_power checks against MAX_COUNT_WORK: each product
+    takes a coefficient of at most _power_bits bits times P_k, one pass
+    per 2,048 bits of P_k (CPython multiplies schoolbook up to about that
+    size, so large blocks cost more per product).  It grows with deg."""
     top = len(base) - 1
     deg = min(deg, ell * top)
     near = min(deg, top)
@@ -341,7 +346,7 @@ def _power_work(base, ell, deg):
 def _whole_power_fits(base, ell):
     # Whether every degree of base^ell is within MAX_COUNT_WORK, so that the
     # reads of an ascending sweep need not each be priced.
-    return (_power_work(base, ell, ell * (len(base) - 1))
+    return (power_work(base, ell, ell * (len(base) - 1))
             <= guards.MAX_COUNT_WORK)
 
 
@@ -367,7 +372,7 @@ def block_sum_power(base, ell, deg):
     power = _POWERS.get((base, ell), ())
     if len(power) <= deg:
         if not _whole_power_fits(base, ell):
-            require_within(_power_work(base, ell, deg), guards.MAX_COUNT_WORK,
+            require_within(power_work(base, ell, deg), guards.MAX_COUNT_WORK,
                            "block-sum work")
         power = _POWERS[base, ell] = _miller(base, ell, deg, power)
     return power
@@ -384,7 +389,7 @@ def completion_powers(base, ell, deg):
     require_within(ell * (deg + 1), guards.MAX_SWEEP,
                    "completion power coefficients")
     step = -(-ell // 32) or 1
-    require_within(sum(min(step, top + 1) * _power_work(base, top, deg)
+    require_within(sum(min(step, top + 1) * power_work(base, top, deg)
                        for top in range(ell - 1, -1, -step)),
                    guards.MAX_COUNT_WORK, "block-sum work")
     return tuple(_miller(base, j, deg) for j in reversed(range(ell)))

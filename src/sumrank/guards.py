@@ -9,11 +9,11 @@ work starts; violations raise :class:`GuardError`.
 import math
 
 # Items one Python sweep walks: block matrices ranked, points of space or of
-# a ball, span combinations, codewords, shifts (metric, codes, chains), and
-# the ell x (deg + 1) coefficients of counting.completion_powers.
+# a ball, span combinations, codewords, shifts (metric, codes, chains), the
+# ell x (deg + 1) coefficients of completion_powers, a verify run's records.
 MAX_SWEEP = 2 ** 20
-# Products x operand bits x 2,048-bit pieces in one exact count
-# (counting._binomial_row, block_sum_power, completion_powers); the largest
+# Products x operand bits x 2,048-bit pieces in one exact count (counting:
+# binomial_work, power_work), or summed over a verify sweep; the largest
 # counts under it take about 2 s in the CLI on a 2-vCPU VM.
 MAX_COUNT_WORK = 2 ** 29
 # Block ranks + ball points x (1 + k adds), an add priced by

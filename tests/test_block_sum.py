@@ -263,7 +263,7 @@ def test_power_bit_bound_is_never_below_the_real_bit_count():
 
 def test_kernel_refuses_work_past_the_cap_before_computing(fresh_powers):
     base = counting.rank_count_vector(64, 64, 2)
-    assert counting._power_work(base, 1000, 10 ** 4) > MAX_COUNT_WORK
+    assert counting.power_work(base, 1000, 10 ** 4) > MAX_COUNT_WORK
     with pytest.raises(GuardError):
         counting.block_sum_power(base, 1000, 10 ** 4)
     assert (base, 1000) not in counting._POWERS
@@ -292,7 +292,7 @@ def test_completion_price_bounds_the_tails_work_closely(
     # The price is at least the work of the ell tails priced one by one,
     # and within 5 % of it on these shapes; ell times the largest tail's
     # work, the price it replaces, is 2 to 3 times the sum where ell > 32.
-    exact = sum(counting._power_work(base, j, deg) for j in range(ell))
+    exact = sum(counting.power_work(base, j, deg) for j in range(ell))
     monkeypatch.setattr(counting, "_miller", lambda *args: ())  # price only
     monkeypatch.setattr(guards, "MAX_COUNT_WORK", exact - 1)
     with pytest.raises(GuardError, match="^block-sum work = "):
@@ -300,7 +300,7 @@ def test_completion_price_bounds_the_tails_work_closely(
     monkeypatch.setattr(guards, "MAX_COUNT_WORK", exact * 105 // 100)
     assert counting.completion_powers(base, ell, deg) == ((),) * ell
     if ell > 32:
-        assert ell * counting._power_work(base, ell - 1, deg) > exact * 2
+        assert ell * counting.power_work(base, ell - 1, deg) > exact * 2
 
 
 def test_gaussian_binomial_refuses_work_past_the_cap():

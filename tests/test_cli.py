@@ -385,7 +385,7 @@ def test_target_positional_is_named_target(capsys, argv):
 
 
 @pytest.mark.parametrize("verb, table", [
-    (verb, cli._TARGETS[verb]) for verb in ("sample", "experiment")])
+    (verb, cli._TARGETS[verb]) for verb in ("sample", "experiment", "verify")])
 def test_verb_help_lists_every_target(capsys, verb, table):
     with pytest.raises(SystemExit) as exc:
         main([verb, "--help"])
@@ -470,6 +470,20 @@ TARGETS = {
     "list-size": ("experiment list-size --q 2 --m 1 --eta 1 --ell 4 "
                   "--rho 1/4 --eps 1/8 --codes 1",
                   "--m --eta --ell --rho --eps --codes"),
+    "volumes": ("verify volumes --q-list 2 --max-space-log 4",
+                "--q-list --max-space-log"),
+    "gb-bounds": ("verify gb-bounds --q-list 3 --n-max 4", "--q-list --n-max"),
+    "volume-bounds": ("verify volume-bounds --q-list 2 --m-max 2 --ell-max 2",
+                      "--q-list --m-max --ell-max"),
+    "decomposable-bounds": ("verify decomposable-bounds --q-list 2 "
+                            "--eta-max 2 --ell-max 2",
+                            "--q-list --eta-max --ell-max"),
+    "decomposable-dominance": ("verify decomposable-dominance --q-list 3 "
+                               "--eta-max 2 --ell-max 2",
+                               "--q-list --eta-max --ell-max"),
+    "all": ("verify all --q-list 2 --max-space-log 3 --n-max 3 --m-max 2 "
+            "--ell-max 2 --eta-max 2",
+            "--q-list --max-space-log --n-max --m-max --ell-max --eta-max"),
 }
 
 # Every flag each verb took before it had one subcommand per target.
@@ -478,6 +492,7 @@ VERB_FLAGS = {
     "experiment": "--m --eta --ell --rho --center --wx --wy --min-fraction "
                   "--exact-dim --gamma --bound-factor --vectors --eps "
                   "--codes --trials",
+    "verify": "--q-list --max-space-log --n-max --m-max --ell-max --eta-max",
 }
 
 FOREIGN_FLAGS = [
@@ -486,10 +501,11 @@ FOREIGN_FLAGS = [
     for flag in VERB_FLAGS[argv.split()[0]].split()
     if flag not in own.split()
 ] + [("rank-matrix", "--radius")]
-# one pair per flag that a target's verb took and the target ignored, and
-# rank-matrix's --radius, which it read as --r
-assert len(FOREIGN_FLAGS) == 71 + 1
-assert {name for name, _ in FOREIGN_FLAGS} == set(TARGETS)
+# one pair per flag that a target's verb took and the target ignored (verify
+# all reads every verify flag), and rank-matrix's --radius, which it read as
+# --r
+assert len(FOREIGN_FLAGS) == 71 + 17 + 1
+assert {name for name, _ in FOREIGN_FLAGS} == set(TARGETS) - {"all"}
 
 
 @pytest.mark.parametrize("name, flag", FOREIGN_FLAGS,
@@ -514,6 +530,19 @@ def test_options_follow_the_target_name(capsys):
     assert exc.value.code == 2
     assert captured.out == ""
     assert "sumrank sample: error: " in captured.err
+
+
+def test_verify_options_follow_the_target_name(capsys):
+    # verify took its flags before the target name until each target had
+    # its own subcommand
+    assert main(["verify", "volumes", "--q-list", "2"]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--q-list", "2", "volumes"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "sumrank verify: error: " in captured.err
 
 
 @pytest.mark.parametrize("extra, message", [
@@ -541,9 +570,9 @@ def test_target_help_lists_only_its_flags(capsys, name):
     assert exc.value.code == 0
     assert out.startswith(f"usage: sumrank {verb} {name} ")
     own = TARGETS[name][1].split()
+    always = [] if verb == "verify" else ["--q", "--seed"]
     for flag in VERB_FLAGS[verb].split() + ["--radius", "--q", "--seed"]:
-        assert (f" {flag} " in out) == (flag in own + ["--q", "--seed"]), \
-            flag
+        assert (f" {flag} " in out) == (flag in own + always), flag
 
 
 def test_vectors_are_parsed_by_the_flag(capsys):
@@ -1285,46 +1314,57 @@ def test_no_runtime_dependency():
         assert tomllib.load(fh)["project"]["dependencies"] == []
 
 
-# -- every sample and experiment target under drawn flags --------------------
+# -- every row of the table under drawn flags ---------------------------------
 
 # Values drawn for each flag type, the usable ones first and more often,
 # then out-of-range and malformed text; "-1/2" reads as an option, so
 # argparse refuses it too.  10^9 is past every cap: a guard or an input
-# check must refuse it at once (an unpriced --gamma drew 10^9 points).
+# check must refuse it at once (an unpriced --gamma drew 10^9 points, an
+# unpriced verify sweep ran for minutes).
+_INTS = st.sampled_from(["1", "2", "3", "1", "2", "0", "-1", "1000000000"])
 FUZZ_VALUES = {
-    int: st.sampled_from(["1", "2", "3", "1", "2", "0", "-1", "1000000000"]),
+    int: _INTS,
+    cli._count: _INTS,
     cli._fraction: st.sampled_from(["1/4", "1/8", "1/2", "1/3", "2/3",
                                     "1/16", "0", "1", "3/2", "-1/2", "1/0",
                                     "x", ""]),
     cli._vectors: st.sampled_from(["1,0;0,1", "1,1", "1;1", "2,1;1,2",
                                    "1,0;0,1;1,1", "0,0", "1,0,1", "", ";",
                                    "1,a", "1,,0"]),
+    cli._int_list: st.sampled_from(["2", "3", "2,3", "4", "5,7", "16", "6",
+                                    "2,2", "", ",", "1000000000"]),
+    str: st.sampled_from(["exhaustive", "random", "random", "x"]),
 }
 # Prime powers, then orders that are not.
 FUZZ_Q = ["2", "3", "4", "2", "3", "5", "7", "8", "9", "16", "0", "1", "6",
           "12", "-2"]
-# The largest run count drawn: draws x entries have no run-level price.
-FUZZ_RUNS = {"count": 3, "trials": 20, "codes": 2}
+# The largest run count drawn: a run count has no run-level price.
+FUZZ_RUNS = {"count": 3, "trials": 20, "codes": 2, "grid": 3, "instances": 2}
 
 
 @st.composite
 def target_argvs(draw):
     verb, name = draw(st.sampled_from([
-        (verb, name) for verb, table in cli._TARGETS.items()
-        for name in table]))
-    _, flags, optional, count, *_ = cli._TARGETS[verb][name]
-    argv = [verb, name, "--q", draw(st.sampled_from(FUZZ_Q))]
-    for key in flags + tuple(key for key in optional if draw(st.booleans())):
+        (verb, name) for verb, rows in cli._TARGETS.items()
+        for name in rows]))
+    _, flags, optional, runs, *_ = cli._TARGETS[verb][name]
+    argv = [verb] if name is None else [verb, name]
+    for key in flags + tuple(key for key in optional + runs[1:]
+                             if draw(st.booleans())):
         if isinstance(key, tuple):
             key = draw(st.sampled_from(key))
+        kind = (cli._FLAGS.get((verb, key)) or cli._FLAGS[key])[1]["type"]
         argv += ["--" + key.replace("_", "-"),
-                 draw(FUZZ_VALUES[cli._FLAGS[key][0]])]
-    return argv + ["--" + count, str(draw(st.integers(0, FUZZ_RUNS[count])))]
+                 draw(st.sampled_from(FUZZ_Q) if key == "q"
+                      else FUZZ_VALUES[kind])]
+    if runs:
+        argv += ["--" + runs[0], str(draw(st.integers(0, FUZZ_RUNS[runs[0]])))]
+    return argv
 
 
-# Most drawn argvs are input errors, so the test draws 800 of them to run
-# every target to exit 0 too; it takes about 2 s.
-@settings(max_examples=800)
+# Most drawn argvs are input errors, so the test draws 1,600 of them to run
+# every row to exit 0 too; it takes about 5 s.
+@settings(max_examples=1600)
 @given(target_argvs())
 def test_every_target_exits_cleanly_on_drawn_flags(argv):
     out, err = io.StringIO(), io.StringIO()
@@ -1334,7 +1374,108 @@ def test_every_target_exits_cleanly_on_drawn_flags(argv):
             status = main(argv)
         except SystemExit as exc:  # argparse refusing a flag
             status = exc.code
-    # an exception other than SystemExit fails the test with its traceback
-    assert status in (0, 2, 3), (argv, err.getvalue())
+    # an exception other than SystemExit fails the test with its traceback;
+    # exit 1, a failed check, is verify's alone
+    assert status in ((0, 1, 2, 3) if argv[0] == "verify" else (0, 2, 3)), \
+        (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
-    assert status == 0 or out.getvalue() == "", argv
+    assert status in (0, 1) or out.getvalue() == "", argv
+
+
+# -- one runner for every row ------------------------------------------------
+
+# An argv that each row with an admit runs to exit 0 (the TARGETS argvs in
+# test_flag_of_another_target_is_an_input_error, the chain's in
+# test_chain_records).
+ADMITTED = {(argv.split()[0], name): argv
+            for name, (argv, _) in TARGETS.items()}
+ADMITTED["chain", None] = "chain --q 2 --gamma 6 --set-size 16 --instances 2"
+
+
+@pytest.mark.parametrize("verb, name", [
+    (verb, name) for verb, rows in cli._TARGETS.items()
+    for name, row in rows.items() if row[5] is not None])
+def test_a_refusing_admit_leaves_the_records_uncalled(capsys, monkeypatch,
+                                                       verb, name):
+    # the mutation "a guard moved after its work": the runner calls the
+    # records only after the admit
+    called = []
+
+    def refuse(space, args):
+        raise cli.GuardError("refused")
+    row = cli._TARGETS[verb][name]
+    monkeypatch.setitem(cli._TARGETS[verb], name, (
+        *row[:5], refuse, lambda *run: called.append(run)))
+    status, out, err = run_cli(capsys, ADMITTED[verb, name].split())
+    assert (status, out, err, called) == (
+        3, "", "guard violation: refused\n", [])
+
+
+# -- verify sweeps priced from their flags -----------------------------------
+
+# Sweeps that ran for minutes, or would never end, before each was priced
+# as a whole: the admit sums the Gaussian-binomial rows and block-sum
+# powers the sweep builds.  Each check is patched to record its calls.
+SWEEPS_PRICED_BEFORE_THE_FIRST_CASE = [
+    # exit 0 after 554 s
+    pytest.param("verify decomposable-dominance --ell-max 100",
+                 "decomposable_le_grassmannian",
+                 "sweep work through decomposable_dominance_pass = 543083413",
+                 id="dominance"),
+    pytest.param("verify gb-bounds --n-max 1000000000",
+                 "gaussian_binomial_bounds_ok",
+                 "sweep work through gb_bounds_pass = 538640980", id="gb"),
+    pytest.param("verify decomposable-bounds --eta-max 1000000000 "
+                 "--ell-max 1", "decomposable_bounds_ok",
+                 "sweep work through decomposable_bounds_pass = 548335709",
+                 id="bounds-eta"),
+    pytest.param("verify all --q-list 2 --ell-max 1000000000",
+                 "sphere_bounds_ok",
+                 "sweep work through volume_bounds_pass = 537104562",
+                 id="all"),
+]
+
+
+@pytest.mark.parametrize("argv, check, refused",
+                         SWEEPS_PRICED_BEFORE_THE_FIRST_CASE)
+def test_verify_is_priced_before_its_first_case(capsys, monkeypatch, argv,
+                                                 check, refused):
+    calls = []
+    monkeypatch.setattr(counting, check, lambda *case: calls.append(case))
+    start = time.perf_counter()
+    with wall_clock_backstop(5):
+        status, out, err = run_cli(capsys, argv.split())
+    assert time.perf_counter() - start < 1.0
+    assert (status, out, calls) == (3, "", [])
+    assert err == (f"guard violation: {refused} exceeds the enumeration "
+                   "limit 536870912\n")
+
+
+def test_the_largest_admitted_dominance_sweep_prints_what_it_did():
+    # --ell-max 20 is the largest the price admits at the default flags
+    # (0.2 s); 21 is refused
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main("verify decomposable-dominance --ell-max 20".split()) == 0
+    assert out.getvalue().count("\n") == 9061
+    assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == (
+        "9d2bc7478a9f910c1ac4d28475022e77e2b490cfbf2230069b332d4272050bdd")
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert main("verify decomposable-dominance --ell-max 21".split()) == 3
+
+
+def test_chain_random_mode_past_the_exact_cap_is_undecided(capsys):
+    # greedy misses the target at 2^21 shifts, past the exact search's cap:
+    # the run exited 3 there after its draw and greedy search
+    start = time.perf_counter()
+    status, out, err = run_cli(capsys, [
+        "chain", "--q", "2", "--gamma", "21", "--set-size", "65536",
+        "--mode", "random", "--shift-trials", "10", "--instances", "1"])
+    assert time.perf_counter() - start < 1.0
+    assert (status, err) == (0, "")
+    table = rows_by_statistic(out)
+    assert int(table["greedy_length"][0]["value"]) < int(
+        table["target"][0]["value"])
+    assert [table[name][0]["value"] for name in (
+        "achieved", "exact_used", "exact_length", "instances_achieved")] == [
+        "", "0", "", "0"]
