@@ -377,15 +377,19 @@ def _volumes(fields, args):
     """Histograms against sphere volumes, priced per shape (int() is 0)."""
     for field in fields:
         shapes = _volume_shapes(field, args.max_space_log)
-        yield len(shapes), int, (
-            ({"q": p.q, "m": p.m, "eta": p.eta, "ell": p.ell},
-             _histogram_ok(p)) for p in shapes)
+        yield len(shapes), int, _volume_cases(shapes)
 
 
-def _histogram_ok(params):
-    hist = metric.weight_histogram(params)
-    return all(hist[r] == counting.sphere_volume(params, r)
-               for r in range(params.max_weight + 1))
+def _volume_cases(shapes):
+    # _volume_shapes walks ell upward from 1 for each (m, eta), so a shape
+    # with ell > 1 follows the same blocks at ell - 1, whose histogram one
+    # convolution extends.
+    hist = None
+    for p in shapes:
+        hist = metric.weight_histogram(p, hist if p.ell > 1 else None)
+        yield ({"q": p.q, "m": p.m, "eta": p.eta, "ell": p.ell},
+               all(hist[r] == counting.sphere_volume(p, r)
+                   for r in range(p.max_weight + 1)))
 
 
 def _binomials_work(n, q):
@@ -764,10 +768,9 @@ def _add_flag(parser, verb, key, **kwargs):
 
 
 def _add_row(parsers, verb, name, text, flags, optional, runs):
-    """The subcommand of one row.  Abbreviations are off for sample and
-    experiment targets: --m must not be read as --min-fraction."""
-    p = parsers.add_parser(name, help=text,
-                           allow_abbrev=verb not in ("sample", "experiment"))
+    """The subcommand of one row.  Abbreviations are off: --m must not be
+    read as --min-fraction, nor --eta as --eta-max."""
+    p = parsers.add_parser(name, help=text, allow_abbrev=False)
     for key in flags:
         if isinstance(key, tuple):
             group = p.add_mutually_exclusive_group(required=True)

@@ -66,6 +66,15 @@ class Code:
                     raise ValueError(f"code {end} outside [0, {space})")
             self.basis, self.words = None, words
 
+    @classmethod
+    def _built(cls, params, rows):
+        """The linear code of a sampler's independent rows of field
+        entries: no check_entries and no second rank check."""
+        code = object.__new__(cls)
+        code.params = params
+        code.basis, code.words = tuple(rows), None
+        return code
+
     @property
     def is_linear(self):
         return self.basis is not None
@@ -114,8 +123,8 @@ def _multiples(field, row):
 def sample_linear_code(params, rate, rng):
     """Row space of a uniform full-rank k x mn generator, k = rate * mn."""
     k = dimension_from_rate(params, rate)
-    rows = linalg.sample_full_rank(params.field, k, params.total_dim, rng)
-    return Code(params, basis=rows)
+    return Code._built(params, linalg.sample_full_rank(
+        params.field, k, params.total_dim, rng))
 
 
 def sample_general_code(params, rate, rng):

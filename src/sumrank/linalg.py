@@ -8,13 +8,18 @@ rejection on uniform full-rank matrices, which is exactly uniform on the
 Grassmannian because every subspace has the same number of spanning k x n
 matrices.
 
-A rank alone is read by forward elimination, with no reduced form built:
-over F_2 each row is packed into an int and reduced by XOR against the
-basis found so far.  The full-rank sampler takes its entries from one
-iterator over ``getrandbits`` words, which consumes exactly the words that
-one ``randrange(q)`` per entry would.
+There is one elimination: a forward pass (_echelon), whose row count is the
+rank, and a back substitution that takes its echelon rows on to the reduced
+row echelon form.  Over F_2 each row is packed into an int and reduced by
+XOR against the basis found so far, in both passes.  The samplers take their
+entries from one iterator over ``getrandbits`` words, which consumes exactly
+the words that one ``randrange(q)`` per entry would.  sample_subspace keeps
+the forward pass that ranked its accepted draw and back-substitutes it, so
+each draw is eliminated once and a rejected one costs the forward pass
+alone.
 """
 
+import functools
 from itertools import combinations, islice, product
 
 from . import counting, guards
@@ -22,53 +27,17 @@ from .guards import require_within
 from .montecarlo import uniform_draws
 
 
-def _rref(field, rows):
-    """In-place style reduced row echelon form on copied rows.
+def _echelon(field, rows):
+    """Forward elimination of the rows: one echelon row per unit of rank,
+    so its length is the rank.
 
-    Returns (reduced row list without zero rows, pivot column tuple).
+    Over F_2 each row is packed into an int, one entry per byte, and each
+    basis vector lacks the leading bits of those before it, so min(v, v ^ b)
+    in order clears every lead from v for good: v ends nonzero exactly when
+    the row is new.  Otherwise they are rows whose leading columns
+    increase, each lead left unscaled.
     """
-    mat = [list(r) for r in rows]
-    nrows = len(mat)
-    ncols = len(mat[0]) if nrows else 0
-    add, mul, neg, inv = field._add, field._mul, field._neg, field._inv
-    pivots = []
-    prow = 0
-    for col in range(ncols):
-        pivot = None
-        for i in range(prow, nrows):
-            if mat[i][col]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        mat[prow], mat[pivot] = mat[pivot], mat[prow]
-        lead = mat[prow][col]
-        if lead != 1:
-            row = mat[prow]
-            mrow = mul[inv[lead]]
-            for j in range(col, ncols):
-                row[j] = mrow[row[j]]
-        for i in range(nrows):
-            if i != prow and mat[i][col]:
-                mrow = mul[neg[mat[i][col]]]  # target -= factor * source
-                target = mat[i]
-                source = mat[prow]
-                for j in range(col, ncols):
-                    if source[j]:
-                        target[j] = add[target[j]][mrow[source[j]]]
-        pivots.append(col)
-        prow += 1
-        if prow == nrows:
-            break
-    return [tuple(r) for r in mat[:prow]], tuple(pivots)
-
-
-def _rank_rows(field, rows):
-    """Rank of the rows, by forward elimination only."""
     if field.q == 2:
-        # One entry per byte.  Each basis vector lacks the leading bits of
-        # those before it, so min(v, v ^ b) in order clears every lead
-        # from v for good: v ends nonzero exactly when the row is new.
         basis = []
         for row in rows:
             v = int.from_bytes(bytes(row), "big")
@@ -76,7 +45,7 @@ def _rank_rows(field, rows):
                 v = min(v, v ^ b)
             if v:
                 basis.append(v)
-        return len(basis)
+        return basis
     mat = list(rows)
     nrows = len(mat)
     ncols = len(mat[0]) if nrows else 0
@@ -99,7 +68,74 @@ def _rank_rows(field, rows):
             if target[col]:
                 mrow = mul[mul[target[col]][minus_inv]]
                 mat[i] = [add[x][mrow[y]] for x, y in zip(target, source)]
-    return rank
+    return mat[:rank]
+
+
+@functools.lru_cache(maxsize=None)
+def _identity(n):
+    """The n x n identity rows: the RREF basis of the whole of F_q^n."""
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+def _back_substitute(field, echelon, ncols):
+    """The reduced row echelon basis, as a tuple of row tuples, of the row
+    space of _echelon's rows of width ncols.
+
+    Rows are reduced from the last to the first: each is scaled to a leading
+    1 and cleared at the pivots of the rows below it, which are already
+    reduced, so no step undoes an earlier one.
+    """
+    if len(echelon) == ncols:
+        return _identity(ncols)
+    if field.q == 2:
+        basis = sorted(echelon, reverse=True)  # the leads are distinct
+        for j in range(len(basis) - 1, 0, -1):
+            b = basis[j]
+            for i in range(j):
+                basis[i] = min(basis[i], basis[i] ^ b)
+        return tuple(tuple(v.to_bytes(ncols, "big")) for v in basis)
+    add, mul, neg, inv = field._add, field._mul, field._neg, field._inv
+    pivots = []
+    col = 0
+    for row in echelon:
+        while not row[col]:
+            col += 1
+        pivots.append(col)
+    reduced = []  # the rows below, last first
+    for h in range(len(echelon) - 1, -1, -1):
+        row = echelon[h]
+        lead = row[pivots[h]]
+        if lead != 1:
+            mrow = mul[inv[lead]]
+            row = [mrow[x] for x in row]
+        for p, below in zip(reversed(pivots), reduced):
+            if row[p]:
+                mrow = mul[neg[row[p]]]  # row -= row[p] * below
+                row = [add[x][mrow[y]] for x, y in zip(row, below)]
+        reduced.append(tuple(row))
+    return tuple(reversed(reduced))
+
+
+def _right_halves(field, echelon, n):
+    """The rows of an _echelon result, over rows of width 2n, that are zero
+    on their first n entries, cut to their last n: again an _echelon result,
+    of width n.  A packed F_2 row is zero there when it is below 2^(8n)."""
+    if field.q == 2:
+        return [v for v in echelon if not v >> 8 * n]
+    return [row[n:] for row in echelon if not any(row[:n])]
+
+
+def _rref(field, rows):
+    """Reduced row echelon form: (reduced rows without zero rows, pivot
+    column tuple)."""
+    reduced = _back_substitute(field, _echelon(field, rows),
+                               len(rows[0]) if rows else 0)
+    return list(reduced), tuple(row.index(1) for row in reduced)
+
+
+def _rank_rows(field, rows):
+    """Rank of the rows, by forward elimination only."""
+    return len(_echelon(field, rows))
 
 
 def mat_mul(field, a_rows, b_rows):
@@ -140,10 +176,8 @@ class Subspace:
                 raise ValueError(f"row length {len(r)} != ambient {ambient}")
             for v in r:
                 field.check(v)
-        if not rows:
-            return cls(field, ambient, ())
-        reduced, _ = _rref(field, rows)
-        return cls(field, ambient, tuple(reduced))
+        return cls(field, ambient, _back_substitute(
+            field, _echelon(field, rows), ambient))
 
     @classmethod
     def zero(cls, field, ambient):
@@ -154,20 +188,16 @@ class Subspace:
         return len(self.basis)
 
     def intersect(self, other):
-        """Zassenhaus intersection: reduce [[A A], [B 0]] and read off the
-        rows whose left half vanished."""
+        """Zassenhaus intersection: eliminate [[A A], [B 0]] forward.  The
+        echelon rows whose left half vanished span the meet, so only their
+        right halves are back-substituted."""
         self._check_compatible(other)
         n = self.ambient
         stacked = [row + row for row in self.basis]
         zero = (0,) * n
         stacked += [row + zero for row in other.basis]
-        if not stacked:
-            return Subspace.zero(self.field, n)
-        # Every pivot column is zero in every other row, so the right halves
-        # of the rows whose left half vanished are already a reduced basis.
-        reduced, _ = _rref(self.field, stacked)
-        return Subspace(self.field, n, tuple(
-            row[n:] for row in reduced if not any(row[:n])))
+        meet = _right_halves(self.field, _echelon(self.field, stacked), n)
+        return Subspace(self.field, n, _back_substitute(self.field, meet, n))
 
     def add(self, other):
         """Smallest subspace containing both (the subspace sum)."""
@@ -246,17 +276,26 @@ def sample_full_rank(field, nrows, ncols, rng):
 
 def require_subspace_within(ambient, k):
     """Price one sample_subspace draw: a full-rank k x ambient draw,
-    eliminated for its rank and again for its RREF.  A k outside
-    [0, ambient] is left to the sampler's ValueError."""
+    eliminated forward for its rank and back-substituted to its RREF, at
+    most 2 k^2 ambient steps.  A k outside [0, ambient] is left to the
+    sampler's ValueError."""
     if 0 <= k <= ambient:
         guards.require_draw_within(k * ambient, 2 * k * k * ambient)
 
 
 def sample_subspace(field, ambient, k, rng):
-    """A uniformly random k-dimensional subspace of F_q^ambient."""
+    """A uniformly random k-dimensional subspace of F_q^ambient: the RREF
+    of the draw that sample_full_rank(field, k, ambient, rng) returns, from
+    the same generator words.  The forward elimination that ranks each draw
+    is kept, so only the accepted draw is back-substituted."""
     if not 0 <= k <= ambient:
         raise ValueError(f"k = {k} outside [0, {ambient}]")
     if k == 0:
         return Subspace.zero(field, ambient)
-    rows = sample_full_rank(field, k, ambient, rng)
-    return Subspace(field, ambient, tuple(_rref(field, rows)[0]))
+    draws = uniform_draws(field.q, rng)
+    while True:
+        echelon = _echelon(field, [tuple(islice(draws, ambient))
+                                   for _ in range(k)])
+        if len(echelon) == k:
+            return Subspace(field, ambient,
+                            _back_substitute(field, echelon, ambient))

@@ -318,7 +318,15 @@ def require_histogram_within(params):
                    guards.MAX_SWEEP, "weight histogram work")
 
 
-def weight_histogram(params):
+@functools.lru_cache(maxsize=None)
+def _block_rank_counts(field, m, eta):
+    """Entry k counts the m x eta matrices of rank k: rank_table's bytes
+    counted once per block shape; the caller guards the table."""
+    return tuple(map(rank_table(field, m, eta).count,
+                     range(min(m, eta) + 1)))
+
+
+def weight_histogram(params, shorter=None):
     """Exact weight distribution of the whole space: entry w counts the
     points of weight w among all q^(m*eta*ell).
 
@@ -326,16 +334,15 @@ def weight_histogram(params):
     ranked by elimination (rank_table); a point's weight is the sum of its
     ell independent block ranks, so the block rank histogram convolved ell
     times counts the points by weight.  The plain convolution here shares
-    nothing with counting's recurrence.  Guarded by
-    require_histogram_within.
+    nothing with counting's recurrence.  shorter, when given, is this
+    histogram for the same blocks at ell - 1, and one convolution extends
+    it.  Guarded by require_histogram_within.
     """
     require_histogram_within(params)
-    full = params.block_rank_cap
-    table = rank_table(params.field, params.m, params.eta)
-    block = [table.count(k) for k in range(full + 1)]
-    hist = [1]
-    for _ in range(params.ell):
-        out = [0] * (len(hist) + full)
+    block = _block_rank_counts(params.field, params.m, params.eta)
+    hist, steps = ([1], params.ell) if shorter is None else (shorter, 1)
+    for _ in range(steps):
+        out = [0] * (len(hist) + len(block) - 1)
         for w, count in enumerate(hist):
             for k, ranked in enumerate(block, w):
                 out[k] += count * ranked

@@ -1,14 +1,19 @@
 """Deterministic random streams and Monte Carlo result containers.
 
-Streams are ordinary ``random.Random`` generators whose state is keyed by
-SHA-256 of a canonical key path.  A stream derived as
-``RandomStream(master_seed).child(i)`` depends only on the key path, never on
-draw order elsewhere, so per-trial streams partition identically no matter
-how trials are scheduled.  Reruns with the same master seed are byte
-reproducible; matching another language port bit for bit is a non-goal, the
-derivation scheme is what ports should copy.
+Streams are ordinary ``random.Random`` generators whose state is keyed by a
+path of ints and strings: the key text joins the parts' reprs with "/", and
+the Mersenne Twister is seeded with the SHA-256 digest of that text read as
+a big-endian int.  A stream derived as ``RandomStream(master_seed).child(i)``
+depends only on the key path, never on draw order elsewhere, so per-trial
+streams partition identically no matter how trials are scheduled.  A child
+extends its parent's key text by its own parts' reprs and seeds the C-level
+generator once, so deriving it never re-joins the parent's path.  Reruns
+with the same master seed are byte reproducible; matching another language
+port bit for bit is a non-goal, the derivation scheme is what ports should
+copy.
 """
 
+import _random
 import hashlib
 import math
 import random
@@ -30,17 +35,26 @@ class RandomStream(random.Random):
         return super().__new__(cls)
 
     def __init__(self, *key):
-        for part in key:
-            if not isinstance(part, (int, str)):
-                raise TypeError(f"stream key parts must be int or str, got {part!r}")
-        self._key = tuple(key)
-        material = "/".join(repr(part) for part in self._key)
-        digest = hashlib.sha256(material.encode("utf-8")).digest()
-        super().__init__(int.from_bytes(digest, "big"))
+        self._derive((), "", key)
 
     def child(self, *indices):
         """Derive an independent stream for a sub-task, e.g. a trial index."""
-        return RandomStream(*self._key, *indices)
+        stream = _random.Random.__new__(RandomStream)
+        stream._derive(self._key, self._text, indices)
+        return stream
+
+    def _derive(self, key, text, parts):
+        """Key this stream by key + parts, given key's text, and seed it as
+        random.Random.__init__ seeds from an int."""
+        for part in parts:
+            if not isinstance(part, (int, str)):
+                raise TypeError(f"stream key parts must be int or str, got {part!r}")
+        own = "/".join(map(repr, parts))
+        self._key = key + parts
+        self._text = text + "/" + own if text and own else text or own
+        digest = hashlib.sha256(self._text.encode("utf-8")).digest()
+        _random.Random.seed(self, int.from_bytes(digest, "big"))
+        self.gauss_next = None
 
     @property
     def key(self):

@@ -268,6 +268,41 @@ def vectors(space):
         yield vec
 
 
+def rref_by_gauss_jordan(field, rows):
+    """(reduced rows without zero rows, pivot column tuple) by Gauss-Jordan
+    elimination: each pivot column is scaled and cleared in every other row
+    before the next column is searched."""
+    mat = [list(r) for r in rows]
+    nrows = len(mat)
+    ncols = len(mat[0]) if nrows else 0
+    add, mul, neg, inv = field._add, field._mul, field._neg, field._inv
+    pivots = []
+    for col in range(ncols):
+        prow = len(pivots)
+        pivot = next((i for i in range(prow, nrows) if mat[i][col]), None)
+        if pivot is None:
+            continue
+        mat[prow], mat[pivot] = mat[pivot], mat[prow]
+        mrow = mul[inv[mat[prow][col]]]
+        mat[prow] = [mrow[x] for x in mat[prow]]
+        for i in range(nrows):
+            if i != prow and mat[i][col]:
+                mrow = mul[neg[mat[i][col]]]  # target -= factor * source
+                mat[i] = [add[x][mrow[y]] for x, y in zip(mat[i], mat[prow])]
+        pivots.append(col)
+    return [tuple(r) for r in mat[:len(pivots)]], tuple(pivots)
+
+
+def sample_subspace_in_two_steps(field, ambient, k, rng):
+    """A uniform k-dimensional subspace as a full-rank draw from
+    linalg.sample_full_rank, reduced on its own by Gauss-Jordan."""
+    if k == 0:
+        return linalg.Subspace.zero(field, ambient)
+    rows = linalg.sample_full_rank(field, k, ambient, rng)
+    return linalg.Subspace(field, ambient,
+                           tuple(rref_by_gauss_jordan(field, rows)[0]))
+
+
 def contains(space, vector):
     """Membership: the vector leaves the rank of the basis unchanged."""
     vector = tuple(vector)

@@ -374,6 +374,17 @@ def test_nonpositive_eta_or_ell_is_an_input_error(capsys, argv, message):
 
 
 @pytest.mark.parametrize("argv", [
+    # --eta and --ell would be read as --eta-max and --ell-max
+    "verify decomposable-bounds --q-list 2 --eta 1 --ell 1",
+    "chain --q 2 --gamma 4 --set 4 --inst 1"])
+def test_abbreviated_flags_are_refused(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv", [
     ["sample"], ["experiment"], ["sample", "bal"], ["experiment", "lists"]])
 def test_target_positional_is_named_target(capsys, argv):
     with pytest.raises(SystemExit) as exc:

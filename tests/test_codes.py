@@ -468,3 +468,18 @@ def test_code_json_shapes():
     blob = general.to_json()
     assert blob["kind"] == "general"
     assert len(blob["codewords"]) == general.size
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_sampled_code_rows_are_independent_field_entries(q):
+    params = params_for(q, 2, 2, 2)
+    rng = random.Random(q)
+    for rate, k in ((Fraction(1, 8), 1), (Fraction(1, 2), 4), (1, 8)):
+        for _ in range(30):
+            rows = sample_linear_code(params, rate, rng).basis
+            assert all(len(row) == 8 and 0 <= min(row) <= max(row) < q
+                       for row in rows)
+            assert len(oracles.rref_by_gauss_jordan(params.field, rows)[0]) \
+                == len(rows) == k
+            with pytest.raises(ValueError, match="linearly dependent"):
+                Code(params, basis=rows + rows[:1])

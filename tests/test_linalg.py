@@ -14,7 +14,8 @@ from sumrank.guards import MAX_Q, GuardError
 from sumrank.linalg import (Subspace, _rank_rows, _rref, enumerate_subspaces,
                             mat_mul, sample_full_rank, sample_subspace)
 
-from oracles import contains, is_prime_power, vec_add, vec_scale, vectors
+from oracles import (contains, is_prime_power, rref_by_gauss_jordan,
+                     sample_subspace_in_two_steps, vec_add, vec_scale, vectors)
 
 F2 = field_from_order(2)
 F3 = field_from_order(3)
@@ -279,3 +280,68 @@ def test_subspace_json_round_trip():
     blob = s.to_json()
     rebuilt = Subspace.span(F3, blob["ambient"], blob["basis"])
     assert rebuilt == s
+
+
+SUBSPACE_QS = [2, 3, 4, 5, 7, 8, 9, 16]
+
+
+@pytest.mark.parametrize("q", SUBSPACE_QS)
+def test_rref_is_gauss_jordan_on_every_small_matrix(q):
+    field = field_from_order(q)
+    for k in range(1, 11):
+        for n in range(1, 11):
+            if q ** (k * n) > 2 ** 10:
+                continue
+            for entries in product(range(q), repeat=k * n):
+                rows = [entries[i * n:(i + 1) * n] for i in range(k)]
+                assert _rref(field, rows) == rref_by_gauss_jordan(field, rows)
+
+
+@pytest.mark.parametrize("q", SUBSPACE_QS + [27, 127, 256, 1021])
+def test_rref_is_gauss_jordan_on_seeded_matrices(q):
+    # Half the matrices get a row that is a combination of the others, so
+    # rank-deficient ones come up at every q.
+    field = field_from_order(q)
+    rng = random.Random(q)
+    for _ in range(300):
+        k, n = rng.randint(1, 8), rng.randint(1, 8)
+        rows = [tuple(rng.randrange(q) for _ in range(n)) for _ in range(k)]
+        if k > 1 and rng.random() < 0.5:
+            combo = (0,) * n
+            for row in rows[1:]:
+                combo = vec_add(field, combo,
+                                vec_scale(field, rng.randrange(q), row))
+            rows[0] = combo
+            rng.shuffle(rows)
+        assert _rref(field, rows) == rref_by_gauss_jordan(field, rows)
+
+
+# (ambient, k): a single row, the whole space (the square q = 2 shape
+# rejects most often), a middle shape and the 4 x 8 shape of the benchmark
+SUBSPACE_SHAPES = [(6, 1), (4, 4), (5, 3), (8, 4), (3, 3)]
+
+
+@pytest.mark.parametrize("q", SUBSPACE_QS)
+def test_sample_subspace_is_the_two_step_draw(q):
+    field = field_from_order(q)
+    for ambient, k in SUBSPACE_SHAPES:
+        for seed in range(300):
+            ours, ref = random.Random(seed), random.Random(seed)
+            assert sample_subspace(field, ambient, k, ours) == \
+                sample_subspace_in_two_steps(field, ambient, k, ref)
+            assert ours.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
+def test_intersection_is_the_gauss_jordan_zassenhaus_meet(q):
+    field = field_from_order(q)
+    rng = random.Random(q)
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        a, b = (sample_subspace(field, n, rng.randint(0, n), rng)
+                for _ in range(2))
+        stacked = [row + row for row in a.basis]
+        stacked += [row + (0,) * n for row in b.basis]
+        meet = [row[n:] for row in rref_by_gauss_jordan(field, stacked)[0]
+                if not any(row[:n])]
+        assert a.intersect(b).basis == tuple(meet)

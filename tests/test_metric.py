@@ -325,6 +325,17 @@ def test_weight_histogram_is_the_walk_over_every_point():
         assert weight_histogram(params) == product_histogram(params)
 
 
+def test_weight_histogram_extends_the_histogram_one_block_shorter():
+    # the ell sweep of verify volumes: one convolution per ell
+    for q, m, eta in [(2, 1, 1), (2, 2, 3), (3, 2, 2), (4, 1, 2), (5, 1, 1)]:
+        hist = None
+        for ell in range(1, 7):
+            params = params_for(q, m, eta, ell)
+            hist = weight_histogram(params, hist)
+            assert hist == weight_histogram(params) == [
+                sphere_volume(params, r) for r in range(params.max_weight + 1)]
+
+
 def test_weight_histogram_matches_volumes():
     params = params_for(2, 2, 3, 2)
     hist = weight_histogram(params)

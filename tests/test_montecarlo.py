@@ -1,5 +1,6 @@
 """Seeded stream derivation, Wilson intervals, chi-squared uniformity."""
 
+import hashlib
 import math
 import random
 
@@ -42,6 +43,34 @@ def test_drawing_from_parent_does_not_shift_children():
     p1.random()
     p2 = RandomStream(9, "t")
     assert p1.child(0).random() == p2.child(0).random()
+
+
+def keyed_random(*key):
+    """random.Random seeded by the sha256 of the key parts' reprs joined
+    with "/", read as a big-endian int."""
+    text = "/".join(map(repr, key))
+    digest = hashlib.sha256(text.encode("utf-8")).digest()
+    return random.Random(int.from_bytes(digest, "big"))
+
+
+@pytest.mark.parametrize("key", [(), (1729,), ("",), (7, "a", 2),
+                                 ("alpha", -3, "b/c")])
+def test_stream_state_is_the_sha256_of_its_key_text(key):
+    stream = RandomStream(*key)
+    assert stream.getstate() == keyed_random(*key).getstate()
+    for indices in [(), (0,), (5, "x"), ("",)]:
+        child = stream.child(*indices)
+        assert child.key == key + indices
+        assert child.getstate() == keyed_random(*key, *indices).getstate()
+        assert child.child(3).getstate() == \
+            keyed_random(*key, *indices, 3).getstate()
+
+
+def test_stream_key_parts_must_be_int_or_str():
+    with pytest.raises(TypeError):
+        RandomStream(1.0)
+    with pytest.raises(TypeError):
+        RandomStream(1, "a").child(2.0)
 
 
 def test_default_master_seed_is_fixed():
