@@ -108,8 +108,8 @@ class Code:
     def to_json(self):
         params = self.params
         if self.is_linear:
-            return {"kind": "linear", "basis": [
-                BlockTuple(params, row).to_json() for row in self.basis]}
+            return {"kind": "linear", "basis": [  # rows checked on entry
+                BlockTuple._built(params, row).to_json() for row in self.basis]}
         return {"kind": "general", "codewords": [
             metric.tuple_from_code(params, w).to_json() for w in self.words]}
 

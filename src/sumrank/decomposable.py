@@ -6,7 +6,14 @@ sums factor blockwise, so dimensions of intersections and sums are sums of
 the per-block ones.  Uniform sampling is two-stage: first the dimension
 composition, weighted by the product of Grassmannian sizes, then each factor
 uniform from its Grassmannian independently.
+
+The dimension estimator reads only dim(X meet Y), so it keeps each factor
+as the forward pass of its draw and counts each block's meet by Grassmann's
+identity, dim(A meet B) = dim A + dim B - rank [A; B]: no basis of a factor
+or of a meet is built, and the generator words are those the sampler takes.
 """
+
+import functools
 
 from . import counting, linalg
 from .montecarlo import EstimateResult
@@ -80,11 +87,19 @@ def sample_decomposable_uniform(field, eta, ell, w, rng):
     to the product of Grassmannian sizes (exact integer inverse CDF); stage
     two draws each factor uniformly and independently.
     """
+    return DecomposableSubspace(tuple(
+        linalg.Subspace(field, eta, linalg._back_substitute(field, rows, eta))
+        for rows in _sample_echelons(field, eta, ell, w, rng)))
+
+
+def _sample_echelons(field, eta, ell, w, rng):
+    """The draw of sample_decomposable_uniform, factor by factor as the
+    _echelon rows of linalg._sample_echelon: the composition first, then
+    each block's draw."""
     q = field.q
     u = rng.randrange(counting.decomposable_count(eta, ell, w, q))
     comp = counting.unrank_block_sum(counting.grassmannian_vector(eta, q), ell, w, u)
-    return DecomposableSubspace(
-        tuple(linalg.sample_subspace(field, eta, k, rng) for k in comp))
+    return [linalg._sample_echelon(field, eta, k, rng) for k in comp]
 
 
 def _event_threshold(w_x, min_fraction, exact_dim):
@@ -105,15 +120,18 @@ def intersection_dimension_estimate(field, eta, ell, w_x, w_y, trials, stream,
     The event is either dim >= min_fraction * w_x or dim == exact_dim.
     Returns an EstimateResult whose mean_value is the empirical mean
     intersection dimension.  Trial i uses stream.child(i), so the estimate
-    is independent of scheduling.
+    is independent of scheduling.  X and Y take the words that
+    sample_decomposable_uniform would; dim(X meet Y) is summed block by
+    block from their forward passes by linalg.meet_dimension.
     """
     event = _event_threshold(w_x, min_fraction, exact_dim)
+    meet = functools.partial(linalg.meet_dimension, field, eta)
     successes = dim_total = 0
     for i in range(trials):
         rng = stream.child(i)
-        x = sample_decomposable_uniform(field, eta, ell, w_x, rng)
-        y = sample_decomposable_uniform(field, eta, ell, w_y, rng)
-        d = x.intersect(y).total_dim
+        x = _sample_echelons(field, eta, ell, w_x, rng)
+        y = _sample_echelons(field, eta, ell, w_y, rng)
+        d = sum(map(meet, x, y))
         dim_total += d
         if event(d):
             successes += 1

@@ -76,10 +76,12 @@ class FieldSpec:
     first monic irreducible of degree e (descending coefficients).  Each
     call builds fresh tables; :func:`field_from_order` builds each order
     once per process.  Instances are immutable in intent and compare equal
-    when (p, e, modulus) agree.
+    when (p, e, modulus) agree; the hash of that triple is taken once, as
+    the cache keys of the callers hash the field on every lookup.
     """
 
-    __slots__ = ("p", "e", "q", "modulus", "_add", "_mul", "_neg", "_inv")
+    __slots__ = ("p", "e", "q", "modulus", "_hash",
+                 "_add", "_mul", "_neg", "_inv")
 
     def __init__(self, q):
         if q < 2:
@@ -103,6 +105,7 @@ class FieldSpec:
         self.e = e
         self.q = q
         self.modulus = _first_irreducible(p, e)
+        self._hash = hash((p, e, self.modulus))
         self._build_tables()
 
     def _build_tables(self):
@@ -192,11 +195,12 @@ class FieldSpec:
     # -- identity ----------------------------------------------------------
 
     def __eq__(self, other):
-        return (isinstance(other, FieldSpec)
-                and (self.p, self.e, self.modulus) == (other.p, other.e, other.modulus))
+        return self is other or (
+            isinstance(other, FieldSpec)
+            and (self.p, self.e, self.modulus) == (other.p, other.e, other.modulus))
 
     def __hash__(self):
-        return hash((self.p, self.e, self.modulus))
+        return self._hash
 
     def __repr__(self):
         return f"FieldSpec(q={self.q}, p={self.p}, e={self.e})"

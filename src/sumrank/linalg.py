@@ -13,10 +13,13 @@ rank, and a back substitution that takes its echelon rows on to the reduced
 row echelon form.  Over F_2 each row is packed into an int and reduced by
 XOR against the basis found so far, in both passes.  The samplers take their
 entries from one iterator over ``getrandbits`` words, which consumes exactly
-the words that one ``randrange(q)`` per entry would.  sample_subspace keeps
-the forward pass that ranked its accepted draw and back-substitutes it, so
-each draw is eliminated once and a rejected one costs the forward pass
-alone.
+the words that one ``randrange(q)`` per entry would.  The subspace draw
+(_sample_echelon) keeps the forward pass that ranked its accepted draw:
+sample_subspace back-substitutes it, so each draw is eliminated once and a
+rejected one costs the forward pass alone, and the decomposable dimension
+estimator reads it as it is.  meet_dimension counts dim(A meet B) of two
+forward passes by Grassmann's identity, dim A + dim B - rank [A; B], with
+one more forward pass and no basis of the meet.
 """
 
 import functools
@@ -283,19 +286,49 @@ def require_subspace_within(ambient, k):
         guards.require_draw_within(k * ambient, 2 * k * k * ambient)
 
 
-def sample_subspace(field, ambient, k, rng):
-    """A uniformly random k-dimensional subspace of F_q^ambient: the RREF
-    of the draw that sample_full_rank(field, k, ambient, rng) returns, from
-    the same generator words.  The forward elimination that ranks each draw
-    is kept, so only the accepted draw is back-substituted."""
+def _sample_echelon(field, ambient, k, rng):
+    """The _echelon rows, k of width ambient, of the draw that
+    sample_full_rank(field, k, ambient, rng) returns, from the same
+    generator words: the forward pass that ranks each draw is kept."""
     if not 0 <= k <= ambient:
         raise ValueError(f"k = {k} outside [0, {ambient}]")
     if k == 0:
-        return Subspace.zero(field, ambient)
+        return []
     draws = uniform_draws(field.q, rng)
     while True:
         echelon = _echelon(field, [tuple(islice(draws, ambient))
                                    for _ in range(k)])
         if len(echelon) == k:
-            return Subspace(field, ambient,
-                            _back_substitute(field, echelon, ambient))
+            return echelon
+
+
+def sample_subspace(field, ambient, k, rng):
+    """A uniformly random k-dimensional subspace of F_q^ambient: the RREF
+    of the draw that sample_full_rank(field, k, ambient, rng) returns, from
+    the same generator words, back-substituted from its forward pass."""
+    return Subspace(field, ambient, _back_substitute(
+        field, _sample_echelon(field, ambient, k, rng), ambient))
+
+
+def meet_dimension(field, ambient, a, b):
+    """dim(A meet B) for the row spaces A, B of two _echelon results of
+    width ambient, as dim A + dim B - rank [A; B].
+
+    Over F_2 the packed basis of a is continued with the rows of b, which
+    keeps _echelon's order of leads, so a row of b that ends nonzero is new.
+    """
+    if not a or not b:
+        return 0
+    if len(a) == ambient:
+        return len(b)
+    if len(b) == ambient:
+        return len(a)
+    if field.q != 2:
+        return len(a) + len(b) - len(_echelon(field, a + b))
+    basis = list(a)
+    for v in b:
+        for u in basis:
+            v = min(v, v ^ u)
+        if v:
+            basis.append(v)
+    return len(a) + len(b) - len(basis)

@@ -64,7 +64,7 @@ class BlockTuple:
         return self._weight
 
     def add(self, other):
-        if self.params != other.params:
+        if self.params is not other.params and self.params != other.params:
             raise ValueError("points live in different spaces")
         rows = map(self.params.field._add.__getitem__, self.entries)
         return BlockTuple._built(self.params, tuple(

@@ -18,10 +18,12 @@ from fractions import Fraction
 
 from sumrank import cli, counting, linalg, metric
 from sumrank.counting import SpaceParams, ball_volume
-from sumrank.decomposable import DecomposableSubspace, _event_threshold
+from sumrank.decomposable import (DecomposableSubspace, _event_threshold,
+                                  sample_decomposable_uniform)
 from sumrank.galois import field_from_order
 from sumrank.guards import MAX_SWEEP, require_power_within, require_within
 from sumrank.metric import BlockTuple, iter_ball, tuple_from_code
+from sumrank.montecarlo import EstimateResult
 
 # Hard cap on full-space enumeration, q^(m*eta*ell) points.
 MAX_ENUMERATION = 2 ** 16
@@ -227,6 +229,25 @@ def intersection_event_probability_exact(field, eta, ell, w_x, w_y,
             if event(x.intersect(y).total_dim):
                 hits += 1
     return Fraction(hits, len(xs) * len(ys))
+
+
+def intersection_dimension_estimate_by_meets(field, eta, ell, w_x, w_y,
+                                             trials, stream, min_fraction=None,
+                                             exact_dim=None):
+    """decomposable.intersection_dimension_estimate the object way: each
+    trial samples X and Y as DecomposableSubspaces and reads the total
+    dimension of their blockwise Zassenhaus meet."""
+    event = _event_threshold(w_x, min_fraction, exact_dim)
+    successes = dim_total = 0
+    for i in range(trials):
+        rng = stream.child(i)
+        x = sample_decomposable_uniform(field, eta, ell, w_x, rng)
+        y = sample_decomposable_uniform(field, eta, ell, w_y, rng)
+        d = x.intersect(y).total_dim
+        dim_total += d
+        if event(d):
+            successes += 1
+    return EstimateResult.from_counts(successes, trials, dim_total)
 
 
 def flatten(space):

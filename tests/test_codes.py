@@ -470,6 +470,18 @@ def test_code_json_shapes():
     assert len(blob["codewords"]) == general.size
 
 
+def test_linear_code_json_reads_its_checked_rows():
+    rng = random.Random(113)
+    for params in (P114, params_for(3, 2, 2, 2), params_for(4, 2, 2, 2)):
+        code = sample_linear_code(params, Fraction(1, 2), rng)
+        rows = [list(row) for row in code.basis]
+        blob = {"kind": "linear",
+                "basis": [BlockTuple(params, row).to_json() for row in rows]}
+        assert code.to_json() == Code(params, basis=rows).to_json() == blob
+        with pytest.raises(ValueError, match="outside field of order"):
+            Code(params, basis=rows[:-1] + [[params.q] * len(rows[-1])])
+
+
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_sampled_code_rows_are_independent_field_entries(q):
     params = params_for(q, 2, 2, 2)

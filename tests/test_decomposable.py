@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from sumrank import linalg
 from sumrank.counting import decomposable_bounds_logq, decomposable_count
 from sumrank.decomposable import (DecomposableSubspace,
                                   intersection_dimension_estimate,
@@ -16,6 +17,7 @@ from sumrank.montecarlo import RandomStream
 
 from oracles import (chi_squared_uniform_pvalue, contains,
                      enumerate_decomposable, flatten,
+                     intersection_dimension_estimate_by_meets,
                      intersection_event_probability_exact)
 
 F2 = field_from_order(2)
@@ -167,3 +169,55 @@ def test_min_fraction_threshold_is_ceiling():
         F2, 3, 1, 3, 3, exact_dim=3)
     # with w_x = w_y = 3 = eta the spaces coincide: dim is always 3
     assert exact_half == exact_two == 1
+
+
+class RecordingStream(RandomStream):
+    """A stream that keeps every trial stream it hands out."""
+
+    def __init__(self, *key):
+        super().__init__(*key)
+        self.children = []
+
+    def child(self, *indices):
+        stream = super().child(*indices)
+        self.children.append(stream)
+        return stream
+
+
+def recorded(q, key, estimate, *args, **event):
+    stream = RecordingStream(q, key)
+    result = estimate(field_from_order(q), *args, stream, **event)
+    return result, [child.getstate() for child in stream.children]
+
+
+# (eta, ell, w_x, w_y): an empty X, a Y that is the whole space, and shapes
+# of the benchmark, whose blocks meet in every dimension
+ESTIMATOR_SHAPES = [(3, 4, 6, 6), (2, 3, 0, 4), (2, 3, 3, 6), (4, 2, 5, 3),
+                    (1, 5, 2, 3), (3, 2, 6, 6)]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8])
+def test_estimator_is_the_meet_by_meet_loop(q):
+    for eta, ell, w_x, w_y in ESTIMATOR_SHAPES:
+        for event in ({"min_fraction": Fraction(1, 2)},
+                      {"exact_dim": min(w_x, w_y) // 2}):
+            args = (eta, ell, w_x, w_y, 40)
+            ours = recorded(q, "dec-rank", intersection_dimension_estimate,
+                            *args, **event)
+            ref = recorded(q, "dec-rank",
+                           intersection_dimension_estimate_by_meets,
+                           *args, **event)
+            assert ours == ref
+
+
+def test_estimator_builds_no_basis(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the estimator built a basis")
+
+    monkeypatch.setattr(linalg, "_back_substitute", refuse)
+    monkeypatch.setattr(linalg.Subspace, "intersect", refuse)
+    for q in (2, 3):
+        est = intersection_dimension_estimate(
+            field_from_order(q), 3, 4, 6, 6, 20, RandomStream(q, "no-basis"),
+            min_fraction=Fraction(1, 2))
+        assert est.trials == 20

@@ -242,6 +242,15 @@ def test_eq_hash_and_json_round_trip():
     assert field_from_order(4) != field_from_order(9)
 
 
+@pytest.mark.parametrize("q", [2, 16, 27, 127])
+def test_a_fresh_field_equals_the_cached_one(q):
+    f, g = field_from_order(q), FieldSpec(q)
+    assert f is not g and f == g and hash(f) == hash(g) == hash(FieldSpec(q))
+    assert f == f and not f != g
+    assert all(f != field_from_order(r) and g != FieldSpec(r)
+               for r in (2, 16, 27, 127) if r != q)
+
+
 def test_check_rejects_out_of_range():
     f = field_from_order(4)
     for bad in (-1, 4, 100):

@@ -11,8 +11,10 @@ from sumrank import linalg
 from sumrank.counting import gaussian_binomial
 from sumrank.galois import field_from_order
 from sumrank.guards import MAX_Q, GuardError
-from sumrank.linalg import (Subspace, _rank_rows, _rref, enumerate_subspaces,
-                            mat_mul, sample_full_rank, sample_subspace)
+from sumrank.linalg import (Subspace, _back_substitute, _echelon, _rank_rows,
+                            _rref, _sample_echelon, enumerate_subspaces,
+                            mat_mul, meet_dimension, sample_full_rank,
+                            sample_subspace)
 
 from oracles import (contains, is_prime_power, rref_by_gauss_jordan,
                      sample_subspace_in_two_steps, vec_add, vec_scale, vectors)
@@ -345,3 +347,45 @@ def test_intersection_is_the_gauss_jordan_zassenhaus_meet(q):
         meet = [row[n:] for row in rref_by_gauss_jordan(field, stacked)[0]
                 if not any(row[:n])]
         assert a.intersect(b).basis == tuple(meet)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_meet_dimension_on_every_small_pair(q):
+    field = field_from_order(q)
+    for n in range(1, 4):
+        spaces = [s for k in range(n + 1)
+                  for s in enumerate_subspaces(field, n, k)]
+        forward = [_echelon(field, s.basis) for s in spaces]
+        for a, ea in zip(spaces, forward):
+            for b, eb in zip(spaces, forward):
+                assert meet_dimension(field, n, ea, eb) == a.intersect(b).dim
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 27, 127])
+def test_meet_dimension_on_seeded_draws(q):
+    # The forward passes of real draws, not reduced, at every pair of
+    # dimensions from 0 to the whole space.
+    field = field_from_order(q)
+    rng = random.Random(q)
+    for n in range(1, 6):
+        for ka, kb in product(range(n + 1), repeat=2):
+            for _ in range(3):
+                ea = _sample_echelon(field, n, ka, rng)
+                eb = _sample_echelon(field, n, kb, rng)
+                a, b = (Subspace(field, n, _back_substitute(field, e, n))
+                        for e in (ea, eb))
+                assert meet_dimension(field, n, ea, eb) == a.intersect(b).dim
+
+
+@pytest.mark.parametrize("q", SUBSPACE_QS)
+def test_echelon_draw_is_the_full_rank_draw_eliminated(q):
+    field = field_from_order(q)
+    for ambient, k in SUBSPACE_SHAPES + [(5, 0)]:
+        for seed in range(100):
+            ours, ref, sub = (random.Random(seed) for _ in range(3))
+            echelon = _sample_echelon(field, ambient, k, ours)
+            assert echelon == _echelon(
+                field, sample_full_rank(field, k, ambient, ref))
+            assert sample_subspace(field, ambient, k, sub) == Subspace(
+                field, ambient, _back_substitute(field, echelon, ambient))
+            assert ours.getstate() == ref.getstate() == sub.getstate()
