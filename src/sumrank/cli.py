@@ -650,8 +650,8 @@ _TARGETS = {"volume": {None: (
                     ("q", "m", "eta", "r"), (), ("count", "seed"), _field_of,
                     lambda field, args: metric.require_rank_matrix_within(
                         args.m, args.eta, args.r),
-                    _draws(lambda field, args, rng: metric.matrix_code(
-                        field.q, metric.sample_uniform_matrix_of_rank(
+                    _draws(lambda field, args, rng: metric.vector_code(
+                        field.q, metric.sample_entries_of_rank(
                             field, args.m, args.eta, args.r, rng)))),
     "subspace": ("uniform --dim-dimensional subspaces of F_q^ambient",
                  ("q", "ambient", "dim"), (), ("count", "seed"), _field_of,

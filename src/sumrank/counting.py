@@ -395,20 +395,25 @@ def completion_powers(base, ell, deg):
     return tuple(_miller(base, j, deg) for j in reversed(range(ell)))
 
 
-def unrank_block_sum(base, ell, total, u):
+def unrank_block_sum(base, ell, total, u, tails=None):
     """The composition of total into ell parts at offset u, where the
     compositions are taken in lexicographic order and each one covers
     prod_i base[k_i] consecutive offsets.
 
     Offsets run over [0, block_sum_power(base, ell, total)[total]); anything
-    else raises ValueError.  The powers are read to degree total.
+    else raises ValueError.  The powers read are completion_powers(base,
+    ell, total), or tails when given: completion_powers(base, ell, deg) for
+    a deg >= total, which agrees on every coefficient a composition of
+    total reads, so a sampler of every total up to deg keeps one tails.
     """
     if u < 0 or total < 0:
         raise ValueError(f"offset {u} or total {total} is negative")
     top = len(base) - 1
     comp = []
     rest = total
-    for tail in completion_powers(base, ell, total):
+    if tails is None:
+        tails = completion_powers(base, ell, total)
+    for tail in tails:
         for v in range(max(0, rest - len(tail) + 1), min(top, rest) + 1):
             mass = base[v] * tail[rest - v]
             if u < mass:

@@ -13,9 +13,14 @@ The ball sampler is exact.  It draws weight and per-block ranks by inverse
 CDF on exact integer counts, then draws each block of rank r as U V with
 uniform full-rank factors, rank 1 as an outer product; every rank-r matrix
 has the same number of such factorizations, so the result is exactly
-uniform on the ball.  Points the sampler and the point arithmetic build
-from the field tables skip the entry check, and a weight reads each block's
-rank from rank_table where the table is small.
+uniform on the ball.  A draw reads drawers built once per shape, at its
+first draw: per (params, radius) the ball volume, sphere sums and
+completion tails, and per (field, m, eta) one block drawer per rank, each
+giving the block's entries flat and row-major.  They take the generator
+words, and so give the points, of a draw that builds each block as a grid
+of rows.  Points the sampler and the point arithmetic build from the field
+tables skip the entry check, and a weight reads each block's rank from
+rank_table where the table is small.
 """
 
 import functools
@@ -175,10 +180,6 @@ def vector_from_code(q, length, code):
     for i in range(length - 1, -1, -1):
         code, out[i] = divmod(code, q)
     return tuple(out)
-
-
-def matrix_code(q, block):
-    return vector_code(q, [v for row in block for v in row])
 
 
 def tuple_code(x):
@@ -387,6 +388,15 @@ def iter_ball(params, r):
 
 # -- samplers --------------------------------------------------------------
 
+def _index(name, value):
+    """value as an int, or ValueError naming it: each drawer key is checked
+    before its cache is read, as lru_cache takes 2.0 and 2 as one key."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _nonzero_vector(draws, length):
     # sample_full_rank's rejection on a length x 1 or 1 x length draw: a
     # vector has rank 1 unless all its entries are zero
@@ -395,52 +405,70 @@ def _nonzero_vector(draws, length):
     return vector
 
 
+@functools.lru_cache(maxsize=None)
+def _block_drawers(field, m, eta):
+    """Entry r, for the r in [0, min(m, eta)] that callers admit, is
+    draw(rng): the m*eta entries, row-major, of a uniform m x eta matrix
+    of rank r.  Rank 0 is a zero tuple made per draw (a shared one would
+    keep up to MAX_ENTRIES entries alive per shape for the life of the
+    process), rank 1 the outer product u v, each row u_i v appended to one
+    list, and rank r >= 2 the product U V of uniform full-rank factors."""
+    size, mul, q = m * eta, field._mul, field.q
+
+    def rank_one(rng):
+        draws = uniform_draws(q, rng)
+        u = _nonzero_vector(draws, m)
+        v = _nonzero_vector(draws, eta)
+        entries = []
+        for x in u:
+            entries += map(mul[x].__getitem__, v)
+        return entries
+
+    def product(r):
+        def draw(rng):
+            left = linalg.sample_full_rank(field, m, r, rng)
+            right = linalg.sample_full_rank(field, r, eta, rng)
+            entries = []
+            for row in linalg.mat_mul(field, left, right):
+                entries += row
+            return entries
+        return draw
+
+    return (lambda rng: (0,) * size), rank_one, *map(
+        product, range(2, min(m, eta) + 1))
+
+
 def require_rank_matrix_within(m, eta, r):
-    """Price one sample_uniform_matrix_of_rank draw: U (m x r) and V
-    (r x eta), each drawn and eliminated, and their product built.  An r
-    outside [0, min(m, eta)] is left to the sampler's ValueError."""
+    """Price one rank-r block draw: U (m x r) and V (r x eta), each drawn
+    and eliminated, and their product built.  An r outside
+    [0, min(m, eta)] is left to the sampler's ValueError."""
     if 0 <= r <= min(m, eta):
         entries = (m + eta) * r + m * eta
         guards.require_draw_within(entries, r * entries)
 
 
-def sample_uniform_matrix_of_rank(field, m, eta, r, rng):
-    """A uniform m x eta matrix of rank exactly r, as a grid of rows.
+def sample_entries_of_rank(field, m, eta, r, rng):
+    """The m*eta entries, row-major, of a uniform m x eta matrix of rank
+    exactly r.
 
-    Factors as U V with U uniform full-rank m x r and V uniform full-rank
-    r x eta; each rank-r matrix has exactly |GL_r| such factorizations, so
-    the product is uniform.  Rank 1 is the outer product of a nonzero
-    column u and a nonzero row v, drawn with the generator words, and
-    redrawn at the all-zero vectors, that sample_full_rank takes for U and
-    V; row i is u_i v, which is row i of U V.
+    Rank r >= 2 is U V with U uniform full-rank m x r and V uniform
+    full-rank r x eta; each rank-r matrix has exactly |GL_r| such
+    factorizations, so the product is uniform.  Rank 1 is the outer product
+    of a nonzero column u and a nonzero row v, drawn with the generator
+    words, and redrawn at the all-zero vectors, that sample_full_rank takes
+    for U and V; row i is u_i v, which is row i of U V.
     """
+    m, eta, r = _index("m", m), _index("eta", eta), _index("rank r", r)
     if not 0 <= r <= min(m, eta):
         raise ValueError(f"rank r = {r} outside [0, {min(m, eta)}]")
-    if r == 0:
-        return tuple((0,) * eta for _ in range(m))
-    if r == 1:
-        draws = uniform_draws(field.q, rng)
-        u = _nonzero_vector(draws, m)
-        v = _nonzero_vector(draws, eta)
-        return tuple(tuple(map(field._mul[x].__getitem__, v)) for x in u)
-    left = linalg.sample_full_rank(field, m, r, rng)
-    right = linalg.sample_full_rank(field, r, eta, rng)
-    return tuple(linalg.mat_mul(field, left, right))
+    return _block_drawers(field, m, eta)[r](rng)
 
 
-def _ball_composition(params, radius, u):
-    # Per-block ranks of the point at offset u of the ball, with points
-    # ordered by weight and then by rank composition in lexicographic order.
-    # Every read goes to the radius, so the guard does not depend on the
-    # weight drawn.
-    base = counting.rank_count_vector(params.m, params.eta, params.q)
-    spheres = counting.block_sum_power(base, params.ell, radius)
-    counting.completion_powers(base, params.ell, radius)
-    weight = 0
-    while u >= spheres[weight]:
-        u -= spheres[weight]
-        weight += 1
-    return counting.unrank_block_sum(base, params.ell, weight, u)
+def sample_uniform_matrix_of_rank(field, m, eta, r, rng):
+    """A uniform m x eta matrix of rank exactly r, as a grid of rows: the
+    entries sample_entries_of_rank draws, cut into rows."""
+    entries = sample_entries_of_rank(field, m, eta, r, rng)
+    return tuple(tuple(entries[i * eta:(i + 1) * eta]) for i in range(m))
 
 
 def require_ball_draw_within(params, radius):
@@ -452,14 +480,40 @@ def require_ball_draw_within(params, radius):
         params.total_dim + (params.m + params.eta) * radius, 0)
 
 
-def sample_ball_uniform(params, radius, rng):
-    """A point uniform on the ball of the given radius around zero."""
+@functools.lru_cache(maxsize=None)
+def _ball_drawer(params, radius):
+    """draw(rng), a point uniform on the ball of the radius around zero.
+
+    Built at the first draw: the ball volume, the sphere sums and the
+    completion tails to degree radius, each read from counting in the order
+    that prices them.  A draw takes one offset below the volume; the
+    spheres pick its weight, unrank_block_sum its per-block ranks, with
+    points ordered by weight and then by rank composition in lexicographic
+    order, and each block is drawn at its rank.
+    """
     params.check_radius(radius)
-    comp = _ball_composition(
-        params, radius, rng.randrange(ball_volume(params, radius)))
-    field, m, eta = params.field, params.m, params.eta
-    entries = []
-    for part in comp:
-        for row in sample_uniform_matrix_of_rank(field, m, eta, part, rng):
-            entries += row
-    return BlockTuple._built(params, tuple(entries))
+    volume = ball_volume(params, radius)
+    base = counting.rank_count_vector(params.m, params.eta, params.q)
+    ell = params.ell
+    spheres = counting.block_sum_power(base, ell, radius)
+    tails = counting.completion_powers(base, ell, radius)
+    blocks = _block_drawers(params.field, params.m, params.eta)
+
+    def draw(rng):
+        u = rng.randrange(volume)
+        weight = 0
+        while u >= spheres[weight]:
+            u -= spheres[weight]
+            weight += 1
+        entries = []
+        for part in counting.unrank_block_sum(base, ell, weight, u, tails):
+            entries += blocks[part](rng)
+        return BlockTuple._built(params, tuple(entries))
+    return draw
+
+
+def sample_ball_uniform(params, radius, rng):
+    """A point uniform on the ball of the given radius around zero, from
+    the drawer of (params, radius); a radius that is not an int raises
+    ValueError before any drawer is read."""
+    return _ball_drawer(params, _index("radius", radius))(rng)

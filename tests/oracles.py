@@ -23,7 +23,7 @@ from sumrank.decomposable import (DecomposableSubspace, _event_threshold,
 from sumrank.galois import field_from_order
 from sumrank.guards import MAX_SWEEP, require_power_within, require_within
 from sumrank.metric import BlockTuple, iter_ball, tuple_from_code
-from sumrank.montecarlo import EstimateResult
+from sumrank.montecarlo import EstimateResult, uniform_draws
 
 # Hard cap on full-space enumeration, q^(m*eta*ell) points.
 MAX_ENUMERATION = 2 ** 16
@@ -110,6 +110,61 @@ def sample_rank_matrix_by_factors(field, m, eta, r, rng):
     left = linalg.sample_full_rank(field, m, r, rng)
     right = linalg.sample_full_rank(field, r, eta, rng)
     return tuple(linalg.mat_mul(field, left, right))
+
+
+def matrix_code(q, block):
+    """The code of a matrix: its rows' entries in order, as vector_code."""
+    return metric.vector_code(q, [v for row in block for v in row])
+
+
+def _nonzero_vector(draws, length):
+    # a length x 1 or 1 x length full-rank draw: redrawn while all zero
+    while not any(vector := tuple(itertools.islice(draws, length))):
+        pass
+    return vector
+
+
+def sample_rank_matrix_by_rows(field, m, eta, r, rng):
+    """A uniform m x eta matrix of rank r as a grid, with the generator
+    words the package has always taken: the rows u_i v of an outer product
+    at rank 1, and sample_rank_matrix_by_factors at every other rank."""
+    if not 0 <= r <= min(m, eta):
+        raise ValueError(f"rank r = {r} outside [0, {min(m, eta)}]")
+    if r != 1:
+        return sample_rank_matrix_by_factors(field, m, eta, r, rng)
+    draws = uniform_draws(field.q, rng)
+    u = _nonzero_vector(draws, m)
+    v = _nonzero_vector(draws, eta)
+    return tuple(tuple(map(field._mul[x].__getitem__, v)) for x in u)
+
+
+def ball_composition(params, radius, u):
+    """Per-block ranks of the point at offset u of the ball, with points
+    ordered by weight and then by rank composition in lexicographic order,
+    the powers read afresh for each offset."""
+    base = counting.rank_count_vector(params.m, params.eta, params.q)
+    spheres = counting.block_sum_power(base, params.ell, radius)
+    counting.completion_powers(base, params.ell, radius)
+    weight = 0
+    while u >= spheres[weight]:
+        u -= spheres[weight]
+        weight += 1
+    return counting.unrank_block_sum(base, params.ell, weight, u)
+
+
+def sample_ball_by_blocks(params, radius, rng):
+    """A point uniform on the ball, with the generator words the package
+    has always taken: one offset below the volume for the composition, then
+    each block drawn as a grid by sample_rank_matrix_by_rows."""
+    params.check_radius(radius)
+    comp = ball_composition(params, radius,
+                            rng.randrange(ball_volume(params, radius)))
+    entries = []
+    for part in comp:
+        for row in sample_rank_matrix_by_rows(params.field, params.m,
+                                              params.eta, part, rng):
+            entries += row
+    return BlockTuple(params, entries)
 
 
 def block_rank_sum(x):

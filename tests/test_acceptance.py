@@ -30,7 +30,7 @@ from sumrank.montecarlo import DEFAULT_MASTER_SEED, RandomStream
 
 from oracles import (chi_squared_uniform_pvalue, enumerate_ball,
                      enumerate_decomposable, expected_ball_occupancy, flatten,
-                     intersection_event_probability_exact,
+                     intersection_event_probability_exact, matrix_code,
                      rank_table_by_elimination, sample_uniform_tuple,
                      sum_rank_distance)
 
@@ -168,7 +168,7 @@ def test_criterion_07_sampler_uniformity_chi_squared():
                 in enumerate(rank_table_by_elimination(F2, 2, 2)) if rank == 1]
     assert len(rank_one) == 9
     check("rank-matrix", rank_one,
-          lambda rng: metric.matrix_code(
+          lambda rng: matrix_code(
               2, metric.sample_uniform_matrix_of_rank(F2, 2, 2, 1, rng)))
 
     def decomposable_key(sub):

@@ -16,7 +16,7 @@ from sumrank import counting, decomposable, guards, linalg, metric
 from sumrank.galois import field_from_order
 from sumrank.guards import MAX_COUNT_WORK, GuardError
 
-from oracles import params_for
+from oracles import ball_composition, params_for
 
 
 # -- the flat tables, kept as oracles --------------------------------------
@@ -87,7 +87,7 @@ def test_ball_unranking_matches_flat_table(q, m, eta, ell, radius):
     cells, total = flat_ball_table(params, radius)
     assert total == counting.ball_volume(params, radius)
     for u in offsets(total, 20000, seed=q * 1000 + ell):
-        assert metric._ball_composition(params, radius, u) == \
+        assert ball_composition(params, radius, u) == \
             flat_lookup(cells, u), u
 
 
@@ -181,6 +181,20 @@ def count_vectors():
 
 # Bases whose constant term exceeds 1, or with zero entries inside.
 WIDE_CONSTANT_BASES = [(2,), (2, 3), (3, 0, 5), (5, 1, 1, 7), (4, 0, 0, 9)]
+
+
+@pytest.mark.parametrize("base", [counting.rank_count_vector(2, 3, 3),
+                                  counting.grassmannian_vector(3, 2),
+                                  *WIDE_CONSTANT_BASES], ids=str)
+def test_unrank_reads_deeper_tails_as_its_own(base):
+    # a sampler of every total up to deg unranks through the tails to deg
+    ell, deg = 4, 6
+    tails = counting.completion_powers(base, ell, deg)
+    power = counting.block_sum_power(base, ell, deg)
+    for total in range(min(deg, ell * (len(base) - 1)) + 1):
+        for u in offsets(power[total], 200, seed=total):
+            assert counting.unrank_block_sum(base, ell, total, u, tails) == \
+                counting.unrank_block_sum(base, ell, total, u), (total, u)
 
 
 @pytest.fixture

@@ -14,11 +14,11 @@ from sumrank.chains import (BoundReport, ChainInstance, best_shift_chain,
                             random_chain_instance)
 from sumrank.galois import field_from_order
 from sumrank.guards import MAX_RANDOM_DIGIT_STEPS, GuardError
-from sumrank.metric import matrix_code, vector_from_code
+from sumrank.metric import vector_from_code
 from sumrank.montecarlo import RandomStream
 
 from oracles import (chain_by_deepening, decode, encode,
-                     is_increasing_chain, support)
+                     is_increasing_chain, matrix_code, support)
 
 F2 = field_from_order(2)
 F3 = field_from_order(3)

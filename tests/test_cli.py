@@ -17,7 +17,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sumrank import cli, counting
+from sumrank import cli, counting, metric
 from sumrank.cli import CSV_HEADER, build_parser, emit, main, make_record
 from sumrank.counting import SpaceParams
 from sumrank.galois import field_from_order
@@ -978,6 +978,57 @@ def test_an_experiment_refuses_before_building_its_inputs(capsys, argv,
         result = run_cli(capsys, argv.split())
     assert time.perf_counter() - start < 1.0
     assert result == (status, "", message + "\n")
+
+
+def drawer_cache_sizes():
+    return (metric._ball_drawer.cache_info().currsize,
+            metric._block_drawers.cache_info().currsize)
+
+
+# Shapes no other test draws from, so a drawer built here would be new.
+@pytest.mark.parametrize("argv, status", [
+    pytest.param("sample ball --q 2 --m 1 --eta 1 --ell 2000000 --r 1", 3,
+                 id="ball-refused-in-its-draw"),
+    pytest.param("sample ball --q 2 --m 1 --eta 2097152 --ell 1 --r 1", 3,
+                 id="ball-refused-before-its-draw"),
+    pytest.param("sample rank-matrix --q 2 --m 1 --eta 2097152 --r 1", 3,
+                 id="rank-matrix-refused"),
+    pytest.param("sample rank-matrix --q 2 --m 1 --eta 2097152 --r 2", 2,
+                 id="rank-out-of-range"),
+    pytest.param("sample ball --q 11 --m 3 --eta 2 --ell 5 --r 4 "
+                 "--count 0", 0, id="ball-no-draws"),
+    pytest.param("sample rank-matrix --q 11 --m 3 --eta 4 --r 2 --count 0",
+                 0, id="rank-matrix-no-draws"),
+    pytest.param("experiment correlation --q 3 --m 100000 --eta 100 "
+                 "--ell 1 --rho 1/2 --center 0 --trials 0", 2,
+                 id="correlation-no-trials"),
+    pytest.param("experiment subset-event --q 11 --m 3 --eta 2 --ell 5 "
+                 "--rho 1/2 --vectors 2 --trials 0", 2,
+                 id="subset-event-no-trials"),
+])
+def test_a_refused_or_empty_run_builds_no_drawer(capsys, argv, status):
+    before = drawer_cache_sizes()
+    assert run_cli(capsys, argv.split())[0] == status
+    assert drawer_cache_sizes() == before
+
+
+def test_a_first_draw_builds_each_drawer_once(capsys):
+    argv = "sample ball --q 13 --m 3 --eta 2 --ell 5 --r 4 --count 3".split()
+    before = drawer_cache_sizes()
+    assert run_cli(capsys, argv)[0] == 0
+    assert drawer_cache_sizes() == (before[0] + 1, before[1] + 1)
+    assert run_cli(capsys, argv)[0] == 0
+    assert drawer_cache_sizes() == (before[0] + 1, before[1] + 1)
+
+
+def test_the_long_line_ball_draw_keeps_its_bytes(capsys):
+    # re-admitted when completion powers were priced in runs of tails
+    status, out, err = run_cli(capsys, [
+        "sample", "ball", "--q", "2", "--m", "1", "--eta", "1",
+        "--ell", "1024", "--r", "512", "--count", "1"])
+    assert (status, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "16c75a5edeea1d1899819c32c71bbf9c34d0a3be9da458c6460b122a16c94aad")
 
 
 @pytest.mark.parametrize("q", ["2", "3"])

@@ -7,7 +7,9 @@ import operator
 import random
 import re
 import time
+import tracemalloc
 from array import array
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -17,16 +19,17 @@ from sumrank.galois import field_from_order
 from sumrank.guards import GuardError, require_power_within, require_within
 from sumrank.linalg import _rank_rows
 from sumrank import metric
-from sumrank.metric import (BlockTuple, code_adder, iter_ball, matrix_code,
-                            rank_table, sample_ball_uniform,
+from sumrank.metric import (BlockTuple, code_adder, iter_ball, rank_table,
+                            sample_ball_uniform, sample_entries_of_rank,
                             sample_uniform_matrix_of_rank, tuple_code,
                             tuple_from_code, vector_code, vector_from_code,
                             weight_histogram)
 from sumrank.montecarlo import RandomStream
 
 from oracles import (block_rank_sum, decode, encode, enumerate_ball,
-                     params_for, rank_table_by_elimination,
-                     sample_rank_matrix_by_factors, sample_uniform_tuple,
+                     matrix_code, params_for, rank_table_by_elimination,
+                     sample_ball_by_blocks, sample_rank_matrix_by_factors,
+                     sample_rank_matrix_by_rows, sample_uniform_tuple,
                      sum_rank_distance, zero_tuple)
 
 F2 = field_from_order(2)
@@ -412,6 +415,79 @@ def test_rank_matrix_sampler_is_the_factor_product_draw_for_draw(q):
                         field, m, eta, r, theirs), (m, eta, r, seed)
                     assert all(type(row) is tuple for row in grid)
                 assert ours.getstate() == theirs.getstate(), (m, eta, r, seed)
+
+
+# m = 1, eta = 1, m < eta and m > eta
+DRAWER_SHAPES = [(1, 3), (3, 1), (2, 3), (3, 2)]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 127, 257])
+def test_the_drawers_take_the_same_words_as_the_block_loop(q):
+    # q = 257 is the first order whose table rows are array('H')
+    field = field_from_order(q)
+    for m, eta in DRAWER_SHAPES:
+        for r in range(min(m, eta) + 1):
+            flat, grids, theirs = (random.Random(f"{q}/{m}/{eta}/{r}")
+                                   for _ in range(3))
+            for _ in range(3):
+                want = sample_rank_matrix_by_rows(field, m, eta, r, theirs)
+                entries = sample_entries_of_rank(field, m, eta, r, flat)
+                assert tuple(entries) == sum(want, ()), (m, eta, r)
+                assert sample_uniform_matrix_of_rank(
+                    field, m, eta, r, grids) == want, (m, eta, r)
+                assert (flat.getstate() == grids.getstate()
+                        == theirs.getstate()), (m, eta, r)
+        for ell in (1, 3, 6):
+            params = params_for(q, m, eta, ell)
+            for radius in (0, 1, params.max_weight):
+                ours = random.Random(f"{q}/{m}/{eta}/{ell}/{radius}")
+                theirs = random.Random(f"{q}/{m}/{eta}/{ell}/{radius}")
+                for _ in range(3):
+                    point = sample_ball_uniform(params, radius, ours)
+                    assert point == sample_ball_by_blocks(
+                        params, radius, theirs), (m, eta, ell, radius)
+                    assert ours.getstate() == theirs.getstate()
+
+
+def test_a_drawer_keeps_no_drawn_block_alive():
+    # one shared zero block of 2^21 entries kept 17 MB alive after the op
+    tracemalloc.start()
+    try:
+        for _ in range(2):
+            sample_entries_of_rank(F2, 1, 2 ** 20, 0, random.Random(1))
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 2 ** 20
+
+
+@pytest.mark.parametrize("int_first", [False, True],
+                         ids=["float-first", "int-first"])
+def test_a_drawer_key_that_is_not_an_int_is_refused_in_either_order(
+        int_first):
+    # lru_cache takes 2.0 and 2 as one key: unchecked, a float drew a point
+    # once the int had built the drawer, and raised TypeError before
+    params = params_for(3, 2, 2, 2)
+    field = params.field
+    metric._ball_drawer.cache_clear()
+    metric._block_drawers.cache_clear()
+    draws = {
+        "radius": lambda x: sample_ball_uniform(params, x, random.Random(1)),
+        "m": lambda x: sample_uniform_matrix_of_rank(field, x, 2, 1,
+                                                     random.Random(1)),
+        "eta": lambda x: sample_uniform_matrix_of_rank(field, 2, x, 1,
+                                                       random.Random(1)),
+        "rank r": lambda x: sample_entries_of_rank(field, 2, 2, x,
+                                                   random.Random(1)),
+    }
+    for name, draw in draws.items():
+        if int_first:
+            draw(2)
+        for bad in (2.0, Fraction(2), "2"):
+            with pytest.raises(ValueError) as exc:
+                draw(bad)
+            assert str(exc.value) == f"{name} must be an integer, got {bad!r}"
+        draw(2)
 
 
 @pytest.mark.parametrize("q, m, eta", [(2, 2, 2), (3, 1, 3), (4, 2, 3),
