@@ -53,7 +53,12 @@ def _sig12(x):
     return float(f"{float(x):.12g}")
 
 
-_DIRECT_BITS = 4096  # below this, Decimal(n) is the faster conversion
+# Below _STR_BITS, str(n) converts under any limit that
+# sys.set_int_max_str_digits accepts (640 digits at least, and 2^2000 has
+# 603); it is the faster conversion at every width.  Decimal(n) ignores the
+# limit, so ints to _DIRECT_BITS are converted by it in one step.
+_STR_BITS = 2000
+_DIRECT_BITS = 4096
 
 
 def _digits(n):
@@ -64,7 +69,10 @@ def _digits(n):
     hi * 2^h + lo in decimal, whose multiply is subquadratic.
     """
     n = int(n)
-    if n.bit_length() <= _DIRECT_BITS:
+    bits = n.bit_length()
+    if bits < _STR_BITS:
+        return str(n)
+    if bits <= _DIRECT_BITS:
         return str(decimal.Decimal(n))
     with decimal.localcontext() as ctx:
         ctx.prec, ctx.Emax = decimal.MAX_PREC, decimal.MAX_EMAX
@@ -332,10 +340,10 @@ def _capacity_records(field, args, stream, cfg):
     records = []
     for trial, rho in enumerate(points):
         cfg = {"q": field.q, "b": str(b), "rho": str(rho)}
+        penalty = counting.capacity_penalty(rho, b)
         records += [make_record("capacity", name, value, cfg, trial=trial)
                     for name, value in (
-                        ("capacity", counting.list_decoding_capacity(rho, b)),
-                        ("penalty", counting.capacity_penalty(rho, b)),
+                        ("capacity", 1 - penalty), ("penalty", penalty),
                         ("entropy_capacity",
                          1 - counting.q_ary_entropy(rho, field.q)),
                         ("singleton", 1 - rho))]

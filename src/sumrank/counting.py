@@ -6,8 +6,10 @@ volume bounds involve the irrational constant prod_{i>=1}(1 - q^-i); those
 comparisons happen in the log-base-q domain with a declared margin, never in
 binary floating point on the raw counts.  Every log there is a natural log
 in integer fixed point with _FRAC fractional bits; a log_q value is a ratio
-of such integers (plus exact rationals), rounded to float once by an exact
-int/int true division.
+of such integers, each bound's exponent entering as an unreduced integer
+pair, rounded to float once by an int/int true division.  That division is
+rounded correctly from the exact rational, so a common factor of numerator
+and denominator leaves the float unchanged.
 """
 
 import functools
@@ -18,7 +20,7 @@ from fractions import Fraction
 
 from . import guards
 from .galois import FieldSpec
-from .guards import require_within
+from .guards import require_int, require_within
 
 # Fractional bits of every fixed-point natural log.
 _FRAC = 160
@@ -38,6 +40,13 @@ class SpaceParams:
 
     def __post_init__(self):
         _require_positive(m=self.m, eta=self.eta, ell=self.ell)
+        # Hashed once, as FieldSpec is: every shape-keyed cache lookup
+        # hashes the shape.  Not a field, so repr, eq and replace skip it.
+        object.__setattr__(self, "_hash",
+                           hash((self.field, self.m, self.eta, self.ell)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def q(self):
@@ -431,26 +440,50 @@ def unrank_block_sum(base, ell, total, u, tails=None):
 
 
 # -- sphere and ball volumes -----------------------------------------------
+#
+# sphere_volume, ball_volume and decomposable_count check each key with
+# require_int before their cache is read, as lru_cache takes 2.0 and 2 as one
+# key; each carries its cache's cache_info and cache_clear.
+
+
+def _front_of(cache):
+    def attach(front):
+        front.cache_info, front.cache_clear = (cache.cache_info,
+                                               cache.cache_clear)
+        return front
+    return attach
+
 
 @functools.lru_cache(maxsize=None)
-def sphere_volume(params, r):
-    """Exact number of tuples at sum-rank weight r around any fixed center."""
+def _sphere_volume(params, r):
     params.check_radius(r)
     base = rank_count_vector(params.m, params.eta, params.q)
     return block_sum_power(base, params.ell, r)[r]
 
 
+@_front_of(_sphere_volume)
+def sphere_volume(params, r):
+    """Exact number of tuples at sum-rank weight r around any fixed center."""
+    return _sphere_volume(params, require_int("radius", r))
+
+
 @functools.lru_cache(maxsize=None)
-def ball_volume(params, r):
-    """Exact number of tuples at sum-rank distance <= r from a fixed center."""
+def _ball_volume(params, r):
     params.check_radius(r)
     # Top sphere first, so the power is computed once to degree r.
-    return sum(sphere_volume(params, s) for s in range(r, -1, -1))
+    return sum(_sphere_volume(params, s) for s in range(r, -1, -1))
+
+
+@_front_of(_ball_volume)
+def ball_volume(params, r):
+    """Exact number of tuples at sum-rank distance <= r from a fixed center."""
+    return _ball_volume(params, require_int("radius", r))
 
 
 def _volume_exponent(params, r):
-    # (m + eta - r/ell) * r as an exact rational
-    return (Fraction(params.m + params.eta) - Fraction(r, params.ell)) * r
+    # (m + eta - r/ell) * r as the unreduced pair (numerator, denominator)
+    ell = params.ell
+    return ((params.m + params.eta) * ell - r) * r, ell
 
 
 def _volume_bounds_logq(params, r, parts):
@@ -461,8 +494,7 @@ def _volume_bounds_logq(params, r, parts):
     params.check_radius(r)
     q, ell = params.q, params.ell
     lnq, lnk = _ln(q), _logq_euler_product(q)
-    expo = _volume_exponent(params, r)
-    a, b = expo.numerator, expo.denominator
+    a, b = _volume_exponent(params, r)
     # ell log_q k + a/b - ell/4 and -ell log_q k + log_q C + a/b
     lower = (4 * b * ell * lnk + (4 * a - ell * b) * lnq) / (4 * b * lnq)
     ln_comp = _ln_comb(parts + r - 1, r)
@@ -500,18 +532,25 @@ def _check_decomposable(eta, ell, w):
 
 
 @functools.lru_cache(maxsize=None)
-def decomposable_count(eta, ell, w, q):
-    """Number of products of per-block subspaces with total dimension w."""
+def _decomposable_count(eta, ell, w, q):
     _check_decomposable(eta, ell, w)
     return block_sum_power(grassmannian_vector(eta, q), ell, w)[w]
+
+
+@_front_of(_decomposable_count)
+def decomposable_count(eta, ell, w, q):
+    """Number of products of per-block subspaces with total dimension w."""
+    return _decomposable_count(require_int("eta", eta),
+                               require_int("ell", ell), require_int("w", w),
+                               require_int("q", q))
 
 
 def decomposable_bounds_logq(eta, ell, w, q):
     """Two-sided bounds on the decomposable count, as log_q values."""
     _check_decomposable(eta, ell, w)
     lnq, lnk = _ln(q), _logq_euler_product(q)
-    expo = Fraction(eta * w) - Fraction(w * w, ell)
-    a, b = expo.numerator, expo.denominator
+    # eta w - w^2/ell as the unreduced pair (numerator, denominator)
+    a, b = (eta * ell - w) * w, ell
     # a/b and -ell log_q k + log_q C(w + ell - 1, ell - 1) + a/b
     ln_comp = _ln_comb(w + ell - 1, ell - 1)
     upper = (b * (ln_comp - ell * lnk) + a * lnq) / (b * lnq)
@@ -531,6 +570,8 @@ def decomposable_le_grassmannian(eta, ell, w, q):
 # -- capacity curves -------------------------------------------------------
 
 def _as_fraction(x):
+    if isinstance(x, Fraction):
+        return x
     if isinstance(x, float):
         return Fraction(str(x))
     return Fraction(x)
@@ -539,15 +580,18 @@ def _as_fraction(x):
 def capacity_penalty(rho, b):
     """Rate loss at relative radius rho for block aspect ratio b = eta/m.
 
-    Exact rational: rho + rho*b - rho^2*b.
+    Exact rational: rho + rho*b - rho^2*b, built as one Fraction of
+    integers, x (yv + yu - xu) / (y^2 v) for rho = x/y and b = u/v.
     """
     rho = _as_fraction(rho)
     b = _as_fraction(b)
-    if not 0 < rho < 1:
+    x, y = rho.numerator, rho.denominator
+    u, v = b.numerator, b.denominator
+    if not 0 < x < y:
         raise ValueError(f"rho = {rho} outside (0, 1)")
-    if not 0 < b <= 1:
+    if not 0 < u <= v:
         raise ValueError(f"b = {b} outside (0, 1]")
-    return rho + rho * b - rho * rho * b
+    return Fraction(x * (y * v + y * u - x * u), y * y * v)
 
 
 def list_decoding_capacity(rho, b):

@@ -3,10 +3,12 @@ enforce it.
 
 Brute-force paths refuse to run above fixed size limits instead of silently
 truncating.  Each cap is priced by plain arithmetic on the shape, before the
-work starts; violations raise :class:`GuardError`.
+work starts; violations raise :class:`GuardError`.  require_int checks a
+cache key before its cache is read.
 """
 
 import math
+import operator
 
 # Items one Python sweep walks: block matrices ranked, points of space or of
 # a ball, span combinations, codewords, shifts (metric, codes, chains), the
@@ -34,6 +36,15 @@ MAX_Q = 1024
 
 class GuardError(RuntimeError):
     """An enumeration was requested above its hard size limit."""
+
+
+def require_int(name, value):
+    """value as an int, or ValueError naming it: each cache key is checked
+    before its cache is read, as lru_cache takes 2.0 and 2 as one key."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def require_within(value, limit, what):

@@ -32,7 +32,7 @@ from .montecarlo import uniform_draws
 # sphere_volume is not called here: perfbench's tracer test checks that the
 # tracer also patches a copy imported into another module, this one.
 from .counting import ball_volume, sphere_volume  # noqa: F401
-from .guards import require_power_within, require_within
+from .guards import require_int, require_power_within, require_within
 
 
 class BlockTuple:
@@ -388,15 +388,6 @@ def iter_ball(params, r):
 
 # -- samplers --------------------------------------------------------------
 
-def _index(name, value):
-    """value as an int, or ValueError naming it: each drawer key is checked
-    before its cache is read, as lru_cache takes 2.0 and 2 as one key."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-
-
 def _nonzero_vector(draws, length):
     # sample_full_rank's rejection on a length x 1 or 1 x length draw: a
     # vector has rank 1 unless all its entries are zero
@@ -458,7 +449,8 @@ def sample_entries_of_rank(field, m, eta, r, rng):
     words, and redrawn at the all-zero vectors, that sample_full_rank takes
     for U and V; row i is u_i v, which is row i of U V.
     """
-    m, eta, r = _index("m", m), _index("eta", eta), _index("rank r", r)
+    m, eta, r = (require_int("m", m), require_int("eta", eta),
+                 require_int("rank r", r))
     if not 0 <= r <= min(m, eta):
         raise ValueError(f"rank r = {r} outside [0, {min(m, eta)}]")
     return _block_drawers(field, m, eta)[r](rng)
@@ -516,4 +508,4 @@ def sample_ball_uniform(params, radius, rng):
     """A point uniform on the ball of the given radius around zero, from
     the drawer of (params, radius); a radius that is not an int raises
     ValueError before any drawer is read."""
-    return _ball_drawer(params, _index("radius", radius))(rng)
+    return _ball_drawer(params, require_int("radius", radius))(rng)

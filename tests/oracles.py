@@ -447,3 +447,33 @@ def emit_csv_by_column(records):
             row.append("" if v is None else v)
         writer.writerow(row)
     return buf.getvalue()
+
+
+def volume_bounds_logq_by_fractions(params, r, parts):
+    """counting's two-sided volume bounds with the exponent (m + eta - r/ell) r
+    reduced by Fraction arithmetic.  The package keeps it as an unreduced
+    integer pair; both are one exact rational, so both round to one float."""
+    q, ell = params.q, params.ell
+    lnq, lnk = counting._ln(q), counting._logq_euler_product(q)
+    expo = (Fraction(params.m + params.eta) - Fraction(r, ell)) * r
+    a, b = expo.numerator, expo.denominator
+    lower = (4 * b * ell * lnk + (4 * a - ell * b) * lnq) / (4 * b * lnq)
+    ln_comp = counting._ln_comb(parts + r - 1, r)
+    upper = (b * (ln_comp - ell * lnk) + a * lnq) / (b * lnq)
+    return lower, upper
+
+
+def decomposable_bounds_logq_by_fractions(eta, ell, w, q):
+    """counting's decomposable bounds with the exponent eta w - w^2/ell
+    reduced by Fraction arithmetic."""
+    lnq, lnk = counting._ln(q), counting._logq_euler_product(q)
+    expo = Fraction(eta * w) - Fraction(w * w, ell)
+    a, b = expo.numerator, expo.denominator
+    ln_comp = counting._ln_comb(w + ell - 1, ell - 1)
+    upper = (b * (ln_comp - ell * lnk) + a * lnq) / (b * lnq)
+    return a / b, upper
+
+
+def capacity_penalty_by_fractions(rho, b):
+    """The capacity penalty rho + rho b - rho^2 b by Fraction arithmetic."""
+    return rho + rho * b - rho * rho * b

@@ -1273,16 +1273,24 @@ def test_make_record_converts_a_count_to_decimal_once(monkeypatch):
     assert rec["exact"] == f"3/{digits(2 ** 20000)}"
 
 
-@pytest.mark.parametrize("bits", [0, 1, 64, 4095, 4096, 4097, 8192, 8193,
-                                  20000, 70001])
+# 2^2127 - 1 is the narrowest int with more than 640 digits.
+@pytest.mark.parametrize("bits", [0, 1, 64, 1998, 1999, 2000, 2001, 2127,
+                                  4095, 4096, 4097, 8192, 8193, 20000, 70001])
 def test_digits_match_str_on_both_sides_of_the_split(bits):
+    # str(n) below 2,000 bits, Decimal to 4,096 and the split past it, with
+    # no int-to-str limit and with 640, the lowest one the interpreter
+    # accepts; negatives, and a bool as its int
     rng = random.Random(bits)
+    values = [sign * n for n in (rng.getrandbits(bits), 1 << bits,
+                                 (1 << bits) - 1) for sign in (1, -1)]
+    values.append(bits % 2 == 1)
     limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)  # str() itself past 4,300 digits
     try:
-        for n in (rng.getrandbits(bits), 1 << bits, (1 << bits) - 1):
-            assert cli._digits(n) == str(n)
-            assert cli._digits(-n) == str(-n)
+        sys.set_int_max_str_digits(0)  # str() itself past 4,300 digits
+        expected = [str(int(n)) for n in values]
+        for digits_limit in (0, 640):
+            sys.set_int_max_str_digits(digits_limit)
+            assert [cli._digits(n) for n in values] == expected
     finally:
         sys.set_int_max_str_digits(limit)
 

@@ -4,8 +4,10 @@ Frozen values were computed by hand or by the brute-force enumerations in
 this file; the closed forms must reproduce them exactly.
 """
 
+import dataclasses
 import inspect
 import math
+import pickle
 import random
 from fractions import Fraction
 from itertools import product
@@ -26,7 +28,9 @@ from sumrank.galois import field_from_order
 from sumrank.guards import MAX_Q
 from sumrank.linalg import _rank_rows
 
-from oracles import is_prime_power, params_for
+from oracles import (capacity_penalty_by_fractions,
+                     decomposable_bounds_logq_by_fractions, is_prime_power,
+                     params_for, volume_bounds_logq_by_fractions)
 
 
 # -- Gaussian binomials ----------------------------------------------------
@@ -127,6 +131,18 @@ def test_row_matches_the_quotient_oracle():
                     for k in range(eta + 1))
 
 
+def _mutant(function, line, mutant, *callers):
+    """function with line replaced by mutant, and each caller rebuilt to
+    call it, in a copy of counting's namespace; returns the last one."""
+    namespace = dict(vars(counting))
+    source = inspect.getsource(function)
+    assert source.count(line) == 1
+    exec(source.replace(line, mutant), namespace)
+    for caller in callers:
+        exec(inspect.getsource(caller), namespace)
+    return namespace[(callers or (function,))[-1].__name__]
+
+
 @pytest.mark.parametrize("line, mutant", [
     ("top //= q", "pass"),
     ("for _ in range(k):", "for _ in range(k - 1):"),
@@ -135,11 +151,7 @@ def test_row_matches_the_quotient_oracle():
     ("full, gone = q ** eta, 1", "full, gone = q ** eta, q"),
 ])
 def test_row_mutants_fail_the_oracle(line, mutant):
-    source = inspect.getsource(counting._binomial_row)
-    assert source.count(line) == 1
-    namespace = dict(vars(counting))
-    exec(source.replace(line, mutant), namespace)
-    assert row_mismatches(namespace["_binomial_row"])
+    assert row_mismatches(_mutant(counting._binomial_row, line, mutant))
 
 
 class PowerlessInt(int):
@@ -376,6 +388,89 @@ def test_bounds_are_their_exact_sums_rounded_once():
                 float(expo), upper)
 
 
+# The bounds keep each exponent as an unreduced integer pair and the
+# penalty as one Fraction of integers; the oracles reduce them by Fraction
+# arithmetic.  Each int/int division rounds the exact rational, so the
+# floats must be equal, not close.
+BIT_FIELDS = (2, 3, 4, 5, 7, 8, 9, 16, 127, 1021)
+PENALTY_STEPS = (2, 3, 7, 20, 61, 200)
+
+
+def volume_bound_mismatches(bounds):
+    """The (q, m, eta, ell, r, parts) where bounds(params, r, parts)
+    differs from the Fraction oracle, lazily.  The bounds read m + eta and
+    min(m, eta) only, so eta >= m covers every shape up to 5 x 5."""
+    for q in BIT_FIELDS:
+        for m in range(1, 6):
+            for eta in range(m, 6):
+                for ell in (1, 2, 3, 7, 11, 40, 100):
+                    params = params_for(q, m, eta, ell)
+                    top = params.max_weight
+                    for r in range(0, top + 1, max(1, top // 12)):
+                        for parts in (ell, ell + 1):
+                            if bounds(params, r, parts) != \
+                                    volume_bounds_logq_by_fractions(
+                                        params, r, parts):
+                                yield q, m, eta, ell, r, parts
+
+
+def decomposable_bound_mismatches(bounds):
+    for q in BIT_FIELDS:
+        for eta in range(1, 7):
+            for ell in (1, 2, 5, 13, 50):
+                for w in range(eta * ell + 1):
+                    if bounds(eta, ell, w, q) != \
+                            decomposable_bounds_logq_by_fractions(
+                                eta, ell, w, q):
+                        yield q, eta, ell, w
+
+
+def penalty_mismatches(penalty):
+    # rho at every i/S, b at every j/S for the four smallest S
+    for steps in PENALTY_STEPS:
+        for i in range(1, steps):
+            rho = Fraction(i, steps)
+            for b_steps in PENALTY_STEPS[:4]:
+                for j in range(1, b_steps + 1):
+                    b = Fraction(j, b_steps)
+                    if penalty(rho, b) != capacity_penalty_by_fractions(rho,
+                                                                         b):
+                        yield rho, b
+
+
+def test_volume_bounds_are_bit_identical_to_the_fraction_formulas():
+    assert list(volume_bound_mismatches(counting._volume_bounds_logq)) == []
+
+
+def test_decomposable_bounds_are_bit_identical_to_the_fraction_formulas():
+    assert list(decomposable_bound_mismatches(
+        counting.decomposable_bounds_logq)) == []
+
+
+def test_capacity_penalty_equals_the_fraction_formula():
+    assert list(penalty_mismatches(capacity_penalty)) == []
+    penalty = capacity_penalty(Fraction(1, 3), Fraction(1, 2))
+    assert type(penalty) is Fraction and penalty == Fraction(4, 9)
+
+
+@pytest.mark.parametrize("mismatches, mutant", [
+    (volume_bound_mismatches,
+     (counting._volume_exponent, "ell - r) * r", "ell - r + 1) * r",
+      counting._volume_bounds_logq)),
+    (volume_bound_mismatches,
+     (counting._volume_exponent, "ell - r) * r", "ell - r) * (r - 1)",
+      counting._volume_bounds_logq)),
+    (decomposable_bound_mismatches,
+     (counting.decomposable_bounds_logq, "(eta * ell - w) * w",
+      "(eta * ell - w + 1) * w")),
+    (penalty_mismatches,
+     (capacity_penalty, "(y * v + y * u - x * u)", "(y * v + y * u)")),
+], ids=["volume-r-plus-1", "volume-r-minus-1", "decomposable",
+        "penalty-without-rho-squared-b"])
+def test_bound_mutants_fail_the_fraction_oracles(mismatches, mutant):
+    assert next(mismatches(_mutant(*mutant)), None) is not None
+
+
 def test_logq_int_rejects_bad_input():
     with pytest.raises(TypeError):
         counting.logq_int(2.5, 2)
@@ -486,6 +581,65 @@ def test_space_params_derived_fields():
     assert params.b == Fraction(3, 2)
     with pytest.raises(ValueError):
         params_for(2, 0, 2, 1)
+
+
+def test_space_params_hash_once_and_stay_a_plain_frozen_dataclass():
+    params = params_for(3, 2, 3, 4)
+    twin = SpaceParams(field_from_order(3), 2, 3, 4)
+    assert params == twin and hash(params) == hash(twin)
+    assert hash(params) == hash((params.field, 2, 3, 4))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        params.m = 3
+    for copy in (dataclasses.replace(params),
+                 pickle.loads(pickle.dumps(params))):
+        assert copy == params and hash(copy) == hash(params)
+    wider = dataclasses.replace(params, ell=5)
+    assert wider != params and hash(wider) == hash((params.field, 2, 3, 5))
+    assert "_hash" not in repr(params)
+    assert [f.name for f in dataclasses.fields(params)] == [
+        "field", "m", "eta", "ell"]
+
+    class Field:
+        hashed = 0
+
+        def __hash__(self):
+            Field.hashed += 1
+            return 7
+
+    shape = SpaceParams(Field(), 1, 2, 3)
+    assert {hash(shape) for _ in range(5)} == {hash((shape.field, 1, 2, 3))}
+    assert Field.hashed == 2  # once at construction, once in the check
+
+
+@pytest.mark.parametrize("int_first", [False, True],
+                         ids=["float-first", "int-first"])
+def test_a_count_key_that_is_not_an_int_is_refused_in_either_order(
+        int_first):
+    # lru_cache takes 2.0 and 2 as one key, so an unchecked float would
+    # return the int's count once the int had filled the cache
+    params = params_for(3, 2, 2, 2)
+    for count in (sphere_volume, ball_volume, decomposable_count):
+        count.cache_clear()
+    # (name, call, a good key, its count)
+    counts = [
+        ("radius", lambda x: sphere_volume(params, x), 2, 1120),
+        ("radius", lambda x: ball_volume(params, x), 2, 1185),
+        ("eta", lambda x: decomposable_count(x, 2, 2, 3), 2, 18),
+        ("ell", lambda x: decomposable_count(2, x, 2, 3), 2, 18),
+        ("w", lambda x: decomposable_count(2, 2, x, 3), 2, 18),
+        ("q", lambda x: decomposable_count(2, 2, 2, x), 3, 18),
+    ]
+    for name, count, good, value in counts:
+        if int_first:
+            assert count(good) == value
+        for bad in (float(good), Fraction(good), str(good)):
+            with pytest.raises(ValueError) as exc:
+                count(bad)
+            assert str(exc.value) == f"{name} must be an integer, got {bad!r}"
+        assert count(good) == value
+    assert sphere_volume.cache_info().currsize == 3  # the ball's spheres
+    assert ball_volume.cache_info().currsize == 1
+    assert decomposable_count.cache_info().currsize == 1
 
 
 def test_grassmannian_vector_mirrors_the_half_row():

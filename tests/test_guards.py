@@ -1,7 +1,8 @@
 """Guards: how a refused value is written, the price of one sampler draw,
 and source checks: every cap lives in guards.py, no guard builds q^e before
 comparing it, every function of the package is named by the package or by
-perfbench, only metric decodes a code, and the CLI prices no draw itself."""
+perfbench, only metric decodes a code, the CLI prices no draw itself, and
+the bound formulas build no Fraction."""
 
 import ast
 import re
@@ -319,6 +320,42 @@ def test_the_cli_prices_no_draw_itself():
     found = set(_names(ast.parse(cli.read_text(), str(cli))))
     assert found & {"MAX_ENTRIES", "MAX_MATRIX_WORK"} == set()
     assert "require_draw_within" not in found
+
+
+# The bound formulas, which take each exponent as an unreduced integer pair:
+# a Fraction there would cost a gcd per case of every bounds sweep.
+INTEGER_BOUNDS = ("_volume_exponent", "_volume_bounds_logq",
+                  "decomposable_bounds_logq")
+
+
+def fraction_builders(tree, names):
+    """The module-level functions of tree named in names that call
+    Fraction, by name or as an attribute."""
+    return sorted(node.name for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name in names
+                  and any(isinstance(n, ast.Call) and "Fraction" in (
+                      getattr(n.func, "id", None),
+                      getattr(n.func, "attr", None))
+                      for n in ast.walk(node)))
+
+
+@pytest.mark.parametrize("source, found", [
+    ("def f(a):\n    return Fraction(a, 2)", ["f"]),
+    ("def f(a):\n    return [fractions.Fraction(x) for x in a]", ["f"]),
+    ("def f(a):\n    return a * 2, 2\ndef g(a):\n    return Fraction(a)", []),
+    ("def f(a):\n    return isinstance(a, Fraction)", []),
+])
+def test_the_fraction_check_finds_what_it_looks_for(source, found):
+    assert fraction_builders(ast.parse(source), {"f"}) == found
+
+
+def test_the_bound_formulas_build_no_fraction():
+    counting = Path(sumrank.__file__).parent / "counting.py"
+    tree = ast.parse(counting.read_text(), str(counting))
+    defined = {node.name for node in tree.body
+               if isinstance(node, ast.FunctionDef)}
+    assert set(INTEGER_BOUNDS) <= defined
+    assert fraction_builders(tree, INTEGER_BOUNDS) == []
 
 
 def test_the_package_parses_as_its_oldest_admitted_python():
