@@ -307,20 +307,30 @@ def gaussian_binomial_bounds_ok(n, k, q, margin=LOG_MARGIN):
 # powers P^j, visiting compositions in lexicographic order: the order of a
 # flat inverse-CDF table over bounded_compositions, so a given integer picks
 # the same composition.
+#
+# Each public cache of several arguments is typed, so 2, 2.0, Fraction(2)
+# and "2" are different keys: a key that is not an int misses, and the body
+# refuses it with require_int.  Only top-level arguments are typed, so base
+# is trusted as a tuple of ints.  The dict _POWERS cannot be typed, so
+# block_sum_power checks before reading it.  Private caches keep the untyped
+# hit path behind a public function that has checked their ints.
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)
 def rank_count_vector(m, eta, q):
     """Per-block counts by rank: the numbers of m x eta matrices of rank
     k = 0..min(m, eta), from one priced row."""
+    m, eta, q = (require_int("m", m), require_int("eta", eta),
+                 require_int("q", q))
     return tuple(_binomial_row(m, min(m, eta), q, eta))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)
 def grassmannian_vector(eta, q):
     """Per-block counts by dimension: gaussian_binomial(eta, k, q) for
     k = 0..eta, from one priced row to eta // 2 mirrored by
     [eta, k] = [eta, eta - k]."""
+    eta, q = require_int("eta", eta), require_int("q", q)
     row = _binomial_row(eta, eta // 2, q)
     return (*row, *reversed(row[:(eta + 1) // 2]))
 
@@ -377,6 +387,7 @@ def block_sum_power(base, ell, deg):
     them past its top degree), for base[0] >= 1: entry s sums
     prod_i base[k_i] over the compositions (k_1, ..., k_ell) of s.  Raises
     GuardError, before computing, past MAX_COUNT_WORK."""
+    ell, deg = require_int("ell", ell), require_int("deg", deg)
     deg = min(deg, ell * (len(base) - 1))
     power = _POWERS.get((base, ell), ())
     if len(power) <= deg:
@@ -387,7 +398,7 @@ def block_sum_power(base, ell, deg):
     return power
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)
 def completion_powers(base, ell, deg):
     """(base^(ell-1), ..., base^0), each through degree deg or further:
     entry i holds the masses of the completions of a prefix of i blocks.
@@ -395,6 +406,7 @@ def completion_powers(base, ell, deg):
     powers of at most deg + 1 coefficients, or past MAX_COUNT_WORK for
     their work, at most 32 runs of exponents each priced at its largest
     (work never falls as the exponent grows).  No power is cached alone."""
+    ell, deg = require_int("ell", ell), require_int("deg", deg)
     require_within(ell * (deg + 1), guards.MAX_SWEEP,
                    "completion power coefficients")
     step = -(-ell // 32) or 1
@@ -440,44 +452,23 @@ def unrank_block_sum(base, ell, total, u, tails=None):
 
 
 # -- sphere and ball volumes -----------------------------------------------
-#
-# sphere_volume, ball_volume and decomposable_count check each key with
-# require_int before their cache is read, as lru_cache takes 2.0 and 2 as one
-# key; each carries its cache's cache_info and cache_clear.
 
-
-def _front_of(cache):
-    def attach(front):
-        front.cache_info, front.cache_clear = (cache.cache_info,
-                                               cache.cache_clear)
-        return front
-    return attach
-
-
-@functools.lru_cache(maxsize=None)
-def _sphere_volume(params, r):
+@functools.lru_cache(maxsize=None, typed=True)
+def sphere_volume(params, r):
+    """Exact number of tuples at sum-rank weight r around any fixed center."""
+    r = require_int("radius", r)
     params.check_radius(r)
     base = rank_count_vector(params.m, params.eta, params.q)
     return block_sum_power(base, params.ell, r)[r]
 
 
-@_front_of(_sphere_volume)
-def sphere_volume(params, r):
-    """Exact number of tuples at sum-rank weight r around any fixed center."""
-    return _sphere_volume(params, require_int("radius", r))
-
-
-@functools.lru_cache(maxsize=None)
-def _ball_volume(params, r):
-    params.check_radius(r)
-    # Top sphere first, so the power is computed once to degree r.
-    return sum(_sphere_volume(params, s) for s in range(r, -1, -1))
-
-
-@_front_of(_ball_volume)
+@functools.lru_cache(maxsize=None, typed=True)
 def ball_volume(params, r):
     """Exact number of tuples at sum-rank distance <= r from a fixed center."""
-    return _ball_volume(params, require_int("radius", r))
+    r = require_int("radius", r)
+    params.check_radius(r)
+    # Top sphere first, so the power is computed once to degree r.
+    return sum(sphere_volume(params, s) for s in range(r, -1, -1))
 
 
 def _volume_exponent(params, r):
@@ -531,18 +522,13 @@ def _check_decomposable(eta, ell, w):
         raise ValueError(f"w = {w} outside [0, {eta * ell}]")
 
 
-@functools.lru_cache(maxsize=None)
-def _decomposable_count(eta, ell, w, q):
-    _check_decomposable(eta, ell, w)
-    return block_sum_power(grassmannian_vector(eta, q), ell, w)[w]
-
-
-@_front_of(_decomposable_count)
+@functools.lru_cache(maxsize=None, typed=True)
 def decomposable_count(eta, ell, w, q):
     """Number of products of per-block subspaces with total dimension w."""
-    return _decomposable_count(require_int("eta", eta),
-                               require_int("ell", ell), require_int("w", w),
-                               require_int("q", q))
+    eta, ell, w, q = (require_int("eta", eta), require_int("ell", ell),
+                      require_int("w", w), require_int("q", q))
+    _check_decomposable(eta, ell, w)
+    return block_sum_power(grassmannian_vector(eta, q), ell, w)[w]
 
 
 def decomposable_bounds_logq(eta, ell, w, q):

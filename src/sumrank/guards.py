@@ -3,8 +3,9 @@ enforce it.
 
 Brute-force paths refuse to run above fixed size limits instead of silently
 truncating.  Each cap is priced by plain arithmetic on the shape, before the
-work starts; violations raise :class:`GuardError`.  require_int checks a
-cache key before its cache is read.
+work starts; violations raise :class:`GuardError`.  require_int opens the
+body of each typed public cache, which a key that is not an int always
+reaches.
 """
 
 import math
@@ -39,8 +40,9 @@ class GuardError(RuntimeError):
 
 
 def require_int(name, value):
-    """value as an int, or ValueError naming it: each cache key is checked
-    before its cache is read, as lru_cache takes 2.0 and 2 as one key."""
+    """value as an int, or ValueError naming it.  A public cache of several
+    arguments is typed, so 2.0 misses the entry of 2 and its body, opening
+    with this check, refuses it."""
     try:
         return operator.index(value)
     except TypeError:

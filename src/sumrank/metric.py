@@ -299,11 +299,12 @@ def code_adder_steps(field, length):
     return -(-length // _chunk_digits(field.q)) * -(-bits // 1024)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)
 def rank_table(field, m, eta):
     """Rank of every m x eta matrix as bytes indexed by matrix code; the
     caller guards the q^(m*eta) eliminations.  product() yields the
     matrices as row tuples in code order, each row a shared tuple."""
+    m, eta = require_int("m", m), require_int("eta", eta)
     rows = itertools.product(range(field.q), repeat=eta)
     return bytes(map(functools.partial(linalg._rank_rows, field),
                      itertools.product(rows, repeat=m)))

@@ -18,12 +18,14 @@ from hypothesis import given, strategies as st
 from sumrank import counting
 from sumrank.counting import (SpaceParams, ball_volume, block_sum_power,
                               bounded_compositions, capacity_penalty,
-                              decomposable_bounds_ok, decomposable_count,
+                              completion_powers, decomposable_bounds_ok,
+                              decomposable_count,
                               decomposable_le_grassmannian,
                               euler_product_interval, gaussian_binomial,
                               gaussian_binomial_bounds_ok,
-                              list_decoding_capacity, q_ary_entropy,
-                              rank_count_vector, sphere_volume)
+                              grassmannian_vector, list_decoding_capacity,
+                              q_ary_entropy, rank_count_vector,
+                              sphere_volume)
 from sumrank.galois import field_from_order
 from sumrank.guards import MAX_Q
 from sumrank.linalg import _rank_rows
@@ -615,11 +617,15 @@ def test_space_params_hash_once_and_stay_a_plain_frozen_dataclass():
                          ids=["float-first", "int-first"])
 def test_a_count_key_that_is_not_an_int_is_refused_in_either_order(
         int_first):
-    # lru_cache takes 2.0 and 2 as one key, so an unchecked float would
-    # return the int's count once the int had filled the cache
+    # an untyped lru_cache takes 2.0 and 2 as one key, and so does the
+    # _POWERS dict: unchecked, a float returned the int's count once the int
+    # had filled the cache
     params = params_for(3, 2, 2, 2)
-    for count in (sphere_volume, ball_volume, decomposable_count):
+    for count in (sphere_volume, ball_volume, decomposable_count,
+                  rank_count_vector, grassmannian_vector, completion_powers):
         count.cache_clear()
+    counting._POWERS.clear()
+    base = (1, 32, 48)  # rank_count_vector(2, 2, 3)
     # (name, call, a good key, its count)
     counts = [
         ("radius", lambda x: sphere_volume(params, x), 2, 1120),
@@ -628,6 +634,16 @@ def test_a_count_key_that_is_not_an_int_is_refused_in_either_order(
         ("ell", lambda x: decomposable_count(2, x, 2, 3), 2, 18),
         ("w", lambda x: decomposable_count(2, 2, x, 3), 2, 18),
         ("q", lambda x: decomposable_count(2, 2, 2, x), 3, 18),
+        ("m", lambda x: rank_count_vector(x, 2, 3), 2, base),
+        ("eta", lambda x: rank_count_vector(2, x, 3), 2, base),
+        ("q", lambda x: rank_count_vector(2, 2, x), 3, base),
+        ("eta", lambda x: grassmannian_vector(x, 3), 2, (1, 4, 1)),
+        ("q", lambda x: grassmannian_vector(2, x), 3, (1, 4, 1)),
+        ("ell", lambda x: completion_powers(base, x, 2), 2, (base, (1,))),
+        ("deg", lambda x: completion_powers(base, 2, x), 2, (base, (1,))),
+        # through degree 2 or further, so read to degree 2
+        ("ell", lambda x: block_sum_power(base, x, 2)[:3], 2, (1, 64, 1120)),
+        ("deg", lambda x: block_sum_power(base, 2, x)[:3], 2, (1, 64, 1120)),
     ]
     for name, count, good, value in counts:
         if int_first:
@@ -640,6 +656,22 @@ def test_a_count_key_that_is_not_an_int_is_refused_in_either_order(
     assert sphere_volume.cache_info().currsize == 3  # the ball's spheres
     assert ball_volume.cache_info().currsize == 1
     assert decomposable_count.cache_info().currsize == 1
+
+
+def test_a_float_exponent_leaves_no_float_power_behind():
+    # _POWERS is a dict, which an lru_cache's typed keys cannot guard: a
+    # float ell stored float coefficients under the int key (base, 3), which
+    # the sphere and ball volumes then read
+    p = params_for(2, 2, 2, 3)
+    for count in (sphere_volume, ball_volume):
+        count.cache_clear()
+    counting._POWERS.clear()
+    with pytest.raises(ValueError) as exc:
+        block_sum_power(rank_count_vector(2, 2, 2), 3.0, 4)
+    assert str(exc.value) == "ell must be an integer, got 3.0"
+    for volume, value in ((sphere_volume(p, 4), 1566),
+                          (ball_volume(p, 4), 2908)):
+        assert volume == value and type(volume) is int
 
 
 def test_grassmannian_vector_mirrors_the_half_row():

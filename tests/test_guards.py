@@ -1,8 +1,9 @@
 """Guards: how a refused value is written, the price of one sampler draw,
 and source checks: every cap lives in guards.py, no guard builds q^e before
 comparing it, every function of the package is named by the package or by
-perfbench, only metric decodes a code, the CLI prices no draw itself, and
-the bound formulas build no Fraction."""
+perfbench, only metric decodes a code, the CLI prices no draw itself, the
+bound formulas build no Fraction, and every public cache of several
+arguments is typed."""
 
 import ast
 import re
@@ -356,6 +357,55 @@ def test_the_bound_formulas_build_no_fraction():
                if isinstance(node, ast.FunctionDef)}
     assert set(INTEGER_BOUNDS) <= defined
     assert fraction_builders(tree, INTEGER_BOUNDS) == []
+
+
+def public_caches(tree):
+    """{name: typed} of the module-level public functions of tree that have
+    two or more parameters and an lru_cache decorator, typed when it passes
+    typed=True.  A cache of one parameter needs no typing: CPython keys a
+    lone exact int by the int itself, so field_from_order(4) and
+    field_from_order(4.0) already use different keys."""
+    found = {}
+    for node in tree.body:
+        if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+            continue
+        args = node.args
+        if len(args.posonlyargs + args.args + args.kwonlyargs) < 2:
+            continue
+        for decorator in node.decorator_list:
+            call = decorator if isinstance(decorator, ast.Call) else None
+            func = call.func if call else decorator
+            if "lru_cache" in (getattr(func, "id", None),
+                               getattr(func, "attr", None)):
+                found[node.name] = any(
+                    k.arg == "typed" and isinstance(k.value, ast.Constant)
+                    and k.value.value is True
+                    for k in (call.keywords if call else ()))
+    return found
+
+
+@pytest.mark.parametrize("source, found", [
+    ("@lru_cache\ndef f(a, b):\n    pass", {"f": False}),
+    ("@functools.lru_cache(maxsize=None)\ndef f(a, b):\n    pass",
+     {"f": False}),
+    ("@functools.lru_cache(maxsize=None, typed=True)\ndef f(a, *, b):\n"
+     "    pass", {"f": True}),
+    ("@lru_cache(maxsize=None)\ndef _f(a, b):\n    pass", {}),
+    ("@lru_cache(maxsize=None)\ndef f(a):\n    pass", {}),
+    ("def f(a, b):\n    pass", {}),
+])
+def test_the_typed_cache_check_finds_what_it_looks_for(source, found):
+    assert public_caches(ast.parse(source)) == found
+
+
+def test_every_public_cache_of_several_arguments_is_typed():
+    # an untyped key takes 2.0, Fraction(2) and 2 as one, so a float would
+    # read the int's entry past the body's require_int
+    found = {f"{path.stem}.{name}": typed for path in PACKAGE
+             for name, typed in public_caches(ast.parse(
+                 path.read_text(), str(path))).items()}
+    assert len(found) >= 7
+    assert [name for name, typed in found.items() if not typed] == []
 
 
 def test_the_package_parses_as_its_oldest_admitted_python():

@@ -465,29 +465,34 @@ def test_a_drawer_keeps_no_drawn_block_alive():
                          ids=["float-first", "int-first"])
 def test_a_drawer_key_that_is_not_an_int_is_refused_in_either_order(
         int_first):
-    # lru_cache takes 2.0 and 2 as one key: unchecked, a float drew a point
-    # once the int had built the drawer, and raised TypeError before
+    # an untyped lru_cache takes 2.0 and 2 as one key: unchecked, a float
+    # drew a point or read a rank table once the int had built it, and
+    # raised TypeError before
     params = params_for(3, 2, 2, 2)
     field = params.field
     metric._ball_drawer.cache_clear()
     metric._block_drawers.cache_clear()
-    draws = {
-        "radius": lambda x: sample_ball_uniform(params, x, random.Random(1)),
-        "m": lambda x: sample_uniform_matrix_of_rank(field, x, 2, 1,
-                                                     random.Random(1)),
-        "eta": lambda x: sample_uniform_matrix_of_rank(field, 2, x, 1,
-                                                       random.Random(1)),
-        "rank r": lambda x: sample_entries_of_rank(field, 2, 2, x,
-                                                   random.Random(1)),
-    }
-    for name, draw in draws.items():
-        if int_first:
-            draw(2)
+    rank_table.cache_clear()
+    draws = [
+        ("radius", lambda x: sample_ball_uniform(params, x, random.Random(1))),
+        ("m", lambda x: sample_uniform_matrix_of_rank(field, x, 2, 1,
+                                                      random.Random(1))),
+        ("eta", lambda x: sample_uniform_matrix_of_rank(field, 2, x, 1,
+                                                        random.Random(1))),
+        ("rank r", lambda x: sample_entries_of_rank(field, 2, 2, x,
+                                                    random.Random(1))),
+        ("m", lambda x: rank_table(field, x, 2)),
+        ("eta", lambda x: rank_table(field, 2, x)),
+    ]
+    for name, draw in draws:
+        kept = draw(2) if int_first else None
         for bad in (2.0, Fraction(2), "2"):
             with pytest.raises(ValueError) as exc:
                 draw(bad)
             assert str(exc.value) == f"{name} must be an integer, got {bad!r}"
-        draw(2)
+        got = draw(2)
+        assert kept is None or got == kept
+    assert rank_table(field, 2, 2).count(2) == 48  # the rank-2 2 x 2 over F_3
 
 
 @pytest.mark.parametrize("q, m, eta", [(2, 2, 2), (3, 1, 3), (4, 2, 3),
